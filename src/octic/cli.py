@@ -229,7 +229,7 @@ def _trace_scenario(data):
     equation = data.get("equation")
     if not equation:
         raise resolve.TraceAborted(
-            "scenario carries no equation to trace", ())
+            "start", "scenario carries no equation to trace", ())
     a = parse_equation(equation)
     generic = incidence.profile(a)
     order = data.get("blowup_order")

@@ -2,8 +2,9 @@
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator, so the invariants come for free).  On top of that:
-dense univariate polynomials over Q, their fraction field, and dense
-matrices over either scalar domain with deterministic row reduction.
+dense univariate polynomials over Q, determinants of small matrices with
+polynomial or rational entries, and dense matrices over Q with
+deterministic Gauss-Jordan reduction.
 
 Everything here is immutable and pure; no floats anywhere.
 """
@@ -339,137 +340,11 @@ def _roots_of_squarefree(p: Poly) -> tuple[list[Fraction], Poly]:
 
 
 # ---------------------------------------------------------------------------
-# scalars for matrices: Fraction or RationalFunction
-
-
-class RationalFunction:
-    """Element of Q(w): coprime numerator/denominator, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_rf_poly(num)
-        den = Poly.const(1) if den is None else _as_rf_poly(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self.num = Poly()
-            self.den = Poly.const(1)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.lead
-        if lc != 1:
-            num = num.shift_scale(1 / lc)
-            den = den.shift_scale(1 / lc)
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash(("RF", self.num.coeffs, self.den.coeffs))
-
-    def __add__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def evaluate(self, v) -> Fraction:
-        dv = self.den.evaluate(v)
-        if dv == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {v}")
-        return self.num.evaluate(v) / dv
-
-    def __repr__(self):
-        if self.den == Poly.const(1):
-            return f"RF({self.num})"
-        return f"RF(({self.num})/({self.den}))"
-
-
-def _as_rf_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly([x])
-    raise TypeError(f"cannot build a rational function from {x!r}")
-
-
-def _as_rf(x) -> Union[RationalFunction, None]:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction, Poly)):
-        return RationalFunction(x)
-    return None
-
-
-Scalar = Union[Fraction, RationalFunction]
-
-
-def _scalar_zero(sample: Scalar):
-    return RationalFunction(0) if isinstance(sample, RationalFunction) else Fraction(0)
-
-
-def _scalar_one(sample: Scalar):
-    return RationalFunction(1) if isinstance(sample, RationalFunction) else Fraction(1)
+# matrices over Q
 
 
 class ExactMatrix:
-    """Dense matrix over Q or Q(w).  All entries share one scalar kind."""
+    """Dense matrix over Q.  ``field`` names the scalar domain, always "Q"."""
 
     __slots__ = ("rows", "cols", "entries", "field")
 
@@ -479,26 +354,10 @@ class ExactMatrix:
         for row in grid:
             if len(row) != ncols:
                 raise ValueError("ragged matrix")
-        # normalize scalar kind: any RationalFunction entry promotes the lot
-        has_rf = any(isinstance(e, RationalFunction) for row in grid for e in row)
-        norm = []
-        for row in grid:
-            nrow = []
-            for e in row:
-                if has_rf:
-                    v = _as_rf(e)
-                    if v is None:
-                        raise TypeError(f"bad matrix entry {e!r}")
-                else:
-                    if isinstance(e, Poly):
-                        has_rf = True  # pragma: no cover - caught by scan above
-                    v = _coerce_fraction(e)
-                nrow.append(v)
-            norm.append(nrow)
-        self.entries = norm
-        self.rows = len(norm)
+        self.entries = [[_coerce_fraction(e) for e in row] for row in grid]
+        self.rows = len(grid)
         self.cols = ncols
-        self.field = "Q(w)" if has_rf else "Q"
+        self.field = "Q"
 
     def transpose(self) -> "ExactMatrix":
         if self.rows == 0:
@@ -526,7 +385,7 @@ class ExactMatrix:
 
 
 def rref(m: ExactMatrix) -> tuple[int, list[list], list[int]]:
-    """Reduced row echelon form bookkeeping.
+    """Reduced row echelon form bookkeeping, by Gauss-Jordan over Q.
 
     Returns (rank, kernel_basis, pivot_columns).  Pivoting is always on the
     first nonzero entry scanning columns left to right, so the kernel basis
@@ -547,8 +406,7 @@ def rref(m: ExactMatrix) -> tuple[int, list[list], list[int]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        inv = _scalar_one(pv) / pv if isinstance(pv, RationalFunction) else Fraction(1) / pv
+        inv = Fraction(1) / work[r][c]
         work[r] = [e * inv for e in work[r]]
         for i in range(nrows):
             if i != r and work[i][c]:
@@ -560,12 +418,10 @@ def rref(m: ExactMatrix) -> tuple[int, list[list], list[int]]:
             break
     rank = len(pivots)
     free = [c for c in range(ncols) if c not in pivots]
-    zero = _scalar_zero(m.entries[0][0])
-    one = _scalar_one(m.entries[0][0])
     kernel = []
     for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
             v[pc] = -work[i][fc]
         kernel.append(v)
@@ -581,14 +437,11 @@ def _trivial_kernel(ncols: int) -> list[list]:
     return out
 
 
-def matrix_rank(entries: Sequence[Sequence]) -> int:
-    return rref(ExactMatrix(entries))[0]
-
-
-def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a small square matrix of polynomials, by Laplace
-    expansion down the first column.  Fine for the 3x3/4x4 minors used in
-    incidence scans; not meant for anything big."""
+def poly_det(rows: Sequence[Sequence]):
+    """Determinant of a small square matrix by Laplace expansion down the
+    first column.  Entries are all ``Poly`` or all ``Fraction``, and so is
+    the result; only ``+ - *`` and truthiness are used.  Fine for the
+    minors of 4-column incidence matrices; not meant for anything big."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -599,15 +452,16 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Poly()
-    sign = 1
+    total = None
     for i in range(n):
         if rows[i][0]:
             minor = [r[1:] for j, r in enumerate(rows) if j != i]
             term = rows[i][0] * poly_det(minor)
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
+            if i % 2:
+                term = -term
+            total = term if total is None else total + term
+    # an all-zero first column leaves the determinant at that zero
+    return rows[0][0] if total is None else total
 
 
 def fraction_str(x: Fraction) -> str:

@@ -359,6 +359,8 @@ def _parse_int(sc: _Scanner) -> Fraction:
             dd += sc.take()
         if not dd:
             raise sc.error("expected a denominator")
+        if not int(dd):
+            raise ParseError("zero denominator", start)
         return Fraction(int(digits), int(dd))
     return Fraction(int(digits))
 

@@ -4,9 +4,10 @@ The combinatorial type of an arrangement is the list of its maximal
 multiple lines (q planes through a common line, q >= 2) and multiple
 points (p planes through a common point, p >= 3, decorated with the
 count j of triple-or-worse lines through it).  Everything is decided by
-exact rank computations on coefficient matrices, over Q for a single
-arrangement and over Q(w) for a one-parameter family, so "generic"
-really means generic and not "at a randomly sampled parameter".
+the maximal minors of coefficient matrices with 4 columns, with rational
+entries for a single arrangement and polynomial entries in Q[w] for a
+one-parameter family, so "generic" really means generic and not "at a
+randomly sampled parameter".
 
 Degenerate parameter values are located by scanning minor ideals of the
 coefficient rows: a subset of planes acquires a new coincidence exactly
@@ -23,16 +24,7 @@ from itertools import combinations
 from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import (
-    ExactMatrix,
-    Poly,
-    RationalFunction,
-    fraction_str,
-    poly_det,
-    poly_gcd,
-    rational_roots,
-    rref,
-)
+from .exact import Poly, fraction_str, poly_det, poly_gcd, rational_roots
 from .forms import Arrangement, FormVanishes, ParamArrangement, specialize
 
 
@@ -162,85 +154,110 @@ class NewIncidence:
 
 
 # ---------------------------------------------------------------------------
-# scalar plumbing
-
-Scalar = Union[Fraction, RationalFunction]
-
-
-def _scalar_rows(a: Union[Arrangement, ParamArrangement]) -> list[list[Scalar]]:
-    param = any(c.degree > 0 for f in a.forms for c in f.coeffs)
-    rows: list[list[Scalar]] = []
-    for f in a.forms:
-        if param:
-            rows.append([RationalFunction(c) for c in f.coeffs])
-        else:
-            rows.append(
-                [c.coeffs[0] if c.coeffs else Fraction(0) for c in f.coeffs]
-            )
-    return rows
+# the minors kernel
+#
+# Every incidence question is about a matrix with 4 columns, whose rows are
+# plane coefficients (or points) with entries all ``Poly`` (a family, over
+# Q[w]) or all ``Fraction`` (one fiber).  Ranks and kernels of such a
+# matrix are read off its maximal minors, so only + - * are needed.
 
 
-def primitive_vector(vec: Sequence[Scalar]) -> Vec4:
-    """Canonical representative of a projective point over Q or Q(w):
-    polynomial entries, no common polynomial or rational factor, first
-    nonzero entry with positive leading coefficient."""
-    nums: list[Poly] = []
-    dens: list[Poly] = []
-    for v in vec:
-        if isinstance(v, RationalFunction):
-            nums.append(v.num)
-            dens.append(v.den)
-        else:
-            nums.append(Poly([v]) if v else Poly())
-            dens.append(Poly.const(1))
-    common = Poly.const(1)
-    for d in dens:
-        common = common * d.exact_div(poly_gcd(common, d))
-    polys = [n * common.exact_div(d) for n, d in zip(nums, dens)]
+def minors(rows: Sequence[Sequence]) -> list:
+    """The maximal minors of at most 4 rows of 4 entries, one per set of
+    ``len(rows)`` columns in lexicographic order."""
+    k = len(rows)
+    if k > 4:
+        raise ValueError(f"{k} rows have no maximal minors in 4 columns")
+    return [
+        poly_det([[row[c] for c in cols] for row in rows])
+        for cols in combinations(range(4), k)
+    ]
+
+
+def _independent(rows: Sequence[Sequence]) -> list:
+    """A maximal independent subset of the rows, picked greedily."""
+    chosen: list = []
+    for row in rows:
+        if len(chosen) == 4:
+            break
+        if any(minors(chosen + [row])):
+            chosen.append(row)
+    return chosen
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of any number of rows, over Q(w) for ``Poly`` entries."""
+    return len(_independent(rows))
+
+
+def _cramer(ms: Sequence, k: int) -> list[list]:
+    """Kernel vectors of k independent rows, given their maximal minors.
+
+    Over the lexicographically first nonzero minor, each free column f
+    gets the vector supported on the minor's columns and f whose entries
+    are the signed complementary minors: the generalised cross product of
+    the rows restricted to those k + 1 columns.
+    """
+    by_cols = dict(zip(combinations(range(4), k), ms))
+    pivots = next(cols for cols, m in by_cols.items() if m)
+    out = []
+    for f in range(4):
+        if f in pivots:
+            continue
+        support = sorted(pivots + (f,))
+        v: list = [0] * 4
+        for u, c in enumerate(support):
+            m = by_cols[tuple(x for x in support if x != c)]
+            v[c] = -m if u % 2 else m
+        out.append(v)
+    return out
+
+
+def _canonical_basis(vectors) -> tuple[Vec4, ...]:
+    return tuple(sorted((primitive_vector(v) for v in vectors),
+                        key=lambda vec: tuple(p.coeffs for p in vec)))
+
+
+def kernel(rows: Sequence[Sequence]) -> tuple[Vec4, ...]:
+    """Canonical basis of the kernel: primitive vectors, sorted, one for
+    each column outside the lexicographically first nonzero maximal minor
+    of an independent subset of the rows."""
+    chosen = _independent(rows)
+    return _canonical_basis(_cramer(minors(chosen), len(chosen)))
+
+
+def primitive_vector(vec: Sequence) -> Vec4:
+    """Canonical representative of a projective point with ``Poly`` or
+    rational entries: polynomial entries with integer coefficients, no
+    common polynomial or integer factor, first nonzero entry with positive
+    leading coefficient."""
+    polys = [v if isinstance(v, Poly) else Poly([v]) for v in vec]
     nonzero = [p for p in polys if p]
     if not nonzero:
         raise ValueError("zero vector has no primitive form")
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = poly_gcd(g, p)
-    if g.degree > 0:
-        polys = [p.exact_div(g) if p else p for p in polys]
-    coeffs = [c for p in polys for c in p.coeffs if c != 0]
+    if all(p.degree > 0 for p in nonzero):
+        g = nonzero[0]
+        for p in nonzero[1:]:
+            g = poly_gcd(g, p)
+        if g.degree > 0:
+            polys = [p.exact_div(g) for p in polys]
+    coeffs = [c for p in polys for c in p.coeffs if c]
     scale = Fraction(
         int_lcm(*(c.denominator for c in coeffs)),
-        int_gcd(*(abs(c.numerator) for c in coeffs)),
+        int_gcd(*(c.numerator for c in coeffs)),
     )
-    polys = [p.shift_scale(scale) for p in polys]
-    for p in polys:
-        if p:
-            if p.lead < 0:
-                polys = [q.shift_scale(Fraction(-1)) for q in polys]
-            break
-    return tuple(polys)  # type: ignore[return-value]
-
-
-def _dot(row: Sequence[Scalar], vec: Sequence[Scalar]):
-    acc = None
-    for a, b in zip(row, vec):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+    if next(p for p in polys if p).lead < 0:
+        scale = -scale
+    return tuple(p.shift_scale(scale) for p in polys)  # type: ignore[return-value]
 
 
 def evaluate_vector(vec: Vec4, w0: Fraction) -> Vec4:
     return primitive_vector([p.evaluate(w0) for p in vec])
 
 
-def _vector_scalars(vec: Vec4) -> list[Scalar]:
-    if any(p.degree > 0 for p in vec):
-        return [RationalFunction(p) for p in vec]
-    return [p.coeffs[0] if p else Fraction(0) for p in vec]
-
-
 def point_on_line(point: Vec4, basis: tuple[Vec4, Vec4]) -> bool:
     """Whether a profile point lies on a profile line, both in primitive form."""
-    rows = [_vector_scalars(v) for v in (basis[0], basis[1], point)]
-    return _matrix_rank(rows) == 2
+    return rank([*basis, point]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -250,69 +267,57 @@ def point_on_line(point: Vec4, basis: tuple[Vec4, Vec4]) -> bool:
 def profile(
     a: Union[Arrangement, ParamArrangement], at: Optional[Fraction] = None
 ) -> IncidenceProfile:
-    """Exact incidence profile; over Q(w) when any coefficient involves w.
+    """Exact incidence profile; generic over Q(w) when any coefficient
+    involves w.
 
     Raises CoincidentPlanes when two forms are proportional, which for a
     specialized fiber marks the degeneration as out of scope.
     """
-    rows = _scalar_rows(a)
+    param = any(c.degree > 0 for f in a.forms for c in f.coeffs)
+    rows = [[c if param else c.evaluate(0) for c in f.coeffs] for f in a.forms]
     n = len(rows)
+    pair = {}
     for i, j in combinations(range(n), 2):
-        if _matrix_rank([rows[i], rows[j]]) < 2:
+        pair[i, j] = minors([rows[i], rows[j]])
+        if not any(pair[i, j]):
             raise CoincidentPlanes(i, j)
+    triple = {t: minors([rows[m] for m in t]) for t in combinations(range(n), 3)}
 
     # maximal pencils: the planes through the line of a pair (i, j) are
-    # exactly those whose row lies in the span of rows i and j
+    # exactly those k for which the minors of (i, j, k) all vanish
     pencils: dict[tuple[int, ...], MultipleLine] = {}
-    for i, j in combinations(range(n), 2):
-        members = [i, j]
-        for k in range(n):
-            if k in (i, j):
-                continue
-            if _matrix_rank([rows[i], rows[j], rows[k]]) == 2:
-                members.append(k)
-        key = tuple(sorted(members))
-        if key in pencils:
-            continue
-        _, kernel, _ = rref(ExactMatrix([rows[m] for m in key]))
-        basis = tuple(
-            sorted(
-                (primitive_vector(v) for v in kernel),
-                key=lambda vec: tuple(p.coeffs for p in vec),
+    for (i, j), ms in pair.items():
+        key = tuple(
+            k for k in range(n)
+            if k in (i, j) or not any(triple[tuple(sorted((i, j, k)))])
+        )
+        if key not in pencils:
+            pencils[key] = MultipleLine(
+                planes=tuple(m + 1 for m in key),  # 1-based outward
+                basis=_canonical_basis(_cramer(ms, 2)),
             )
-        )
-        assert len(basis) == 2
-        pencils[key] = MultipleLine(
-            planes=tuple(m + 1 for m in key), basis=basis  # 1-based outward
-        )
     lines = list(pencils.values())
     triple_sets = [set(l.planes) for l in lines if l.q >= 3]
 
-    # points: kernels of rank-3 triples, merged by coordinates
-    seen: dict[Vec4, tuple[int, ...]] = {}
-    for triple in combinations(range(n), 3):
-        sub = [rows[m] for m in triple]
-        if _matrix_rank(sub) != 3:
+    # points: the cross product of each rank-3 triple; a plane passes
+    # through it when its row is orthogonal to that product
+    points: list[MultiplePoint] = []
+    for t, ms in triple.items():
+        if not any(ms):
             continue  # a pencil; already recorded as a line
-        _, kernel, _ = rref(ExactMatrix(sub))
-        pt = primitive_vector(kernel[0])
-        if pt in seen:
-            continue
-        kvec = kernel[0]
+        planes = {m + 1 for m in t}
+        if any(planes <= set(pt.planes) for pt in points):
+            continue  # a triple through a point already found
+        (cross,) = _cramer(ms, 3)
         members = tuple(
-            m + 1 for m in range(n) if not _dot(rows[m], kvec)
+            m + 1 for m in range(n)
+            if not sum(r * x for r, x in zip(rows[m], cross))
         )
-        seen[pt] = members
-    points = []
-    for pt, members in seen.items():
         j = sum(1 for s in triple_sets if s <= set(members))
-        points.append(MultiplePoint(planes=members, point=pt, j=j))
+        points.append(
+            MultiplePoint(planes=members, point=primitive_vector(cross), j=j))
 
     return IncidenceProfile(lines, points, n_forms=n, at=at)
-
-
-def _matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return rref(ExactMatrix(rows))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,31 +481,23 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
 
     for i in range(n):
         scan(
-            list(rows[i]),
+            minors([rows[i]]),
             lambda r, i=i: fatal.setdefault(r, f"form {i + 1} vanishes"),
         )
     for i, j in combinations(range(n), 2):
-        cross = [
-            rows[i][u] * rows[j][v] - rows[i][v] * rows[j][u]
-            for u, v in combinations(range(4), 2)
-        ]
         scan(
-            cross,
+            minors([rows[i], rows[j]]),
             lambda r, i=i, j=j: fatal.setdefault(
                 r, f"planes {i + 1} and {j + 1} coincide"
             ),
         )
     for triple in combinations(range(n), 3):
-        sub = [rows[m] for m in triple]
-        minors = [
-            poly_det([[row[c] for c in cols] for row in sub])
-            for cols in combinations(range(4), 3)
-        ]
-        if not any(minors):
+        ms = minors([rows[m] for m in triple])
+        if not any(ms):
             continue  # generically a pencil already
-        scan(minors, candidates.add)
+        scan(ms, candidates.add)
     for quad in combinations(range(n), 4):
-        det = poly_det([rows[m] for m in quad])
+        (det,) = minors([rows[m] for m in quad])
         if not det:
             continue  # generically concurrent already
         scan([det], candidates.add)

@@ -45,7 +45,7 @@ from .diagram import (
     initial_diagram,
     residual_report,
 )
-from .exact import ExactMatrix, Poly, RationalFunction, fraction_str, rref
+from .exact import fraction_str
 from .forms import ParamArrangement, specialize
 
 QUADRUPLE_POINT = "quadruple_point"
@@ -216,8 +216,7 @@ def schedule(generic: incidence.IncidenceProfile,
     for c1, c2 in combinations(l3_centers, 2):
         b1 = generic.line_by_planes(c1.indices).basis
         b2 = generic.line_by_planes(c2.indices).basis
-        stacked = [incidence._vector_scalars(v) for v in b1 + b2]
-        if incidence._matrix_rank(stacked) > 3:
+        if incidence.rank(b1 + b2) > 3:
             continue  # disjoint
         combined = set(c1.indices) | set(c2.indices)
         if not any(combined <= set(p5.indices) for p5 in p5_centers):
@@ -301,18 +300,10 @@ def _frac_point(vec) -> tuple:
     return tuple(out)
 
 
-def _is_constant(x) -> bool:
-    if isinstance(x, RationalFunction):
-        return x.num.degree <= 0 and x.den.degree <= 0
-    if isinstance(x, Poly):
-        return x.degree <= 0
-    return True
-
-
 @dataclass
 class _LineData:
     members: tuple   # central planes containing the central pair line
-    key: tuple       # canonical kernel of the central rows, hashable
+    key: tuple       # canonical kernel basis of the central rows
     rows: tuple      # the two central rows spanning the pencil
 
 
@@ -326,8 +317,8 @@ class _Driver:
         self.sched = sched
         self.directives = dict(directives or {})
         self.central = specialize(a, self.w0)
-        self.g_rows = incidence._scalar_rows(a)
-        self.c_rows = incidence._scalar_rows(self.central)
+        self.g_rows = [list(f.coeffs) for f in a.forms]
+        self.c_rows = [[c.evaluate(self.w0) for c in f.coeffs] for f in a.forms]
         self.n = len(self.c_rows)
         self.d = initial_diagram(self.central)
         self.trace = [self.d]
@@ -360,12 +351,11 @@ class _Driver:
         for k in range(1, self.n + 1):
             if k in (i, j):
                 continue
-            if incidence._matrix_rank([ri, rj, self.c_rows[k - 1]]) == 2:
+            if incidence.rank([ri, rj, self.c_rows[k - 1]]) == 2:
                 members.append(k)
-        _, kernel, _ = rref(ExactMatrix([ri, rj]))
         data = _LineData(
             members=tuple(sorted(members)),
-            key=tuple(tuple(v) for v in kernel),
+            key=tuple(_frac_point(v) for v in incidence.kernel([ri, rj])),
             rows=(ri, rj))
         self._line_cache[(i, j)] = data
         return data
@@ -375,8 +365,8 @@ class _Driver:
 
     def _constant_pair_line(self, planes) -> bool:
         i, j = planes
-        _, kernel, _ = rref(ExactMatrix([self.g_rows[i - 1], self.g_rows[j - 1]]))
-        return all(_is_constant(x) for v in kernel for x in v)
+        basis = incidence.kernel([self.g_rows[i - 1], self.g_rows[j - 1]])
+        return all(p.degree <= 0 for v in basis for p in v)
 
     def _resolve_curve(self, surfaces) -> int:
         c = self.d.curve_by_surfaces(surfaces)
@@ -400,8 +390,7 @@ class _Driver:
     def _on_blown_line(self, q: tuple, keys) -> bool:
         # a point on an earlier line center was separated by that blow-up
         for key in keys:
-            rows = [list(v) for v in key]
-            if incidence._matrix_rank(rows + [list(q)]) == 2:
+            if incidence.rank([*key, q]) == 2:
                 return True
         return False
 
@@ -571,16 +560,15 @@ class _Driver:
             if set(c2.indices) & set(c.indices):
                 continue
             g_stack = [self.g_rows[k - 1] for k in c.indices + c2.indices]
-            if incidence._matrix_rank(g_stack) != 4:
+            if incidence.rank(g_stack) != 4:
                 continue  # the generic lines already meet
             d2 = self._line_data(c2.indices)
             if len(d2.members) != 2:
                 continue
-            c_stack = ExactMatrix(list(data.rows) + list(d2.rows))
-            rank, kernel, _ = rref(c_stack)
-            if rank != 3:
+            basis = incidence.kernel([*data.rows, *d2.rows])
+            if len(basis) != 1:
                 continue
-            q = _frac_point(incidence.primitive_vector(kernel[0]))
+            q = _frac_point(basis[0])
             if q in self.flag_points or not self._virgin(q):
                 continue
             if self._on_blown_line(q, prior):
@@ -686,11 +674,10 @@ class _Driver:
                     continue
                 q = point
             else:
-                stack = ExactMatrix(list(line.rows) + list(d2.rows))
-                rank, kernel, _ = rref(stack)
-                if rank != 3:
+                basis = incidence.kernel([*line.rows, *d2.rows])
+                if len(basis) != 1:
                     continue
-                q = _frac_point(incidence.primitive_vector(kernel[0]))
+                q = _frac_point(basis[0])
             if not self._virgin(q) or self._on_blown_line(q, prior):
                 continue
             self.pending.setdefault(c2.name, []).append(split_cid)
@@ -835,7 +822,7 @@ class _RawStratum:
         self.dim = dim
         self.vertical = vertical
         self.at = at
-        self.rows = rows    # defining rows over Q(w) or, vertical, over Q
+        self.rows = rows    # defining rows over Q[w] or, vertical, over Q
 
     @property
     def m(self):
@@ -846,17 +833,16 @@ def _contains(outer: _RawStratum, inner: _RawStratum) -> bool:
     """Whether the inner stratum lies inside the outer one."""
     if inner.vertical and not outer.vertical:
         at = inner.at
-        rows = [[x.evaluate(at) if isinstance(x, RationalFunction)
-                 else x for x in row] for row in outer.rows]
+        rows = [[x.evaluate(at) for x in row] for row in outer.rows]
     elif inner.vertical == outer.vertical:
         if inner.vertical and inner.at != outer.at:
             return False
         rows = outer.rows
     else:
         return False  # a horizontal stratum never sits in one fiber
-    base = incidence._matrix_rank(inner.rows)
+    base = incidence.rank(inner.rows)
     for row in rows:
-        if incidence._matrix_rank(list(inner.rows) + [row]) != base:
+        if incidence.rank([*inner.rows, row]) != base:
             return False
     return True
 
@@ -873,7 +859,7 @@ def near_pencil_check(a: ParamArrangement) -> NearPencilReport:
     where two planes coincide fall outside the certificate and are noted.
     """
     generic = incidence.profile(a)
-    g_rows = incidence._scalar_rows(a)
+    g_rows = [list(f.coeffs) for f in a.forms]
     scan = incidence.degenerate_values(a)
 
     strata: list[_RawStratum] = []
@@ -899,22 +885,20 @@ def near_pencil_check(a: ParamArrangement) -> NearPencilReport:
         cprof = dv.profile
         suffix = "@" + fraction_str(w0)
         for line in cprof.lines:
-            g_rank = incidence._matrix_rank(
-                [g_rows[k - 1] for k in line.planes])
+            g_rank = incidence.rank([g_rows[k - 1] for k in line.planes])
             if g_rank < 3:
                 continue  # the whole pencil already exists generically
-            rows = [[x.evaluate(w0) if isinstance(x, RationalFunction) else x
-                     for x in g_rows[k - 1]] for k in line.planes]
+            rows = [[x.evaluate(w0) for x in g_rows[k - 1]]
+                    for k in line.planes]
             strata.append(_RawStratum(
                 "C" + "".join(str(i) for i in line.planes) + suffix,
                 line.planes, 1, True, w0, rows))
         for pt in cprof.points:
-            g_rank = incidence._matrix_rank(
-                [g_rows[k - 1] for k in pt.planes])
+            g_rank = incidence.rank([g_rows[k - 1] for k in pt.planes])
             if g_rank < 4:
                 continue  # fiber of a horizontal point family
-            rows = [[x.evaluate(w0) if isinstance(x, RationalFunction) else x
-                     for x in g_rows[k - 1]] for k in pt.planes]
+            rows = [[x.evaluate(w0) for x in g_rows[k - 1]]
+                    for k in pt.planes]
             strata.append(_RawStratum(
                 "C" + "".join(str(i) for i in pt.planes) + suffix,
                 pt.planes, 0, True, w0, rows))

@@ -134,6 +134,9 @@ def test_exit_2_on_parse_errors(capsys):
     assert run(capsys, "incidence", "x*x*y*z")[0] == 2
     assert run(capsys, "sigma", "xy(")[0] == 2
     assert run(capsys, "incidence", "xy(x+y+w)", "--at", "nope")[0] == 2
+    code, _, err = run(capsys, "sigma", "xyz(x+y+z+1/0)")
+    assert code == 2
+    assert err == "ParseError: zero denominator (at position 10)\n"
 
 
 def test_exit_3_on_domain_errors(capsys, tmp_path):
@@ -149,6 +152,14 @@ def test_exit_3_on_domain_errors(capsys, tmp_path):
     assert run(capsys, "resolve", str(p))[0] == 3
     # semistable model without Betti input
     assert run(capsys, "ss", "NewL3")[0] == 3
+
+
+@pytest.mark.parametrize("command", ["resolve", "reduce", "render"])
+def test_trace_without_equation_is_exit_3(capsys, command):
+    code, _, err = run(capsys, command, "seven-lines")
+    assert code == 3
+    assert err == ("TraceAborted: trace aborted at start: "
+                   "scenario carries no equation to trace\n")
 
 
 def test_exit_4_on_unknown_scenario(capsys):

@@ -1,4 +1,4 @@
-"""Exact-arithmetic kernel: polynomials, rational functions, rref."""
+"""Exact-arithmetic kernel: polynomials, determinants, rref over Q."""
 
 import random
 from fractions import Fraction
@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octic.exact import (ExactMatrix, Poly, RationalFunction, fraction_str,
-                         matrix_rank, parse_fraction, poly_gcd,
-                         rational_roots, rref, squarefree_factors)
+from octic.exact import (ExactMatrix, Poly, fraction_str, parse_fraction,
+                         poly_det, poly_gcd, rational_roots, rref,
+                         squarefree_factors)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(fractions, max_size=5).map(Poly)
@@ -74,21 +74,6 @@ def test_rational_roots_irreducible_leftover():
     assert leftovers[0].monic() == Poly([1, 0, 1])
 
 
-@given(small_polys, small_polys, fractions)
-def test_rational_function_field_laws(p, q, v):
-    if q.is_zero():
-        return
-    f = RationalFunction(p, q)
-    if q.evaluate(v) == 0:
-        return
-    assert f.evaluate(v) == (p.evaluate(v) / q.evaluate(v)
-                             if not p.is_zero() else 0)
-    g = f - f
-    assert g.is_zero()
-    if not f.is_zero():
-        assert (f / f) == RationalFunction(Poly([1]))
-
-
 def test_fraction_str_round_trip():
     for x in (Fraction(0), Fraction(3), Fraction(-3), Fraction(1, 2),
               Fraction(-22, 7)):
@@ -132,26 +117,21 @@ def test_rref_rank_matches_scaling():
         assert rref(m)[0] == rref(scaled)[0]
 
 
-def test_matrix_rank_identity():
-    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    assert matrix_rank(eye) == 4
-    assert matrix_rank([[Fraction(0)] * 3]) == 0
-
-
-def test_rref_over_rational_functions():
-    w = Poly.x()
-    m = ExactMatrix([
-        [RationalFunction(w), RationalFunction(w * w)],
-        [RationalFunction(Poly([1])), RationalFunction(w)],
-    ])
-    rank, kernel, _ = rref(m)
-    assert rank == 1
-    assert len(kernel) == 1
-    v = kernel[0]
-    assert all(x.is_zero() for x in m.matvec(v))
-
-
 def test_matvec_shape_guard():
     m = ExactMatrix([[Fraction(1), Fraction(2)]])
     with pytest.raises(Exception):
         m.matvec([Fraction(1)])
+
+
+@given(st.lists(st.lists(small_polys, min_size=3, max_size=3),
+                min_size=3, max_size=3), fractions)
+def test_poly_det_commutes_with_evaluation(grid, v):
+    at_v = poly_det([[p.evaluate(v) for p in row] for row in grid])
+    assert isinstance(at_v, Fraction)
+    assert poly_det(grid).evaluate(v) == at_v
+
+
+def test_exact_matrix_is_over_q_only():
+    assert ExactMatrix([[1, Fraction(1, 2)]]).field == "Q"
+    with pytest.raises(TypeError):
+        ExactMatrix([[Poly([0, 1]), 1]])

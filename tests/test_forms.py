@@ -79,6 +79,13 @@ def test_garbage_rejected():
         parse_equation("xy(")
 
 
+def test_zero_denominator_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_equation("xyz(x+y+z+1/0)")
+    assert str(info.value) == "zero denominator (at position 10)"
+    assert info.value.position == 10
+
+
 def test_specialize_drops_parameter():
     a = parse_equation("xy(x+y+w)")
     arr = specialize(a, Fraction(2))

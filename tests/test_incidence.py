@@ -1,14 +1,20 @@
-"""Incidence profiles against an independent brute-force oracle, projective
-invariance, and the degeneration scan over the parameter line."""
+"""The minors kernel, incidence profiles against an independent brute-force
+oracle, projective invariance, and the degeneration scan over the parameter
+line."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from oracles import oracle, random_constant_arrangement, random_gl4, transform
 
 from octic import incidence
+from octic.exact import ExactMatrix, Poly, poly_gcd, rref
 from octic.forms import parse_equation, specialize
 
 ELEVEN = [
@@ -24,6 +30,86 @@ ELEVEN = [
     "xyz(x+y+wz)(x+wy+z)",
     "xyz(x+y+wz)(x+2y+z)",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the minors kernel
+
+W = sympy.Symbol("w")
+QW = sympy.QQ.frac_field(W)
+
+affine_rows = st.lists(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+             min_size=4, max_size=4),
+    min_size=2, max_size=6)
+
+
+def _assert_primitive(vec):
+    nonzero = [p for p in vec if p]
+    assert nonzero[0].lead > 0
+    if all(p.degree > 0 for p in nonzero):
+        g = nonzero[0]
+        for p in nonzero[1:]:
+            g = poly_gcd(g, p)
+        assert g.degree == 0
+    coeffs = [c for p in vec for c in p.coeffs]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert gcd(*(c.numerator for c in coeffs)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_rows)
+def test_rank_and_kernel_over_q_w(pairs):
+    rows = [[Poly([a, b]) for a, b in row] for row in pairs]
+    reference = DomainMatrix(
+        [[QW.from_sympy(a + b * W) for a, b in row] for row in pairs],
+        (len(pairs), 4), QW).rank()
+    r = incidence.rank(rows)
+    assert r == reference
+    basis = incidence.kernel(rows)
+    assert len(basis) == 4 - r
+    for vec in basis:
+        _assert_primitive(vec)
+        for row in rows:
+            assert not sum((x * y for x, y in zip(row, vec)), Poly())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=1, max_size=6))
+def test_kernel_matches_rref_on_constant_rows(ints):
+    rows = [[Fraction(x) for x in row] for row in ints]
+    rank, ref_kernel, _ = rref(ExactMatrix(rows))
+    assert incidence.rank(rows) == rank
+    expected = tuple(sorted((incidence.primitive_vector(v) for v in ref_kernel),
+                            key=lambda vec: tuple(p.coeffs for p in vec)))
+    assert incidence.kernel(rows) == expected
+    as_polys = [[Poly([x]) for x in row] for row in rows]
+    assert incidence.kernel(as_polys) == expected
+
+
+def test_minors_are_the_maximal_minors():
+    w = Poly.x()
+    rows = [[w, Poly([1]), Poly(), Poly([2])],
+            [Poly([1]), w, Poly([3]), Poly()]]
+    ms = incidence.minors(rows)
+    assert len(ms) == 6
+    assert ms[0] == w * w - Poly([1])
+    assert incidence.minors(rows + rows[:1]) == [Poly()] * 4
+    with pytest.raises(ValueError):
+        incidence.minors(rows * 3)
+
+
+def test_primitive_vector_clears_content():
+    w = Poly.x()
+    vec = incidence.primitive_vector(
+        [w * Poly([-2, 2]), Poly(), Poly([0, 4]), w * w * Poly([Fraction(2, 3)])])
+    assert vec == (Poly([-3, 3]), Poly(), Poly([6]), Poly([0, 1]))
+    assert incidence.primitive_vector(
+        [Fraction(0), Fraction(-1, 2), Fraction(3, 4), 0]) == (
+            Poly(), Poly([2]), Poly([-3]), Poly())
+    with pytest.raises(ValueError):
+        incidence.primitive_vector([Fraction(0)] * 4)
 
 
 # ---------------------------------------------------------------------------
