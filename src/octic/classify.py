@@ -232,10 +232,3 @@ def residual_outcome(
     if tag not in _OUTCOMES:
         raise ValueError(f"unknown local type {tag!r}")
     return _OUTCOMES[tag]
-
-
-def classification_json(
-    t: Union[LocalDegenerationType, str]
-) -> dict:
-    tag = t.tag if isinstance(t, LocalDegenerationType) else t
-    return {"type": tag, "residual": residual_outcome(tag).to_json()}

@@ -278,13 +278,11 @@ def cmd_incidence(args) -> int:
 def cmd_sigma(args) -> int:
     data, _ = scenario_or_equation(args.equation)
     equation = data["equation"] if data else args.equation
-    a = parse_equation(equation)
-    generic = incidence.profile(a)
-    scan = incidence.degenerate_values(a)
+    scan = incidence.degenerate_values(parse_equation(equation))
     ordered = sorted(scan.values, key=lambda v: v.w0)
     values = {}
     for v in ordered:
-        values[fraction_str(v.w0)] = _classify_value(generic, v)
+        values[fraction_str(v.w0)] = _classify_value(scan.generic, v)
     payload = {
         "equation": equation,
         "sigma": [fraction_str(v.w0) for v in ordered],

@@ -21,6 +21,7 @@ from .classify import (
     DoubleCurve,
     ResidualSingularities,
 )
+from .incidence import IncidenceProfile, point_text
 
 
 class CenterNotInDiagram(Exception):
@@ -389,33 +390,26 @@ class Diagram:
             self.events.append(NewPinch(ctx.name, cid, count))
 
 
-def initial_diagram(arrangement) -> Diagram:
-    """Diagram of an arrangement's branch divisor before any blow-up.
+def initial_diagram(prof: IncidenceProfile) -> Diagram:
+    """Diagram of an arrangement's branch divisor before any blow-up, read
+    off its incidence profile.
 
-    One surface per plane, one curve per multiple line of the incidence
-    profile, one marked point per multiple point (p >= 3) carrying the
-    curves through it.
+    One surface per plane, one curve per multiple line of the profile, one
+    marked point per multiple point (p >= 3) carrying the curves through
+    it: the lines whose planes all pass through the point.
     """
-    from . import incidence
-
-    prof = incidence.profile(arrangement)
     d = Diagram()
-    labels = []
     for i in range(1, prof.n_forms + 1):
-        lab = "P%d" % i
-        labels.append(lab)
-        d.add_surface(Surface(label=lab, origin=PLANE))
+        d.add_surface(Surface(label="P%d" % i, origin=PLANE))
     line_ids = []
     for line in prof.lines:
         cid = d.add_curve(["P%d" % i for i in line.planes], STRICT)
-        line_ids.append((line, cid))
+        line_ids.append((set(line.planes), cid))
     for pt in prof.points:
-        through = []
-        for line, cid in line_ids:
-            if incidence.point_on_line(pt.point, line.basis):
-                through.append(cid)
-        if through:
-            d.add_point(tuple(through), location=incidence.point_text(pt.point))
+        # never empty: any two of the point's planes span a line through it
+        through = tuple(cid for planes, cid in line_ids
+                        if planes <= set(pt.planes))
+        d.add_point(through, location=point_text(pt.point))
     return d
 
 

@@ -67,13 +67,6 @@ class LinearForm:
         # no dependence on the parameter
         return all(c.degree <= 0 for c in self.coeffs)
 
-    def apply(self, point: Sequence[Poly]) -> Poly:
-        acc = Poly()
-        for c, p in zip(self.coeffs, point):
-            pv = p if isinstance(p, Poly) else Poly([p])
-            acc = acc + c * pv
-        return acc
-
     def evaluate_at(self, w0) -> "LinearForm":
         return LinearForm([Poly([c.evaluate(w0)]) for c in self.coeffs])
 
@@ -151,8 +144,6 @@ class ParamArrangement:
                 if forms[i].proportional_to(forms[j]):
                     raise DuplicateFactor(i, j)
         self.forms = forms
-        self.parameter_name = PARAMETER
-        self.variable_names = VARIABLES
 
     def __len__(self):
         return len(self.forms)
@@ -194,16 +185,9 @@ class Arrangement:
             if f.is_zero():
                 raise ValueError(f"form {i} is identically zero")
         self.forms = forms
-        self.variable_names = VARIABLES
 
     def __len__(self):
         return len(self.forms)
-
-    def coefficient_rows(self) -> list[list[Fraction]]:
-        return [
-            [c.coeffs[0] if c.coeffs else Fraction(0) for c in f.coeffs]
-            for f in self.forms
-        ]
 
     def __repr__(self):
         return f"Arrangement({''.join(_factor_text(f) for f in self.forms)})"

@@ -49,7 +49,12 @@ Vec4 = tuple[Poly, Poly, Poly, Poly]
 
 @dataclass(frozen=True)
 class MultipleLine:
-    """Maximal pencil: all planes through one line.  q = len(planes)."""
+    """Maximal pencil: all planes through one line.  q = len(planes).
+
+    ``planes`` lists every plane of the arrangement containing the line,
+    so a point lies on the line exactly when its plane set contains
+    ``planes``.
+    """
 
     planes: tuple[int, ...]  # 1-based form indices, sorted
     basis: tuple[Vec4, Vec4]  # two points spanning the line, primitive
@@ -61,6 +66,12 @@ class MultipleLine:
 
 @dataclass(frozen=True)
 class MultiplePoint:
+    """Point on three or more planes.  p = len(planes).
+
+    ``planes`` lists every plane of the arrangement through the point, so
+    a plane passes through it exactly when the plane's index is listed.
+    """
+
     planes: tuple[int, ...]  # 1-based, sorted
     point: Vec4  # primitive projective coordinates
     j: int  # triple-or-worse lines through the point
@@ -71,7 +82,14 @@ class MultiplePoint:
 
 
 class IncidenceProfile:
-    """Lines and points of one arrangement, lexicographically ordered."""
+    """Lines and points of one arrangement, lexicographically ordered.
+
+    Every line and point carries the set of all planes through it, so
+    incidence questions reduce to subset tests on plane indices: a point
+    lies on a line when ``line.planes <= point.planes``, two lines meet
+    when some point's planes contain both plane sets, and a set of planes
+    has a common line (point) when some line (point) contains it.
+    """
 
     def __init__(
         self,
@@ -93,19 +111,19 @@ class IncidenceProfile:
             tuple((pt.planes, pt.p, pt.j) for pt in self.points),
         )
 
-    def line_by_planes(self, planes: Iterable[int]) -> Optional[MultipleLine]:
-        key = tuple(sorted(planes))
-        for l in self.lines:
-            if l.planes == key:
-                return l
-        return None
+    def line_through(self, planes: Iterable[int]) -> Optional[MultipleLine]:
+        """The line contained in every plane of ``planes`` (at least two
+        distinct planes), or None when they share no line."""
+        wanted = set(planes)
+        return next((l for l in self.lines if wanted <= set(l.planes)), None)
 
-    def point_by_planes(self, planes: Iterable[int]) -> Optional[MultiplePoint]:
-        key = tuple(sorted(planes))
-        for pt in self.points:
-            if pt.planes == key:
-                return pt
-        return None
+    def point_through(self, planes: Iterable[int]) -> Optional[MultiplePoint]:
+        """The first point lying on every plane of ``planes``, or None.
+
+        The point is unique when the planes share no line."""
+        wanted = set(planes)
+        return next((pt for pt in self.points if wanted <= set(pt.planes)),
+                    None)
 
     def to_json(self) -> dict:
         return {
@@ -156,10 +174,11 @@ class NewIncidence:
 # ---------------------------------------------------------------------------
 # the minors kernel
 #
-# Every incidence question is about a matrix with 4 columns, whose rows are
-# plane coefficients (or points) with entries all ``Poly`` (a family, over
-# Q[w]) or all ``Fraction`` (one fiber).  Ranks and kernels of such a
-# matrix are read off its maximal minors, so only + - * are needed.
+# ``profile`` and ``degenerate_values`` ask every incidence question of a
+# matrix with 4 columns, whose rows are plane coefficients with entries all
+# ``Poly`` (a family, over Q[w]) or all ``Fraction`` (one fiber).  Ranks
+# and kernels of such a matrix are read off its maximal minors, so only
+# + - * are needed.  Later questions read the profile's plane sets.
 
 
 def minors(rows: Sequence[Sequence]) -> list:
@@ -172,22 +191,6 @@ def minors(rows: Sequence[Sequence]) -> list:
         poly_det([[row[c] for c in cols] for row in rows])
         for cols in combinations(range(4), k)
     ]
-
-
-def _independent(rows: Sequence[Sequence]) -> list:
-    """A maximal independent subset of the rows, picked greedily."""
-    chosen: list = []
-    for row in rows:
-        if len(chosen) == 4:
-            break
-        if any(minors(chosen + [row])):
-            chosen.append(row)
-    return chosen
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of any number of rows, over Q(w) for ``Poly`` entries."""
-    return len(_independent(rows))
 
 
 def _cramer(ms: Sequence, k: int) -> list[list]:
@@ -218,14 +221,6 @@ def _canonical_basis(vectors) -> tuple[Vec4, ...]:
                         key=lambda vec: tuple(p.coeffs for p in vec)))
 
 
-def kernel(rows: Sequence[Sequence]) -> tuple[Vec4, ...]:
-    """Canonical basis of the kernel: primitive vectors, sorted, one for
-    each column outside the lexicographically first nonzero maximal minor
-    of an independent subset of the rows."""
-    chosen = _independent(rows)
-    return _canonical_basis(_cramer(minors(chosen), len(chosen)))
-
-
 def primitive_vector(vec: Sequence) -> Vec4:
     """Canonical representative of a projective point with ``Poly`` or
     rational entries: polynomial entries with integer coefficients, no
@@ -253,11 +248,6 @@ def primitive_vector(vec: Sequence) -> Vec4:
 
 def evaluate_vector(vec: Vec4, w0: Fraction) -> Vec4:
     return primitive_vector([p.evaluate(w0) for p in vec])
-
-
-def point_on_line(point: Vec4, basis: tuple[Vec4, Vec4]) -> bool:
-    """Whether a profile point lies on a profile line, both in primitive form."""
-    return rank([*basis, point]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +432,7 @@ class FatalValue:
 class DegenerationScan:
     values: tuple[DegenerateValue, ...]
     fatal: tuple[FatalValue, ...]
+    generic: IncidenceProfile  # the profile each value was compared with
     unresolved: tuple[Poly, ...] = field(default=())
 
     @property
@@ -525,6 +516,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
         fatal=tuple(
             FatalValue(w0, fatal[w0]) for w0 in sorted(fatal)
         ),
+        generic=generic,
         unresolved=tuple(
             unresolved[k] for k in sorted(unresolved, key=lambda c: (len(c), c))
         ),

@@ -9,6 +9,17 @@ rewrite.  This module decides which rewrite fires at each step by
 comparing generic and central multiplicities of the center, drives
 :func:`octic.diagram.apply_blowup`, and collects the residual report.
 
+No coefficient row is read here.  Incidences come from two incidence
+profiles, the generic one the schedule is built from and the central one
+at the traced value, whose lines and points list every plane through
+them: a plane passes through a point when its index is listed, a point
+lies on a line when it lists all of the line's planes, and two lines meet
+when one point lists the planes of both.  Coordinates are looked at only
+to see whether two fiber curves' base points collide at w0 and whether a
+pair's line moves with w.  A point center whose planes meet in a central
+line rather than a point (the central fiber then has a fourfold or worse
+line) stops the trace at that center.
+
 A scenario may transcribe individual steps explicitly (``directives``)
 when two fiber curves of one tower collide in the central fiber; that
 situation is outside the derivable rule set and the transcribed rewrite
@@ -16,7 +27,8 @@ is applied verbatim.
 
 :func:`near_pencil_check` is the combinatorial crepant-resolution
 certificate for the branch divisor of the whole family, viewed as a
-fourfold over the w-line.  Equational smoothness of the blow-up centers
+fourfold over the w-line; one stratum lies in another when it lies on
+all of the other's divisors.  Equational smoothness of the blow-up centers
 is not verified; the certificate is the documented substitute.
 """
 
@@ -118,6 +130,7 @@ class Center:
 @dataclass(frozen=True)
 class BlowUpSchedule:
     steps: tuple
+    generic: incidence.IncidenceProfile  # the profile the steps come from
 
     def __post_init__(self):
         last = 0
@@ -154,13 +167,6 @@ class OrderPolicy:
             raise ValueError("unknown order policy %r" % (self.kind,))
         if self.kind == EXPLICIT_LIST and not self.order:
             raise ValueError("explicit order policy needs a center list")
-
-
-def _point_with_planes(profile, wanted) -> incidence.MultiplePoint:
-    for pt in profile.points:
-        if wanted <= set(pt.planes):
-            return pt
-    raise RuleConflict("no profile point through planes %r" % (sorted(wanted),))
 
 
 def schedule(generic: incidence.IncidenceProfile,
@@ -214,11 +220,9 @@ def schedule(generic: incidence.IncidenceProfile,
         l3_centers.append(c)
         centers.append(c)
     for c1, c2 in combinations(l3_centers, 2):
-        b1 = generic.line_by_planes(c1.indices).basis
-        b2 = generic.line_by_planes(c2.indices).basis
-        if incidence.rank(b1 + b2) > 3:
-            continue  # disjoint
         combined = set(c1.indices) | set(c2.indices)
+        if generic.point_through(combined) is None:
+            continue  # disjoint
         if not any(combined <= set(p5.indices) for p5 in p5_centers):
             raise RuleConflict(
                 "triple lines %s and %s meet away from a fivefold point"
@@ -256,7 +260,8 @@ def schedule(generic: incidence.IncidenceProfile,
         for j in range(1, generic.n_forms + 1):
             if j in c.indices:
                 continue
-            crossing = _point_with_planes(generic, set(c.indices) | {j})
+            # a plane off the line meets it in one point of the profile
+            crossing = generic.point_through(set(c.indices) | {j})
             if crossing.p == 5:
                 continue  # separated with the fivefold point
             centers.append(Center(
@@ -265,8 +270,7 @@ def schedule(generic: incidence.IncidenceProfile,
                 indices=(j,), tower=c.tower, base_point=crossing.point))
     for cp in p5_centers:
         for cl in l3_centers:
-            line = generic.line_by_planes(cl.indices)
-            if incidence.point_on_line(cp.point, line.basis):
+            if set(cl.indices) <= set(cp.indices):
                 centers.append(Center(
                     name="L%s%s" % (cp.tower, cl.tower), kind=DOUBLE_LINE,
                     phase=4, planes=(cp.tower, cl.tower), role="meet",
@@ -283,28 +287,11 @@ def schedule(generic: incidence.IncidenceProfile,
             enumerate(centers),
             key=lambda kv: (kv[1].phase, pos.get(kv[1].name, fallback), kv[0]))
         centers = [c for _, c in centers]
-    return BlowUpSchedule(steps=tuple(centers))
+    return BlowUpSchedule(steps=tuple(centers), generic=generic)
 
 
 # ---------------------------------------------------------------------------
 # central-fiber trace
-
-
-def _frac_point(vec) -> tuple:
-    """Vec4 of constant polynomials as a hashable Fraction 4-tuple."""
-    out = []
-    for p in vec:
-        if p.degree > 0:
-            raise RuleConflict("point coordinate still depends on w: %s" % p)
-        out.append(p.coeffs[0] if p.coeffs else Fraction(0))
-    return tuple(out)
-
-
-@dataclass
-class _LineData:
-    members: tuple   # central planes containing the central pair line
-    key: tuple       # canonical kernel basis of the central rows
-    rows: tuple      # the two central rows spanning the pencil
 
 
 class _Driver:
@@ -313,60 +300,27 @@ class _Driver:
     def __init__(self, a: ParamArrangement, w0, sched: BlowUpSchedule,
                  directives=None):
         self.w0 = Fraction(w0)
-        self.a = a
         self.sched = sched
         self.directives = dict(directives or {})
-        self.central = specialize(a, self.w0)
-        self.g_rows = [list(f.coeffs) for f in a.forms]
-        self.c_rows = [[c.evaluate(self.w0) for c in f.coeffs] for f in a.forms]
-        self.n = len(self.c_rows)
+        self.generic = sched.generic
+        self.central = incidence.profile(specialize(a, self.w0), at=self.w0)
         self.d = initial_diagram(self.central)
         self.trace = [self.d]
         self.blown: set = set()
         self.blown_points: list = []   # chronological point-center records
-        self.blown_lines: dict = {}    # central line key -> record
+        self.blown_lines: dict = {}    # central line planes -> record
         self.flagged: set = set()      # pair names marked for a node rewrite
         self.flag_points: set = set()  # crossing points consumed by the scan
         self.pending: dict = {}        # center name -> [curve ids to pinch]
-        self._line_cache: dict = {}
 
     # -- central geometry ----------------------------------------------------
 
-    def _central_point(self, vec) -> tuple:
-        return _frac_point(incidence.evaluate_vector(vec, self.w0))
-
-    def _planes_through(self, q: tuple) -> tuple:
-        hits = []
-        for k in range(self.n):
-            if not sum(r * c for r, c in zip(self.c_rows[k], q)):
-                hits.append(k + 1)
-        return tuple(hits)
-
-    def _line_data(self, planes) -> _LineData:
-        i, j = sorted(planes)[:2]
-        if (i, j) in self._line_cache:
-            return self._line_cache[(i, j)]
-        ri, rj = self.c_rows[i - 1], self.c_rows[j - 1]
-        members = [i, j]
-        for k in range(1, self.n + 1):
-            if k in (i, j):
-                continue
-            if incidence.rank([ri, rj, self.c_rows[k - 1]]) == 2:
-                members.append(k)
-        data = _LineData(
-            members=tuple(sorted(members)),
-            key=tuple(_frac_point(v) for v in incidence.kernel([ri, rj])),
-            rows=(ri, rj))
-        self._line_cache[(i, j)] = data
-        return data
-
-    def _on_central_line(self, q: tuple, data: _LineData) -> bool:
-        return all(not sum(r * c for r, c in zip(row, q)) for row in data.rows)
-
-    def _constant_pair_line(self, planes) -> bool:
-        i, j = planes
-        basis = incidence.kernel([self.g_rows[i - 1], self.g_rows[j - 1]])
-        return all(p.degree <= 0 for v in basis for p in v)
+    def _central_point(self, c: Center) -> incidence.MultiplePoint:
+        """Where the planes of a point center meet in the central fiber."""
+        if self.central.line_through(c.indices) is not None:
+            raise RuleConflict("the planes of %s meet in a central line, "
+                               "not a point" % c.name)
+        return self.central.point_through(c.indices)
 
     def _resolve_curve(self, surfaces) -> int:
         c = self.d.curve_by_surfaces(surfaces)
@@ -374,25 +328,16 @@ class _Driver:
             raise CenterNotInDiagram(tuple(surfaces))
         return c.id
 
-    def _diagram_point(self, q: tuple):
-        text = incidence.point_text(
-            incidence.primitive_vector(list(q)))
-        pt = self.d.point_at(text)
-        return pt.id if pt is not None else None
+    def _diagram_point(self, pt: incidence.MultiplePoint):
+        found = self.d.point_at(incidence.point_text(pt.point))
+        return found.id if found is not None else None
 
     def _fire(self, name: str) -> tuple:
         counts = Counter(self.pending.pop(name, ()))
         return tuple(sorted(counts.items()))
 
-    def _virgin(self, q: tuple) -> bool:
-        return all(bp["point"] != q for bp in self.blown_points)
-
-    def _on_blown_line(self, q: tuple, keys) -> bool:
-        # a point on an earlier line center was separated by that blow-up
-        for key in keys:
-            if incidence.rank([*key, q]) == 2:
-                return True
-        return False
+    def _virgin(self, pt: incidence.MultiplePoint) -> bool:
+        return all(bp["point"] != pt for bp in self.blown_points)
 
     # -- rule applications ---------------------------------------------------
 
@@ -432,29 +377,29 @@ class _Driver:
         return self._tower_curve_ctx(c)
 
     def _point_tower_ctx(self, c: Center):
-        q = self._central_point(c.point)
-        m = len(self._planes_through(q))
-        if m != 5:
+        pt = self._central_point(c)
+        if pt.p != 5:
             raise RuleConflict(
-                "fivefold point %s has central multiplicity %d" % (c.name, m))
+                "fivefold point %s has central multiplicity %d"
+                % (c.name, pt.p))
         ctx = CenterContext(
             name=c.name, kind="point", generic_multiplicity=5,
-            central_multiplicity=m, rewrite=PLAIN_ODD,
+            central_multiplicity=pt.p, rewrite=PLAIN_ODD,
             central_geometry=POINT_GEOM, tower_label=c.tower,
-            tower_traces=c.planes, target_point=self._diagram_point(q))
+            tower_traces=c.planes, target_point=self._diagram_point(pt))
 
         def post(_):
             self.blown_points.append({
-                "name": c.name, "point": q, "jump": False,
+                "name": c.name, "point": pt, "jump": False,
                 "tower": c.tower, "parent": None, "split_label": None})
         return ctx, post
 
     def _line_tower_ctx(self, c: Center):
-        data = self._line_data(c.indices[:2])
-        m = len(data.members)
-        if m != 3:
+        line = self.central.line_through(c.indices)
+        if line.q != 3:
             raise RuleConflict(
-                "triple line %s has central multiplicity %d" % (c.name, m))
+                "triple line %s has central multiplicity %d"
+                % (c.name, line.q))
         fibers = tuple(
             "P%d" % s.indices[0] for s in self.sched.steps
             if s.role == "fiber" and s.tower == c.tower)
@@ -465,20 +410,18 @@ class _Driver:
         target = self._resolve_curve(c.planes)
         ctx = CenterContext(
             name=c.name, kind="line", generic_multiplicity=3,
-            central_multiplicity=m, rewrite=PLAIN_ODD, tower_label=c.tower,
-            target_curves=(target,), tower_sections=c.planes,
-            tower_fibers=fibers, tower_meets=meets)
+            central_multiplicity=line.q, rewrite=PLAIN_ODD,
+            tower_label=c.tower, target_curves=(target,),
+            tower_sections=c.planes, tower_fibers=fibers, tower_meets=meets)
 
         def post(_):
-            self.blown_lines[data.key] = {"jump": False, "name": c.name}
+            self.blown_lines[line.planes] = {"jump": False, "name": c.name}
         return ctx, post
 
     def _quadruple_ctx(self, c: Center):
-        q = self._central_point(c.point)
-        members = self._planes_through(q)
-        m = len(members)
-        pid = self._diagram_point(q)
-        if m == 4:
+        pt = self._central_point(c)
+        pid = self._diagram_point(pt)
+        if pt.p == 4:
             ctx = CenterContext(
                 name=c.name, kind="point", generic_multiplicity=4,
                 central_multiplicity=4, rewrite=PLAIN_EVEN,
@@ -487,13 +430,14 @@ class _Driver:
 
             def post(_):
                 self.blown_points.append({
-                    "name": c.name, "point": q, "jump": False,
+                    "name": c.name, "point": pt, "jump": False,
                     "tower": None, "parent": None, "split_label": None})
             return ctx, post
-        if m != 5:
+        if pt.p != 5:
             raise RuleConflict(
-                "quadruple point %s has central multiplicity %d" % (c.name, m))
-        extra = set(members) - set(c.indices)
+                "quadruple point %s has central multiplicity %d"
+                % (c.name, pt.p))
+        extra = set(pt.planes) - set(c.indices)
         if len(extra) != 1:
             raise RuleConflict(
                 "no single extra plane at %s: %r" % (c.name, sorted(extra)))
@@ -510,35 +454,34 @@ class _Driver:
         def post(new_d):
             split_cid = new_d.curve_by_surfaces((parent, label)).id
             self._register_crossing_pairs(
-                e, split_cid, tuple(self.blown_lines), point=q)
+                e, split_cid, tuple(self.blown_lines), point=pt)
             self.blown_points.append({
-                "name": c.name, "point": q, "jump": True,
+                "name": c.name, "point": pt, "jump": True,
                 "tower": None, "parent": parent, "split_label": label})
         return ctx, post
 
     def _pair_ctx(self, c: Center):
-        data = self._line_data(c.indices)
+        line = self.central.line_through(c.indices)
         if c.name in self.flagged:
             target = self._resolve_curve(c.planes)
             if self.pending.get(c.name):
                 raise RuleConflict("pinch attribution on a node pair %s" % c.name)
             ctx = CenterContext(
                 name=c.name, kind="line", generic_multiplicity=2,
-                central_multiplicity=len(data.members), rewrite=NODE_PAIR,
+                central_multiplicity=line.q, rewrite=NODE_PAIR,
                 central_geometry=TWO_CROSSING_CURVES, target_curves=(target,),
                 nodes=2, node_marker=NODE_MARKER)
             return ctx, None
-        if data.key in self.blown_lines:
-            return self._successor_ctx(c, data)
-        m = len(data.members)
-        if m == 2:
-            return self._plain_pair_ctx(c, data)
-        if m == 3:
-            return self._jump_ctx(c, data)
+        if line.planes in self.blown_lines:
+            return self._successor_ctx(c, line)
+        if line.q == 2:
+            return self._plain_pair_ctx(c, line)
+        if line.q == 3:
+            return self._jump_ctx(c, line)
         raise RuleConflict(
-            "double line %s has central multiplicity %d" % (c.name, m))
+            "double line %s has central multiplicity %d" % (c.name, line.q))
 
-    def _plain_pair_ctx(self, c: Center, data: _LineData):
+    def _plain_pair_ctx(self, c: Center, line: incidence.MultipleLine):
         target = self._resolve_curve(c.planes)
         ctx = CenterContext(
             name=c.name, kind="line", generic_multiplicity=2,
@@ -547,11 +490,11 @@ class _Driver:
 
         def post(_):
             prior = tuple(self.blown_lines)
-            self.blown_lines[data.key] = {"jump": False, "name": c.name}
-            self._node_scan(c, data, prior)
+            self.blown_lines[line.planes] = {"jump": False, "name": c.name}
+            self._node_scan(c, prior)
         return ctx, post
 
-    def _node_scan(self, c: Center, data: _LineData, prior):
+    def _node_scan(self, c: Center, prior):
         # a blown double line may reveal that a later center degenerated
         # into two curves crossing at a fresh central point
         for c2 in self.sched.steps:
@@ -559,25 +502,21 @@ class _Driver:
                 continue
             if set(c2.indices) & set(c.indices):
                 continue
-            g_stack = [self.g_rows[k - 1] for k in c.indices + c2.indices]
-            if incidence.rank(g_stack) != 4:
+            four = set(c.indices) | set(c2.indices)
+            if self.generic.point_through(four) is not None:
                 continue  # the generic lines already meet
-            d2 = self._line_data(c2.indices)
-            if len(d2.members) != 2:
+            if self.central.line_through(c2.indices).q != 2:
                 continue
-            basis = incidence.kernel([*data.rows, *d2.rows])
-            if len(basis) != 1:
+            pt = self.central.point_through(four)
+            if pt is None or pt in self.flag_points or not self._virgin(pt):
                 continue
-            q = _frac_point(basis[0])
-            if q in self.flag_points or not self._virgin(q):
-                continue
-            if self._on_blown_line(q, prior):
-                continue
+            if any(set(key) <= set(pt.planes) for key in prior):
+                continue  # separated by the blow-up of that line
             self.flagged.add(c2.name)
-            self.flag_points.add(q)
+            self.flag_points.add(pt)
 
-    def _successor_ctx(self, c: Center, data: _LineData):
-        entry = self.blown_lines[data.key]
+    def _successor_ctx(self, c: Center, line: incidence.MultipleLine):
+        entry = self.blown_lines[line.planes]
         if not entry.get("jump"):
             raise RuleConflict(
                 "double line %s lies on the blown line %s"
@@ -594,18 +533,17 @@ class _Driver:
                 targets.append(cv.id)
         ctx = CenterContext(
             name=c.name, kind="line", generic_multiplicity=2,
-            central_multiplicity=len(data.members), rewrite=PLAIN_EVEN,
+            central_multiplicity=line.q, rewrite=PLAIN_EVEN,
             target_curves=tuple(targets), pinches=self._fire(c.name))
         return ctx, None
 
-    def _jump_ctx(self, c: Center, data: _LineData):
-        e = (set(data.members) - set(c.indices)).pop()
+    def _jump_ctx(self, c: Center, line: incidence.MultipleLine):
+        e = (set(line.planes) - set(c.indices)).pop()
         parent = "P%d" % e
         label = self.d.next_prime_label(parent)
-        target = self._resolve_curve(
-            tuple("P%d" % k for k in data.members))
+        target = self._resolve_curve(tuple("P%d" % k for k in line.planes))
         points_on = [bp for bp in self.blown_points
-                     if self._on_central_line(bp["point"], data)]
+                     if set(line.planes) <= set(bp["point"].planes)]
         fiber_with = None
         for bp in points_on:
             if bp["jump"] and bp["parent"] == parent:
@@ -621,22 +559,25 @@ class _Driver:
 
         def post(new_d):
             prior = tuple(self.blown_lines)
-            self.blown_lines[data.key] = {
+            self.blown_lines[line.planes] = {
                 "jump": True, "extra": e, "parent": parent, "name": c.name}
             split_cid = new_d.curve_by_surfaces((parent, label)).id
             successors = [
                 c2 for c2 in self.sched.steps
                 if c2.role == "pair" and c2.name not in self.blown
-                and set(c2.indices) <= set(data.members)]
+                and set(c2.indices) <= set(line.planes)]
             if fiber_with is not None:
                 fiber_cid = new_d.curve_by_surfaces((fiber_with, label)).id
                 for c2 in successors:
                     self.pending.setdefault(c2.name, []).append(fiber_cid)
             else:
-                # a pinch needs a blown point on the line to sit over
-                constant = [c2 for c2 in successors
-                            if self._constant_pair_line(c2.indices)] \
-                    if points_on else []
+                # a pinch needs a blown point on the line to sit over; it
+                # goes to a successor whose generic line does not move
+                constant = [
+                    c2 for c2 in successors
+                    if all(p.degree <= 0 for v in
+                           self.generic.line_through(c2.indices).basis
+                           for p in v)] if points_on else []
                 if constant:
                     self.pending.setdefault(
                         constant[0].name, []).append(split_cid)
@@ -650,7 +591,7 @@ class _Driver:
                             self.pending.setdefault(
                                 trace_name, []).append(split_cid)
                             break
-            self._register_crossing_pairs(e, split_cid, prior, line=data)
+            self._register_crossing_pairs(e, split_cid, prior, line=line)
         return ctx, post
 
     def _register_crossing_pairs(self, e: int, split_cid: int, prior,
@@ -666,34 +607,35 @@ class _Driver:
                 continue
             if e not in c2.indices:
                 continue
-            d2 = self._line_data(c2.indices)
-            if len(d2.members) != 2:
+            line2 = self.central.line_through(c2.indices)
+            if line2.q != 2:
                 continue
             if point is not None:
-                if not self._on_central_line(point, d2):
+                if not set(line2.planes) <= set(point.planes):
                     continue
-                q = point
+                pt = point
             else:
-                basis = incidence.kernel([*line.rows, *d2.rows])
-                if len(basis) != 1:
+                pt = self.central.point_through(
+                    set(line.planes) | set(line2.planes))
+                if pt is None:
                     continue
-                q = _frac_point(basis[0])
-            if not self._virgin(q) or self._on_blown_line(q, prior):
+            if not self._virgin(pt) \
+                    or any(set(key) <= set(pt.planes) for key in prior):
                 continue
             self.pending.setdefault(c2.name, []).append(split_cid)
 
     def _tower_curve_ctx(self, c: Center):
         if c.role == "fiber":
-            base = self._central_point(c.base_point)
+            base = incidence.evaluate_vector(c.base_point, self.w0)
             for c2 in self.sched.steps:
                 if c2.role == "fiber" and c2.tower == c.tower \
                         and c2.name != c.name \
-                        and self._central_point(c2.base_point) == base:
+                        and incidence.evaluate_vector(
+                            c2.base_point, self.w0) == base:
                     raise RuleConflict(
                         "fiber curves %s and %s share the central point %s; "
                         "the scenario must transcribe these steps"
-                        % (c.name, c2.name, incidence.point_text(
-                            incidence.evaluate_vector(c.base_point, self.w0))))
+                        % (c.name, c2.name, incidence.point_text(base)))
         target = self._resolve_curve(c.planes)
         ctx = CenterContext(
             name=c.name, kind="line", generic_multiplicity=2,
@@ -816,13 +758,12 @@ class NearPencilReport:
 
 
 class _RawStratum:
-    def __init__(self, label, planes, dim, vertical, at, rows):
+    def __init__(self, label, planes, dim, vertical, at):
         self.label = label
-        self.planes = tuple(planes)
+        self.planes = tuple(planes)  # every divisor containing the stratum
         self.dim = dim
         self.vertical = vertical
         self.at = at
-        self.rows = rows    # defining rows over Q[w] or, vertical, over Q
 
     @property
     def m(self):
@@ -830,21 +771,13 @@ class _RawStratum:
 
 
 def _contains(outer: _RawStratum, inner: _RawStratum) -> bool:
-    """Whether the inner stratum lies inside the outer one."""
-    if inner.vertical and not outer.vertical:
-        at = inner.at
-        rows = [[x.evaluate(at) for x in row] for row in outer.rows]
-    elif inner.vertical == outer.vertical:
-        if inner.vertical and inner.at != outer.at:
-            return False
-        rows = outer.rows
-    else:
+    """Whether the inner stratum lies inside the outer one: every divisor
+    through the outer stratum also passes through the inner one."""
+    if outer.vertical and not inner.vertical:
         return False  # a horizontal stratum never sits in one fiber
-    base = incidence.rank(inner.rows)
-    for row in rows:
-        if incidence.rank([*inner.rows, row]) != base:
-            return False
-    return True
+    if outer.vertical and inner.at != outer.at:
+        return False
+    return set(outer.planes) <= set(inner.planes)
 
 
 def near_pencil_check(a: ParamArrangement) -> NearPencilReport:
@@ -858,21 +791,18 @@ def near_pencil_check(a: ParamArrangement) -> NearPencilReport:
     on one fewer divisor) or satisfy floor(m/2) = 3 - dim.  Fatal values
     where two planes coincide fall outside the certificate and are noted.
     """
-    generic = incidence.profile(a)
-    g_rows = [list(f.coeffs) for f in a.forms]
     scan = incidence.degenerate_values(a)
+    generic = scan.generic
 
     strata: list[_RawStratum] = []
     for line in generic.lines:
-        rows = [g_rows[k - 1] for k in line.planes]
         strata.append(_RawStratum(
             "C" + "".join(str(i) for i in line.planes),
-            line.planes, 2, False, None, rows))
+            line.planes, 2, False, None))
     for pt in generic.points:
-        rows = [g_rows[k - 1] for k in pt.planes]
         strata.append(_RawStratum(
             "C" + "".join(str(i) for i in pt.planes),
-            pt.planes, 1, False, None, rows))
+            pt.planes, 1, False, None))
 
     notes: list[str] = []
     for fv in scan.fatal:
@@ -885,23 +815,17 @@ def near_pencil_check(a: ParamArrangement) -> NearPencilReport:
         cprof = dv.profile
         suffix = "@" + fraction_str(w0)
         for line in cprof.lines:
-            g_rank = incidence.rank([g_rows[k - 1] for k in line.planes])
-            if g_rank < 3:
+            if generic.line_through(line.planes) is not None:
                 continue  # the whole pencil already exists generically
-            rows = [[x.evaluate(w0) for x in g_rows[k - 1]]
-                    for k in line.planes]
             strata.append(_RawStratum(
                 "C" + "".join(str(i) for i in line.planes) + suffix,
-                line.planes, 1, True, w0, rows))
+                line.planes, 1, True, w0))
         for pt in cprof.points:
-            g_rank = incidence.rank([g_rows[k - 1] for k in pt.planes])
-            if g_rank < 4:
+            if generic.point_through(pt.planes) is not None:
                 continue  # fiber of a horizontal point family
-            rows = [[x.evaluate(w0) for x in g_rows[k - 1]]
-                    for k in pt.planes]
             strata.append(_RawStratum(
                 "C" + "".join(str(i) for i in pt.planes) + suffix,
-                pt.planes, 0, True, w0, rows))
+                pt.planes, 0, True, w0))
 
     judged: list[Stratum] = []
     failures: list[str] = []

@@ -2,40 +2,49 @@
 incidence oracle and random projective coordinate changes."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from octic import incidence
 from octic.exact import Poly
 from octic.forms import Arrangement, LinearForm, ParamArrangement
 
 
-def oracle(rows):
-    """Recompute the profile with sympy: pencils, points, decorations."""
+def oracle(rows, domain=sympy.QQ):
+    """Recompute the profile with sympy: pencils, points, decorations.
+
+    Ranks and null spaces are taken with ``DomainMatrix`` over ``domain``:
+    QQ for one arrangement, ``QQ.frac_field(w)`` for a family.  Entries
+    are anything ``sympy.sympify`` reads (``Fraction``, or expressions in
+    w)."""
     n = len(rows)
-    mat = lambda rs: sympy.Matrix([[sympy.Rational(x) for x in r] for r in rs])
+    elems = [[domain.from_sympy(sympy.sympify(x)) for x in r] for r in rows]
+    mat = lambda ks: DomainMatrix([elems[k] for k in ks], (len(ks), 4), domain)
+    rank = cache(lambda ks: mat(ks).rank())  # ks: sorted index tuples
     for i, j in combinations(range(n), 2):
-        if mat([rows[i], rows[j]]).rank() < 2:
+        if rank((i, j)) < 2:
             raise incidence.CoincidentPlanes(i, j)
     pencils = set()
     for i, j in combinations(range(n), 2):
-        members = tuple(sorted(
+        members = tuple(
             k for k in range(n)
-            if k in (i, j) or mat([rows[i], rows[j], rows[k]]).rank() == 2))
+            if k in (i, j) or rank(tuple(sorted((i, j, k)))) == 2)
         pencils.add(members)
     lines = {tuple(m + 1 for m in mem): len(mem) for mem in pencils}
 
     points = {}
     for trip in combinations(range(n), 3):
-        m = mat([rows[k] for k in trip])
-        if m.rank() != 3:
+        if rank(trip) != 3:
             continue
-        v = m.nullspace()[0]
-        key = tuple(sympy.nsimplify(x) for x in v / next(x for x in v if x != 0))
+        (v,) = mat(trip).nullspace().to_list()
+        lead = next(x for x in v if x)
+        key = tuple(x / lead for x in v)
         members = tuple(
             k + 1 for k in range(n)
-            if sum(sympy.Rational(rows[k][t]) * v[t] for t in range(4)) == 0)
+            if not sum((elems[k][t] * v[t] for t in range(4)), domain.zero))
         points[key] = members
     big = [set(m + 1 for m in mem) for mem in pencils if len(mem) >= 3]
     decorated = {}

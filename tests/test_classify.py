@@ -7,8 +7,7 @@ import pytest
 from octic import classify, incidence
 from octic.classify import (FIVEFOLD_POINT, TRIPLE_LINE, DoubleCurve,
                             ResidualSingularities, Unclassifiable,
-                            classification_json, classify_local,
-                            residual_outcome)
+                            classify_local, residual_outcome)
 from octic.forms import parse_equation, specialize
 
 FAMILY = [
@@ -77,13 +76,6 @@ def test_triple_meeting_structures():
     r2 = residual_outcome("P40toP51")
     assert r2.triple_meeting_points == ((0, 1, 2),)
     assert r2.adjacency == ((0, 1), (0, 2), (1, 2))
-
-
-def test_classification_json_shape():
-    j = classification_json("NewL3")
-    assert j["type"] == "NewL3"
-    assert j["residual"]["curves"] == [{"pinch": 0, "over": TRIPLE_LINE}]
-    assert j["residual"]["nodes"] == 0
 
 
 def test_residual_json_round_trip_fields():

@@ -13,7 +13,8 @@ from octic.resolve import (EXPLICIT_LIST, OrderPolicy, schedule,
 
 
 def _fiber(text, w0=Fraction(0)):
-    return specialize(parse_equation(text), w0)
+    """Incidence profile of the family's fiber at w0."""
+    return incidence.profile(specialize(parse_equation(text), w0), at=w0)
 
 
 def test_initial_diagram_of_triple_line_fiber():

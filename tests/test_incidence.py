@@ -1,21 +1,23 @@
 """The minors kernel, incidence profiles against an independent brute-force
-oracle, projective invariance, and the degeneration scan over the parameter
-line."""
+oracle, the plane-set incidence rules against coordinates, projective
+invariance, and the degeneration scan over the parameter line."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from oracles import oracle, random_constant_arrangement, random_gl4, transform
 
 from octic import incidence
-from octic.exact import ExactMatrix, Poly, poly_gcd, rref
-from octic.forms import parse_equation, specialize
+from octic.exact import Poly, poly_gcd
+from octic.forms import (LinearForm, ParamArrangement, parse_equation,
+                         specialize)
 
 ELEVEN = [
     "xy(x+y+w)",
@@ -38,10 +40,23 @@ ELEVEN = [
 W = sympy.Symbol("w")
 QW = sympy.QQ.frac_field(W)
 
-affine_rows = st.lists(
-    st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
-             min_size=4, max_size=4),
-    min_size=2, max_size=6)
+# coefficients a + b w, zero half the time so that pencils and multiple
+# points occur
+affine_coefficient = st.one_of(
+    st.just((0, 0)), st.tuples(st.integers(-2, 2), st.integers(-1, 1)))
+affine_rows = st.lists(st.lists(affine_coefficient, min_size=4, max_size=4),
+                       min_size=3, max_size=6)
+
+
+def _sympy(p: Poly):
+    return sum((c * W**k for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _rank(vectors) -> int:
+    """Rank over Q(w) of rows of ``Poly`` entries, over Q when constant."""
+    domain = QW if any(x.degree > 0 for v in vectors for x in v) else sympy.QQ
+    elems = [[domain.from_sympy(_sympy(x)) for x in v] for v in vectors]
+    return DomainMatrix(elems, (len(elems), 4), domain).rank()
 
 
 def _assert_primitive(vec):
@@ -57,35 +72,32 @@ def _assert_primitive(vec):
     assert gcd(*(c.numerator for c in coeffs)) == 1
 
 
-@settings(max_examples=150, deadline=None)
+def _on(form, vec) -> bool:
+    return not sum((c * x for c, x in zip(form.coeffs, vec)), Poly())
+
+
+@settings(max_examples=50, deadline=None)
 @given(affine_rows)
-def test_rank_and_kernel_over_q_w(pairs):
-    rows = [[Poly([a, b]) for a, b in row] for row in pairs]
-    reference = DomainMatrix(
-        [[QW.from_sympy(a + b * W) for a, b in row] for row in pairs],
-        (len(pairs), 4), QW).rank()
-    r = incidence.rank(rows)
-    assert r == reference
-    basis = incidence.kernel(rows)
-    assert len(basis) == 4 - r
-    for vec in basis:
-        _assert_primitive(vec)
-        for row in rows:
-            assert not sum((x * y for x, y in zip(row, vec)), Poly())
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-                min_size=1, max_size=6))
-def test_kernel_matches_rref_on_constant_rows(ints):
-    rows = [[Fraction(x) for x in row] for row in ints]
-    rank, ref_kernel, _ = rref(ExactMatrix(rows))
-    assert incidence.rank(rows) == rank
-    expected = tuple(sorted((incidence.primitive_vector(v) for v in ref_kernel),
-                            key=lambda vec: tuple(p.coeffs for p in vec)))
-    assert incidence.kernel(rows) == expected
-    as_polys = [[Poly([x]) for x in row] for row in rows]
-    assert incidence.kernel(as_polys) == expected
+def test_family_profile_matches_oracle_over_q_w(pairs):
+    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    try:
+        family = ParamArrangement(forms)
+    except ValueError:
+        assume(False)  # a zero form, or two proportional ones
+    prof = incidence.profile(family)
+    lines, points = oracle([[a + b * W for a, b in row] for row in pairs], QW)
+    assert {l.planes: l.q for l in prof.lines} == lines
+    assert {pt.planes: (pt.p, pt.j) for pt in prof.points} == points
+    # coordinates: primitive, on exactly the listed planes
+    for l in prof.lines:
+        assert _rank(l.basis) == 2
+        for v in l.basis:
+            _assert_primitive(v)
+            assert all(_on(forms[k - 1], v) for k in l.planes)
+    for pt in prof.points:
+        _assert_primitive(pt.point)
+        assert tuple(k + 1 for k, f in enumerate(forms)
+                     if _on(f, pt.point)) == pt.planes
 
 
 def test_minors_are_the_maximal_minors():
@@ -134,6 +146,56 @@ def test_profile_matches_brute_force_oracle():
         assert got_lines == expected_lines, rows
         assert got_points == expected_points, rows
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# incidence read from plane sets
+
+
+def _assert_subset_rules_match_coordinates(prof):
+    """Point on line and two lines meeting, decided from plane sets, agree
+    with ranks of the coordinates over Q(w)."""
+    for l in prof.lines:
+        assert prof.line_through(l.planes) is l
+        for pt in prof.points:
+            assert (set(l.planes) <= set(pt.planes)) == (
+                _rank([*l.basis, pt.point]) == 2)
+    for l1, l2 in combinations(prof.lines, 2):
+        meet = prof.point_through(set(l1.planes) | set(l2.planes))
+        assert (meet is not None) == (_rank([*l1.basis, *l2.basis]) == 3)
+    for pt in prof.points:
+        assert prof.point_through(pt.planes) is pt
+
+
+def test_subset_rules_match_coordinates_on_random_arrangements():
+    rng = random.Random(4321)
+    done = 0
+    while done < 30:
+        _, arr = random_constant_arrangement(rng, rng.randint(4, 6))
+        try:
+            prof = incidence.profile(arr)
+        except incidence.CoincidentPlanes:
+            continue
+        _assert_subset_rules_match_coordinates(prof)
+        done += 1
+
+
+@pytest.mark.parametrize("text", ELEVEN)
+def test_subset_rules_match_coordinates_on_the_families(text):
+    a = parse_equation(text)
+    _assert_subset_rules_match_coordinates(incidence.profile(a))
+    _assert_subset_rules_match_coordinates(
+        incidence.profile(specialize(a, Fraction(0)), at=Fraction(0)))
+
+
+def test_lookups_miss_when_no_line_or_point_contains_the_planes():
+    a = parse_equation("xyz(x+y+z+w)")
+    generic = incidence.profile(a)
+    assert generic.point_through({1, 2, 3, 4}) is None
+    assert generic.line_through({1, 2, 3}) is None
+    assert generic.point_through({1, 2, 3}).planes == (1, 2, 3)
+    central = incidence.profile(specialize(a, Fraction(0)))
+    assert central.point_through({1, 2, 3}).planes == (1, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Blow-up traces of the eleven degenerations against the outcome table."""
 
+import json
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import octic
 from octic import incidence
 from octic.classify import residual_key, residual_outcome
 from octic.forms import parse_equation
@@ -12,62 +15,27 @@ from octic.resolve import (EXPLICIT_LIST, LEXICOGRAPHIC, OrderPolicy,
                            NotOctic, TraceAborted, near_pencil_check,
                            schedule, trace_central_fiber)
 
-SCENARIOS = [
-    ("NewL3", "xy(x+y+w)", None, None),
-    ("NewP40", "xyz(x+y+z+w)", None, None),
-    ("P51toP52", "xy(x+y)z(x+wy+z)",
-     ["P12345", "L123", "L14", "L15", "L24", "L25", "L34", "L35", "L45",
-      "L1A", "L2A", "L3A", "L4A", "L5A", "L1B", "L2B", "L3B", "LAB"], None),
-    ("TwoP41toP52", "xy(x+y)z(x+z+w)",
-     ["L123", "L1A", "L2A", "L3A", "L24", "L25", "L34", "L35", "L14",
-      "L5A", "L4A", "L15", "L45"],
-     {"L5A": {"rewrite": "split", "parent": "P4", "over": "triple_line",
-              "targets": [["P5", "A"]], "sections": ["P5", "A"]},
-      "L4A": {"rewrite": "plain", "targets": [["P4", "A"], ["A", "P4'"]]},
-      "L45": {"rewrite": "plain", "targets": [["P4", "P5'"]],
-              "pinches": [["P4", "P4'"], ["P4", "P4'"], ["P4", "P4'"],
-                          ["P5", "P5'"]]}}),
-    ("TwoP41toP51", "xy(x+y)z(x+y+z+w)",
-     ["L123", "L14", "L15", "L1A", "L24", "L25", "L2A", "L34", "L35",
-      "L3A", "L4A", "L45", "L5A"],
-     {"L34": {"rewrite": "plain", "targets": [["P3", "P4", "P5"]]},
-      "L35": {"rewrite": "plain", "targets": []},
-      "L4A": {"rewrite": "split", "parent": "P5", "over": "fivefold_point",
-              "targets": [["P4", "A"]], "sections": ["P4", "A"]},
-      "L45": {"rewrite": "plain", "targets": [["P4", "P5'"]],
-              "pinches": [["P5", "P5'"]]},
-      "L5A": {"rewrite": "plain", "targets": [["P5", "A"], ["A", "P5'"]],
-              "pinches": [["P5", "P5'"], ["P5", "P5'"], ["P5", "P5'"]]}}),
-    ("P40toP52", "xyz(x+y+z)(x+y+w)",
-     ["P1234", "L12", "L15", "L25", "L34", "L35", "L45",
-      "L13", "L14", "L23", "L24"], None),
-    ("NewP41", "xy(x+y+w)z",
-     ["L12", "L23", "L13", "L14", "L24", "L34"], None),
-    ("P40toP41", "xy(x+y+zw)z",
-     ["P1234", "L12", "L13", "L14", "L23", "L24", "L34"], None),
-    ("P40toP51", "xyz(x+y+z)(x-y+w)",
-     ["P1234", "L12", "L13", "L14", "L15", "L23", "L24", "L25",
-      "L34", "L35", "L45"], None),
-    ("P50toP52", "xyz(x+y+wz)(x+wy+z)",
-     ["P12345", "L1A", "L2A", "L3A", "L4A", "L5A", "L23", "L25", "L34",
-      "L45", "L14", "L15", "L12", "L13", "L24", "L35"], None),
-    ("P50toP51", "xyz(x+y+wz)(x+2y+z)",
-     ["P12345", "L1A", "L2A", "L3A", "L4A", "L5A", "L14", "L12", "L13",
-      "L15", "L23", "L24", "L25", "L34", "L35", "L45"], None),
-]
+FAMILIES = {
+    path.stem: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(octic.__file__).parent / "data" / "families")
+                       .glob("*.json"))
+}
+
+
+def _policy(tag):
+    order = FAMILIES[tag].get("blowup_order")
+    return OrderPolicy(EXPLICIT_LIST, tuple(order)) if order else None
 
 
 def _run(tag):
-    tag_, eq, order, directives = next(s for s in SCENARIOS if s[0] == tag)
-    a = parse_equation(eq)
-    prof = incidence.profile(a)
-    policy = OrderPolicy(EXPLICIT_LIST, tuple(order)) if order else None
-    s = schedule(prof, policy)
-    trace, res = trace_central_fiber(a, Fraction(0), s, directives)
+    a = parse_equation(FAMILIES[tag]["equation"])
+    s = schedule(incidence.profile(a), _policy(tag))
+    trace, res = trace_central_fiber(a, Fraction(0), s,
+                                     FAMILIES[tag].get("directives"))
     return a, s, trace, res
 
 
-@pytest.mark.parametrize("tag", [s[0] for s in SCENARIOS])
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_trace_reproduces_the_residual_outcome(tag):
     _, _, trace, res = _run(tag)
     want = residual_outcome(tag)
@@ -80,27 +48,24 @@ def test_trace_reproduces_the_residual_outcome(tag):
     assert residual_key(res) == residual_key(want)
 
 
-@pytest.mark.parametrize("tag", [s[0] for s in SCENARIOS])
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_nondegenerate_fiber_has_empty_residual(tag):
-    _, eq, order, _ = next(s for s in SCENARIOS if s[0] == tag)
-    a = parse_equation(eq)
-    policy = OrderPolicy(EXPLICIT_LIST, tuple(order)) if order else None
-    s = schedule(incidence.profile(a), policy)
+    a = parse_equation(FAMILIES[tag]["equation"])
+    s = schedule(incidence.profile(a), _policy(tag))
     _, res = trace_central_fiber(a, Fraction(2), s)
     assert res.double_curves == ()
     assert res.nodes == 0
 
 
 def test_explicit_order_is_realized():
-    for tag, eq, order, directives in SCENARIOS:
+    for tag, data in FAMILIES.items():
+        order = data.get("blowup_order")
         if not order:
             continue
-        a = parse_equation(eq)
-        s = schedule(incidence.profile(a),
-                     OrderPolicy(EXPLICIT_LIST, tuple(order)))
-        names = s.names()
+        a = parse_equation(data["equation"])
+        names = schedule(incidence.profile(a), _policy(tag)).names()
         named = [n for n in names if n in set(order)]
-        assert named == list(order), tag
+        assert named == order, tag
 
 
 def test_lexicographic_schedule_is_deterministic():
@@ -136,13 +101,25 @@ def test_node_scan_order_invariance_720():
 
 
 def test_fiber_collision_steps_need_directives():
-    tag, eq, order, _ = next(s for s in SCENARIOS if s[0] == "TwoP41toP52")
-    a = parse_equation(eq)
-    s = schedule(incidence.profile(a), OrderPolicy(EXPLICIT_LIST, tuple(order)))
+    data = FAMILIES["TwoP41toP52"]
+    a = parse_equation(data["equation"])
+    s = schedule(incidence.profile(a), _policy("TwoP41toP52"))
     with pytest.raises(TraceAborted) as exc:
         trace_central_fiber(a, Fraction(0), s)
     assert exc.value.trace
-    assert exc.value.step in set(order)
+    assert exc.value.step in set(data["blowup_order"])
+
+
+def test_point_center_collapsing_into_a_pencil_aborts_there():
+    # at w = 0 the four planes of P1234 share the line x = y = 0: the
+    # central fiber has a fourfold line and the trace stops at P1234
+    a = parse_equation("xy(x+y+wz)(x+2y+w^2z)")
+    s = schedule(incidence.profile(a))
+    assert s.names()[0] == "P1234"
+    with pytest.raises(TraceAborted) as exc:
+        trace_central_fiber(a, Fraction(0), s)
+    assert exc.value.step == "P1234"
+    assert len(exc.value.trace) == 1
 
 
 def test_near_pencil_reports():
@@ -158,8 +135,9 @@ def test_near_pencil_reports():
 
 
 def test_special_first_blowup_flags():
-    got = {tag for tag, eq, _, _ in SCENARIOS
-           if near_pencil_check(parse_equation(eq)).special_first_blowup}
+    got = {tag for tag, data in FAMILIES.items()
+           if near_pencil_check(parse_equation(data["equation"]))
+           .special_first_blowup}
     assert got == {"P40toP41", "P51toP52", "P50toP52", "P50toP51"}
 
 
