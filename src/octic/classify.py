@@ -134,7 +134,6 @@ _SINGLE_SOURCE = {
 def classify_local(
     change: NewIncidence,
     generic: IncidenceProfile,
-    special: IncidenceProfile,
 ) -> LocalDegenerationType:
     """Match one new incidence against the local taxonomy.
 

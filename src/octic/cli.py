@@ -74,17 +74,19 @@ def _load_json(path: Path):
 
 def find_scenario(token: str):
     """Resolve a scenario name or file path to (data, directory)."""
-    direct = Path(token)
     if token.endswith(".json") or os.sep in token:
-        if direct.is_file():
-            return _load_json(direct), direct.parent
+        paths = [Path(token)]
+    else:
+        root = data_root()
+        paths = [root / sub / f"{token}.json"
+                 for sub in ("families", "examples", ".")]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
         raise ScenarioNotFound(token)
-    root = data_root()
-    for sub in ("families", "examples", "."):
-        candidate = root / sub / f"{token}.json"
-        if candidate.is_file():
-            return _load_json(candidate), candidate.parent
-    raise ScenarioNotFound(token)
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario file {path.name} holds no JSON object")
+    return data, path.parent
 
 
 def scenario_or_equation(token: str):
@@ -218,7 +220,7 @@ def _classify_value(generic, value) -> list:
     out = []
     for change in value.changes:
         try:
-            t = classify.classify_local(change, generic, value.profile)
+            t = classify.classify_local(change, generic)
             out.append(t.tag)
         except classify.Unclassifiable as err:
             out.append(f"unclassifiable({change.kind}: {err.args[-1]})")
@@ -232,11 +234,7 @@ def _trace_scenario(data):
             "start", "scenario carries no equation to trace", ())
     a = parse_equation(equation)
     generic = incidence.profile(a)
-    order = data.get("blowup_order")
-    policy = None
-    if order:
-        policy = resolve.OrderPolicy(resolve.EXPLICIT_LIST, tuple(order))
-    sched = resolve.schedule(generic, policy)
+    sched = resolve.schedule(generic, tuple(data.get("blowup_order") or ()))
     trace, residual = resolve.trace_central_fiber(
         a, _scenario_w0(data), sched, data.get("directives"))
     return sched, trace, residual
@@ -322,7 +320,7 @@ def cmd_classify(args) -> int:
     changes = incidence.profile_diff(generic, special)
     tags = []
     for change in changes:
-        tags.append(classify.classify_local(change, generic, special).tag)
+        tags.append(classify.classify_local(change, generic).tag)
     payload = {
         "equation": equation,
         "at": fraction_str(at),

@@ -7,7 +7,9 @@ plane), one record per double or triple curve, and marked points for
 pinches, separations and node pairs.  ``apply_blowup`` consumes one
 blow-up step described by a :class:`CenterContext` and returns the
 rewritten diagram; the geometric analysis that decides which rewrite
-applies lives in :mod:`octic.resolve`.
+applies lives in :mod:`octic.resolve`.  The diagram reads no coordinates:
+the marked point of a multiple point of the central fiber is keyed by the
+set of planes through it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .classify import (
     DoubleCurve,
     ResidualSingularities,
 )
-from .incidence import IncidenceProfile, point_text
+from .incidence import IncidenceProfile
 
 
 class CenterNotInDiagram(Exception):
@@ -154,14 +156,14 @@ class DiagramPoint:
     id: int
     curves: tuple                 # curve ids meeting at the point
     marks: tuple = ()
-    location: Optional[str] = None  # printed coordinates, when known
+    planes: tuple = ()            # central planes through a multiple point
 
     def to_json(self):
         out = {"id": self.id, "curves": list(self.curves)}
         if self.marks:
             out["marks"] = list(self.marks)
-        if self.location is not None:
-            out["location"] = self.location
+        if self.planes:
+            out["planes"] = list(self.planes)
         return out
 
 
@@ -315,21 +317,22 @@ class Diagram:
             over=over)
         return cid
 
-    def add_point(self, curve_ids, marks=(), location=None) -> int:
+    def add_point(self, curve_ids, marks=(), planes=()) -> int:
         for cid in curve_ids:
             if cid not in self.curves:
                 raise CenterNotInDiagram(cid)
         pid = self.next_point_id
         self.next_point_id += 1
-        self.points[pid] = DiagramPoint(id=pid, curves=tuple(curve_ids),
-                                        marks=tuple(marks), location=location)
+        self.points[pid] = DiagramPoint(
+            id=pid, curves=tuple(curve_ids), marks=tuple(marks),
+            planes=tuple(planes))
         return pid
 
-    def point_at(self, location: str) -> Optional[DiagramPoint]:
-        for pt in self.points.values():
-            if pt.location == location:
-                return pt
-        return None
+    def point_at(self, planes) -> Optional[DiagramPoint]:
+        """The marked point of the multiple point on exactly ``planes``."""
+        want = tuple(planes)
+        return next((pt for pt in self.points.values() if pt.planes == want),
+                    None)
 
     def curve_by_surfaces(self, surfaces) -> Optional[DiagramCurve]:
         want = tuple(sorted(surfaces, key=_surface_key))
@@ -409,7 +412,7 @@ def initial_diagram(prof: IncidenceProfile) -> Diagram:
         # never empty: any two of the point's planes span a line through it
         through = tuple(cid for planes, cid in line_ids
                         if planes <= set(pt.planes))
-        d.add_point(through, location=point_text(pt.point))
+        d.add_point(through, planes=pt.planes)
     return d
 
 

@@ -472,4 +472,7 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None

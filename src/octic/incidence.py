@@ -9,6 +9,12 @@ entries for a single arrangement and polynomial entries in Q[w] for a
 one-parameter family, so "generic" really means generic and not "at a
 randomly sampled parameter".
 
+A profile holds plane sets only, so later incidence questions are subset
+tests.  Coordinates are computed on demand from its coefficient rows
+(``point_vector``, ``line_basis``) where they are printed or compared: the
+centers ``reduce`` prints, the trace's fiber-collision message and
+moving-line test, and a collapsed generic point in ``profile_diff``.
+
 Degenerate parameter values are located by scanning minor ideals of the
 coefficient rows: a subset of planes acquires a new coincidence exactly
 where its maximal minors all vanish.  Rational roots are classified by
@@ -57,7 +63,6 @@ class MultipleLine:
     """
 
     planes: tuple[int, ...]  # 1-based form indices, sorted
-    basis: tuple[Vec4, Vec4]  # two points spanning the line, primitive
 
     @property
     def q(self) -> int:
@@ -73,7 +78,6 @@ class MultiplePoint:
     """
 
     planes: tuple[int, ...]  # 1-based, sorted
-    point: Vec4  # primitive projective coordinates
     j: int  # triple-or-worse lines through the point
 
     @property
@@ -89,19 +93,39 @@ class IncidenceProfile:
     lies on a line when ``line.planes <= point.planes``, two lines meet
     when some point's planes contain both plane sets, and a set of planes
     has a common line (point) when some line (point) contains it.
+
+    Coordinates are not stored: ``point_vector`` and ``line_basis``
+    compute canonical ones from the coefficient rows when asked.
     """
 
     def __init__(
         self,
         lines: Sequence[MultipleLine],
         points: Sequence[MultiplePoint],
-        n_forms: int,
+        rows: Sequence[Sequence],
         at: Optional[Fraction] = None,
     ):
         self.lines = tuple(sorted(lines, key=lambda l: l.planes))
         self.points = tuple(sorted(points, key=lambda pt: pt.planes))
-        self.n_forms = n_forms
+        self.rows = tuple(tuple(r) for r in rows)  # Poly or Fraction entries
+        self.n_forms = len(self.rows)
         self.at = at
+
+    def point_vector(self, pt: MultiplePoint) -> Vec4:
+        """Primitive coordinates of ``pt``: the cross product of the first
+        three of its planes that meet in a point."""
+        triples = (minors([self.rows[k - 1] for k in t])
+                   for t in combinations(pt.planes, 3))
+        (cross,) = _cramer(next(ms for ms in triples if any(ms)), 3)
+        return primitive_vector(cross)
+
+    def line_basis(self, line: MultipleLine) -> tuple[Vec4, Vec4]:
+        """Two primitive points spanning ``line``, sorted, from the kernel
+        of its first two planes."""
+        i, j = line.planes[:2]
+        vectors = _cramer(minors([self.rows[i - 1], self.rows[j - 1]]), 2)
+        return tuple(sorted((primitive_vector(v) for v in vectors),
+                            key=lambda vec: tuple(p.coeffs for p in vec)))
 
     def combinatorial_key(self):
         """The profile with coordinates forgotten; two arrangements have
@@ -145,13 +169,13 @@ class NewIncidence:
     """One incidence present in a special fiber but not in the generic one.
 
     ``sources`` lists the plane sets of generic multiple points (p >= 4 or
-    j >= 1) that land on the location; ``new_lines`` the newly-coincident
-    pencils through it; ``multiplicity`` the (p, j) of the special point.
+    j >= 1) that land on the special point; ``new_lines`` the
+    newly-coincident pencils through it; ``multiplicity`` the (p, j) of the
+    special point.
     """
 
     kind: str  # NewTripleLine | NewPoint | PointCollision | PointOnNewLine
     involved_planes: tuple[int, ...]
-    location: tuple
     sources: tuple[tuple[int, ...], ...] = ()
     source_profiles: tuple[tuple[int, int], ...] = ()
     new_lines: tuple[tuple[int, ...], ...] = ()
@@ -216,11 +240,6 @@ def _cramer(ms: Sequence, k: int) -> list[list]:
     return out
 
 
-def _canonical_basis(vectors) -> tuple[Vec4, ...]:
-    return tuple(sorted((primitive_vector(v) for v in vectors),
-                        key=lambda vec: tuple(p.coeffs for p in vec)))
-
-
 def primitive_vector(vec: Sequence) -> Vec4:
     """Canonical representative of a projective point with ``Poly`` or
     rational entries: polynomial entries with integer coefficients, no
@@ -246,10 +265,6 @@ def primitive_vector(vec: Sequence) -> Vec4:
     return tuple(p.shift_scale(scale) for p in polys)  # type: ignore[return-value]
 
 
-def evaluate_vector(vec: Vec4, w0: Fraction) -> Vec4:
-    return primitive_vector([p.evaluate(w0) for p in vec])
-
-
 # ---------------------------------------------------------------------------
 # the profile computation
 
@@ -266,27 +281,19 @@ def profile(
     param = any(c.degree > 0 for f in a.forms for c in f.coeffs)
     rows = [[c if param else c.evaluate(0) for c in f.coeffs] for f in a.forms]
     n = len(rows)
-    pair = {}
     for i, j in combinations(range(n), 2):
-        pair[i, j] = minors([rows[i], rows[j]])
-        if not any(pair[i, j]):
+        if not any(minors([rows[i], rows[j]])):
             raise CoincidentPlanes(i, j)
     triple = {t: minors([rows[m] for m in t]) for t in combinations(range(n), 3)}
 
     # maximal pencils: the planes through the line of a pair (i, j) are
     # exactly those k for which the minors of (i, j, k) all vanish
-    pencils: dict[tuple[int, ...], MultipleLine] = {}
-    for (i, j), ms in pair.items():
-        key = tuple(
-            k for k in range(n)
-            if k in (i, j) or not any(triple[tuple(sorted((i, j, k)))])
-        )
-        if key not in pencils:
-            pencils[key] = MultipleLine(
-                planes=tuple(m + 1 for m in key),  # 1-based outward
-                basis=_canonical_basis(_cramer(ms, 2)),
-            )
-    lines = list(pencils.values())
+    pencils = {
+        tuple(k + 1 for k in range(n)  # 1-based outward
+              if k in (i, j) or not any(triple[tuple(sorted((i, j, k)))]))
+        for i, j in combinations(range(n), 2)
+    }
+    lines = [MultipleLine(planes=key) for key in pencils]
     triple_sets = [set(l.planes) for l in lines if l.q >= 3]
 
     # points: the cross product of each rank-3 triple; a plane passes
@@ -304,10 +311,9 @@ def profile(
             if not sum(r * x for r, x in zip(rows[m], cross))
         )
         j = sum(1 for s in triple_sets if s <= set(members))
-        points.append(
-            MultiplePoint(planes=members, point=primitive_vector(cross), j=j))
+        points.append(MultiplePoint(planes=members, j=j))
 
-    return IncidenceProfile(lines, points, n_forms=n, at=at)
+    return IncidenceProfile(lines, points, rows, at=at)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +343,16 @@ def is_octic(p: IncidenceProfile) -> OcticCheck:
 def profile_diff(
     generic: IncidenceProfile, special: IncidenceProfile
 ) -> list[NewIncidence]:
-    """New incidences of ``special`` relative to ``generic``.
+    """New incidences of the fiber profile ``special`` relative to
+    ``generic``.
 
-    Needs coordinates: generic points are pushed to the special fiber by
-    evaluating at ``special.at`` (a no-op for two constant profiles) and
-    collisions are read off from coinciding images.  A changed point owns
-    the new pencils through it; pencils away from every changed point are
-    reported on their own.
+    A generic point lands on the special point whose planes contain its
+    own: at ``special.at`` its planes still pass through it.  Where they
+    also still meet in a single point, that point is the special one.  Only
+    when they collapse onto one special line are coordinates compared: the
+    generic point, evaluated at ``special.at``, against the special point.
+    A changed point owns the new pencils through it; pencils away from
+    every changed point are reported on their own.
     """
     if generic.n_forms != special.n_forms:
         raise ValueError("profiles of different arrangements")
@@ -354,21 +363,21 @@ def profile_diff(
         if l.q >= 3 and l.planes not in generic_line_sets
     ]
 
-    if special.at is not None:
-        push = lambda v: evaluate_vector(v, special.at)  # noqa: E731
-    else:
-        push = lambda v: v  # noqa: E731
-    fibers: dict[Vec4, list[MultiplePoint]] = {}
-    for g in generic.points:
-        fibers.setdefault(push(g.point), []).append(g)
+    def lands_on(g: MultiplePoint, s: MultiplePoint) -> bool:
+        if not set(g.planes) <= set(s.planes):
+            return False
+        if special.line_through(g.planes) is None:
+            return True
+        image = [p.evaluate(special.at) for p in generic.point_vector(g)]
+        return primitive_vector(image) == special.point_vector(s)
 
     changes: list[NewIncidence] = []
     claimed_line_sets: set[tuple[int, ...]] = set()
     for s in special.points:
         if s.p < 4 and s.j < 1:
             continue
-        sources = fibers.get(s.point, [])
-        notable = [g for g in sources if g.p >= 4 or g.j >= 1]
+        notable = [g for g in generic.points
+                   if (g.p >= 4 or g.j >= 1) and lands_on(g, s)]
         if any(g.planes == s.planes and g.j == s.j for g in notable):
             continue  # the point was already there, unchanged
         lines_here = tuple(
@@ -385,7 +394,6 @@ def profile_diff(
             NewIncidence(
                 kind=kind,
                 involved_planes=s.planes,
-                location=s.point,
                 sources=tuple(g.planes for g in notable),
                 source_profiles=tuple((g.p, g.j) for g in notable),
                 new_lines=lines_here,
@@ -397,7 +405,6 @@ def profile_diff(
         NewIncidence(
             kind="NewTripleLine",
             involved_planes=l.planes,
-            location=l.basis,
             new_lines=(l.planes,),
         )
         for l in new_lines

@@ -14,11 +14,11 @@ profiles, the generic one the schedule is built from and the central one
 at the traced value, whose lines and points list every plane through
 them: a plane passes through a point when its index is listed, a point
 lies on a line when it lists all of the line's planes, and two lines meet
-when one point lists the planes of both.  Coordinates are looked at only
-to see whether two fiber curves' base points collide at w0 and whether a
-pair's line moves with w.  A point center whose planes meet in a central
-line rather than a point (the central fiber then has a fourfold or worse
-line) stops the trace at that center.
+when one point lists the planes of both.  Coordinates are computed only
+for the centers ``reduce`` prints, a fiber-curve collision message and
+whether a pair's line moves with w.  A point center whose planes meet in
+a central line rather than a point (the central fiber then has a
+fourfold or worse line) stops the trace at that center.
 
 A scenario may transcribe individual steps explicitly (``directives``)
 when two fiber curves of one tower collide in the central fiber; that
@@ -62,9 +62,6 @@ from .forms import ParamArrangement, specialize
 
 QUADRUPLE_POINT = "quadruple_point"
 DOUBLE_LINE = "double_line"
-
-LEXICOGRAPHIC = "lexicographic"
-EXPLICIT_LIST = "explicit_list"
 
 NODE_MARKER = "small_resolution"
 
@@ -145,41 +142,21 @@ class BlowUpSchedule:
     def names(self):
         return [c.name for c in self.steps]
 
-    def by_name(self, name: str) -> Center:
-        for c in self.steps:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_json(self):
         return {"steps": [c.to_json() for c in self.steps]}
 
 
-@dataclass(frozen=True)
-class OrderPolicy:
-    """Double-line ordering: lexicographic default, or an explicit name list."""
-
-    kind: str = LEXICOGRAPHIC
-    order: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in (LEXICOGRAPHIC, EXPLICIT_LIST):
-            raise ValueError("unknown order policy %r" % (self.kind,))
-        if self.kind == EXPLICIT_LIST and not self.order:
-            raise ValueError("explicit order policy needs a center list")
-
-
 def schedule(generic: incidence.IncidenceProfile,
-             order_policy: Optional[OrderPolicy] = None) -> BlowUpSchedule:
+             order: tuple = ()) -> BlowUpSchedule:
     """Four-phase blow-up schedule of the generic fiber.
 
     Quadruple points on a triple line are consumed by the line blow-up
     and are not separate centers; a plane crossing a blown triple line
     away from a fivefold point leaves a fiber curve on the line's tower,
     and a fivefold point on a blown triple line leaves a curve where the
-    two exceptional towers meet.
+    two exceptional towers meet.  Centers named in ``order`` come first
+    within their phase; the rest keep the lexicographic default.
     """
-    policy = order_policy or OrderPolicy()
     bad = [("line", l.planes) for l in generic.lines if l.q >= 4]
     bad += [("point", pt.planes) for pt in generic.points if pt.p >= 6]
     if bad:
@@ -203,7 +180,8 @@ def schedule(generic: incidence.IncidenceProfile,
             name="P" + "".join(str(i) for i in pt.planes),
             kind=FIVEFOLD_POINT, phase=1,
             planes=tuple("P%d" % i for i in pt.planes),
-            role="p5", indices=pt.planes, point=pt.point, tower=label)
+            role="p5", indices=pt.planes, point=generic.point_vector(pt),
+            tower=label)
         p5_centers.append(c)
         centers.append(c)
 
@@ -234,7 +212,8 @@ def schedule(generic: incidence.IncidenceProfile,
                 name="P" + "".join(str(i) for i in pt.planes),
                 kind=QUADRUPLE_POINT, phase=3,
                 planes=tuple("P%d" % i for i in pt.planes),
-                role="p4", indices=pt.planes, point=pt.point))
+                role="p4", indices=pt.planes,
+                point=generic.point_vector(pt)))
 
     # phase 4: plane-plane double lines, then the tower curves
     for line in generic.lines:
@@ -267,7 +246,8 @@ def schedule(generic: incidence.IncidenceProfile,
             centers.append(Center(
                 name="L%d%s" % (j, c.tower), kind=DOUBLE_LINE, phase=4,
                 planes=("P%d" % j, c.tower), role="fiber",
-                indices=(j,), tower=c.tower, base_point=crossing.point))
+                indices=(j,), tower=c.tower,
+                base_point=generic.point_vector(crossing)))
     for cp in p5_centers:
         for cl in l3_centers:
             if set(cl.indices) <= set(cp.indices):
@@ -276,18 +256,15 @@ def schedule(generic: incidence.IncidenceProfile,
                     phase=4, planes=(cp.tower, cl.tower), role="meet",
                     point=cp.point, towers=(cp.tower, cl.tower)))
 
-    if policy.kind == EXPLICIT_LIST:
-        known = {c.name for c in centers}
-        for name in policy.order:
-            if name not in known:
-                raise ValueError("explicit order names unknown center %s" % name)
-        pos = {name: k for k, name in enumerate(policy.order)}
-        fallback = len(policy.order)
-        centers = sorted(
-            enumerate(centers),
-            key=lambda kv: (kv[1].phase, pos.get(kv[1].name, fallback), kv[0]))
-        centers = [c for _, c in centers]
-    return BlowUpSchedule(steps=tuple(centers), generic=generic)
+    known = {c.name for c in centers}
+    for name in order:
+        if name not in known:
+            raise ValueError("explicit order names unknown center %s" % name)
+    pos = {name: k for k, name in enumerate(order)}
+    centers = sorted(
+        enumerate(centers),
+        key=lambda kv: (kv[1].phase, pos.get(kv[1].name, len(order)), kv[0]))
+    return BlowUpSchedule(steps=tuple(c for _, c in centers), generic=generic)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +306,7 @@ class _Driver:
         return c.id
 
     def _diagram_point(self, pt: incidence.MultiplePoint):
-        found = self.d.point_at(incidence.point_text(pt.point))
+        found = self.d.point_at(pt.planes)
         return found.id if found is not None else None
 
     def _fire(self, name: str) -> tuple:
@@ -575,9 +552,9 @@ class _Driver:
                 # goes to a successor whose generic line does not move
                 constant = [
                     c2 for c2 in successors
-                    if all(p.degree <= 0 for v in
-                           self.generic.line_through(c2.indices).basis
-                           for p in v)] if points_on else []
+                    if all(p.degree <= 0 for v in self.generic.line_basis(
+                        self.generic.line_through(c2.indices)) for p in v)
+                ] if points_on else []
                 if constant:
                     self.pending.setdefault(
                         constant[0].name, []).append(split_cid)
@@ -626,16 +603,20 @@ class _Driver:
 
     def _tower_curve_ctx(self, c: Center):
         if c.role == "fiber":
-            base = incidence.evaluate_vector(c.base_point, self.w0)
+            # the curve's base point is where plane j crosses the tower's
+            # triple line L, which is still a triple line at w0
+            line = next(s.indices for s in self.sched.steps
+                        if s.role == "l3" and s.tower == c.tower)
+            base = self.central.point_through(set(line) | set(c.indices))
             for c2 in self.sched.steps:
                 if c2.role == "fiber" and c2.tower == c.tower \
                         and c2.name != c.name \
-                        and incidence.evaluate_vector(
-                            c2.base_point, self.w0) == base:
+                        and c2.indices[0] in base.planes:
                     raise RuleConflict(
                         "fiber curves %s and %s share the central point %s; "
                         "the scenario must transcribe these steps"
-                        % (c.name, c2.name, incidence.point_text(base)))
+                        % (c.name, c2.name, incidence.point_text(
+                            self.central.point_vector(base))))
         target = self._resolve_curve(c.planes)
         ctx = CenterContext(
             name=c.name, kind="line", generic_multiplicity=2,

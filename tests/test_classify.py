@@ -50,7 +50,7 @@ def _changes_at_zero(text):
 def test_each_member_classifies_to_its_tag(tag, text):
     changes, generic, special = _changes_at_zero(text)
     assert len(changes) == 1
-    t = classify_local(changes[0], generic, special)
+    t = classify_local(changes[0], generic)
     assert t.tag == tag
 
 
@@ -108,7 +108,7 @@ def test_unclassifiable_change_raises(text):
     assert changes
     for c in changes:
         with pytest.raises(Unclassifiable):
-            classify_local(c, generic, special)
+            classify_local(c, generic)
 
 
 def test_curve_validation():

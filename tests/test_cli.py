@@ -137,6 +137,10 @@ def test_exit_2_on_parse_errors(capsys):
     code, _, err = run(capsys, "sigma", "xyz(x+y+z+1/0)")
     assert code == 2
     assert err == "ParseError: zero denominator (at position 10)\n"
+    for command in ("incidence", "classify"):
+        code, _, err = run(capsys, command, "xyzt", "--at", "1/0")
+        assert code == 2
+        assert err == "ValueError: zero denominator in '1/0'\n"
 
 
 def test_exit_3_on_domain_errors(capsys, tmp_path):
@@ -182,6 +186,17 @@ def test_malformed_scenario_file_is_exit_2(capsys, tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
     assert run(capsys, "resolve", str(p))[0] == 2
+    p.write_text("[1, 2]")
+    for command in ("incidence", "sigma", "resolve"):
+        code, _, err = run(capsys, command, str(p))
+        assert code == 2
+        assert err == ("ValueError: scenario file junk.json holds no JSON "
+                       "object\n")
+    p.write_text('{"equation": "xyz(x+y+z+w)", "w0": "1/0"}')
+    for command in ("incidence", "classify", "resolve"):
+        code, _, err = run(capsys, command, str(p))
+        assert code == 2
+        assert err == "ValueError: zero denominator in '1/0'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from octic import diagram, incidence
 from octic.diagram import (Diagram, initial_diagram, render_dot,
                            residual_report, to_json)
 from octic.forms import parse_equation, specialize
-from octic.resolve import (EXPLICIT_LIST, OrderPolicy, schedule,
-                           trace_central_fiber)
+from octic.resolve import schedule, trace_central_fiber
 
 
 def _fiber(text, w0=Fraction(0)):
@@ -63,7 +62,7 @@ def test_residual_report_collects_pinches():
     order = ["P12345", "L123", "L14", "L15", "L24", "L25", "L34", "L35",
              "L45", "L1A", "L2A", "L3A", "L4A", "L5A", "L1B", "L2B",
              "L3B", "LAB"]
-    s = schedule(incidence.profile(a), OrderPolicy(EXPLICIT_LIST, tuple(order)))
+    s = schedule(incidence.profile(a), tuple(order))
     trace, res = trace_central_fiber(a, Fraction(0), s)
     assert residual_report(trace[-1]).pinch_multiset() == res.pinch_multiset()
     assert res.pinch_multiset() == (1,)

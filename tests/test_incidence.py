@@ -88,16 +88,24 @@ def test_family_profile_matches_oracle_over_q_w(pairs):
     lines, points = oracle([[a + b * W for a, b in row] for row in pairs], QW)
     assert {l.planes: l.q for l in prof.lines} == lines
     assert {pt.planes: (pt.p, pt.j) for pt in prof.points} == points
-    # coordinates: primitive, on exactly the listed planes
+    # coordinates: primitive, on exactly the listed planes, and the same
+    # from every three of a point's planes that meet in a point
     for l in prof.lines:
-        assert _rank(l.basis) == 2
-        for v in l.basis:
+        basis = prof.line_basis(l)
+        assert _rank(basis) == 2
+        for v in basis:
             _assert_primitive(v)
             assert all(_on(forms[k - 1], v) for k in l.planes)
     for pt in prof.points:
-        _assert_primitive(pt.point)
+        vec = prof.point_vector(pt)
+        _assert_primitive(vec)
         assert tuple(k + 1 for k, f in enumerate(forms)
-                     if _on(f, pt.point)) == pt.planes
+                     if _on(f, vec)) == pt.planes
+        for t in combinations(pt.planes, 3):
+            ms = incidence.minors([forms[k - 1].coeffs for k in t])
+            if any(ms):
+                cross = [ms[3], -ms[2], ms[1], -ms[0]]
+                assert incidence.primitive_vector(cross) == vec
 
 
 def test_minors_are_the_maximal_minors():
@@ -159,10 +167,11 @@ def _assert_subset_rules_match_coordinates(prof):
         assert prof.line_through(l.planes) is l
         for pt in prof.points:
             assert (set(l.planes) <= set(pt.planes)) == (
-                _rank([*l.basis, pt.point]) == 2)
+                _rank([*prof.line_basis(l), prof.point_vector(pt)]) == 2)
     for l1, l2 in combinations(prof.lines, 2):
         meet = prof.point_through(set(l1.planes) | set(l2.planes))
-        assert (meet is not None) == (_rank([*l1.basis, *l2.basis]) == 3)
+        assert (meet is not None) == (
+            _rank([*prof.line_basis(l1), *prof.line_basis(l2)]) == 3)
     for pt in prof.points:
         assert prof.point_through(pt.planes) is pt
 
@@ -293,6 +302,19 @@ def test_new_point_kind():
 def test_point_on_new_line_kind():
     changes = _diff_at_zero("xy(x+y)z(x+wy+z)")
     assert [c.kind for c in changes] == ["PointOnNewLine"]
+
+
+@pytest.mark.parametrize("text,kind,sources", [
+    ("xy(x+y+wz)(x+2y+wz)(z+wt)", "PointCollision",
+     [[1, 2, 3, 4], [2, 3, 4, 5]]),
+    # the planes of P1234 collapse onto the line x = y = 0 at w = 0; its
+    # generic point (0:0:0:1) misses the special point (0:0:1:-1), so
+    # the subset test alone would wrongly report a collision
+    ("xy(x+y+wz)(x+2y+wz)(z+t+wt)", "PointOnNewLine", [[2, 3, 4, 5]]),
+])
+def test_collapsed_sources_are_placed_by_coordinates(text, kind, sources):
+    (change,) = _diff_at_zero(text)
+    assert (change.kind, [list(s) for s in change.sources]) == (kind, sources)
 
 
 def test_no_diff_at_generic_value():

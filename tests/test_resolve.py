@@ -11,8 +11,7 @@ import octic
 from octic import incidence
 from octic.classify import residual_key, residual_outcome
 from octic.forms import parse_equation
-from octic.resolve import (EXPLICIT_LIST, LEXICOGRAPHIC, OrderPolicy,
-                           NotOctic, TraceAborted, near_pencil_check,
+from octic.resolve import (NotOctic, TraceAborted, near_pencil_check,
                            schedule, trace_central_fiber)
 
 FAMILIES = {
@@ -22,14 +21,13 @@ FAMILIES = {
 }
 
 
-def _policy(tag):
-    order = FAMILIES[tag].get("blowup_order")
-    return OrderPolicy(EXPLICIT_LIST, tuple(order)) if order else None
+def _order(tag):
+    return tuple(FAMILIES[tag].get("blowup_order", ()))
 
 
 def _run(tag):
     a = parse_equation(FAMILIES[tag]["equation"])
-    s = schedule(incidence.profile(a), _policy(tag))
+    s = schedule(incidence.profile(a), _order(tag))
     trace, res = trace_central_fiber(a, Fraction(0), s,
                                      FAMILIES[tag].get("directives"))
     return a, s, trace, res
@@ -51,7 +49,7 @@ def test_trace_reproduces_the_residual_outcome(tag):
 @pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_nondegenerate_fiber_has_empty_residual(tag):
     a = parse_equation(FAMILIES[tag]["equation"])
-    s = schedule(incidence.profile(a), _policy(tag))
+    s = schedule(incidence.profile(a), _order(tag))
     _, res = trace_central_fiber(a, Fraction(2), s)
     assert res.double_curves == ()
     assert res.nodes == 0
@@ -63,16 +61,18 @@ def test_explicit_order_is_realized():
         if not order:
             continue
         a = parse_equation(data["equation"])
-        names = schedule(incidence.profile(a), _policy(tag)).names()
+        names = schedule(incidence.profile(a), _order(tag)).names()
         named = [n for n in names if n in set(order)]
         assert named == order, tag
+    with pytest.raises(ValueError):
+        schedule(incidence.profile(parse_equation("xy(x+y+w)")), ("L99",))
 
 
 def test_lexicographic_schedule_is_deterministic():
     a = parse_equation("xyz(x+y+z+w)")
     prof = incidence.profile(a)
     s1 = schedule(prof)
-    s2 = schedule(prof, OrderPolicy(LEXICOGRAPHIC))
+    s2 = schedule(prof, order=())
     assert s1.names() == s2.names()
 
 
@@ -81,7 +81,7 @@ def test_triple_line_order_invariance():
     prof = incidence.profile(a)
     keys = set()
     for perm in permutations(["L12", "L13", "L23"]):
-        s = schedule(prof, OrderPolicy(EXPLICIT_LIST, perm))
+        s = schedule(prof, perm)
         _, r = trace_central_fiber(a, Fraction(0), s)
         keys.add(residual_key(r))
     assert len(keys) == 1
@@ -92,7 +92,7 @@ def test_node_scan_order_invariance_720():
     prof = incidence.profile(a)
     keys, nodes = set(), set()
     for perm in permutations(["L12", "L13", "L14", "L23", "L24", "L34"]):
-        s = schedule(prof, OrderPolicy(EXPLICIT_LIST, perm))
+        s = schedule(prof, perm)
         _, r = trace_central_fiber(a, Fraction(0), s)
         keys.add(residual_key(r))
         nodes.add(r.nodes)
@@ -103,7 +103,7 @@ def test_node_scan_order_invariance_720():
 def test_fiber_collision_steps_need_directives():
     data = FAMILIES["TwoP41toP52"]
     a = parse_equation(data["equation"])
-    s = schedule(incidence.profile(a), _policy("TwoP41toP52"))
+    s = schedule(incidence.profile(a), _order("TwoP41toP52"))
     with pytest.raises(TraceAborted) as exc:
         trace_central_fiber(a, Fraction(0), s)
     assert exc.value.trace
