@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -43,6 +44,11 @@ NO_SCENARIO = 4
 
 class ScenarioNotFound(Exception):
     pass
+
+
+class NoEquation(ValueError):
+    def __init__(self, token: str):
+        super().__init__(f"scenario {token} carries no equation")
 
 
 _PARSE_ERRORS = (ParseError, NonLinearFactor, DuplicateFactor, FormVanishes,
@@ -90,12 +96,15 @@ def find_scenario(token: str):
 
 
 def scenario_or_equation(token: str):
-    """A token names a scenario when such a file exists, else an equation."""
+    """(data, equation): a token names a scenario when such a file exists,
+    and the scenario's equation is used; else the token is the equation."""
     try:
-        data, base = find_scenario(token)
+        data, _ = find_scenario(token)
     except ScenarioNotFound:
-        return None, None
-    return data, base
+        return None, token
+    if not data.get("equation"):
+        raise NoEquation(token)
+    return data, data["equation"]
 
 
 def _scenario_w0(data) -> Fraction:
@@ -210,9 +219,8 @@ def _profile_payload(equation: str, at: Optional[Fraction]):
         "profile": prof.to_json(),
     }
     if len(a.forms) == 8:
-        chk = incidence.is_octic(prof)
-        payload["octic"] = chk.valid
-    return a, prof, payload
+        payload["octic"] = incidence.is_octic(prof).valid
+    return prof, payload
 
 
 def _classify_value(generic, value) -> list:
@@ -245,14 +253,12 @@ def _trace_scenario(data):
 
 
 def cmd_incidence(args) -> int:
-    data, _ = scenario_or_equation(args.equation)
-    equation = data["equation"] if data else args.equation
-    at = None
+    data, equation = scenario_or_equation(args.equation)
     if args.at is not None:
         at = parse_fraction(args.at)
-    elif data is not None:
-        at = _scenario_w0(data)
-    _, prof, payload = _profile_payload(equation, at)
+    else:
+        at = None if data is None else _scenario_w0(data)
+    prof, payload = _profile_payload(equation, at)
     lines = [f"{payload['planes']} planes"
              + ("" if at is None else f" at w = {fraction_str(at)}")]
     if prof.lines:
@@ -274,8 +280,7 @@ def cmd_incidence(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    data, _ = scenario_or_equation(args.equation)
-    equation = data["equation"] if data else args.equation
+    data, equation = scenario_or_equation(args.equation)
     scan = incidence.degenerate_values(parse_equation(equation))
     ordered = sorted(scan.values, key=lambda v: v.w0)
     values = {}
@@ -306,14 +311,11 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    data, _ = scenario_or_equation(args.equation)
-    equation = data["equation"] if data else args.equation
+    data, equation = scenario_or_equation(args.equation)
     if args.at is not None:
         at = parse_fraction(args.at)
-    elif data is not None:
-        at = _scenario_w0(data)
     else:
-        at = Fraction(0)
+        at = _scenario_w0(data or {})
     a = parse_equation(equation)
     generic = incidence.profile(a)
     special = incidence.profile(specialize(a, at), at=at)
@@ -529,6 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-1/2" for an option, not being a plain negative
+    # number, so "--at -1/2" is passed on as "--at=-1/2"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--at" and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = ["--at=" + argv[i]]
     args = build_parser().parse_args(argv)
     if getattr(args, "func", None) is cmd_render and not args.dot_dir:
         args.dot_dir = "."
@@ -543,7 +551,7 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return BAD_INPUT
-    except FileNotFoundError as err:
+    except (FileNotFoundError, NoEquation) as err:
         print(str(err), file=sys.stderr)
         return BAD_INPUT
     except (ValueError, KeyError) as err:

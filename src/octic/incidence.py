@@ -15,11 +15,11 @@ tests.  Coordinates are computed on demand from its coefficient rows
 centers ``reduce`` prints, the trace's fiber-collision message and
 moving-line test, and a collapsed generic point in ``profile_diff``.
 
-Degenerate parameter values are located by scanning minor ideals of the
-coefficient rows: a subset of planes acquires a new coincidence exactly
-where its maximal minors all vanish.  Rational roots are classified by
-recomputing the profile there; irrational candidates are handed back
-unevaluated.
+Degenerate parameter values are located by scanning the maximal minors of
+the coefficient rows, each computed once: a subset of planes acquires a new
+coincidence exactly where its minors all vanish, so the profile at a
+rational root is read off which minors vanish there.  Irrational
+candidates are handed back unevaluated.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .exact import Poly, fraction_str, poly_det, poly_gcd, rational_roots
-from .forms import Arrangement, FormVanishes, ParamArrangement, specialize
+from .forms import Arrangement, ParamArrangement
 
 
 class CoincidentPlanes(ValueError):
@@ -116,15 +116,23 @@ class IncidenceProfile:
         three of its planes that meet in a point."""
         triples = (minors([self.rows[k - 1] for k in t])
                    for t in combinations(pt.planes, 3))
-        (cross,) = _cramer(next(ms for ms in triples if any(ms)), 3)
-        return primitive_vector(cross)
+        return primitive_vector(_cross(next(ms for ms in triples if any(ms))))
 
     def line_basis(self, line: MultipleLine) -> tuple[Vec4, Vec4]:
-        """Two primitive points spanning ``line``, sorted, from the kernel
-        of its first two planes."""
+        """Two primitive points spanning ``line``, sorted: the kernel of its
+        first two planes, one vector for each column f outside their first
+        nonzero minor's columns, supported on those columns and f."""
         i, j = line.planes[:2]
-        vectors = _cramer(minors([self.rows[i - 1], self.rows[j - 1]]), 2)
-        return tuple(sorted((primitive_vector(v) for v in vectors),
+        ms = dict(zip(combinations(range(4), 2),
+                      minors([self.rows[i - 1], self.rows[j - 1]])))
+        pivots = next(cols for cols, m in ms.items() if m)
+        vectors = []
+        for f in sorted(set(range(4)) - set(pivots)):
+            a, b, c = sorted(pivots + (f,))
+            v: list = [0] * 4
+            v[a], v[b], v[c] = ms[b, c], -ms[a, c], ms[a, b]
+            vectors.append(primitive_vector(v))
+        return tuple(sorted(vectors,
                             key=lambda vec: tuple(p.coeffs for p in vec)))
 
     def combinatorial_key(self):
@@ -217,27 +225,10 @@ def minors(rows: Sequence[Sequence]) -> list:
     ]
 
 
-def _cramer(ms: Sequence, k: int) -> list[list]:
-    """Kernel vectors of k independent rows, given their maximal minors.
-
-    Over the lexicographically first nonzero minor, each free column f
-    gets the vector supported on the minor's columns and f whose entries
-    are the signed complementary minors: the generalised cross product of
-    the rows restricted to those k + 1 columns.
-    """
-    by_cols = dict(zip(combinations(range(4), k), ms))
-    pivots = next(cols for cols, m in by_cols.items() if m)
-    out = []
-    for f in range(4):
-        if f in pivots:
-            continue
-        support = sorted(pivots + (f,))
-        v: list = [0] * 4
-        for u, c in enumerate(support):
-            m = by_cols[tuple(x for x in support if x != c)]
-            v[c] = -m if u % 2 else m
-        out.append(v)
-    return out
+def _cross(ms: Sequence) -> list:
+    """The signed complementary minors of three rows: a point on all three,
+    whose dot product with a fourth row is their determinant up to sign."""
+    return [ms[3], -ms[2], ms[1], -ms[0]]
 
 
 def primitive_vector(vec: Sequence) -> Vec4:
@@ -280,40 +271,53 @@ def profile(
     """
     param = any(c.degree > 0 for f in a.forms for c in f.coeffs)
     rows = [[c if param else c.evaluate(0) for c in f.coeffs] for f in a.forms]
-    n = len(rows)
-    for i, j in combinations(range(n), 2):
-        if not any(minors([rows[i], rows[j]])):
-            raise CoincidentPlanes(i, j)
-    triple = {t: minors([rows[m] for m in t]) for t in combinations(range(n), 3)}
+    table = _minor_table(rows)
+    return _profile_of({s for s, ms in table.items() if not any(ms)}, rows, at)
 
+
+def _minor_table(rows: Sequence[Sequence]) -> dict:
+    """The maximal minors of every two, three and four rows, keyed by sorted
+    0-based index tuples; a quadruple's one minor is its last row dotted
+    with the cross product of the first three.
+
+    Raises CoincidentPlanes when two rows are proportional.
+    """
+    table = {}
+    for k in (2, 3):
+        for s in combinations(range(len(rows)), k):
+            table[s] = minors([rows[i] for i in s])
+            if k == 2 and not any(table[s]):
+                raise CoincidentPlanes(*s)
+    for q in combinations(range(len(rows)), 4):
+        cross = _cross(table[q[:3]])
+        table[q] = [sum(r * x for r, x in zip(rows[q[3]], cross))]
+    return table
+
+
+def _profile_of(dependent: set, rows: Sequence[Sequence],
+                at: Optional[Fraction] = None) -> IncidenceProfile:
+    """The profile of ``rows`` whose dependent triples and quadruples (keys
+    of ``_minor_table`` whose minors all vanish) are ``dependent``."""
+    n = len(rows)
     # maximal pencils: the planes through the line of a pair (i, j) are
-    # exactly those k for which the minors of (i, j, k) all vanish
+    # exactly those k for which (i, j, k) is dependent
     pencils = {
         tuple(k + 1 for k in range(n)  # 1-based outward
-              if k in (i, j) or not any(triple[tuple(sorted((i, j, k)))]))
+              if k in (i, j) or tuple(sorted((i, j, k))) in dependent)
         for i, j in combinations(range(n), 2)
     }
-    lines = [MultipleLine(planes=key) for key in pencils]
-    triple_sets = [set(l.planes) for l in lines if l.q >= 3]
-
-    # points: the cross product of each rank-3 triple; a plane passes
-    # through it when its row is orthogonal to that product
-    points: list[MultiplePoint] = []
-    for t, ms in triple.items():
-        if not any(ms):
-            continue  # a pencil; already recorded as a line
-        planes = {m + 1 for m in t}
-        if any(planes <= set(pt.planes) for pt in points):
-            continue  # a triple through a point already found
-        (cross,) = _cramer(ms, 3)
-        members = tuple(
-            m + 1 for m in range(n)
-            if not sum(r * x for r, x in zip(rows[m], cross))
-        )
-        j = sum(1 for s in triple_sets if s <= set(members))
-        points.append(MultiplePoint(planes=members, j=j))
-
-    return IncidenceProfile(lines, points, rows, at=at)
+    # points: an independent triple meets in a point, and a plane passes
+    # through it when its quadruple with the triple is dependent
+    stars = {
+        tuple(m + 1 for m in range(n)
+              if m in t or tuple(sorted(t + (m,))) in dependent)
+        for t in combinations(range(n), 3) if t not in dependent
+    }
+    triple_sets = [set(l) for l in pencils if len(l) >= 3]
+    points = [MultiplePoint(planes=p, j=sum(s <= set(p) for s in triple_sets))
+              for p in stars]
+    return IncidenceProfile([MultipleLine(planes=l) for l in pencils], points,
+                            rows, at=at)
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +454,23 @@ class DegenerationScan:
 def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     """Scan the family for parameters with different incidences.
 
-    Candidates come from vanishing loci of maximal minors: a single form
-    degenerating (fatal), a pair turning proportional (fatal), a triple
-    acquiring a common line, a quadruple acquiring a common point.  Rank
-    drops of larger subsets are witnessed by their 3- and 4-element
-    subsets, so those two scans see every combinatorial change.  Each
-    rational candidate is confirmed by recomputing the profile; factors
-    of degree >= 2 without rational roots are returned unresolved.
+    Candidates come from vanishing loci of maximal minors, each computed
+    once over Q[w]: a single form degenerating (fatal), a pair turning
+    proportional (fatal), a triple acquiring a common line, a quadruple
+    acquiring a common point.  Rank drops of larger subsets are witnessed
+    by their 3- and 4-element subsets, so those two scans see every
+    combinatorial change.  The profile at a rational root adds the minors
+    with that root to the generic vanishing pattern; factors of degree
+    >= 2 without rational roots are returned unresolved.
     """
     rows = [list(f.coeffs) for f in a.forms]
-    n = len(rows)
-    candidates: set[Fraction] = set()
+    table = _minor_table(rows)
     fatal: dict[Fraction, str] = {}
     unresolved: dict[tuple, Poly] = {}
+    # root -> the triples and quadruples that turn dependent there
+    turning: dict[Fraction, set] = {}
 
-    def scan(polys: list[Poly], on_root) -> None:
+    def scan(polys: Sequence[Poly], on_root) -> None:
         g: Optional[Poly] = None
         for p in polys:
             if p:
@@ -477,42 +483,22 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
         for q in leftovers:
             unresolved[q.coeffs] = q
 
-    for i in range(n):
-        scan(
-            minors([rows[i]]),
-            lambda r, i=i: fatal.setdefault(r, f"form {i + 1} vanishes"),
-        )
-    for i, j in combinations(range(n), 2):
-        scan(
-            minors([rows[i], rows[j]]),
-            lambda r, i=i, j=j: fatal.setdefault(
-                r, f"planes {i + 1} and {j + 1} coincide"
-            ),
-        )
-    for triple in combinations(range(n), 3):
-        ms = minors([rows[m] for m in triple])
-        if not any(ms):
-            continue  # generically a pencil already
-        scan(ms, candidates.add)
-    for quad in combinations(range(n), 4):
-        (det,) = minors([rows[m] for m in quad])
-        if not det:
-            continue  # generically concurrent already
-        scan([det], candidates.add)
+    for i, row in enumerate(rows):
+        scan(row, lambda r, i=i: fatal.setdefault(r, f"form {i + 1} vanishes"))
+    for s, ms in table.items():
+        if len(s) == 2:
+            scan(ms, lambda r, s=s: fatal.setdefault(
+                r, f"planes {s[0] + 1} and {s[1] + 1} coincide"))
+        else:
+            scan(ms, lambda r, s=s: turning.setdefault(r, set()).add(s))
 
-    generic = profile(a)
+    dependent = {s for s, ms in table.items() if not any(ms)}
+    generic = _profile_of(dependent, rows)
     generic_key = generic.combinatorial_key()
     values = []
-    for w0 in sorted(candidates - set(fatal)):
-        try:
-            spec = specialize(a, w0)
-            prof = profile(spec, at=w0)
-        except FormVanishes as e:
-            fatal[w0] = str(e)
-            continue
-        except CoincidentPlanes as e:
-            fatal[w0] = str(e)
-            continue
+    for w0 in sorted(turning.keys() - fatal.keys()):
+        fiber = [[c.evaluate(w0) for c in row] for row in rows]
+        prof = _profile_of(dependent | turning[w0], fiber, at=w0)
         if prof.combinatorial_key() == generic_key:
             continue
         changes = profile_diff(generic, prof)

@@ -116,6 +116,21 @@ def test_incidence_scenario_name_uses_its_fiber(capsys):
     assert payload["equation"] == "xyz(x+y+z+w)"
 
 
+@pytest.mark.parametrize("command", ["incidence", "classify"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_negative_fraction_value_as_sigma_prints_it(capsys, command, fmt):
+    equation = "xyz(x+y+z)(x+y+2w+1)"
+    code, out, _ = run(capsys, "sigma", equation, "--json")
+    assert code == 0
+    (value,) = json.loads(out)["sigma"]
+    assert value == "-1/2"
+    spaced = run(capsys, command, equation, "--at", value, *fmt)
+    joined = run(capsys, command, equation, f"--at={value}", *fmt)
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert "-1/2" in spaced[1]
+
+
 def test_ss_text_includes_pages_and_ranks(capsys):
     code, out, _ = run(capsys, "ss", "two-nodes")
     assert code == 0
@@ -156,6 +171,13 @@ def test_exit_3_on_domain_errors(capsys, tmp_path):
     assert run(capsys, "resolve", str(p))[0] == 3
     # semistable model without Betti input
     assert run(capsys, "ss", "NewL3")[0] == 3
+
+
+@pytest.mark.parametrize("command", ["incidence", "sigma", "classify"])
+def test_scenario_without_equation_is_exit_2(capsys, command):
+    code, out, err = run(capsys, command, "seven-lines")
+    assert (code, out) == (2, "")
+    assert err == "scenario seven-lines carries no equation\n"
 
 
 @pytest.mark.parametrize("command", ["resolve", "reduce", "render"])

@@ -262,6 +262,67 @@ def test_degenerate_values_of_the_family(text):
         assert scan.fatal == ()
 
 
+def _assert_scan_matches_fiber_profiles(family):
+    """Every special profile equals the one eliminated from the fiber, and
+    an integer value off the fatal list is degenerate exactly when the
+    fiber's profile differs from the generic one."""
+    scan = incidence.degenerate_values(family)
+    for v in scan.values:
+        ref = incidence.profile(specialize(family, v.w0), at=v.w0)
+        assert v.profile.combinatorial_key() == ref.combinatorial_key()
+        assert v.profile.to_json() == ref.to_json()
+        assert v.profile.rows == ref.rows
+        assert [v.profile.point_vector(pt) for pt in v.profile.points] == [
+            ref.point_vector(pt) for pt in ref.points]
+    generic_key = scan.generic.combinatorial_key()
+    fatal = {f.w0 for f in scan.fatal}
+    for w0 in map(Fraction, range(-3, 4)):
+        if w0 in fatal:
+            continue
+        fiber = incidence.profile(specialize(family, w0), at=w0)
+        assert (w0 in scan.sigma) == (
+            fiber.combinatorial_key() != generic_key), w0
+
+
+@settings(max_examples=50, deadline=None)
+@given(affine_rows)
+def test_scan_profiles_match_fiber_elimination(pairs):
+    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    try:
+        family = ParamArrangement(forms)
+    except ValueError:
+        assume(False)  # a zero form, or two proportional ones
+    _assert_scan_matches_fiber_profiles(family)
+
+
+@pytest.mark.parametrize("text", ELEVEN)
+def test_scan_profiles_match_fiber_elimination_on_the_families(text):
+    _assert_scan_matches_fiber_profiles(parse_equation(text))
+
+
+def test_scan_eliminates_no_fiber(monkeypatch):
+    """Each minor of the family is computed once, and no special fiber is
+    eliminated again: no 4x4 determinant, no ``profile`` or
+    ``specialize`` inside the scan."""
+    sizes = []
+    det = incidence.poly_det
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return det(rows)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the scan eliminated a fiber")
+
+    monkeypatch.setattr(incidence, "poly_det", counted)
+    monkeypatch.setattr(incidence, "profile", refused)
+    monkeypatch.setattr("octic.forms.specialize", refused)
+    monkeypatch.setattr(incidence, "specialize", refused, raising=False)
+    scan = incidence.degenerate_values(parse_equation(ELEVEN[10]))
+    assert len(scan.sigma) == 3
+    assert sorted(sizes) == [2] * 6 * 10 + [3] * 4 * 10
+
+
 def test_zero_is_always_degenerate_here():
     for text in ELEVEN:
         scan = incidence.degenerate_values(parse_equation(text))
