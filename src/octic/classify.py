@@ -10,7 +10,8 @@ blow-up engine later recomputes independently; the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Union
 
 from .incidence import IncidenceProfile, NewIncidence
@@ -79,7 +80,14 @@ class ResidualSingularities:
     nodes: int = 0
     node_surface_marker: Optional[str] = None
     triple_meeting_points: tuple[tuple[int, int, int], ...] = ()
-    adjacency: tuple[tuple[int, int], ...] = ()  # index pairs of meeting curves
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs of meeting curves: two curves meet where they share
+        a triple meeting point."""
+        return tuple(sorted({tuple(sorted(pair))
+                             for t in self.triple_meeting_points
+                             for pair in combinations(t, 2)}))
 
     def pinch_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(c.pinch_points for c in self.double_curves))
@@ -208,14 +216,12 @@ _OUTCOMES: dict[str, ResidualSingularities] = {
     "P40toP52": ResidualSingularities(
         double_curves=_curves((0, _F), (0, _T), (2, _F), (0, _T), (2, _F)),
         triple_meeting_points=((0, 1, 2), (0, 3, 4)),
-        adjacency=((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)),
     ),
     "NewP41": ResidualSingularities(double_curves=_curves((1, _T))),
     "P40toP41": ResidualSingularities(double_curves=_curves((0, _T))),
     "P40toP51": ResidualSingularities(
         double_curves=_curves((2, _F), (0, _T), (2, _F)),
         triple_meeting_points=((0, 1, 2),),
-        adjacency=((0, 1), (0, 2), (1, 2)),
     ),
     "P50toP52": ResidualSingularities(
         double_curves=_curves((1, _T), (1, _T))

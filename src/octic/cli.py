@@ -120,8 +120,6 @@ def residual_from_json(data) -> classify.ResidualSingularities:
         node_surface_marker=data.get("node_surface"),
         triple_meeting_points=tuple(
             tuple(int(i) for i in t) for t in data.get("triple_points", ())),
-        adjacency=tuple(
-            tuple(int(i) for i in p) for p in data.get("adjacency", ())),
     )
 
 

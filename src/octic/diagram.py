@@ -3,13 +3,12 @@
 A diagram records the branch-divisor combinatorics of a central fiber
 while the resolution of the nearby fibers is pulled across the family:
 one node per surface (plane, exceptional component, or piece split off a
-plane), one record per double or triple curve, and marked points for
-pinches, separations and node pairs.  ``apply_blowup`` consumes one
-blow-up step described by a :class:`CenterContext` and returns the
-rewritten diagram; the geometric analysis that decides which rewrite
-applies lives in :mod:`octic.resolve`.  The diagram reads no coordinates:
-the marked point of a multiple point of the central fiber is keyed by the
-set of planes through it.
+plane), one record per double or triple curve with its pinch count, the
+triple meetings of split curves, and the node pairs.  ``apply_blowup``
+consumes one blow-up step described by a :class:`CenterContext` and
+returns the rewritten diagram; the geometric analysis that decides which
+rewrite applies lives in :mod:`octic.resolve`.  The diagram reads no
+coordinates and marks no points: a pinch is counted on its curve.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .incidence import IncidenceProfile
 
 
 class CenterNotInDiagram(Exception):
-    """A blow-up step referenced a curve or point the diagram does not hold."""
+    """A blow-up step referenced a curve or surface the diagram does not hold."""
 
     def __init__(self, what):
         self.what = what
@@ -63,19 +62,11 @@ _CURVE_KINDS = (
     TOWER_MEET,
 )
 
-MARK_PINCH = "pinch"
-MARK_SEPARATED = "separated"
-MARK_NODE_PAIR = "node_pair"
-
 # rewrite selectors used by CenterContext
 PLAIN_EVEN = "plain_even"
 PLAIN_ODD = "plain_odd"
 SPLIT_REWRITE = "split"
 NODE_PAIR = "node_pair"
-
-POINT_GEOM = "point"
-CURVE_GEOM = "curve"
-TWO_CROSSING_CURVES = "two_crossing_curves"
 
 
 def _surface_key(label: str):
@@ -107,12 +98,6 @@ class Surface:
         if (self.origin == SPLIT) != (self.parent is not None):
             raise ValueError("split surfaces (exactly) carry a parent")
 
-    def to_json(self):
-        out = {"label": self.label, "origin": self.origin}
-        if self.parent is not None:
-            out["parent"] = self.parent
-        return out
-
 
 @dataclass(frozen=True)
 class DiagramCurve:
@@ -134,37 +119,6 @@ class DiagramCurve:
     @property
     def label(self) -> str:
         return curve_label(self.surfaces)
-
-    def to_json(self):
-        out = {
-            "id": self.id,
-            "surfaces": list(self.surfaces),
-            "kind": self.kind,
-            "label": self.label,
-        }
-        if self.over is not None:
-            out["over"] = self.over
-        if self.pinch_count:
-            out["pinches"] = self.pinch_count
-        if self.exceptional_on:
-            out["exceptional_on"] = list(self.exceptional_on)
-        return out
-
-
-@dataclass(frozen=True)
-class DiagramPoint:
-    id: int
-    curves: tuple                 # curve ids meeting at the point
-    marks: tuple = ()
-    planes: tuple = ()            # central planes through a multiple point
-
-    def to_json(self):
-        out = {"id": self.id, "curves": list(self.curves)}
-        if self.marks:
-            out["marks"] = list(self.marks)
-        if self.planes:
-            out["planes"] = list(self.planes)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +183,8 @@ class CenterContext:
     """
 
     name: str
-    kind: str                                 # "point" | "line"
-    generic_multiplicity: int
-    central_multiplicity: int
     rewrite: str
-    central_geometry: str = CURVE_GEOM
     target_curves: tuple = ()                 # curve ids consumed by the step
-    target_point: Optional[int] = None        # diagram point blown or separated
     # plain odd blow-ups (new exceptional tower)
     tower_label: Optional[str] = None
     tower_traces: tuple = ()                  # planes traced on a point tower
@@ -254,10 +203,6 @@ class CenterContext:
     node_marker: Optional[str] = None
 
     def __post_init__(self):
-        if self.central_multiplicity < self.generic_multiplicity:
-            raise RuleConflict(
-                "central multiplicity %d below generic %d at %s"
-                % (self.central_multiplicity, self.generic_multiplicity, self.name))
         if self.rewrite not in (PLAIN_EVEN, PLAIN_ODD, SPLIT_REWRITE, NODE_PAIR):
             raise RuleConflict("unknown rewrite %r" % (self.rewrite,))
         if self.rewrite == SPLIT_REWRITE and not self.split_surface:
@@ -276,25 +221,21 @@ class CenterContext:
 class Diagram:
     surfaces: dict = field(default_factory=dict)   # label -> Surface
     curves: dict = field(default_factory=dict)     # id -> DiagramCurve
-    points: dict = field(default_factory=dict)     # id -> DiagramPoint
     events: list = field(default_factory=list)
     triple_meetings: list = field(default_factory=list)  # [(cid, cid, cid)]
     nodes: int = 0
     node_marker: Optional[str] = None
     next_curve_id: int = 0
-    next_point_id: int = 0
 
     def clone(self) -> "Diagram":
         return Diagram(
             surfaces=dict(self.surfaces),
             curves=dict(self.curves),
-            points=dict(self.points),
             events=list(self.events),
             triple_meetings=list(self.triple_meetings),
             nodes=self.nodes,
             node_marker=self.node_marker,
             next_curve_id=self.next_curve_id,
-            next_point_id=self.next_point_id,
         )
 
     # -- construction helpers ------------------------------------------------
@@ -317,23 +258,6 @@ class Diagram:
             over=over)
         return cid
 
-    def add_point(self, curve_ids, marks=(), planes=()) -> int:
-        for cid in curve_ids:
-            if cid not in self.curves:
-                raise CenterNotInDiagram(cid)
-        pid = self.next_point_id
-        self.next_point_id += 1
-        self.points[pid] = DiagramPoint(
-            id=pid, curves=tuple(curve_ids), marks=tuple(marks),
-            planes=tuple(planes))
-        return pid
-
-    def point_at(self, planes) -> Optional[DiagramPoint]:
-        """The marked point of the multiple point on exactly ``planes``."""
-        want = tuple(planes)
-        return next((pt for pt in self.points.values() if pt.planes == want),
-                    None)
-
     def curve_by_surfaces(self, surfaces) -> Optional[DiagramCurve]:
         want = tuple(sorted(surfaces, key=_surface_key))
         for c in self.curves.values():
@@ -355,25 +279,6 @@ class Diagram:
         if cid not in self.curves:
             raise CenterNotInDiagram(cid)
         del self.curves[cid]
-        for pid in list(self.points):
-            pt = self.points[pid]
-            if cid not in pt.curves:
-                continue
-            rest = tuple(c for c in pt.curves if c != cid)
-            if len(rest) >= 2 or pt.marks:
-                marks = pt.marks
-                if len(rest) < 2 and MARK_SEPARATED not in marks:
-                    marks = marks + (MARK_SEPARATED,)
-                self.points[pid] = replace(pt, curves=rest, marks=marks)
-            else:
-                del self.points[pid]
-
-    def _separate_point(self, pid: int):
-        if pid not in self.points:
-            raise CenterNotInDiagram(pid)
-        pt = self.points[pid]
-        if MARK_SEPARATED not in pt.marks:
-            self.points[pid] = replace(pt, marks=pt.marks + (MARK_SEPARATED,))
 
     def _apply_pinches(self, ctx: CenterContext):
         for cid, count in ctx.pinches:
@@ -384,12 +289,6 @@ class Diagram:
                 raise RuleConflict(
                     "pinch emitted on %s curve %s" % (c.kind, c.label))
             self.curves[cid] = replace(c, pinch_count=c.pinch_count + count)
-            # pinch points sit on a single curve, one marked point per pinch
-            for _ in range(count):
-                pid = self.next_point_id
-                self.next_point_id += 1
-                self.points[pid] = DiagramPoint(id=pid, curves=(cid,),
-                                                marks=(MARK_PINCH,))
             self.events.append(NewPinch(ctx.name, cid, count))
 
 
@@ -397,22 +296,13 @@ def initial_diagram(prof: IncidenceProfile) -> Diagram:
     """Diagram of an arrangement's branch divisor before any blow-up, read
     off its incidence profile.
 
-    One surface per plane, one curve per multiple line of the profile, one
-    marked point per multiple point (p >= 3) carrying the curves through
-    it: the lines whose planes all pass through the point.
+    One surface per plane and one curve per multiple line of the profile.
     """
     d = Diagram()
     for i in range(1, prof.n_forms + 1):
         d.add_surface(Surface(label="P%d" % i, origin=PLANE))
-    line_ids = []
     for line in prof.lines:
-        cid = d.add_curve(["P%d" % i for i in line.planes], STRICT)
-        line_ids.append((set(line.planes), cid))
-    for pt in prof.points:
-        # never empty: any two of the point's planes span a line through it
-        through = tuple(cid for planes, cid in line_ids
-                        if planes <= set(pt.planes))
-        d.add_point(through, planes=pt.planes)
+        d.add_curve(["P%d" % i for i in line.planes], STRICT)
     return d
 
 
@@ -432,8 +322,6 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
     if ctx.rewrite == PLAIN_EVEN:
         for cid in ctx.target_curves:
             out._remove_curve(cid)
-        if ctx.target_point is not None:
-            out._separate_point(ctx.target_point)
         out._apply_pinches(ctx)
 
     elif ctx.rewrite == PLAIN_ODD:
@@ -442,8 +330,6 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
         out.events.append(NewExceptionalSurface(ctx.name, label))
         for cid in ctx.target_curves:
             out._remove_curve(cid)
-        if ctx.target_point is not None:
-            out._separate_point(ctx.target_point)
         for p in ctx.tower_traces:
             out.add_curve((p, label), TRACE, exceptional_on=(p,))
         for p in ctx.tower_sections:
@@ -465,8 +351,6 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
         out.events.append(SplitComponent(ctx.name, parent, label, over))
         for cid in ctx.target_curves:
             out._remove_curve(cid)
-        if ctx.target_point is not None:
-            out._separate_point(ctx.target_point)
         split_cid = out.add_curve((parent, label), SPLIT_CURVE,
                                   exceptional_on=(parent,), over=over)
         for s in ctx.section_surfaces:
@@ -482,13 +366,10 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
             fiber_cid = out.add_curve((ctx.fiber_with, label), SPLIT_FIBER,
                                       exceptional_on=(ctx.fiber_with, label),
                                       over=FIVEFOLD_POINT)
-            out.add_point((prev.id, split_cid, fiber_cid))
             out.triple_meetings.append((prev.id, split_cid, fiber_cid))
         out._apply_pinches(ctx)
 
     elif ctx.rewrite == NODE_PAIR:
-        if ctx.central_geometry != TWO_CROSSING_CURVES:
-            raise RuleConflict("node rewrite outside a reducible center")
         for cid in ctx.target_curves:
             out._remove_curve(cid)
         marker = ctx.node_marker or "small_resolution"
@@ -513,30 +394,12 @@ def residual_report(d: Diagram) -> ResidualSingularities:
     for (a, b, c) in d.triple_meetings:
         if a in index_of and b in index_of and c in index_of:
             triples.append(tuple(sorted((index_of[a], index_of[b], index_of[c]))))
-    adjacency = set()
-    for t in triples:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                adjacency.add((t[i], t[j]))
     return ResidualSingularities(
         double_curves=tuple(residual),
         nodes=d.nodes,
         node_surface_marker=d.node_marker if d.nodes else None,
         triple_meeting_points=tuple(sorted(triples)),
-        adjacency=tuple(sorted(adjacency)),
     )
-
-
-def to_json(d: Diagram) -> dict:
-    return {
-        "surfaces": [s.to_json() for s in d.surfaces.values()],
-        "curves": [c.to_json() for c in d.curves.values()],
-        "points": [p.to_json() for p in d.points.values()],
-        "triple_meetings": [list(t) for t in d.triple_meetings],
-        "nodes": d.nodes,
-        "node_marker": d.node_marker,
-        "events": [e.to_json() for e in d.events],
-    }
 
 
 def render_dot(d: Diagram, name: str = "central_fiber") -> str:

@@ -364,7 +364,7 @@ def _maybe_exponent(sc: _Scanner) -> int:
 def _parse_paren(sc: _Scanner):
     """One parenthesized linear combination.  Terms without a projective
     variable are constant terms and land on t (chart t = 1)."""
-    assert sc.take() == "("
+    sc.take()  # the "(" the caller peeked at
     vec = [Poly(), Poly(), Poly(), Poly()]
     sign = 1
     empty = True

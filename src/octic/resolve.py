@@ -8,6 +8,9 @@ restricting to a special fiber turns every step into one diagram
 rewrite.  This module decides which rewrite fires at each step by
 comparing generic and central multiplicities of the center, drives
 :func:`octic.diagram.apply_blowup`, and collects the residual report.
+The multiplicities stay here: a step reaches the diagram as a
+:class:`~octic.diagram.CenterContext` naming only the rewrite and the
+curves, surfaces, pinches and node pairs it touches.
 
 No coefficient row is read here.  Incidences come from two incidence
 profiles, the generic one the schedule is built from and the central one
@@ -46,12 +49,9 @@ from .diagram import (
     NODE_PAIR,
     PLAIN_EVEN,
     PLAIN_ODD,
-    POINT_GEOM,
     SPLIT_REWRITE,
-    TWO_CROSSING_CURVES,
     CenterContext,
     CenterNotInDiagram,
-    Diagram,
     RuleConflict,
     apply_blowup,
     initial_diagram,
@@ -141,9 +141,6 @@ class BlowUpSchedule:
 
     def names(self):
         return [c.name for c in self.steps]
-
-    def to_json(self):
-        return {"steps": [c.to_json() for c in self.steps]}
 
 
 def schedule(generic: incidence.IncidenceProfile,
@@ -305,10 +302,6 @@ class _Driver:
             raise CenterNotInDiagram(tuple(surfaces))
         return c.id
 
-    def _diagram_point(self, pt: incidence.MultiplePoint):
-        found = self.d.point_at(pt.planes)
-        return found.id if found is not None else None
-
     def _fire(self, name: str) -> tuple:
         counts = Counter(self.pending.pop(name, ()))
         return tuple(sorted(counts.items()))
@@ -360,10 +353,8 @@ class _Driver:
                 "fivefold point %s has central multiplicity %d"
                 % (c.name, pt.p))
         ctx = CenterContext(
-            name=c.name, kind="point", generic_multiplicity=5,
-            central_multiplicity=pt.p, rewrite=PLAIN_ODD,
-            central_geometry=POINT_GEOM, tower_label=c.tower,
-            tower_traces=c.planes, target_point=self._diagram_point(pt))
+            name=c.name, rewrite=PLAIN_ODD, tower_label=c.tower,
+            tower_traces=c.planes)
 
         def post(_):
             self.blown_points.append({
@@ -386,8 +377,7 @@ class _Driver:
             for t in s.towers if t != c.tower)
         target = self._resolve_curve(c.planes)
         ctx = CenterContext(
-            name=c.name, kind="line", generic_multiplicity=3,
-            central_multiplicity=line.q, rewrite=PLAIN_ODD,
+            name=c.name, rewrite=PLAIN_ODD,
             tower_label=c.tower, target_curves=(target,),
             tower_sections=c.planes, tower_fibers=fibers, tower_meets=meets)
 
@@ -397,13 +387,9 @@ class _Driver:
 
     def _quadruple_ctx(self, c: Center):
         pt = self._central_point(c)
-        pid = self._diagram_point(pt)
         if pt.p == 4:
             ctx = CenterContext(
-                name=c.name, kind="point", generic_multiplicity=4,
-                central_multiplicity=4, rewrite=PLAIN_EVEN,
-                central_geometry=POINT_GEOM, target_point=pid,
-                pinches=self._fire(c.name))
+                name=c.name, rewrite=PLAIN_EVEN, pinches=self._fire(c.name))
 
             def post(_):
                 self.blown_points.append({
@@ -422,11 +408,9 @@ class _Driver:
         parent = "P%d" % e
         label = self.d.next_prime_label(parent)
         ctx = CenterContext(
-            name=c.name, kind="point", generic_multiplicity=4,
-            central_multiplicity=5, rewrite=SPLIT_REWRITE,
-            central_geometry=POINT_GEOM, split_surface=parent,
+            name=c.name, rewrite=SPLIT_REWRITE, split_surface=parent,
             split_over=FIVEFOLD_POINT, section_surfaces=c.planes,
-            target_point=pid, pinches=self._fire(c.name))
+            pinches=self._fire(c.name))
 
         def post(new_d):
             split_cid = new_d.curve_by_surfaces((parent, label)).id
@@ -438,17 +422,15 @@ class _Driver:
         return ctx, post
 
     def _pair_ctx(self, c: Center):
-        line = self.central.line_through(c.indices)
         if c.name in self.flagged:
             target = self._resolve_curve(c.planes)
             if self.pending.get(c.name):
                 raise RuleConflict("pinch attribution on a node pair %s" % c.name)
             ctx = CenterContext(
-                name=c.name, kind="line", generic_multiplicity=2,
-                central_multiplicity=line.q, rewrite=NODE_PAIR,
-                central_geometry=TWO_CROSSING_CURVES, target_curves=(target,),
+                name=c.name, rewrite=NODE_PAIR, target_curves=(target,),
                 nodes=2, node_marker=NODE_MARKER)
             return ctx, None
+        line = self.central.line_through(c.indices)
         if line.planes in self.blown_lines:
             return self._successor_ctx(c, line)
         if line.q == 2:
@@ -461,8 +443,7 @@ class _Driver:
     def _plain_pair_ctx(self, c: Center, line: incidence.MultipleLine):
         target = self._resolve_curve(c.planes)
         ctx = CenterContext(
-            name=c.name, kind="line", generic_multiplicity=2,
-            central_multiplicity=2, rewrite=PLAIN_EVEN,
+            name=c.name, rewrite=PLAIN_EVEN,
             target_curves=(target,), pinches=self._fire(c.name))
 
         def post(_):
@@ -509,8 +490,7 @@ class _Driver:
             if cv is not None:
                 targets.append(cv.id)
         ctx = CenterContext(
-            name=c.name, kind="line", generic_multiplicity=2,
-            central_multiplicity=line.q, rewrite=PLAIN_EVEN,
+            name=c.name, rewrite=PLAIN_EVEN,
             target_curves=tuple(targets), pinches=self._fire(c.name))
         return ctx, None
 
@@ -527,8 +507,7 @@ class _Driver:
                 fiber_with = bp["split_label"]
                 break
         ctx = CenterContext(
-            name=c.name, kind="line", generic_multiplicity=2,
-            central_multiplicity=3, rewrite=SPLIT_REWRITE,
+            name=c.name, rewrite=SPLIT_REWRITE,
             split_surface=parent, split_over=TRIPLE_LINE,
             target_curves=(target,),
             section_surfaces=c.planes, fiber_with=fiber_with,
@@ -619,15 +598,13 @@ class _Driver:
                             self.central.point_vector(base))))
         target = self._resolve_curve(c.planes)
         ctx = CenterContext(
-            name=c.name, kind="line", generic_multiplicity=2,
-            central_multiplicity=2, rewrite=PLAIN_EVEN,
+            name=c.name, rewrite=PLAIN_EVEN,
             target_curves=(target,), pinches=self._fire(c.name))
         return ctx, None
 
     # -- transcribed steps ---------------------------------------------------
 
     def _directive_ctx(self, c: Center, spec: dict):
-        kind = "point" if c.role in ("p5", "p4") else "line"
         targets = tuple(self._resolve_curve(tuple(labels))
                         for labels in spec.get("targets", ()))
         counts = Counter(self.pending.pop(c.name, ()))
@@ -637,8 +614,7 @@ class _Driver:
         rewrite = spec.get("rewrite", "plain")
         if rewrite == "plain":
             ctx = CenterContext(
-                name=c.name, kind=kind, generic_multiplicity=2,
-                central_multiplicity=2, rewrite=PLAIN_EVEN,
+                name=c.name, rewrite=PLAIN_EVEN,
                 target_curves=targets, pinches=pinches)
             return ctx, None
         if rewrite == "split":
@@ -648,8 +624,7 @@ class _Driver:
                     "transcribed split at %s needs a singular-locus tag"
                     % c.name)
             ctx = CenterContext(
-                name=c.name, kind=kind, generic_multiplicity=2,
-                central_multiplicity=3, rewrite=SPLIT_REWRITE,
+                name=c.name, rewrite=SPLIT_REWRITE,
                 split_surface=spec["parent"], split_over=over,
                 target_curves=targets,
                 section_surfaces=tuple(spec.get("sections", ())),

@@ -7,16 +7,19 @@ The first page is assembled purely combinatorially from the strata complex:
 where S^[m] is the disjoint union of the depth-m strata and h the degree the
 entry converges to.  The differential d1 decomposes into restriction maps
 (one level deeper, same degree) and Gysin maps (one level up, degree +2).
-Three sources resolve its blocks:
+Two kinds of block are known:
 
 * degree-zero restrictions are the signed coboundary of the nerve, and the
   top-degree Gysin blocks are their transposes;
 * degree-two Gysin blocks can be presented by an explicit cycle model
-  (labeled curve classes and their pushforward matrix);
-* everything else is either forced to rank zero by the dimensions, carried
-  by a justified rank annotation, or inherited from the dual arrow --
-  Poincare duality of the pages pairs the arrow at (p, q) with the one at
-  (-p-1, 6-q) rank for rank.
+  (labeled curve classes and their pushforward matrix).
+
+An arrow whose blocks are all known is assembled into one matrix and its
+rank is computed.  Every other arrow is either forced to rank zero by the
+dimensions, carried by a justified rank annotation that its known blocks
+bound from below, or inherited from the dual arrow -- Poincare duality of
+the pages pairs the arrow at (p, q) with the one at (-p-1, 6-q) rank for
+rank.
 
 The second page is then exact linear algebra over the resolved ranks.  It
 degenerates there, so its antidiagonals are the Betti numbers of a nearby
@@ -288,27 +291,6 @@ def verify_cycle_chain(cm: CycleModel, chain: Mapping) -> bool:
 
 
 @dataclass(frozen=True)
-class Block:
-    """One level-to-level piece of an arrow of d1."""
-
-    source: tuple        # (depth, degree)
-    target: tuple
-    kind: str            # "matrix" | "open"
-    matrix: Optional[ExactMatrix] = None
-    full: bool = True    # whether the matrix covers the whole bases
-    note: str = ""
-
-    def to_json(self):
-        out = {"source": list(self.source), "target": list(self.target),
-               "kind": self.kind}
-        if self.note:
-            out["note"] = self.note
-        if self.matrix is not None:
-            out["shape"] = [self.matrix.rows, self.matrix.cols]
-        return out
-
-
-@dataclass(frozen=True)
 class RankAnnotation:
     p: int
     q: int
@@ -321,54 +303,31 @@ class RankAnnotation:
         if not self.why:
             raise ValueError("a rank annotation must carry its justification")
 
-    def to_json(self):
-        return {"p": self.p, "q": self.q, "rank": self.rank, "why": self.why}
-
 
 @dataclass(frozen=True)
 class Arrow:
-    """The differential leaving position (p, q), with its block data."""
+    """The differential leaving position (p, q).
+
+    ``matrix`` is the whole arrow, present when its target is nonzero and
+    every block of it is known; ``known`` lists the blocks that are known,
+    each of whose ranks bounds the rank of the arrow from below.
+    """
 
     p: int
     q: int
     source_dim: int
     target_dim: int
-    blocks: tuple = ()
+    matrix: Optional[ExactMatrix] = None
+    known: tuple = ()
     annotation: Optional[RankAnnotation] = None
-
-    def matrix_blocks(self):
-        return [b for b in self.blocks if b.kind == "matrix"]
-
-    def open_blocks(self):
-        return [b for b in self.blocks if b.kind == "open"]
-
-    def fully_presented(self) -> bool:
-        """All needed blocks are full matrices, so the rank is computable."""
-        return (self.target_dim == 0 or self.source_dim == 0 or
-                (not self.open_blocks() and
-                 all(b.full for b in self.matrix_blocks())))
-
-    def to_json(self):
-        out = {"p": self.p, "q": self.q,
-               "source_dim": self.source_dim, "target_dim": self.target_dim,
-               "blocks": [b.to_json() for b in self.blocks]}
-        if self.annotation:
-            out["annotation"] = self.annotation.to_json()
-        return out
 
 
 @dataclass(frozen=True)
 class DifferentialSpec:
-    ordering: tuple                       # component labels, sign convention
     arrows: dict = field(default_factory=dict)    # (p, q) -> Arrow
 
     def arrow(self, p: int, q: int) -> Optional[Arrow]:
         return self.arrows.get((p, q))
-
-    def to_json(self):
-        return {"ordering": list(self.ordering),
-                "arrows": [self.arrows[key].to_json()
-                           for key in sorted(self.arrows)]}
 
 
 def _groups(entry: E1Entry) -> list:
@@ -386,16 +345,27 @@ def _groups(entry: E1Entry) -> list:
     return [(key, dims[key]) for key in seen]
 
 
+def _offsets(groups) -> dict:
+    """Where each (depth, degree) group starts in the basis of its entry."""
+    out, at = {}, 0
+    for key, dim in groups:
+        out[key] = at
+        at += dim
+    return out
+
+
 def build_d1(s: StrataComplex,
              cm: Optional[CycleModel] = None,
              annotations: Iterable = ()) -> DifferentialSpec:
-    """Collect block data for every arrow of d1 on the first page.
+    """Every arrow of d1 on the first page, assembled from its blocks.
 
-    Automatic blocks: degree-zero restrictions are nerve coboundaries,
+    Known blocks: degree-zero restrictions are nerve coboundaries,
     top-degree Gysin maps their transposes, and a supplied cycle model
-    presents the degree-two Gysin block.  Every other block with nonzero
-    dimensions must be covered by a rank annotation on its arrow or by the
-    dual arrow at (-p-1, 6-q); otherwise the arrow is reported missing.
+    presents the degree-two Gysin block.  An arrow whose blocks are all
+    known full matrices is assembled into one matrix.  Every other arrow
+    with nonzero dimensions must be covered by a rank annotation or by
+    the dual arrow at (-p-1, 6-q); otherwise the arrow is reported
+    missing.
     """
     e1 = assemble_e1(s)
     anns = {}
@@ -416,94 +386,73 @@ def build_d1(s: StrataComplex,
             tgt = e1.entry_pq(p + 1, q)
             if src.dim == 0:
                 continue
-            blocks = []
-            tgt_groups = dict(_groups(tgt))
-            for (m, deg), dim in _groups(src):
-                restriction = (m + 1, deg)
-                if tgt_groups.get(restriction):
-                    if deg == 0 and m in deltas:
-                        blocks.append(Block((m, deg), restriction, "matrix",
-                                            deltas[m], note="nerve coboundary"))
-                    else:
-                        blocks.append(Block((m, deg), restriction, "open",
-                                            note="restriction"))
-                gysin = (m - 1, deg + 2)
-                if tgt_groups.get(gysin):
+            src_groups, tgt_groups = _groups(src), _groups(tgt)
+            tgt_dims = dict(tgt_groups)
+            known, placed, complete = [], [], True
+            for (m, deg), dim in src_groups:
+                blocks = []            # (target group, matrix or None, full)
+                restriction, gysin = (m + 1, deg), (m - 1, deg + 2)
+                if tgt_dims.get(restriction):
+                    blocks.append((restriction,
+                                   deltas.get(m) if deg == 0 else None, True))
+                if tgt_dims.get(gysin):
                     if deg == _top_degree(m) and (m - 1) in deltas:
-                        blocks.append(Block((m, deg), gysin, "matrix",
-                                            deltas[m - 1].transpose(),
-                                            note="transposed coboundary"))
+                        blocks.append((gysin, deltas[m - 1].transpose(), True))
                     elif m == 2 and deg == 2 and cm is not None:
                         # model rows are source classes, block rows targets
                         full = (cm.matrix.rows == dim and
-                                cm.matrix.cols == tgt_groups[gysin])
-                        blocks.append(Block((m, deg), gysin, "matrix",
-                                            cm.matrix.transpose(),
-                                            full=full, note="cycle model"))
+                                cm.matrix.cols == tgt_dims[gysin])
+                        blocks.append((gysin, cm.matrix.transpose(), full))
                     else:
-                        blocks.append(Block((m, deg), gysin, "open",
-                                            note="Gysin"))
-            arrows[(p, q)] = Arrow(p, q, src.dim, tgt.dim, tuple(blocks),
+                        blocks.append((gysin, None, True))
+                for target, block, full in blocks:
+                    if block is not None:
+                        known.append(block)
+                    if block is None or not full:
+                        complete = False
+                    else:
+                        placed.append(((m, deg), target, block))
+            matrix = None
+            if complete and tgt.dim:
+                col_off, row_off = _offsets(src_groups), _offsets(tgt_groups)
+                zero = Fraction(0)
+                grid = [[zero] * src.dim for _ in range(tgt.dim)]
+                for source, target, block in placed:
+                    r0, c0 = row_off[target], col_off[source]
+                    for r, row in enumerate(block.entries):
+                        grid[r0 + r][c0:c0 + len(row)] = row
+                matrix = ExactMatrix(grid)
+            arrows[(p, q)] = Arrow(p, q, src.dim, tgt.dim, matrix, tuple(known),
                                    anns.pop((p, q), None))
 
     for (p, q), a in anns.items():
         raise ValueError(f"annotation at ({p}, {q}) matches no arrow")
 
-    spec = DifferentialSpec(tuple(c.label for c in s.components), arrows)
+    # resolvability: every arrow must vanish, be assembled or annotated, or
+    # have a dual arrow that does; an arrow with no dual has a vanishing dual
+    def resolved(arrow):
+        return (arrow.target_dim == 0 or arrow.matrix is not None
+                or arrow.annotation is not None)
 
-    # resolvability pass: every arrow with nonzero dimensions must have a
-    # full matrix presentation, an annotation, or a dual arrow that has one
-    unresolved = []
-    for (p, q), arrow in arrows.items():
-        if arrow.target_dim == 0 or arrow.source_dim == 0:
-            continue
-        if arrow.fully_presented() or arrow.annotation:
-            continue
-        dual = arrows.get((-p - 1, 6 - q))
-        if dual is not None and (dual.fully_presented() or dual.annotation):
-            continue
-        if dual is None:
-            # the dual arrow may be trivial because its dimensions vanish
-            if e1.dim_pq(-p - 1, 6 - q) == 0 or e1.dim_pq(-p, 6 - q) == 0:
-                continue
-        unresolved.append((p, q))
+    unresolved = [(p, q) for (p, q), arrow in arrows.items()
+                  if not resolved(arrow)
+                  and (-p - 1, 6 - q) in arrows
+                  and not resolved(arrows[(-p - 1, 6 - q)])]
     if unresolved:
         raise MissingBlock(
             "no matrix, annotation, or resolvable dual for the arrows at "
             + ", ".join(f"({p}, {q})" for p, q in sorted(unresolved)))
-    return spec
+    return DifferentialSpec(arrows)
 
 
 # ---------------------------------------------------------------------------
 # E2 and the limit report
 
 
-def _stack(arrow: Arrow, src_groups, tgt_groups) -> ExactMatrix:
-    """Assemble the full arrow matrix from its per-group blocks."""
-    col_off, row_off = {}, {}
-    ncols = nrows = 0
-    for key, dim in src_groups:
-        col_off[key] = ncols
-        ncols += dim
-    for key, dim in tgt_groups:
-        row_off[key] = nrows
-        nrows += dim
-    grid = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for b in arrow.matrix_blocks():
-        r0, c0 = row_off[b.target], col_off[b.source]
-        for r in range(b.matrix.rows):
-            for c in range(b.matrix.cols):
-                grid[r0 + r][c0 + c] = b.matrix.entries[r][c]
-    return ExactMatrix(grid)
-
-
 def _resolve_ranks(e1: E1Grid, d: DifferentialSpec):
     """Exact rank of every arrow plus the provenance of each value."""
     ranks = {}
     assembled = {}
-
-    def groups_at(p, q):
-        return _groups(e1.entry_pq(p, q))
 
     # first pass: trivial, matrix-presented and annotated arrows
     for (p, q), arrow in d.arrows.items():
@@ -514,14 +463,12 @@ def _resolve_ranks(e1: E1Grid, d: DifferentialSpec):
             ranks[(p, q)] = (0, "zero", "")
             continue
         value = None
-        if arrow.fully_presented():
-            m = _stack(arrow, groups_at(p, q), groups_at(p + 1, q))
-            assembled[(p, q)] = m
-            value = ("matrix", rref(m)[0])
+        if arrow.matrix is not None:
+            assembled[(p, q)] = arrow.matrix
+            value = ("matrix", rref(arrow.matrix)[0])
         if arrow.annotation is not None:
             a = arrow.annotation
-            lower = max((rref(b.matrix)[0] for b in arrow.matrix_blocks()),
-                        default=0)
+            lower = max((rref(b)[0] for b in arrow.known), default=0)
             if not (lower <= a.rank <= min(arrow.source_dim, arrow.target_dim)):
                 raise InconsistentRanks(
                     f"annotated rank {a.rank} at ({p}, {q}) is outside "
@@ -535,17 +482,16 @@ def _resolve_ranks(e1: E1Grid, d: DifferentialSpec):
             via, r = value[0], value[1]
             ranks[(p, q)] = (r, via, value[2] if len(value) > 2 else "")
 
-    # second pass: duality fills what is left
-    for (p, q), arrow in d.arrows.items():
+    # second pass: duality fills what is left; build_d1 has made sure the
+    # dual of every such arrow was resolved above or does not exist
+    for p, q in d.arrows:
         if (p, q) in ranks:
             continue
         dual = ranks.get((-p - 1, 6 - q))
         if dual is not None:
             ranks[(p, q)] = (dual[0], "duality", f"dual of ({-p - 1}, {6 - q})")
-        elif e1.dim_pq(-p - 1, 6 - q) == 0 or e1.dim_pq(-p, 6 - q) == 0:
-            ranks[(p, q)] = (0, "duality", "dual arrow vanishes")
         else:
-            raise MissingBlock(f"arrow at ({p}, {q}) has no resolved dual")
+            ranks[(p, q)] = (0, "duality", "dual arrow vanishes")
 
     # duality must agree wherever both arrows were resolved independently
     for (p, q), (r, via, _) in ranks.items():

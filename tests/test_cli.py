@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,20 @@ def test_negative_fraction_value_as_sigma_prints_it(capsys, command, fmt):
     assert "-1/2" in spaced[1]
 
 
+def test_optimized_interpreter_parses_parenthesized_factors():
+    # ``python -O`` strips assert statements; parsing must not depend on them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "octic.cli",
+                            "sigma", "xy(x+y+w)"],
+                           capture_output=True, text=True, env=env)
+            for flags in ((), ("-O",))]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert (runs[1].returncode, runs[1].stdout) == \
+        (runs[0].returncode, runs[0].stdout), runs[1].stderr
+
+
 def test_ss_text_includes_pages_and_ranks(capsys):
     code, out, _ = run(capsys, "ss", "two-nodes")
     assert code == 0
@@ -250,3 +266,11 @@ def test_expected_blocks_exist_in_all_bundled_scenarios():
             data = json.loads(p.read_text())
             assert data.get("expected"), p.name
             assert data.get("name") == p.stem
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_stored_residual_reads_back_unchanged(name):
+    # the adjacency stored next to the triple points is derived on reading
+    data, base = cli.find_scenario(name)
+    stored = cli._referenced(data, base, "residual")
+    assert cli.residual_from_json(stored).to_json() == stored

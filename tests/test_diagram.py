@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from octic import diagram, incidence
-from octic.diagram import (Diagram, initial_diagram, render_dot,
-                           residual_report, to_json)
+from octic.diagram import initial_diagram, render_dot, residual_report
 from octic.forms import parse_equation, specialize
 from octic.resolve import schedule, trace_central_fiber
 
@@ -22,18 +21,14 @@ def test_initial_diagram_of_triple_line_fiber():
     assert len(d.curves) == 1
     (curve,) = d.curves.values()
     assert sorted(curve.surfaces) == ["P1", "P2", "P3"]
-    assert d.points == {}
     assert d.nodes == 0
 
 
-def test_initial_diagram_marks_multiple_points():
+def test_initial_diagram_of_fourfold_point_fiber():
     d = initial_diagram(_fiber("xyz(x+y+z+w)"))
     assert len(d.surfaces) == 4
     # six double lines through the fourfold point
     assert len(d.curves) == 6
-    assert len(d.points) == 1
-    (pt,) = d.points.values()
-    assert len(pt.curves) == 6
 
 
 def test_clone_is_isolated():
@@ -66,16 +61,6 @@ def test_residual_report_collects_pinches():
     trace, res = trace_central_fiber(a, Fraction(0), s)
     assert residual_report(trace[-1]).pinch_multiset() == res.pinch_multiset()
     assert res.pinch_multiset() == (1,)
-
-
-def test_json_shape():
-    d = initial_diagram(_fiber("xyz(x+y+z+w)"))
-    j = to_json(d)
-    assert set(j) >= {"surfaces", "curves", "points", "triple_meetings",
-                      "nodes", "node_marker", "events"}
-    assert sorted(s["label"] for s in j["surfaces"]) == ["P1", "P2", "P3", "P4"]
-    assert j["nodes"] == 0
-    assert j["events"] == []
 
 
 def test_render_dot_is_deterministic_and_wellformed():

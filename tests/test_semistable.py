@@ -16,9 +16,6 @@ seven_lines = ResidualSingularities(
     double_curves=tuple(DoubleCurve(p, TRIPLE_LINE)
                         for p in (0, 0, 2, 2, 2, 2, 2)),
     triple_meeting_points=((0, 1, 2), (0, 3, 4), (1, 5, 6)),
-    adjacency=tuple(sorted({(a, b)
-                            for t in ((0, 1, 2), (0, 3, 4), (1, 5, 6))
-                            for a in t for b in t if a < b})),
 )
 Y70 = (1, 0, 70, 2, 70, 0, 1)
 Y54 = (1, 0, 54, 2, 54, 0, 1)

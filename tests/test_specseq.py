@@ -5,94 +5,32 @@ from fractions import Fraction
 
 import pytest
 
+from octic import cli
 from octic import semistable as ss
 from octic import specseq as sq
-from octic.classify import (FIVEFOLD_POINT, TRIPLE_LINE, DoubleCurve,
-                            ResidualSingularities)
+from octic.classify import ResidualSingularities
 from octic.exact import ExactMatrix, rref
 
-two_nodes = ResidualSingularities(nodes=2, node_surface_marker="small_resolution")
-four_pinches = ResidualSingularities(
-    double_curves=(DoubleCurve(4, FIVEFOLD_POINT),))
-seven_lines = ResidualSingularities(
-    double_curves=tuple(DoubleCurve(p, TRIPLE_LINE)
-                        for p in (0, 0, 2, 2, 2, 2, 2)),
-    triple_meeting_points=((0, 1, 2), (0, 3, 4), (1, 5, 6)),
-    adjacency=tuple(sorted({(a, b)
-                            for t in ((0, 1, 2), (0, 3, 4), (1, 5, 6))
-                            for a in t for b in t if a < b})),
-)
 
-COLS = ["e1_2", "e1_3", "e1_4", "e1_5", "e1_6", "e1_7", "e1_8", "e1_9",
-        "e2_2", "e2_3", "e2_4", "e2_5", "e2_6",
-        "e3_1", "e4_1", "e5_1", "e6_1", "e7_1"]
-DISPLAY = ["e^1_2", "e^1_3", "e^1_4", "e^1_5", "e^1_6", "e^1_7", "e^1_8",
-           "e^1_9", "e^2_2", "e^2_3", "e^2_4", "e^2_5", "e^2_6",
-           "e^3_1", "e^4_1", "5^6_1", "e^6_1", "e^7_1"]
-ROWS = ["e12_1", "e12_2", "e13_1", "e13_2", "e14_1", "e14_2",
-        "e15_1", "e15_2", "e26_1", "e26_2", "e27_1", "e27_2"]
-ROW_DATA = {
-    "e12_1": {"e1_2": 1, "e2_2": -1, "e2_4": -1, "e2_6": -1},
-    "e12_2": {"e1_3": 1, "e2_3": -1, "e2_5": -1, "e2_6": -1},
-    "e13_1": {"e1_4": 1, "e3_1": -1},
-    "e13_2": {"e1_5": 1, "e3_1": -1},
-    "e14_1": {"e1_8": 1, "e4_1": -1},
-    "e14_2": {"e1_7": 1, "e4_1": -1},
-    "e15_1": {"e1_3": 1, "e1_5": 1, "e1_6": 1, "e1_8": -1, "e1_9": -1,
-              "e5_1": -1},
-    "e15_2": {"e1_2": 1, "e1_4": 1, "e1_6": 1, "e1_7": -1, "e1_9": -1,
-              "e5_1": -1},
-    "e26_1": {"e2_2": 1, "e6_1": -1},
-    "e26_2": {"e2_3": 1, "e6_1": -1},
-    "e27_1": {"e2_4": 1, "e7_1": -1},
-    "e27_2": {"e2_5": 1, "e7_1": -1},
-}
-GENS = {
-    "Y&Q1": tuple(f"e01_{i}" for i in range(1, 7)),
-    "Y&Q2": tuple(f"e02_{i}" for i in range(1, 5)),
-    "Y&Q3": tuple(f"e03_{i}" for i in range(1, 5)),
-    "Y&Q4": tuple(f"e04_{i}" for i in range(1, 5)),
-    "Y&Q5": tuple(f"e05_{i}" for i in range(1, 5)),
-    "Y&Q6": tuple(f"e06_{i}" for i in range(1, 5)),
-    "Y&Q7": tuple(f"e07_{i}" for i in range(1, 5)),
-    "Q1&Q2": ("e12_1", "e12_2"), "Q1&Q3": ("e13_1", "e13_2"),
-    "Q1&Q4": ("e14_1", "e14_2"), "Q1&Q5": ("e15_1", "e15_2"),
-    "Q2&Q6": ("e26_1", "e26_2"), "Q2&Q7": ("e27_1", "e27_2"),
-}
-ANN1 = [
-    {"p": -1, "q": 4, "rank": 3,
-     "why": "the two rulings map independently while the two exceptional "
-            "curves share a single image class"},
-    {"p": 0, "q": 4, "rank": 1,
-     "why": "restriction to the intersection surface is surjective"},
-]
-ANN2 = [
-    {"p": -1, "q": 6, "rank": 1,
-     "why": "pushforward of the point class of the intersection is injective"},
-    {"p": -1, "q": 4, "rank": 6,
-     "why": "section, fiber and pinch line classes embed independently"},
-    {"p": -1, "q": 2, "rank": 1,
-     "why": "the class of an embedded algebraic cycle maps injectively"},
-]
-ANN3 = [
-    {"p": -2, "q": 4, "rank": 6,
-     "why": "the six triple conics include into disjoint surfaces, so their "
-            "classes stay independent"},
-    {"p": -1, "q": 4, "rank": 35,
-     "why": "the kernel consists of the images of the six triple conics "
-            "together with the alternating chain of rulings"},
-    {"p": -1, "q": 2, "rank": 13,
-     "why": "the thirteen stratum classes are independent in the components"},
-    {"p": -1, "q": 6, "rank": 7,
-     "why": "computed from the incidence relations of the strata"},
-]
+def _example(name):
+    """A bundled example: its residual, y_betti and referenced blocks."""
+    data, base = cli.find_scenario(name)
+    return (cli.residual_from_json(cli._referenced(data, base, "residual")),
+            tuple(data["y_betti"]),
+            cli._referenced(data, base, "annotations"),
+            cli._referenced(data, base, "cycle_model"))
+
+
+two_nodes, Y_TWO_NODES, ANN1, _ = _example("two-nodes")
+four_pinches, Y_FOUR_PINCHES, ANN2, _ = _example("four-pinches")
+seven_lines, Y_SEVEN_LINES, ANN3, CYCLE_MODEL = _example("seven-lines")
 
 
 @pytest.fixture(scope="module")
 def complexes():
-    return (ss.build_components(two_nodes, (1, 0, 70, 2, 70, 0, 1)),
-            ss.build_components(four_pinches, (1, 0, 54, 2, 54, 0, 1)),
-            ss.build_components(seven_lines, (1, 0, 54, 2, 54, 0, 1)))
+    return (ss.build_components(two_nodes, Y_TWO_NODES),
+            ss.build_components(four_pinches, Y_FOUR_PINCHES),
+            ss.build_components(seven_lines, Y_SEVEN_LINES))
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +40,7 @@ def grids(complexes):
 
 @pytest.fixture(scope="module")
 def model():
-    matrix = [[Fraction(ROW_DATA[r].get(c, 0)) for c in COLS] for r in ROWS]
-    return sq.CycleModel(GENS, tuple(ROWS), tuple(COLS), ExactMatrix(matrix),
-                         tuple(DISPLAY))
+    return sq.CycleModel.from_json(CYCLE_MODEL)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +134,7 @@ def test_cycle_model_rank_and_relation(model):
     assert model.rank() == 11
     rels = model.relations()
     assert len(rels) == 1
-    chain = {r: (1 if r.endswith("_1") else -1) for r in ROWS}
+    chain = {r: (1 if r.endswith("_1") else -1) for r in model.row_labels}
     rel = rels[0]
     scale = Fraction(1) / rel["e12_1"]
     assert {k: v * scale for k, v in rel.items()} == \
@@ -215,7 +151,7 @@ def test_cycle_chain_verification(model):
 
 def test_cycle_model_label_validation(model):
     with pytest.raises(sq.UnknownLabel):
-        sq.CycleModel(GENS, ("nope",), tuple(COLS),
+        sq.CycleModel(model.generators, ("nope",), model.col_labels,
                       ExactMatrix([model.matrix.entries[0]]), ())
 
 
