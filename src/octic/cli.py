@@ -477,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true",
                         help="emit canonical JSON instead of text")
-    shared.add_argument("--dot-dir", default=None,
-                        help="directory for DOT artifacts")
     shared.add_argument("--check", action="store_true",
                         help="compare against the scenario's expected block")
 
@@ -508,6 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", parents=[shared],
                        help="run the blow-up trace and report the residual")
     p.add_argument("scenario", help="scenario name or JSON file")
+    p.add_argument("--dot-dir", default=None,
+                   help="also write one DOT file per trace step here")
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("reduce", parents=[shared],
@@ -523,6 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", parents=[shared],
                        help="write DOT artifacts for a scenario's trace")
     p.add_argument("scenario", help="scenario name or JSON file")
+    p.add_argument("--dot-dir", default=".",
+                   help="directory for the DOT files (default: .)")
     p.set_defaults(func=cmd_render)
 
     return parser
@@ -536,8 +538,6 @@ def main(argv=None) -> int:
         if argv[i - 1] == "--at" and re.match(r"-\d", argv[i]):
             argv[i - 1:i + 1] = ["--at=" + argv[i]]
     args = build_parser().parse_args(argv)
-    if getattr(args, "func", None) is cmd_render and not args.dot_dir:
-        args.dot_dir = "."
     try:
         return args.func(args)
     except ScenarioNotFound as err:

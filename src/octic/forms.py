@@ -151,21 +151,6 @@ class ParamArrangement:
     def text(self) -> str:
         return "".join(_factor_text(f) for f in self.forms)
 
-    def to_json(self) -> dict:
-        return {
-            "forms": [
-                [[_frac_json(c) for c in poly.coeffs] for poly in f.coeffs]
-                for f in self.forms
-            ]
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "ParamArrangement":
-        forms = []
-        for row in data["forms"]:
-            forms.append(LinearForm([Poly([Fraction(c) for c in poly]) for poly in row]))
-        return ParamArrangement(forms)
-
     def __repr__(self):
         return f"ParamArrangement({self.text()})"
 
@@ -199,10 +184,6 @@ def _factor_text(f: LinearForm) -> str:
     if nontrivial == 1 and t in ("x", "y", "z", "t"):
         return t
     return f"({t})"
-
-
-def _frac_json(c: Fraction) -> str:
-    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def specialize(a: ParamArrangement, w0) -> Arrangement:

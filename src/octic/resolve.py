@@ -666,31 +666,12 @@ class Stratum:
     def m(self) -> int:
         return len(self.planes)
 
-    def to_json(self):
-        out = {
-            "label": self.label,
-            "planes": list(self.planes),
-            "dim": self.dim,
-            "m": self.m,
-            "vertical": self.vertical,
-            "verdict": self.verdict,
-        }
-        if self.at is not None:
-            out["at"] = fraction_str(self.at)
-        if self.witness:
-            out["witness"] = list(self.witness)
-        return out
-
 
 @dataclass(frozen=True)
 class Observation:
     name: str
     ok: bool
     instances: tuple = ()
-
-    def to_json(self):
-        return {"name": self.name, "ok": self.ok,
-                "instances": list(self.instances)}
 
 
 @dataclass(frozen=True)
@@ -701,16 +682,6 @@ class NearPencilReport:
     observations: tuple
     special_first_blowup: bool
     notes: tuple
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "strata": [s.to_json() for s in self.strata],
-            "failures": list(self.failures),
-            "observations": [o.to_json() for o in self.observations],
-            "special_first_blowup": self.special_first_blowup,
-            "notes": list(self.notes),
-        }
 
 
 class _RawStratum:

@@ -53,9 +53,6 @@ class ResolvedCY:
         if b[2] != b[4]:
             raise ValueError(f"Betti vector is not palindromic: {b}")
 
-    def to_json(self):
-        return {"kind": "resolved_cy", "betti": list(self.betti)}
-
 
 @dataclass(frozen=True)
 class QuadricBundle:
@@ -77,11 +74,6 @@ class QuadricBundle:
             if c < 2:
                 raise ValueError(f"a split fiber has at least two components, got {c}")
 
-    def to_json(self):
-        return {"kind": "quadric_bundle",
-                "split_fibers": list(self.split_fibers),
-                "cone_fibers": self.cone_fibers}
-
 
 @dataclass(frozen=True)
 class DoubleCoverP2xP1:
@@ -96,9 +88,6 @@ class DoubleCoverP2xP1:
             raise UnsupportedConfiguration(
                 f"double cover with {self.pinch_fibers} pinch fibers is outside the catalogue")
 
-    def to_json(self):
-        return {"kind": "double_cover_p2xp1", "pinch_fibers": self.pinch_fibers}
-
 
 @dataclass(frozen=True)
 class NodeResolution:
@@ -110,9 +99,6 @@ class NodeResolution:
         _check_count(self.node_count_on_surface, "node count")
         if self.node_count_on_surface == 0:
             raise ValueError("a node-resolution component needs at least one node")
-
-    def to_json(self):
-        return {"kind": "node_resolution", "nodes": self.node_count_on_surface}
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +118,10 @@ class ConicBundle:
             if c < 2:
                 raise ValueError(f"a split fiber has at least two components, got {c}")
 
-    def to_json(self):
-        return {"kind": "conic_bundle", "split_fibers": list(self.split_fibers)}
-
 
 @dataclass(frozen=True)
 class SmoothQuadric:
-    def to_json(self):
-        return {"kind": "smooth_quadric"}
+    """P1 x P1 with no points blown up."""
 
 
 @dataclass(frozen=True)
@@ -151,14 +133,10 @@ class BlownP1xP1:
     def __post_init__(self):
         _check_count(self.points, "blown-up point count")
 
-    def to_json(self):
-        return {"kind": "blown_p1xp1", "points": self.points}
-
 
 @dataclass(frozen=True)
 class SmoothConic:
-    def to_json(self):
-        return {"kind": "smooth_conic"}
+    """A smooth conic curve, isomorphic to P1."""
 
 
 ComponentGeometry = Union[ResolvedCY, QuadricBundle, DoubleCoverP2xP1, NodeResolution]
@@ -208,35 +186,17 @@ class Component:
     label: str
     geometry: ComponentGeometry
 
-    def to_json(self):
-        out = {"label": self.label}
-        out.update(self.geometry.to_json())
-        out["betti"] = list(betti(self.geometry))
-        return out
-
 
 @dataclass(frozen=True)
 class DoubleStratum:
     pair: tuple            # two component labels, in component order
     geometry: SurfaceGeometry
 
-    def to_json(self):
-        out = {"pair": list(self.pair)}
-        out.update(self.geometry.to_json())
-        out["betti"] = list(betti(self.geometry))
-        return out
-
 
 @dataclass(frozen=True)
 class TripleStratum:
     triple: tuple          # three component labels, in component order
     geometry: CurveGeometry = field(default_factory=SmoothConic)
-
-    def to_json(self):
-        out = {"triple": list(self.triple)}
-        out.update(self.geometry.to_json())
-        out["betti"] = list(betti(self.geometry))
-        return out
 
 
 @dataclass(frozen=True)
@@ -293,32 +253,28 @@ class StrataComplex:
 
     # -- views ----------------------------------------------------------
 
+    @property
+    def depth(self) -> int:
+        """Deepest nonempty level: 3 with triple strata, 2 with double strata."""
+        return 3 if self.triple_strata else (2 if self.double_strata else 1)
+
     def level(self, m: int):
-        """Strata of depth m as (name, geometry) pairs, in canonical order.
+        """Strata of depth m as (member labels, geometry) pairs, in canonical
+        order.
 
         Depth 1 are the components themselves, depth 2 the double strata,
         depth 3 the triple strata.
         """
         if m == 1:
-            return [(c.label, c.geometry) for c in self.components]
+            return [((c.label,), c.geometry) for c in self.components]
         if m == 2:
-            return [("&".join(d.pair), d.geometry) for d in self.double_strata]
+            return [(tuple(d.pair), d.geometry) for d in self.double_strata]
         if m == 3:
-            return [("&".join(t.triple), t.geometry) for t in self.triple_strata]
+            return [(tuple(t.triple), t.geometry) for t in self.triple_strata]
         return []
-
-    def component_order(self) -> dict:
-        return {c.label: i for i, c in enumerate(self.components)}
 
     def counts(self) -> tuple:
         return (len(self.components), len(self.double_strata), len(self.triple_strata))
-
-    def to_json(self):
-        return {
-            "components": [c.to_json() for c in self.components],
-            "double_strata": [d.to_json() for d in self.double_strata],
-            "triple_strata": [t.to_json() for t in self.triple_strata],
-        }
 
 
 # ---------------------------------------------------------------------------

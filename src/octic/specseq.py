@@ -5,21 +5,25 @@ The first page is assembled purely combinatorially from the strata complex:
     E1(-k, h+k) = (+)_{j >= max(-k,0)}  H^{h-2j-k}( S^[2j+k+1] )
 
 where S^[m] is the disjoint union of the depth-m strata and h the degree the
-entry converges to.  The differential d1 decomposes into restriction maps
-(one level deeper, same degree) and Gysin maps (one level up, degree +2).
-Two kinds of block are known:
+entry converges to.  Every page is indexed by (p, q) = (-k, h+k) alone; k
+and h appear only in the formula above and in the printed cells.
+
+The differential d1 decomposes into restriction maps (one level deeper,
+same degree) and Gysin maps (one level up, degree +2).  Two kinds of block
+are known:
 
 * degree-zero restrictions are the signed coboundary of the nerve, and the
   top-degree Gysin blocks are their transposes;
 * degree-two Gysin blocks can be presented by an explicit cycle model
   (labeled curve classes and their pushforward matrix).
 
-An arrow whose blocks are all known is assembled into one matrix and its
-rank is computed.  Every other arrow is either forced to rank zero by the
-dimensions, carried by a justified rank annotation that its known blocks
-bound from below, or inherited from the dual arrow -- Poincare duality of
-the pages pairs the arrow at (p, q) with the one at (-p-1, 6-q) rank for
-rank.
+``build_d1`` returns d1 as a dict from (p, q) to the arrow leaving that
+position.  An arrow whose blocks are all known is assembled into one matrix
+and its rank is computed.  Every other arrow is either forced to rank zero
+by the dimensions, carried by a justified rank annotation that its known
+blocks bound from below, or inherited from the dual arrow -- Poincare
+duality of the pages pairs the arrow at (p, q) with the one at (-p-1, 6-q)
+rank for rank.
 
 The second page is then exact linear algebra over the resolved ranks.  It
 degenerates there, so its antidiagonals are the Betti numbers of a nearby
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exact import ExactMatrix, rref
 from .semistable import StrataComplex, betti
@@ -72,69 +76,53 @@ class Summand:
 
 @dataclass(frozen=True)
 class E1Entry:
-    k: int
-    h: int
+    p: int
+    q: int
     summands: tuple = ()
 
     @property
     def dim(self) -> int:
         return sum(s.dim for s in self.summands)
 
-    @property
-    def p(self) -> int:
-        return -self.k
-
-    @property
-    def q(self) -> int:
-        return self.h + self.k
-
     def to_json(self):
-        return {"k": self.k, "h": self.h, "dim": self.dim,
+        # printed in the formula's index: k = -p, h = p + q
+        return {"k": -self.p, "h": self.p + self.q, "dim": self.dim,
                 "summands": [s.to_json() for s in self.summands]}
 
 
 @dataclass(frozen=True)
 class E1Grid:
     complex: StrataComplex
-    entries: dict = field(default_factory=dict)   # (k, h) -> E1Entry
-
-    @property
-    def depth(self) -> int:
-        n, d, t = self.complex.counts()
-        return 3 if t else (2 if d else 1)
+    entries: dict = field(default_factory=dict)   # (p, q) -> E1Entry
 
     @property
     def columns(self) -> list:
-        w = self.depth - 1
+        w = self.complex.depth - 1
         return list(range(-w, w + 1))
 
-    def entry(self, k: int, h: int) -> E1Entry:
-        return self.entries.get((k, h), E1Entry(k, h))
-
     def entry_pq(self, p: int, q: int) -> E1Entry:
-        return self.entry(-p, p + q)
+        return self.entries.get((p, q), E1Entry(p, q))
 
     def dim_pq(self, p: int, q: int) -> int:
         return self.entry_pq(p, q).dim
 
     def antidiagonal(self, h: int) -> int:
         """Total E1 dimension converging to H^h."""
-        return sum(e.dim for (k, hh), e in self.entries.items() if hh == h)
+        return sum(e.dim for (p, q), e in self.entries.items() if p + q == h)
 
     def euler(self) -> int:
         return sum((-1) ** h * self.antidiagonal(h)
-                   for h in range(0, 2 * self.depth + 7))
+                   for h in range(0, 2 * self.complex.depth + 7))
 
     def to_json(self):
-        cells = [self.entries[key].to_json() for key in sorted(self.entries)]
-        return {"columns": self.columns, "cells": cells}
+        cells = sorted(self.entries.values(), key=lambda e: (-e.p, e.p + e.q))
+        return {"columns": self.columns, "cells": [e.to_json() for e in cells]}
 
 
 def assemble_e1(s: StrataComplex) -> E1Grid:
     """Populate the first page of the weight spectral sequence for s."""
     grid: dict = {}
-    n, d, t = s.counts()
-    depth = 3 if t else (2 if d else 1)
+    depth = s.depth
     for p in range(-(depth - 1), depth):
         k = -p
         for q in range(0, 7):
@@ -146,28 +134,17 @@ def assemble_e1(s: StrataComplex) -> E1Grid:
                 if m > depth:
                     break
                 deg = h - 2 * j - k
-                for name, geom in s.level(m):
+                for members, geom in s.level(m):
                     b = betti(geom)
                     if 0 <= deg < len(b) and b[deg]:
-                        summands.append(Summand(name, deg, j, b[deg]))
+                        summands.append(Summand("&".join(members), deg, j, b[deg]))
                 j += 1
-            grid[(k, h)] = E1Entry(k, h, tuple(summands))
+            grid[(p, q)] = E1Entry(p, q, tuple(summands))
     return E1Grid(s, grid)
 
 
 # ---------------------------------------------------------------------------
 # nerve coboundaries
-
-
-def _level_members(s: StrataComplex, m: int) -> list:
-    """Depth-m strata as tuples of component labels, in canonical order."""
-    if m == 1:
-        return [(c.label,) for c in s.components]
-    if m == 2:
-        return [tuple(d.pair) for d in s.double_strata]
-    if m == 3:
-        return [tuple(t.triple) for t in s.triple_strata]
-    return []
 
 
 def nerve_coboundary(s: StrataComplex, m: int) -> ExactMatrix:
@@ -177,8 +154,8 @@ def nerve_coboundary(s: StrataComplex, m: int) -> ExactMatrix:
     incidence is the position of the dropped component, so consecutive
     coboundaries compose to zero.
     """
-    cols = _level_members(s, m)
-    rows = _level_members(s, m + 1)
+    cols = [members for members, _ in s.level(m)]
+    rows = [members for members, _ in s.level(m + 1)]
     col_index = {tup: i for i, tup in enumerate(cols)}
     entries = []
     for tup in rows:
@@ -210,12 +187,10 @@ class CycleModel:
     row_labels: tuple
     col_labels: tuple
     matrix: ExactMatrix
-    col_display: tuple = ()    # printed headers, when they differ from labels
 
     def __post_init__(self):
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        object.__setattr__(self, "col_display", tuple(self.col_display))
         labels = [l for labs in self.generators.values() for l in labs]
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels repeat across strata")
@@ -231,11 +206,6 @@ class CycleModel:
             raise ValueError("matrix height does not match its row labels")
         if self.matrix.cols != len(self.col_labels):
             raise ValueError("matrix width does not match its column labels")
-        if self.col_display and len(self.col_display) != len(self.col_labels):
-            raise ValueError("printed headers do not match the columns")
-
-    def generator_count(self) -> int:
-        return sum(len(labs) for labs in self.generators.values())
 
     def rank(self) -> int:
         return rref(self.matrix)[0]
@@ -249,27 +219,22 @@ class CycleModel:
                         if coeff != 0})
         return out
 
-    def to_json(self):
-        return {
-            "generators": {k: list(v) for k, v in self.generators.items()},
-            "row_labels": list(self.row_labels),
-            "col_labels": list(self.col_labels),
-            "col_display": list(self.col_display) if self.col_display else None,
-            "matrix": [[str(x) for x in row] for row in self.matrix.entries],
-            "rank": self.rank(),
-        }
-
     @classmethod
     def from_json(cls, data: Mapping) -> "CycleModel":
+        """Read a stored model; a stored ``rank`` must be the matrix's."""
         matrix = ExactMatrix([[Fraction(str(x)) for x in row]
                               for row in data["matrix"]])
-        return cls(
+        cm = cls(
             generators={k: tuple(v) for k, v in data["generators"].items()},
             row_labels=tuple(data["row_labels"]),
             col_labels=tuple(data["col_labels"]),
             matrix=matrix,
-            col_display=tuple(data.get("col_display") or ()),
         )
+        if "rank" in data and int(data["rank"]) != cm.rank():
+            raise InconsistentRanks(
+                f"the cycle model states rank {data['rank']}, but its matrix "
+                f"has rank {cm.rank()}")
+        return cm
 
 
 def verify_cycle_chain(cm: CycleModel, chain: Mapping) -> bool:
@@ -306,28 +271,18 @@ class RankAnnotation:
 
 @dataclass(frozen=True)
 class Arrow:
-    """The differential leaving position (p, q).
+    """The differential leaving one position of the first page.
 
     ``matrix`` is the whole arrow, present when its target is nonzero and
     every block of it is known; ``known`` lists the blocks that are known,
     each of whose ranks bounds the rank of the arrow from below.
     """
 
-    p: int
-    q: int
     source_dim: int
     target_dim: int
     matrix: Optional[ExactMatrix] = None
     known: tuple = ()
     annotation: Optional[RankAnnotation] = None
-
-
-@dataclass(frozen=True)
-class DifferentialSpec:
-    arrows: dict = field(default_factory=dict)    # (p, q) -> Arrow
-
-    def arrow(self, p: int, q: int) -> Optional[Arrow]:
-        return self.arrows.get((p, q))
 
 
 def _groups(entry: E1Entry) -> list:
@@ -356,8 +311,9 @@ def _offsets(groups) -> dict:
 
 def build_d1(s: StrataComplex,
              cm: Optional[CycleModel] = None,
-             annotations: Iterable = ()) -> DifferentialSpec:
-    """Every arrow of d1 on the first page, assembled from its blocks.
+             annotations: Iterable = ()) -> dict:
+    """Every arrow of d1 on the first page, keyed by the (p, q) it leaves,
+    each assembled from its blocks.
 
     Known blocks: degree-zero restrictions are nerve coboundaries,
     top-degree Gysin maps their transposes, and a supplied cycle model
@@ -377,7 +333,7 @@ def build_d1(s: StrataComplex,
             raise ValueError(f"two annotations for the arrow at ({a.p}, {a.q})")
         anns[(a.p, a.q)] = a
 
-    deltas = {m: nerve_coboundary(s, m) for m in (1, 2) if _level_members(s, m + 1)}
+    deltas = {m: nerve_coboundary(s, m) for m in range(1, s.depth)}
 
     arrows = {}
     for p in e1.columns:
@@ -422,7 +378,7 @@ def build_d1(s: StrataComplex,
                     for r, row in enumerate(block.entries):
                         grid[r0 + r][c0:c0 + len(row)] = row
                 matrix = ExactMatrix(grid)
-            arrows[(p, q)] = Arrow(p, q, src.dim, tgt.dim, matrix, tuple(known),
+            arrows[(p, q)] = Arrow(src.dim, tgt.dim, matrix, tuple(known),
                                    anns.pop((p, q), None))
 
     for (p, q), a in anns.items():
@@ -442,49 +398,45 @@ def build_d1(s: StrataComplex,
         raise MissingBlock(
             "no matrix, annotation, or resolvable dual for the arrows at "
             + ", ".join(f"({p}, {q})" for p, q in sorted(unresolved)))
-    return DifferentialSpec(arrows)
+    return arrows
 
 
 # ---------------------------------------------------------------------------
 # E2 and the limit report
 
 
-def _resolve_ranks(e1: E1Grid, d: DifferentialSpec):
+def _resolve_ranks(e1: E1Grid, d1: Mapping):
     """Exact rank of every arrow plus the provenance of each value."""
     ranks = {}
     assembled = {}
 
     # first pass: trivial, matrix-presented and annotated arrows
-    for (p, q), arrow in d.arrows.items():
+    for (p, q), arrow in d1.items():
         if arrow.source_dim != e1.dim_pq(p, q):
             raise InconsistentRanks(
                 f"arrow at ({p}, {q}) was built for a different page")
         if arrow.target_dim == 0:
             ranks[(p, q)] = (0, "zero", "")
             continue
-        value = None
         if arrow.matrix is not None:
             assembled[(p, q)] = arrow.matrix
-            value = ("matrix", rref(arrow.matrix)[0])
-        if arrow.annotation is not None:
-            a = arrow.annotation
+            ranks[(p, q)] = (rref(arrow.matrix)[0], "matrix", "")
+        a = arrow.annotation
+        if a is not None:
             lower = max((rref(b)[0] for b in arrow.known), default=0)
             if not (lower <= a.rank <= min(arrow.source_dim, arrow.target_dim)):
                 raise InconsistentRanks(
                     f"annotated rank {a.rank} at ({p}, {q}) is outside "
                     f"[{lower}, {min(arrow.source_dim, arrow.target_dim)}]")
-            if value is not None and value[1] != a.rank:
+            if (p, q) in ranks and ranks[(p, q)][0] != a.rank:
                 raise InconsistentRanks(
                     f"annotated rank {a.rank} at ({p}, {q}) disagrees with "
-                    f"the computed rank {value[1]}")
-            value = ("annotation", a.rank, a.why)
-        if value is not None:
-            via, r = value[0], value[1]
-            ranks[(p, q)] = (r, via, value[2] if len(value) > 2 else "")
+                    f"the computed rank {ranks[(p, q)][0]}")
+            ranks[(p, q)] = (a.rank, "annotation", a.why)
 
     # second pass: duality fills what is left; build_d1 has made sure the
     # dual of every such arrow was resolved above or does not exist
-    for p, q in d.arrows:
+    for p, q in d1:
         if (p, q) in ranks:
             continue
         dual = ranks.get((-p - 1, 6 - q))
@@ -553,9 +505,10 @@ class LimitReport:
         }
 
 
-def compute_e2(e1: E1Grid, d: DifferentialSpec) -> LimitReport:
-    """Exact second page, limit Betti numbers and the purity verdict."""
-    ranks = _resolve_ranks(e1, d)
+def compute_e2(e1: E1Grid, d1: Mapping) -> LimitReport:
+    """Exact second page, limit Betti numbers and the purity verdict, from
+    the arrows of d1 that ``build_d1`` keys by (p, q)."""
+    ranks = _resolve_ranks(e1, d1)
 
     def rank_at(p, q):
         return ranks.get((p, q), (0,))[0]

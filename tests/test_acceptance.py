@@ -274,8 +274,8 @@ def test_criterion_7d_differentials_compose_to_zero(limits):
         data, base = cli.find_scenario(name)
         annotations = cli._referenced(data, base, "annotations") or ()
         d1 = specseq.build_d1(complex_, cm=cm, annotations=annotations)
-        for (p, q), first in sorted(d1.arrows.items()):
-            second = d1.arrow(p + 1, q)
+        for (p, q), first in sorted(d1.items()):
+            second = d1.get((p + 1, q))
             if second is None:
                 continue
             m1, m2 = first.matrix, second.matrix

@@ -104,6 +104,36 @@ def test_resolve_dot_dir(capsys, tmp_path):
     assert len(list(tmp_path.glob("*.dot"))) == 4
 
 
+@pytest.mark.parametrize("command,name", [
+    ("incidence", "NewL3"), ("sigma", "NewL3"), ("classify", "NewL3"),
+    ("reduce", "NewL3"), ("ss", "two-nodes")])
+def test_dot_dir_only_where_dot_files_are_written(capsys, tmp_path,
+                                                  command, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, name, "--dot-dir", str(tmp_path / "D")])
+    assert exc.value.code == 2
+    assert "--dot-dir" in capsys.readouterr().err
+    assert not (tmp_path / "D").exists()
+
+
+def test_stored_cycle_model_rank_is_checked(capsys, tmp_path):
+    for f in (DATA / "examples").glob("seven-lines*.json"):
+        (tmp_path / f.name).write_text(f.read_text(encoding="utf-8"),
+                                       encoding="utf-8")
+    scenario = str(tmp_path / "seven-lines.json")
+    assert run(capsys, "ss", scenario, "--check")[0] == 0
+    model = tmp_path / "seven-lines-cycle-model.json"
+    data = json.loads(model.read_text(encoding="utf-8"))
+    assert data["rank"] == 11
+    data["rank"] = 10
+    model.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "ss", scenario)
+    assert code == 3
+    assert out == ""
+    assert err == ("InconsistentRanks: the cycle model states rank 10, "
+                   "but its matrix has rank 11\n")
+
+
 def test_incidence_on_raw_equation(capsys):
     code, out, _ = run(capsys, "incidence", "xyz(x+y+z+w)", "--at", "0")
     assert code == 0

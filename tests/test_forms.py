@@ -99,17 +99,8 @@ def test_specialize_vanishing_form():
         specialize(a, Fraction(-1))
 
 
-def test_json_round_trip():
-    from octic.forms import ParamArrangement
-    a = parse_equation("xy(x+y+w)")
-    j = a.to_json()
-    assert len(j["forms"]) == 3
-    b = ParamArrangement.from_json(j)
-    assert b.text() == a.text()
-
-
 def test_text_round_trip():
     for text, _ in ELEVEN:
         a = parse_equation(text)
         again = parse_equation(a.text())
-        assert again.to_json() == a.to_json()
+        assert again.forms == a.forms

@@ -1,7 +1,5 @@
 """Semistable components, stratum geometries, and Betti bookkeeping."""
 
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,23 +133,19 @@ def test_empty_residual_is_just_y():
 def test_level_views():
     c = ss.build_components(seven_lines, Y54)
     assert [len(c.level(m)) for m in (1, 2, 3)] == [8, 13, 6]
-    assert c.level(3)[0][0] == "Y&Q1&Q2"
-    assert c.level(1)[0][0] == "Y"
-
-
-def test_component_order_y_first():
-    c = ss.build_components(seven_lines, Y54)
-    order = c.component_order()
-    assert order["Y"] == 0
-    assert [lab for lab, _ in sorted(order.items(), key=lambda kv: kv[1])] \
-        == ["Y"] + [f"Q{i}" for i in range(1, 8)]
+    assert c.level(3)[0][0] == ("Y", "Q1", "Q2")
+    assert c.level(1)[0][0] == ("Y",)
+    # Y first, then the new components in creation order
+    assert [members for members, _ in c.level(1)] == \
+        [("Y",)] + [(f"Q{i}",) for i in range(1, 8)]
+    assert c.depth == 3
+    assert ss.build_components(four_pinches, Y70).depth == 2
+    assert ss.build_components(ResidualSingularities(), Y70).depth == 1
 
 
 def test_json_deterministic():
-    a = json.dumps(ss.build_components(seven_lines, Y54).to_json(),
-                   sort_keys=True)
-    b = json.dumps(ss.build_components(seven_lines, Y54).to_json(),
-                   sort_keys=True)
+    a = ss.build_components(seven_lines, Y54)
+    b = ss.build_components(seven_lines, Y54)
     assert a == b
 
 
