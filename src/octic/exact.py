@@ -3,8 +3,8 @@
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator, so the invariants come for free).  On top of that:
 dense univariate polynomials over Q, determinants of small matrices with
-polynomial or rational entries, and dense matrices over Q with
-deterministic Gauss-Jordan reduction.
+polynomial or rational entries (for coordinates), and dense matrices over
+Q with deterministic Gauss-Jordan reduction.
 
 Everything here is immutable and pure; no floats anywhere.
 """
@@ -440,8 +440,10 @@ def _trivial_kernel(ncols: int) -> list[list]:
 def poly_det(rows: Sequence[Sequence]):
     """Determinant of a small square matrix by Laplace expansion down the
     first column.  Entries are all ``Poly`` or all ``Fraction``, and so is
-    the result; only ``+ - *`` and truthiness are used.  Fine for the
-    minors of 4-column incidence matrices; not meant for anything big."""
+    the result; only ``+ - *`` and truthiness are used.  It serves the
+    coordinates of incidence points and lines (``incidence.minors``); the
+    minor table that decides incidences is computed fraction-free in
+    ``incidence``.  Not meant for anything big."""
     n = len(rows)
     for row in rows:
         if len(row) != n:

@@ -303,10 +303,6 @@ def parse_equation(text: str) -> ParamArrangement:
         if all(not p for p in degree_part) and not vec[3]:
             raise NonLinearFactor(idx, "zero factor")
         forms.append(LinearForm(list(vec)))
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            if forms[i].proportional_to(forms[j]):
-                raise DuplicateFactor(i, j)
     return ParamArrangement(forms)
 
 

@@ -4,10 +4,12 @@ The combinatorial type of an arrangement is the list of its maximal
 multiple lines (q planes through a common line, q >= 2) and multiple
 points (p planes through a common point, p >= 3, decorated with the
 count j of triple-or-worse lines through it).  Everything is decided by
-the maximal minors of coefficient matrices with 4 columns, with rational
-entries for a single arrangement and polynomial entries in Q[w] for a
-one-parameter family, so "generic" really means generic and not "at a
-randomly sampled parameter".
+the maximal minors of coefficient matrices with 4 columns, over Z for a
+single arrangement and over Z[w] for a one-parameter family, so "generic"
+really means generic and not "at a randomly sampled parameter".  The
+minors are taken fraction-free, on each plane's coefficient row scaled to
+a primitive integer row; scaling a row by a nonzero constant scales its
+minors by that constant, so which minors vanish, and where, is unchanged.
 
 A profile holds plane sets only, so later incidence questions are subset
 tests.  Coordinates are computed on demand from its coefficient rows
@@ -24,9 +26,10 @@ candidates are handed back unevaluated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -207,10 +210,17 @@ class NewIncidence:
 # the minors kernel
 #
 # ``profile`` and ``degenerate_values`` ask every incidence question of a
-# matrix with 4 columns, whose rows are plane coefficients with entries all
-# ``Poly`` (a family, over Q[w]) or all ``Fraction`` (one fiber).  Ranks
-# and kernels of such a matrix are read off its maximal minors, so only
-# + - * are needed.  Later questions read the profile's plane sets.
+# matrix with 4 columns whose rows are plane coefficients: all ``Poly`` (a
+# family, over Q[w]) or all ``Fraction`` (one fiber).  Ranks of such a
+# matrix are read off its maximal minors, so only + - * are needed.
+# ``_minor_table`` computes them fraction-free, over Z for a fiber and over
+# Z[w] for a family, on primitive integer rows: each row times the positive
+# rational that clears its denominators and its content.  Scaling a row by
+# a nonzero constant scales every minor it enters by that constant, so which
+# minors vanish, their rational roots and their monic gcds are those of the
+# original rows.  ``minors`` serves coordinates only (``point_vector``,
+# ``line_basis``), on the original rows.  Later questions read the
+# profile's plane sets.
 
 
 def minors(rows: Sequence[Sequence]) -> list:
@@ -277,21 +287,98 @@ def profile(
 
 def _minor_table(rows: Sequence[Sequence]) -> dict:
     """The maximal minors of every two, three and four rows, keyed by sorted
-    0-based index tuples; a quadruple's one minor is its last row dotted
-    with the cross product of the first three.
+    0-based index tuples, over Z (``Fraction`` rows) or Z[w] (``Poly`` rows,
+    minors as ascending coefficient tuples) on the rows made primitive
+    integer rows, so each entry is the original minor times a positive
+    rational.  A triple's minors expand along its last row into its first
+    pair's; a quadruple's one minor is its last row dotted with the cross
+    product of the first three.
 
     Raises CoincidentPlanes when two rows are proportional.
     """
+    if isinstance(rows[0][0], Poly):
+        add, sub, mul = _zw_add, _zw_sub, _zw_mul
+    else:
+        add, sub, mul = operator.add, operator.sub, operator.mul
+    rows = [_integer_row(r) for r in rows]
     table = {}
-    for k in (2, 3):
-        for s in combinations(range(len(rows)), k):
-            table[s] = minors([rows[i] for i in s])
-            if k == 2 and not any(table[s]):
-                raise CoincidentPlanes(*s)
-    for q in combinations(range(len(rows)), 4):
-        cross = _cross(table[q[:3]])
-        table[q] = [sum(r * x for r, x in zip(rows[q[3]], cross))]
+    for i, j in combinations(range(len(rows)), 2):
+        ri, rj = rows[i], rows[j]
+        ms = [sub(mul(ri[a], rj[b]), mul(ri[b], rj[a]))
+              for a, b in _COLUMN_PAIRS]
+        if not any(ms):
+            raise CoincidentPlanes(i, j)
+        table[i, j] = ms
+    for i, j, k in combinations(range(len(rows)), 3):
+        m, r = table[i, j], rows[k]
+        table[i, j, k] = [
+            add(sub(mul(r[a], m[bc]), mul(r[b], m[ac])), mul(r[c], m[ab]))
+            for a, b, c, bc, ac, ab in _COLUMN_TRIPLES
+        ]
+    for i, j, k, l in combinations(range(len(rows)), 4):
+        m, r = table[i, j, k], rows[l]
+        table[i, j, k, l] = [sub(add(sub(mul(r[0], m[3]), mul(r[1], m[2])),
+                                     mul(r[2], m[1])), mul(r[3], m[0]))]
     return table
+
+
+# a pair's minors in column-pair order; each column triple (a, b, c) with
+# the positions of its pairs (b, c), (a, c) and (a, b) in that order
+_COLUMN_PAIRS = tuple(combinations(range(4), 2))
+_COLUMN_TRIPLES = tuple(
+    (a, b, c, _COLUMN_PAIRS.index((b, c)), _COLUMN_PAIRS.index((a, c)),
+     _COLUMN_PAIRS.index((a, b)))
+    for a, b, c in combinations(range(4), 3)
+)
+
+
+def _integer_row(row: Sequence) -> list:
+    """``row`` times the positive rational that makes it a primitive integer
+    row: ``int`` entries for rational ones, ascending coefficient tuples
+    for ``Poly`` ones."""
+    polys = isinstance(row[0], Poly)
+    cs = [c for x in row for c in (x.coeffs if polys else (x,))]
+    den = int_lcm(*(c.denominator for c in cs))
+    content = int_gcd(*(c.numerator * (den // c.denominator) for c in cs))
+
+    def scaled(c) -> int:
+        return c.numerator * (den // c.denominator) // content
+
+    if polys:
+        return [tuple(scaled(c) for c in x.coeffs) for x in row]
+    return [scaled(x) for x in row]
+
+
+# Z[w] as ascending coefficient tuples without trailing zeros; () is 0
+
+
+def _zw_add(a: tuple, b: tuple) -> tuple:
+    return _zw_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _zw_sub(a: tuple, b: tuple) -> tuple:
+    return _zw_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _zw_trim(coeffs: list) -> tuple:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _zw_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    if len(a) == 1:
+        return tuple(a[0] * y for y in b)
+    if len(b) == 1:
+        return tuple(x * b[0] for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _profile_of(dependent: set, rows: Sequence[Sequence],
@@ -486,11 +573,12 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     for i, row in enumerate(rows):
         scan(row, lambda r, i=i: fatal.setdefault(r, f"form {i + 1} vanishes"))
     for s, ms in table.items():
+        polys = [Poly(m) for m in ms]
         if len(s) == 2:
-            scan(ms, lambda r, s=s: fatal.setdefault(
+            scan(polys, lambda r, s=s: fatal.setdefault(
                 r, f"planes {s[0] + 1} and {s[1] + 1} coincide"))
         else:
-            scan(ms, lambda r, s=s: turning.setdefault(r, set()).add(s))
+            scan(polys, lambda r, s=s: turning.setdefault(r, set()).add(s))
 
     dependent = {s for s, ms in table.items() if not any(ms)}
     generic = _profile_of(dependent, rows)

@@ -63,6 +63,9 @@ def test_duplicate_factor_rejected():
         parse_equation("x*x*y*z")
     with pytest.raises(DuplicateFactor):
         parse_equation("xy(2x)")  # proportional to x
+    # the form count is checked before the pairs
+    with pytest.raises(ValueError, match="expected 3..8 forms, got 2"):
+        parse_equation("x^2")
 
 
 def test_nonlinear_factor_rejected():

@@ -120,6 +120,110 @@ def test_minors_are_the_maximal_minors():
         incidence.minors(rows * 3)
 
 
+# rationals with denominators up to 12, zero a third of the time; a nonzero
+# row of constants or of polynomials of degree <= 2, and scaled copies of
+# earlier rows inserted so that coincident pairs occur
+rational = st.one_of(st.just(Fraction(0)),
+                     st.fractions(-6, 6, max_denominator=12))
+nonzero_rational = rational.filter(bool)
+constant_rows = st.lists(
+    st.lists(rational, min_size=4, max_size=4).filter(any),
+    min_size=2, max_size=6)
+poly_rows = st.lists(
+    st.lists(st.lists(rational, max_size=3).map(Poly), min_size=4,
+             max_size=4).filter(any),
+    min_size=2, max_size=6)
+copies = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                            nonzero_rational), max_size=2)
+
+
+def _as_poly(entry) -> Poly:
+    """A table entry (``int`` or coefficient tuple) or a reference minor
+    (``Fraction`` or ``Poly``) as a ``Poly``."""
+    if isinstance(entry, Poly):
+        return entry
+    return Poly(entry) if isinstance(entry, tuple) else Poly([entry])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(constant_rows, poly_rows), copies)
+def test_minor_table_matches_the_unscaled_minors(rows, inserted):
+    for src, dst, c in inserted:
+        copy = [c * x for x in rows[src % len(rows)]]
+        rows.insert(dst % (len(rows) + 1), copy)
+    n = len(rows)
+
+    def reference(s):
+        return [_as_poly(m) for m in incidence.minors([rows[i] for i in s])]
+
+    coincident = next((s for s in combinations(range(n), 2)
+                       if not any(reference(s))), None)
+    if coincident is not None:
+        with pytest.raises(incidence.CoincidentPlanes) as err:
+            incidence._minor_table(rows)
+        assert err.value.indices == (coincident[0] + 1, coincident[1] + 1)
+        return
+    table = incidence._minor_table(rows)
+    assert list(table) == [s for k in (2, 3, 4)
+                           for s in combinations(range(n), k)]
+    for s, entries in table.items():
+        ref = reference(s)
+        got = [_as_poly(e) for e in entries]
+        assert [bool(g) for g in got] == [bool(r) for r in ref], s
+        assert all(isinstance(c, int) for e in entries
+                   for c in (e if isinstance(e, tuple) else (e,)))
+        # one nonzero rational factor for the whole subset
+        k = next((m for m, r in enumerate(ref) if r), None)
+        if k is not None:
+            factor = got[k].lead / ref[k].lead
+            assert factor != 0
+            assert got == [r.shift_scale(factor) for r in ref], s
+
+
+def _random_family(rng: random.Random) -> ParamArrangement:
+    while True:
+        forms = [LinearForm([Poly([rng.randint(-2, 2), rng.randint(-1, 1)])
+                             if rng.random() < 0.6 else Poly()
+                             for _ in range(4)])
+                 for _ in range(rng.randint(4, 8))]
+        try:
+            return ParamArrangement(forms)
+        except ValueError:
+            continue  # a zero form, or two proportional ones
+
+
+def _described(prof):
+    return (prof.to_json(),
+            [prof.point_vector(pt) for pt in prof.points],
+            [prof.line_basis(l) for l in prof.lines])
+
+
+def _scan_described(scan):
+    return (scan.sigma, [(f.w0, f.reason) for f in scan.fatal],
+            scan.unresolved, [_described(v.profile) for v in scan.values],
+            [[c.to_json() for c in v.changes] for v in scan.values])
+
+
+@pytest.mark.parametrize(
+    "family",
+    [parse_equation(t) for t in ELEVEN]
+    + [_random_family(random.Random(n)) for n in range(20)],
+    ids=ELEVEN + [f"random-{n}" for n in range(20)])
+def test_scaling_the_forms_changes_no_answer(family):
+    """The table's rows are scaled to primitive integer rows, so scaling a
+    form by a nonzero rational beforehand must change nothing."""
+    rng = random.Random(family.text())
+    factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                        rng.randint(1, 12)) for _ in family.forms]
+    scaled = ParamArrangement([
+        LinearForm([p.shift_scale(c) for p in f.coeffs])
+        for f, c in zip(family.forms, factors)])
+    assert _scan_described(incidence.degenerate_values(scaled)) == (
+        _scan_described(incidence.degenerate_values(family)))
+    assert _described(incidence.profile(scaled)) == (
+        _described(incidence.profile(family)))
+
+
 def test_primitive_vector_clears_content():
     w = Poly.x()
     vec = incidence.primitive_vector(
@@ -301,26 +405,31 @@ def test_scan_profiles_match_fiber_elimination_on_the_families(text):
 
 
 def test_scan_eliminates_no_fiber(monkeypatch):
-    """Each minor of the family is computed once, and no special fiber is
-    eliminated again: no 4x4 determinant, no ``profile`` or
-    ``specialize`` inside the scan."""
-    sizes = []
-    det = incidence.poly_det
+    """Each minor of the family is computed once, fraction-free, and no
+    special fiber is eliminated again: no determinant by expansion, no
+    ``profile`` or ``specialize`` inside the scan."""
+    tables = []
+    table_of = incidence._minor_table
 
-    def counted(rows):
-        sizes.append(len(rows))
-        return det(rows)
+    def recorded(rows):
+        tables.append(table_of(rows))
+        return tables[-1]
 
     def refused(*args, **kwargs):
         raise AssertionError("the scan eliminated a fiber")
 
-    monkeypatch.setattr(incidence, "poly_det", counted)
+    monkeypatch.setattr(incidence, "_minor_table", recorded)
+    monkeypatch.setattr(incidence, "poly_det", refused)
     monkeypatch.setattr(incidence, "profile", refused)
     monkeypatch.setattr("octic.forms.specialize", refused)
     monkeypatch.setattr(incidence, "specialize", refused, raising=False)
     scan = incidence.degenerate_values(parse_equation(ELEVEN[10]))
     assert len(scan.sigma) == 3
-    assert sorted(sizes) == [2] * 6 * 10 + [3] * 4 * 10
+    (table,) = tables
+    assert sorted(table) == sorted(
+        s for k in (2, 3, 4) for s in combinations(range(5), k))
+    assert all(len(ms) == {2: 6, 3: 4, 4: 1}[len(s)]
+               for s, ms in table.items())
 
 
 def test_zero_is_always_degenerate_here():
