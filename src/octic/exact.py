@@ -2,9 +2,13 @@
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator, so the invariants come for free).  On top of that:
-dense univariate polynomials over Q, determinants of small matrices with
-polynomial or rational entries (for coordinates), and dense matrices over
-Q with deterministic Gauss-Jordan reduction.
+dense univariate polynomials over Q, their rational roots, determinants of
+small matrices with polynomial or rational entries (for coordinates), and
+dense matrices over Q with deterministic Gauss-Jordan reduction.  Where the
+data are integers the work stays in integers: ``Poly.evaluate`` sums over
+one common denominator, and ``rational_roots`` tests and divides out each
+candidate root on the primitive integer form, leaving Euclid over Q and the
+square-free decomposition to the leftovers without a rational root.
 
 Everything here is immutable and pure; no floats anywhere.
 """
@@ -12,8 +16,8 @@ Everything here is immutable and pure; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
-from typing import Iterable, Sequence, Union
+from math import gcd as int_gcd, lcm as int_lcm
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -189,11 +193,22 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, v) -> Fraction:
+        """The value at ``v``.  With v = a/b and D the common denominator of
+        the n + 1 coefficients, one integer sum of c_i D a^i b^(n-i) is
+        divided once by D b^n; a constant is its own value."""
         v = _coerce_fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        cs = self.coeffs
+        if len(cs) < 2:
+            return cs[0] if cs else Fraction(0)
+        den = 1
+        for c in cs:
+            den = int_lcm(den, c.denominator)
+        a, b = v.numerator, v.denominator
+        acc, scale = 0, 1
+        for c in reversed(cs):
+            acc = acc * a + c.numerator * (den // c.denominator) * scale
+            scale *= b
+        return Fraction(acc, den * scale // b)
 
     def primitive_integer(self) -> tuple[Fraction, list[int]]:
         """Split off content: p = content * primitive, primitive integral
@@ -294,49 +309,61 @@ def _divisors(n: int) -> list[int]:
 
 def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], list[Poly]]:
     """All rational roots of p with multiplicities, plus the leftover
-    square-free, pairwise coprime factors of degree >= 2 that have no
+    square-free, pairwise coprime monic factors of degree >= 2 that have no
     rational root.  No claim of irreducibility is made for the leftovers.
+
+    The roots are peeled off the primitive integer form a0 + ... + an w^n
+    in integers: 0 as often as w divides it, then each n/d in lowest terms
+    with n | a0 and d | an, divided out as often as d w - n divides it (by
+    Gauss's lemma it divides in Z[w] exactly when n/d is a root).  A
+    remaining degree-1 factor's root is read off, with no divisor search.
+    The square-free decomposition runs only on a leftover of degree >= 2.
     """
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    residual: list[Poly] = []
-    for factor, mult in squarefree_factors(p):
-        found, leftover = _roots_of_squarefree(factor)
-        for r in found:
-            roots.append((r, mult))
-        if leftover.degree >= 2:
-            residual.append(leftover)
+    _, ints = p.primitive_integer()
+    shift = next(i for i, c in enumerate(ints) if c)
+    ints = ints[shift:]
+    roots: list[tuple[Fraction, int]] = [(Fraction(0), shift)] if shift else []
+    if len(ints) > 2:
+        for num, den in _root_candidates(ints[0], ints[-1]):
+            mult = 0
+            while (quotient := _divide_root(ints, num, den)) is not None:
+                ints, mult = quotient, mult + 1
+            if mult:
+                roots.append((Fraction(num, den), mult))
+            if len(ints) <= 2:
+                break
+    if len(ints) == 2:
+        roots.append((Fraction(-ints[0], ints[1]), 1))
     roots.sort(key=lambda rm: rm[0])
+    residual = ([f for f, _ in squarefree_factors(Poly(ints))]
+                if len(ints) > 2 else [])
     return roots, residual
 
 
-def _roots_of_squarefree(p: Poly) -> tuple[list[Fraction], Poly]:
-    # rational-root candidates of the primitive integer form
-    _, ints = p.primitive_integer()
-    # strip w^k first
-    shift = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        shift += 1
-    found: list[Fraction] = []
-    rest = p
-    if shift:
-        found.append(Fraction(0))
-        rest = rest.exact_div(Poly.x())
-    if not ints or len(ints) == 1:
-        return found, Poly.const(1) if rest.degree < 2 else rest
-    a0, an = ints[0], ints[-1]
+def _root_candidates(a0: int, an: int):
+    """Every n/d in lowest terms, both signs, with n | a0 and d | an."""
+    dens = _divisors(an)
     for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if rest.degree >= 1 and rest.evaluate(cand) == 0:
-                    found.append(cand)
-                    rest = rest.exact_div(Poly([-cand, 1]))
-    found.sort()
-    if rest.degree < 2:
-        rest = Poly.const(1)
-    return found, rest.monic()
+        for den in dens:
+            if int_gcd(num, den) == 1:
+                yield num, den
+                yield -num, den
+
+
+def _divide_root(ints: list[int], num: int, den: int) -> Optional[list[int]]:
+    """The quotient of the ascending integer coefficients ``ints`` by
+    den*w - num in Z[w], or None when it does not divide."""
+    quotient, carry = [], 0
+    for c in reversed(ints[1:]):
+        carry, rem = divmod(c + num * carry, den)
+        if rem:
+            return None
+        quotient.append(carry)
+    if ints[0] + num * carry:
+        return None
+    return quotient[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +373,7 @@ def _roots_of_squarefree(p: Poly) -> tuple[list[Fraction], Poly]:
 class ExactMatrix:
     """Dense matrix over Q.  ``field`` names the scalar domain, always "Q"."""
 
-    __slots__ = ("rows", "cols", "entries", "field")
+    __slots__ = ("rows", "cols", "entries", "field", "_rank")
 
     def __init__(self, entries: Sequence[Sequence]):
         grid = [list(row) for row in entries]
@@ -358,13 +385,23 @@ class ExactMatrix:
         self.rows = len(grid)
         self.cols = ncols
         self.field = "Q"
+        self._rank = None
+
+    def rank(self) -> int:
+        """The rank, by one ``rref`` on the first request; a transpose is
+        handed the rank already known, since it has the same."""
+        if self._rank is None:
+            self._rank = rref(self)[0]
+        return self._rank
 
     def transpose(self) -> "ExactMatrix":
         if self.rows == 0:
-            return ExactMatrix([[] for _ in range(self.cols)]) if self.cols else ExactMatrix([])
-        return ExactMatrix(
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)]
-        )
+            t = ExactMatrix([[] for _ in range(self.cols)]) if self.cols else ExactMatrix([])
+        else:
+            t = ExactMatrix([[self.entries[r][c] for r in range(self.rows)]
+                             for c in range(self.cols)])
+        t._rank = self._rank
+        return t
 
     def matvec(self, v: Sequence) -> list:
         if len(v) != self.cols:

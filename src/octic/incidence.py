@@ -19,9 +19,14 @@ moving-line test, and a collapsed generic point in ``profile_diff``.
 
 Degenerate parameter values are located by scanning the maximal minors of
 the coefficient rows, each computed once: a subset of planes acquires a new
-coincidence exactly where its minors all vanish, so the profile at a
-rational root is read off which minors vanish there.  Irrational
-candidates are handed back unevaluated.
+coincidence exactly where its minors all vanish, that is at the roots of
+their gcd.  The scan stays in Z[w]: a subset with a nonzero constant minor
+is skipped, the others' gcd is taken by primitive pseudo-remainders, and
+the rational roots of each distinct primitive gcd are searched once per
+family.  The profile at a rational root is read off which minors vanish
+there: each dependent triple (quadruple) adds its planes to the pencil
+(star) of each pair (triple) inside it.  Irrational candidates are handed
+back unevaluated.
 """
 
 from __future__ import annotations
@@ -217,10 +222,12 @@ class NewIncidence:
 # Z[w] for a family, on primitive integer rows: each row times the positive
 # rational that clears its denominators and its content.  Scaling a row by
 # a nonzero constant scales every minor it enters by that constant, so which
-# minors vanish, their rational roots and their monic gcds are those of the
-# original rows.  ``minors`` serves coordinates only (``point_vector``,
-# ``line_basis``), on the original rows.  Later questions read the
-# profile's plane sets.
+# minors vanish, their rational roots and their gcds up to a constant are
+# those of the original rows.  ``degenerate_values`` scans the table in Z[w]
+# as well: gcds by primitive pseudo-remainders (``_zw_gcd``), and only a
+# nonconstant primitive gcd becomes a ``Poly``, for ``rational_roots``.
+# ``minors`` serves coordinates only (``point_vector``, ``line_basis``), on
+# the original rows.  Later questions read the profile's plane sets.
 
 
 def minors(rows: Sequence[Sequence]) -> list:
@@ -381,25 +388,68 @@ def _zw_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _zw_gcd(polys: Iterable[tuple]) -> tuple:
+    """The gcd in Z[w] of ``polys`` in primitive form (coefficients without
+    a common factor, positive leading one): () when all are 0, and (1,) as
+    soon as it is constant.  Pairs are reduced by primitive pseudo-remainder
+    sequences (Brown 1971), so every step stays in Z[w]."""
+    g = ()
+    for p in polys:
+        if not p:
+            continue
+        p = _zw_primitive(p)
+        if g:
+            if len(g) < len(p):
+                g, p = p, g
+            while len(p) > 1:
+                r = _zw_prem(g, p)
+                g, p = p, _zw_primitive(r) if r else ()
+            if p:
+                g = (1,)
+        else:
+            g = p
+        if len(g) == 1:
+            return g
+    return g
+
+
+def _zw_primitive(a: tuple) -> tuple:
+    """Nonzero ``a`` without its content, leading coefficient positive."""
+    g = int_gcd(*a)
+    return tuple(x // (g if a[-1] > 0 else -g) for x in a)
+
+
+def _zw_prem(a: tuple, b: tuple) -> tuple:
+    """A nonzero integer multiple of the remainder of a by b in Q[w]: each
+    step scales by b's leading coefficient before subtracting."""
+    r, lead = a, b[-1]
+    while len(r) >= len(b):
+        c, k = r[-1], len(r) - len(b)
+        r = [x * lead for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r = _zw_trim(r)
+    return r
+
+
 def _profile_of(dependent: set, rows: Sequence[Sequence],
                 at: Optional[Fraction] = None) -> IncidenceProfile:
     """The profile of ``rows`` whose dependent triples and quadruples (keys
     of ``_minor_table`` whose minors all vanish) are ``dependent``."""
+    # the planes through the line of a pair: the pair and the third plane of
+    # each dependent triple containing it; the planes through the point of
+    # an independent triple: the triple and the fourth plane of each
+    # dependent quadruple containing it.  Only subsets that grow get a set.
+    grown: dict[tuple, set] = {}
+    for s in dependent:
+        for sub in combinations(s, len(s) - 1):
+            if sub not in dependent:
+                grown.setdefault(sub, set(sub)).update(s)
     n = len(rows)
-    # maximal pencils: the planes through the line of a pair (i, j) are
-    # exactly those k for which (i, j, k) is dependent
-    pencils = {
-        tuple(k + 1 for k in range(n)  # 1-based outward
-              if k in (i, j) or tuple(sorted((i, j, k))) in dependent)
-        for i, j in combinations(range(n), 2)
-    }
-    # points: an independent triple meets in a point, and a plane passes
-    # through it when its quadruple with the triple is dependent
-    stars = {
-        tuple(m + 1 for m in range(n)
-              if m in t or tuple(sorted(t + (m,))) in dependent)
-        for t in combinations(range(n), 3) if t not in dependent
-    }
+    pencils = {tuple(k + 1 for k in sorted(grown.get(s, s)))
+               for s in combinations(range(n), 2)}
+    stars = {tuple(k + 1 for k in sorted(grown.get(t, t)))
+             for t in combinations(range(n), 3) if t not in dependent}
     triple_sets = [set(l) for l in pencils if len(l) >= 3]
     points = [MultiplePoint(planes=p, j=sum(s <= set(p) for s in triple_sets))
               for p in stars]
@@ -542,7 +592,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     """Scan the family for parameters with different incidences.
 
     Candidates come from vanishing loci of maximal minors, each computed
-    once over Q[w]: a single form degenerating (fatal), a pair turning
+    once over Z[w]: a single form degenerating (fatal), a pair turning
     proportional (fatal), a triple acquiring a common line, a quadruple
     acquiring a common point.  Rank drops of larger subsets are witnessed
     by their 3- and 4-element subsets, so those two scans see every
@@ -556,29 +606,33 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     unresolved: dict[tuple, Poly] = {}
     # root -> the triples and quadruples that turn dependent there
     turning: dict[Fraction, set] = {}
+    # primitive gcd -> its rational roots, so each is searched once
+    roots_of: dict[tuple, list[Fraction]] = {}
 
-    def scan(polys: Sequence[Poly], on_root) -> None:
-        g: Optional[Poly] = None
-        for p in polys:
-            if p:
-                g = p if g is None else poly_gcd(g, p)
-        if g is None or g.degree < 1:
-            return
-        roots, leftovers = rational_roots(g)
-        for r, _ in roots:
-            on_root(r)
-        for q in leftovers:
-            unresolved[q.coeffs] = q
+    def common_roots(polys: Sequence[tuple]) -> list[Fraction]:
+        """The rational roots where the Z[w] polynomials ``polys`` all
+        vanish; none when one is a nonzero constant or all are 0."""
+        if any(len(p) == 1 for p in polys):
+            return []
+        g = _zw_gcd(polys)
+        if len(g) < 2:
+            return []
+        if g not in roots_of:
+            roots, leftovers = rational_roots(Poly(g))
+            roots_of[g] = [r for r, _ in roots]
+            for q in leftovers:
+                unresolved[q.coeffs] = q
+        return roots_of[g]
 
     for i, row in enumerate(rows):
-        scan(row, lambda r, i=i: fatal.setdefault(r, f"form {i + 1} vanishes"))
+        for r in common_roots(_integer_row(row)):
+            fatal.setdefault(r, f"form {i + 1} vanishes")
     for s, ms in table.items():
-        polys = [Poly(m) for m in ms]
-        if len(s) == 2:
-            scan(polys, lambda r, s=s: fatal.setdefault(
-                r, f"planes {s[0] + 1} and {s[1] + 1} coincide"))
-        else:
-            scan(polys, lambda r, s=s: turning.setdefault(r, set()).add(s))
+        for r in common_roots(ms):
+            if len(s) == 2:
+                fatal.setdefault(r, f"planes {s[0] + 1} and {s[1] + 1} coincide")
+            else:
+                turning.setdefault(r, set()).add(s)
 
     dependent = {s for s, ms in table.items() if not any(ms)}
     generic = _profile_of(dependent, rows)

@@ -208,7 +208,7 @@ class CycleModel:
             raise ValueError("matrix width does not match its column labels")
 
     def rank(self) -> int:
-        return rref(self.matrix)[0]
+        return self.matrix.rank()
 
     def relations(self) -> list:
         """Basis of the relation space among the rows (left kernel)."""
@@ -420,10 +420,10 @@ def _resolve_ranks(e1: E1Grid, d1: Mapping):
             continue
         if arrow.matrix is not None:
             assembled[(p, q)] = arrow.matrix
-            ranks[(p, q)] = (rref(arrow.matrix)[0], "matrix", "")
+            ranks[(p, q)] = (arrow.matrix.rank(), "matrix", "")
         a = arrow.annotation
         if a is not None:
-            lower = max((rref(b)[0] for b in arrow.known), default=0)
+            lower = max((b.rank() for b in arrow.known), default=0)
             if not (lower <= a.rank <= min(arrow.source_dim, arrow.target_dim)):
                 raise InconsistentRanks(
                     f"annotated rank {a.rank} at ({p}, {q}) is outside "

@@ -234,6 +234,27 @@ def test_trace_without_equation_is_exit_3(capsys, command):
                    "scenario carries no equation to trace\n")
 
 
+def test_seven_lines_row_reduces_its_cycle_model_once(capsys, monkeypatch):
+    """The stored-rank check's rank of the cycle model is handed on to the
+    annotated arrow's lower bound, whose block is the model's transpose:
+    seven ``rref`` calls, where reducing both took eight."""
+    from octic import exact
+
+    calls = []
+    rref = exact.rref
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return rref(m)
+
+    monkeypatch.setattr(exact, "rref", counted)
+    monkeypatch.setattr("octic.specseq.rref", counted)
+    assert run(capsys, "ss", "seven-lines")[0] == 0
+    assert len(calls) == 7
+    # the 12 x 18 model matrix, not also its transpose
+    assert calls.count((12, 18)) + calls.count((18, 12)) == 1
+
+
 def test_exit_4_on_unknown_scenario(capsys):
     code, _, err = run(capsys, "resolve", "no-such-scenario")
     assert code == 4

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from octic.exact import (ExactMatrix, Poly, fraction_str, parse_fraction,
@@ -72,6 +74,78 @@ def test_rational_roots_irreducible_leftover():
     assert dict(roots) == {Fraction(3): 1}
     assert len(leftovers) == 1
     assert leftovers[0].monic() == Poly([1, 0, 1])
+
+
+W = sympy.Symbol("w")
+
+
+def _sympy_poly(p: Poly) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], W, domain=sympy.QQ)
+
+
+# a product of linear factors with multiplicities and of factors of degree
+# 2 or 3, many of them without a rational root, times a rational constant;
+# small enough that the divisor search on the constant terms stays short
+linear_factors = st.lists(
+    st.tuples(st.fractions(-6, 6, max_denominator=4), st.integers(1, 2)),
+    max_size=3)
+other_factors = st.lists(
+    st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=3),
+              st.integers(1, 2)),
+    max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_factors, other_factors,
+       st.fractions(-30, 30, max_denominator=7).filter(bool))
+def test_rational_roots_match_sympy(linears, others, scale):
+    p = Poly([scale])
+    for root, mult in linears:
+        p = p * Poly([-root, 1]) ** mult
+    for low, mult in others:
+        p = p * Poly(low + [1]) ** mult
+    roots, leftovers = rational_roots(p)
+    sp = _sympy_poly(p)
+    expected = {Fraction(int(r.p), int(r.q)): m
+                for r, m in sympy.roots(sp, filter="Q").items()}
+    assert roots == sorted(expected.items())
+    # the leftovers: monic, square-free, pairwise coprime, without a
+    # rational root, and holding every factor of p of degree >= 2
+    lefts = [_sympy_poly(q) for q in leftovers]
+    for q, lq in zip(leftovers, lefts):
+        assert q.lead == 1 and q.degree >= 2
+        assert lq.gcd(lq.diff(W)).degree() == 0
+        assert not sympy.roots(lq, filter="Q")
+        assert sp.rem(lq).is_zero
+    for a, b in combinations(lefts, 2):
+        assert a.gcd(b).degree() == 0
+    for factor, _ in sp.factor_list()[1]:
+        if factor.degree() >= 2:
+            assert sum(lq.rem(factor).is_zero for lq in lefts) == 1
+
+
+def test_a_linear_factor_needs_no_divisor_search(monkeypatch):
+    def refused(n):
+        raise AssertionError("searched the divisors of a linear factor")
+
+    monkeypatch.setattr("octic.exact._divisors", refused)
+    p = Poly([998244353, -1000000007]) * Poly([0, 1]) ** 2
+    assert rational_roots(p) == (
+        [(Fraction(0), 2), (Fraction(998244353, 1000000007), 1)], [])
+
+
+points = st.fractions(-40, 40, max_denominator=15)
+
+
+@given(st.lists(st.fractions(-50, 50, max_denominator=12), max_size=6)
+       .map(Poly), points)
+def test_evaluate_matches_horner(p, v):
+    horner = Fraction(0)
+    for c in reversed(p.coeffs):
+        horner = horner * v + c
+    assert p.evaluate(v) == horner
+    assert isinstance(p.evaluate(v), Fraction)
 
 
 def test_fraction_str_round_trip():

@@ -120,6 +120,29 @@ def test_minors_are_the_maximal_minors():
         incidence.minors(rows * 3)
 
 
+# Z[w] polynomials as ascending coefficient tuples without trailing zeros
+zw_polys = st.lists(st.integers(-30, 30), max_size=4).map(
+    lambda cs: incidence._zw_trim(list(cs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(zw_polys, min_size=1, max_size=6), zw_polys)
+def test_zw_gcd_matches_poly_gcd(polys, common):
+    """The Z[w] gcd, in primitive form, is the monic gcd over Q up to a
+    constant; a common factor makes it nontrivial half the time."""
+    polys = [incidence._zw_mul(p, common) for p in polys]
+    g = incidence._zw_gcd(polys)
+    nonzero = [Poly(p) for p in polys if p]
+    if not nonzero:
+        assert g == ()
+        return
+    expected = nonzero[0].monic()
+    for p in nonzero[1:]:
+        expected = poly_gcd(expected, p)
+    assert Poly(g).monic() == expected
+    assert g[-1] > 0 and gcd(*g) == 1
+
+
 # rationals with denominators up to 12, zero a third of the time; a nonzero
 # row of constants or of polynomials of degree <= 2, and scaled copies of
 # earlier rows inserted so that coincident pairs occur
@@ -430,6 +453,84 @@ def test_scan_eliminates_no_fiber(monkeypatch):
         s for k in (2, 3, 4) for s in combinations(range(5), k))
     assert all(len(ms) == {2: 6, 3: 4, 4: 1}[len(s)]
                for s, ms in table.items())
+
+
+@pytest.mark.parametrize("text", [ELEVEN[10], ELEVEN[9]])
+def test_scan_searches_each_gcd_once(monkeypatch, text):
+    """The scan stays in Z[w]: no ``poly_gcd``, no gcd for an entry with a
+    nonzero constant minor, and one ``rational_roots`` per distinct
+    primitive gcd.  (ELEVEN[9] has six nonconstant gcds on three distinct
+    ones; ELEVEN[10] has three distinct ones.)"""
+    family = parse_equation(text)
+    gcd_inputs, searched = [], []
+    zw_gcd, roots_of = incidence._zw_gcd, incidence.rational_roots
+
+    def recorded_gcd(polys):
+        gcd_inputs.append(list(polys))
+        return zw_gcd(gcd_inputs[-1])
+
+    def recorded_roots(p):
+        searched.append(p)
+        return roots_of(p)
+
+    def refused(*args):
+        raise AssertionError("the scan took a gcd over Q")
+
+    monkeypatch.setattr(incidence, "_zw_gcd", recorded_gcd)
+    monkeypatch.setattr(incidence, "rational_roots", recorded_roots)
+    monkeypatch.setattr(incidence, "poly_gcd", refused)
+    monkeypatch.setattr("octic.exact.poly_gcd", refused)
+    incidence.degenerate_values(family)
+    monkeypatch.undo()
+
+    rows = [f.coeffs for f in family.forms]
+    entries = [incidence._integer_row(r) for r in rows] + list(
+        incidence._minor_table(rows).values())
+    scanned = [ms for ms in entries if all(len(m) != 1 for m in ms)]
+    assert gcd_inputs == scanned
+    gcds = {zw_gcd(ms) for ms in scanned} - {(), (1,)}
+    assert len(searched) == len(gcds)
+    assert {p.coeffs for p in searched} == {Poly(g).coeffs for g in gcds}
+
+
+# an 8-plane family whose minor gcds are all linear, with coefficients near
+# 1e9, so that a divisor search on them takes seconds
+LARGE = ("xyzt(x+y+z+t)(x-y+2z-2t)(100003x+y-z+3t)"
+         "(1000000007x+w100003y-998244353z+wt)")
+
+
+def test_linear_gcds_are_read_off(monkeypatch):
+    """A linear gcd's root is read off, not searched among the divisors of
+    its coefficients, and sigma is the set of rational roots of the
+    triples' and quadruples' minor gcds off the fatal ones, as sympy finds
+    them (every such root changes the profile of this family)."""
+    def refused(n):
+        raise AssertionError("searched the divisors of a linear gcd")
+
+    monkeypatch.setattr("octic.exact._divisors", refused)
+    family = parse_equation(LARGE)
+    scan = incidence.degenerate_values(family)
+    monkeypatch.undo()
+
+    rows = sympy.Matrix([[_sympy(c) for c in f.coeffs] for f in family.forms])
+
+    def roots(polys):
+        g = sympy.gcd_list([sympy.expand(p) for p in polys])
+        if g == 0 or not g.has(W):
+            return set()
+        return {Fraction(int(r.p), int(r.q))
+                for r in sympy.roots(sympy.Poly(g, W), filter="Q")}
+
+    def subset_roots(k):
+        return set().union(*(
+            roots([rows.extract(list(s), list(cols)).det()
+                   for cols in combinations(range(4), k)])
+            for s in combinations(range(8), k)))
+
+    fatal = set().union(*(roots(list(rows.row(i))) for i in range(8)),
+                        subset_roots(2))
+    assert {f.w0 for f in scan.fatal} == fatal
+    assert set(scan.sigma) == (subset_roots(3) | subset_roots(4)) - fatal
 
 
 def test_zero_is_always_degenerate_here():
