@@ -316,7 +316,8 @@ def cmd_classify(args) -> int:
         at = _scenario_w0(data or {})
     a = parse_equation(equation)
     generic = incidence.profile(a)
-    special = incidence.profile(specialize(a, at), at=at)
+    specialize(a, at)  # raises FormVanishes before any coincident pair
+    special = generic.fiber(at)
     changes = incidence.profile_diff(generic, special)
     tags = []
     for change in changes:

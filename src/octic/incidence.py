@@ -11,11 +11,14 @@ minors are taken fraction-free, on each plane's coefficient row scaled to
 a primitive integer row; scaling a row by a nonzero constant scales its
 minors by that constant, so which minors vanish, and where, is unchanged.
 
-A profile holds plane sets only, so later incidence questions are subset
-tests.  Coordinates are computed on demand from its coefficient rows
-(``point_vector``, ``line_basis``) where they are printed or compared: the
-centers ``reduce`` prints, the trace's fiber-collision message and
-moving-line test, and a collapsed generic point in ``profile_diff``.
+A profile holds plane sets only, each as a sorted tuple and as a bit mask
+(bit k for plane k), so later incidence questions are subset tests on
+integers: a set ``a`` contains ``b`` when ``a & b == b``.  Coordinates are
+computed on demand from its coefficient rows (``point_vector``,
+``line_basis``) where they are printed or compared: the centers ``reduce``
+prints, the trace's fiber-collision message and moving-line test, and a
+collapsed generic point in ``profile_diff``.  A fiber read off a family
+evaluates the family's rows at its parameter on the first such read.
 
 Degenerate parameter values are located by scanning the maximal minors of
 the coefficient rows, each computed once: a subset of planes acquires a new
@@ -23,10 +26,13 @@ coincidence exactly where its minors all vanish, that is at the roots of
 their gcd.  The scan stays in Z[w]: a subset with a nonzero constant minor
 is skipped, the others' gcd is taken by primitive pseudo-remainders, and
 the rational roots of each distinct primitive gcd are searched once per
-family.  The profile at a rational root is read off which minors vanish
-there: each dependent triple (quadruple) adds its planes to the pencil
-(star) of each pair (triple) inside it.  Irrational candidates are handed
-back unevaluated.
+family.  The profile at a rational root is the generic one with the
+subsets whose minors vanish there folded in: each dependent triple
+(quadruple) adds its planes to the pencil (star) of each pair (triple)
+inside it, and only the lines and points that grow, or whose ``j``
+changes, are new objects.  Irrational candidates are handed back
+unevaluated.  ``IncidenceProfile.fiber`` reads the fiber at any parameter
+off the same table, by evaluating the minors there.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, zip_longest
 from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -67,10 +74,11 @@ class MultipleLine:
 
     ``planes`` lists every plane of the arrangement containing the line,
     so a point lies on the line exactly when its plane set contains
-    ``planes``.
+    ``planes``.  ``mask`` is the same set as bits (bit k for plane k).
     """
 
     planes: tuple[int, ...]  # 1-based form indices, sorted
+    mask: int = field(repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -83,41 +91,134 @@ class MultiplePoint:
 
     ``planes`` lists every plane of the arrangement through the point, so
     a plane passes through it exactly when the plane's index is listed.
+    ``mask`` is the same set as bits (bit k for plane k).
     """
 
     planes: tuple[int, ...]  # 1-based, sorted
     j: int  # triple-or-worse lines through the point
+    mask: int = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
         return len(self.planes)
 
 
+def _plane_mask(planes: Iterable[int]) -> int:
+    """The bit mask of a set of 1-based plane indices: bit k for plane k.
+    A plane set contains another exactly when ``a & b == b``."""
+    m = 0
+    for k in planes:
+        m |= 1 << k
+    return m
+
+
 class IncidenceProfile:
     """Lines and points of one arrangement, lexicographically ordered.
 
-    Every line and point carries the set of all planes through it, so
-    incidence questions reduce to subset tests on plane indices: a point
-    lies on a line when ``line.planes <= point.planes``, two lines meet
-    when some point's planes contain both plane sets, and a set of planes
-    has a common line (point) when some line (point) contains it.
+    Every line and point carries the set of all planes through it, as a
+    sorted tuple and as a bit mask, so incidence questions reduce to subset
+    tests on plane masks: a point lies on a line when
+    ``line.mask & point.mask == line.mask``, two lines meet when some
+    point's mask contains both, and a set of planes has a common line
+    (point) when some line (point) contains it.
+
+    A profile also keeps, for every pair and every independent triple of
+    planes, the mask of all planes through their line or point.  A special
+    fiber's profile is this profile with more dependent triples and
+    quadruples folded in (``_special``): only the lines and points that
+    grow, and the points whose ``j`` changes, are new objects.  A profile
+    computed by ``profile`` keeps its minor table, so ``fiber`` reads the
+    fiber at any parameter off it.
 
     Coordinates are not stored: ``point_vector`` and ``line_basis``
-    compute canonical ones from the coefficient rows when asked.
+    compute canonical ones from the coefficient rows when asked.  A fiber's
+    rows are the family's evaluated at ``at``, on first read.
     """
 
-    def __init__(
-        self,
-        lines: Sequence[MultipleLine],
-        points: Sequence[MultiplePoint],
-        rows: Sequence[Sequence],
-        at: Optional[Fraction] = None,
-    ):
-        self.lines = tuple(sorted(lines, key=lambda l: l.planes))
-        self.points = tuple(sorted(points, key=lambda pt: pt.planes))
-        self.rows = tuple(tuple(r) for r in rows)  # Poly or Fraction entries
-        self.n_forms = len(self.rows)
+    def __init__(self, pencils: dict, stars: dict, dependent: set,
+                 family_rows: Sequence[Sequence],
+                 at: Optional[Fraction] = None, table: Optional[dict] = None,
+                 base: Optional[IncidenceProfile] = None):
+        """``pencils`` maps each 0-based pair, ``stars`` each independent
+        0-based triple, to the mask of all planes through its line or
+        point; ``dependent`` holds the dependent triples and quadruples.
+        ``family_rows`` are the rows the profile was computed from, to be
+        evaluated at ``at`` when ``at`` is set; ``table`` is their minor
+        table.  Records of ``base`` whose plane set and ``j`` are unchanged
+        are reused."""
+        known_lines = base._line_of if base else {}
+        known_points = base._point_of if base else {}
+        line_of = {m: known_lines.get(m) or MultipleLine(_planes(m), m)
+                   for m in set(pencils.values())}
+        triples = frozenset(m for m in line_of if m.bit_count() >= 3)
+        same_triples = base is not None and triples == base._triples
+        point_of = {}
+        for m in set(stars.values()):
+            pt = known_points.get(m)
+            if pt is None or not same_triples:
+                j = sum(l & m == l for l in triples)
+                if pt is None or pt.j != j:
+                    pt = MultiplePoint(_planes(m), j, m)
+            point_of[m] = pt
+        by_planes = operator.attrgetter("planes")
+        if base is not None and line_of == known_lines:
+            self.lines = base.lines
+        else:
+            self.lines = tuple(sorted(line_of.values(), key=by_planes))
+        if base is not None and point_of == known_points:
+            self.points = base.points
+        else:
+            self.points = tuple(sorted(point_of.values(), key=by_planes))
+        self.n_forms = len(family_rows)
         self.at = at
+        self._line_of, self._point_of = line_of, point_of
+        self._triples = triples
+        self._pencils, self._stars, self._dependent = pencils, stars, dependent
+        self._family_rows, self._table = family_rows, table
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The coefficient rows: ``Poly`` entries for a family, ``Fraction``
+        ones for a fiber."""
+        rows = self._family_rows
+        if self.at is not None and isinstance(rows[0][0], Poly):
+            return tuple(tuple(c.evaluate(self.at) for c in r) for r in rows)
+        return tuple(tuple(r) for r in rows)
+
+    def fiber(self, w0: Fraction) -> IncidenceProfile:
+        """The profile of the fiber at ``w0`` of the family this profile
+        was computed for, read off its minor table: the triples and
+        quadruples whose minors all vanish at ``w0`` are folded in.
+
+        Raises CoincidentPlanes for the first pair whose minors all vanish
+        there, the pair ``profile`` of the fiber would name.  A form that
+        vanishes at ``w0`` shows here only through such pairs; ``specialize``
+        is what names it.
+        """
+        extra = set()
+        if isinstance(self._family_rows[0][0], Poly):
+            p, q = w0.numerator, w0.denominator
+            for s, ms in self._table.items():
+                if s in self._dependent:
+                    continue
+                for m in ms:
+                    if not _zw_vanishes(m, p, q):
+                        break
+                else:
+                    if len(s) == 2:
+                        raise CoincidentPlanes(*s)
+                    extra.add(s)
+        return self._special(extra, w0)
+
+    def _special(self, extra: set, at: Fraction) -> IncidenceProfile:
+        """The fiber at ``at`` whose dependent triples and quadruples are
+        this profile's and ``extra``."""
+        pencils, stars = dict(self._pencils), dict(self._stars)
+        for s in extra:
+            stars.pop(s, None)
+        _fold(extra, pencils, stars)
+        return IncidenceProfile(pencils, stars, self._dependent | extra,
+                                self._family_rows, at, base=self)
 
     def point_vector(self, pt: MultiplePoint) -> Vec4:
         """Primitive coordinates of ``pt``: the cross product of the first
@@ -154,16 +255,21 @@ class IncidenceProfile:
     def line_through(self, planes: Iterable[int]) -> Optional[MultipleLine]:
         """The line contained in every plane of ``planes`` (at least two
         distinct planes), or None when they share no line."""
-        wanted = set(planes)
-        return next((l for l in self.lines if wanted <= set(l.planes)), None)
+        wanted = _plane_mask(planes)
+        for l in self.lines:
+            if l.mask & wanted == wanted:
+                return l
+        return None
 
     def point_through(self, planes: Iterable[int]) -> Optional[MultiplePoint]:
         """The first point lying on every plane of ``planes``, or None.
 
         The point is unique when the planes share no line."""
-        wanted = set(planes)
-        return next((pt for pt in self.points if wanted <= set(pt.planes)),
-                    None)
+        wanted = _plane_mask(planes)
+        for pt in self.points:
+            if pt.mask & wanted == wanted:
+                return pt
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -178,6 +284,16 @@ class IncidenceProfile:
         ls = ", ".join(f"l{l.q}{set(l.planes)}" for l in self.lines)
         ps = ", ".join(f"p{pt.p}^{pt.j}{set(pt.planes)}" for pt in self.points)
         return f"IncidenceProfile({ls}; {ps})"
+
+
+def _planes(mask: int) -> tuple[int, ...]:
+    """The sorted plane indices of a plane mask."""
+    planes = []
+    while mask:
+        low = mask & -mask
+        planes.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(planes)
 
 
 @dataclass(frozen=True)
@@ -225,9 +341,12 @@ class NewIncidence:
 # minors vanish, their rational roots and their gcds up to a constant are
 # those of the original rows.  ``degenerate_values`` scans the table in Z[w]
 # as well: gcds by primitive pseudo-remainders (``_zw_gcd``), and only a
-# nonconstant primitive gcd becomes a ``Poly``, for ``rational_roots``.
-# ``minors`` serves coordinates only (``point_vector``, ``line_basis``), on
-# the original rows.  Later questions read the profile's plane sets.
+# nonconstant primitive gcd becomes a ``Poly``, for ``rational_roots``.  A
+# profile keeps the table it was computed from, and ``fiber`` tests which
+# minors vanish at w0 = p/q by evaluating them in integers (``_zw_vanishes``),
+# so a command computes one table.  ``minors`` serves coordinates only
+# (``point_vector``, ``line_basis``), on the original rows.  Later questions
+# are subset tests on the profile's plane masks.
 
 
 def minors(rows: Sequence[Sequence]) -> list:
@@ -289,7 +408,8 @@ def profile(
     param = any(c.degree > 0 for f in a.forms for c in f.coeffs)
     rows = [[c if param else c.evaluate(0) for c in f.coeffs] for f in a.forms]
     table = _minor_table(rows)
-    return _profile_of({s for s, ms in table.items() if not any(ms)}, rows, at)
+    return _profile_of({s for s, ms in table.items() if not any(ms)}, rows, at,
+                       table)
 
 
 def _minor_table(rows: Sequence[Sequence]) -> dict:
@@ -433,28 +553,41 @@ def _zw_prem(a: tuple, b: tuple) -> tuple:
 
 
 def _profile_of(dependent: set, rows: Sequence[Sequence],
-                at: Optional[Fraction] = None) -> IncidenceProfile:
+                at: Optional[Fraction] = None,
+                table: Optional[dict] = None) -> IncidenceProfile:
     """The profile of ``rows`` whose dependent triples and quadruples (keys
     of ``_minor_table`` whose minors all vanish) are ``dependent``."""
-    # the planes through the line of a pair: the pair and the third plane of
-    # each dependent triple containing it; the planes through the point of
-    # an independent triple: the triple and the fourth plane of each
-    # dependent quadruple containing it.  Only subsets that grow get a set.
-    grown: dict[tuple, set] = {}
-    for s in dependent:
-        for sub in combinations(s, len(s) - 1):
-            if sub not in dependent:
-                grown.setdefault(sub, set(sub)).update(s)
     n = len(rows)
-    pencils = {tuple(k + 1 for k in sorted(grown.get(s, s)))
-               for s in combinations(range(n), 2)}
-    stars = {tuple(k + 1 for k in sorted(grown.get(t, t)))
-             for t in combinations(range(n), 3) if t not in dependent}
-    triple_sets = [set(l) for l in pencils if len(l) >= 3]
-    points = [MultiplePoint(planes=p, j=sum(s <= set(p) for s in triple_sets))
-              for p in stars]
-    return IncidenceProfile([MultipleLine(planes=l) for l in pencils], points,
-                            rows, at=at)
+    pencils = {(i, j): 2 << i | 2 << j for i, j in combinations(range(n), 2)}
+    stars = {(i, j, k): 2 << i | 2 << j | 2 << k
+             for i, j, k in combinations(range(n), 3)
+             if (i, j, k) not in dependent}
+    _fold(dependent, pencils, stars)
+    return IncidenceProfile(pencils, stars, dependent, rows, at, table)
+
+
+def _fold(dependent: Iterable[tuple], pencils: dict, stars: dict) -> None:
+    """Add the planes of each dependent triple (quadruple) to the pencil
+    (star) of each pair (independent triple) inside it.  ``pencils`` and
+    ``stars`` map 0-based index tuples to plane masks."""
+    for s in dependent:
+        m = 0
+        for i in s:
+            m |= 2 << i
+        grown = pencils if len(s) == 3 else stars
+        for sub in combinations(s, len(s) - 1):
+            if sub in grown:
+                grown[sub] |= m
+
+
+def _zw_vanishes(c: tuple, p: int, q: int) -> bool:
+    """Whether the Z[w] polynomial ``c`` vanishes at w = p/q: its value
+    times q^degree, by Horner's rule in integers."""
+    value, scale = 0, 1
+    for x in reversed(c):
+        value = value * p + x * scale
+        scale *= q
+    return value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +630,15 @@ def profile_diff(
     """
     if generic.n_forms != special.n_forms:
         raise ValueError("profiles of different arrangements")
-    generic_line_sets = {l.planes for l in generic.lines}
     new_lines = [
         l
         for l in special.lines
-        if l.q >= 3 and l.planes not in generic_line_sets
+        if l.q >= 3 and l.mask not in generic._line_of
     ]
+    sources = [g for g in generic.points if g.p >= 4 or g.j >= 1]
 
     def lands_on(g: MultiplePoint, s: MultiplePoint) -> bool:
-        if not set(g.planes) <= set(s.planes):
+        if g.mask & s.mask != g.mask:
             return False
         if special.line_through(g.planes) is None:
             return True
@@ -517,12 +650,11 @@ def profile_diff(
     for s in special.points:
         if s.p < 4 and s.j < 1:
             continue
-        notable = [g for g in generic.points
-                   if (g.p >= 4 or g.j >= 1) and lands_on(g, s)]
+        notable = [g for g in sources if lands_on(g, s)]
         if any(g.planes == s.planes and g.j == s.j for g in notable):
             continue  # the point was already there, unchanged
         lines_here = tuple(
-            l.planes for l in new_lines if set(l.planes) <= set(s.planes)
+            l.planes for l in new_lines if l.mask & s.mask == l.mask
         )
         claimed_line_sets.update(lines_here)
         if len(notable) >= 2:
@@ -635,14 +767,12 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
                 turning.setdefault(r, set()).add(s)
 
     dependent = {s for s, ms in table.items() if not any(ms)}
-    generic = _profile_of(dependent, rows)
-    generic_key = generic.combinatorial_key()
+    generic = _profile_of(dependent, rows, table=table)
     values = []
     for w0 in sorted(turning.keys() - fatal.keys()):
-        fiber = [[c.evaluate(w0) for c in row] for row in rows]
-        prof = _profile_of(dependent | turning[w0], fiber, at=w0)
-        if prof.combinatorial_key() == generic_key:
-            continue
+        prof = generic._special(turning[w0], w0)
+        if prof.lines == generic.lines and prof.points == generic.points:
+            continue  # the same incidences
         changes = profile_diff(generic, prof)
         values.append(DegenerateValue(w0, prof, tuple(changes)))
 

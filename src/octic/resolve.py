@@ -14,14 +14,16 @@ curves, surfaces, pinches and node pairs it touches.
 
 No coefficient row is read here.  Incidences come from two incidence
 profiles, the generic one the schedule is built from and the central one
-at the traced value, whose lines and points list every plane through
-them: a plane passes through a point when its index is listed, a point
-lies on a line when it lists all of the line's planes, and two lines meet
-when one point lists the planes of both.  Coordinates are computed only
-for the centers ``reduce`` prints, a fiber-curve collision message and
-whether a pair's line moves with w.  A point center whose planes meet in
-a central line rather than a point (the central fiber then has a
-fourfold or worse line) stops the trace at that center.
+at the traced value, read off the generic one's minor table
+(``IncidenceProfile.fiber``).  Their lines and points list every plane
+through them, as tuples and as bit masks: a plane passes through a point
+when its index is listed, a point lies on a line when its mask contains
+the line's, and two lines meet when one point's mask contains both.
+Coordinates are computed only for the centers ``reduce`` prints, a
+fiber-curve collision message and whether a pair's line moves with w.  A
+point center whose planes meet in a central line rather than a point (the
+central fiber then has a fourfold or worse line) stops the trace at that
+center.
 
 A scenario may transcribe individual steps explicitly (``directives``)
 when two fiber curves of one tower collide in the central fiber; that
@@ -277,14 +279,15 @@ class _Driver:
         self.sched = sched
         self.directives = dict(directives or {})
         self.generic = sched.generic
-        self.central = incidence.profile(specialize(a, self.w0), at=self.w0)
+        specialize(a, self.w0)  # raises FormVanishes before any central pair
+        self.central = self.generic.fiber(self.w0)
         self.d = initial_diagram(self.central)
         self.trace = [self.d]
         self.blown: set = set()
         self.blown_points: list = []   # chronological point-center records
-        self.blown_lines: dict = {}    # central line planes -> record
+        self.blown_lines: dict = {}    # central line mask -> record
         self.flagged: set = set()      # pair names marked for a node rewrite
-        self.flag_points: set = set()  # crossing points consumed by the scan
+        self.flag_points: set = set()  # masks of crossing points the scan used
         self.pending: dict = {}        # center name -> [curve ids to pinch]
 
     # -- central geometry ----------------------------------------------------
@@ -307,7 +310,7 @@ class _Driver:
         return tuple(sorted(counts.items()))
 
     def _virgin(self, pt: incidence.MultiplePoint) -> bool:
-        return all(bp["point"] != pt for bp in self.blown_points)
+        return all(bp["point"].mask != pt.mask for bp in self.blown_points)
 
     # -- rule applications ---------------------------------------------------
 
@@ -382,7 +385,7 @@ class _Driver:
             tower_sections=c.planes, tower_fibers=fibers, tower_meets=meets)
 
         def post(_):
-            self.blown_lines[line.planes] = {"jump": False, "name": c.name}
+            self.blown_lines[line.mask] = {"jump": False, "name": c.name}
         return ctx, post
 
     def _quadruple_ctx(self, c: Center):
@@ -431,7 +434,7 @@ class _Driver:
                 nodes=2, node_marker=NODE_MARKER)
             return ctx, None
         line = self.central.line_through(c.indices)
-        if line.planes in self.blown_lines:
+        if line.mask in self.blown_lines:
             return self._successor_ctx(c, line)
         if line.q == 2:
             return self._plain_pair_ctx(c, line)
@@ -448,7 +451,7 @@ class _Driver:
 
         def post(_):
             prior = tuple(self.blown_lines)
-            self.blown_lines[line.planes] = {"jump": False, "name": c.name}
+            self.blown_lines[line.mask] = {"jump": False, "name": c.name}
             self._node_scan(c, prior)
         return ctx, post
 
@@ -458,23 +461,24 @@ class _Driver:
         for c2 in self.sched.steps:
             if c2.role != "pair" or c2.name in self.blown:
                 continue
-            if set(c2.indices) & set(c.indices):
+            if not set(c.indices).isdisjoint(c2.indices):
                 continue
-            four = set(c.indices) | set(c2.indices)
+            four = c.indices + c2.indices
             if self.generic.point_through(four) is not None:
                 continue  # the generic lines already meet
             if self.central.line_through(c2.indices).q != 2:
                 continue
             pt = self.central.point_through(four)
-            if pt is None or pt in self.flag_points or not self._virgin(pt):
+            if pt is None or pt.mask in self.flag_points \
+                    or not self._virgin(pt):
                 continue
-            if any(set(key) <= set(pt.planes) for key in prior):
+            if any(m & pt.mask == m for m in prior):
                 continue  # separated by the blow-up of that line
             self.flagged.add(c2.name)
-            self.flag_points.add(pt)
+            self.flag_points.add(pt.mask)
 
     def _successor_ctx(self, c: Center, line: incidence.MultipleLine):
-        entry = self.blown_lines[line.planes]
+        entry = self.blown_lines[line.mask]
         if not entry.get("jump"):
             raise RuleConflict(
                 "double line %s lies on the blown line %s"
@@ -500,7 +504,7 @@ class _Driver:
         label = self.d.next_prime_label(parent)
         target = self._resolve_curve(tuple("P%d" % k for k in line.planes))
         points_on = [bp for bp in self.blown_points
-                     if set(line.planes) <= set(bp["point"].planes)]
+                     if line.mask & bp["point"].mask == line.mask]
         fiber_with = None
         for bp in points_on:
             if bp["jump"] and bp["parent"] == parent:
@@ -515,7 +519,7 @@ class _Driver:
 
         def post(new_d):
             prior = tuple(self.blown_lines)
-            self.blown_lines[line.planes] = {
+            self.blown_lines[line.mask] = {
                 "jump": True, "extra": e, "parent": parent, "name": c.name}
             split_cid = new_d.curve_by_surfaces((parent, label)).id
             successors = [
@@ -567,16 +571,14 @@ class _Driver:
             if line2.q != 2:
                 continue
             if point is not None:
-                if not set(line2.planes) <= set(point.planes):
+                if line2.mask & point.mask != line2.mask:
                     continue
                 pt = point
             else:
-                pt = self.central.point_through(
-                    set(line.planes) | set(line2.planes))
+                pt = self.central.point_through(line.planes + line2.planes)
                 if pt is None:
                     continue
-            if not self._virgin(pt) \
-                    or any(set(key) <= set(pt.planes) for key in prior):
+            if not self._virgin(pt) or any(m & pt.mask == m for m in prior):
                 continue
             self.pending.setdefault(c2.name, []).append(split_cid)
 
@@ -586,7 +588,7 @@ class _Driver:
             # triple line L, which is still a triple line at w0
             line = next(s.indices for s in self.sched.steps
                         if s.role == "l3" and s.tower == c.tower)
-            base = self.central.point_through(set(line) | set(c.indices))
+            base = self.central.point_through(line + c.indices)
             for c2 in self.sched.steps:
                 if c2.role == "fiber" and c2.tower == c.tower \
                         and c2.name != c.name \
@@ -638,9 +640,10 @@ def trace_central_fiber(a: ParamArrangement, w0, s: BlowUpSchedule,
                         directives=None):
     """Carry the schedule across the family, restricted to the fiber at w0.
 
-    Returns ``(trace, residual)``: every intermediate diagram (the fiber's
-    initial diagram first) and the residual-singularity report of the last
-    one.  A step that matches no rewrite rule raises :class:`TraceAborted`
+    ``s`` is scheduled from ``incidence.profile(a)``, whose minor table the
+    central fiber is read off.  Returns ``(trace, residual)``: every
+    intermediate diagram (the fiber's initial diagram first) and the
+    residual-singularity report of the last one.  A step that matches no rewrite rule raises :class:`TraceAborted`
     carrying the partial trace; parse and incidence errors propagate.
     """
     return _Driver(a, w0, s, directives).run()

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from octic import cli
+from octic import cli, incidence
+from octic.exact import Poly
 
 DATA = Path(cli.__file__).resolve().parent / "data"
 FAMILIES = sorted(p.stem for p in (DATA / "families").glob("*.json"))
@@ -253,6 +254,83 @@ def test_seven_lines_row_reduces_its_cycle_model_once(capsys, monkeypatch):
     assert len(calls) == 7
     # the 12 x 18 model matrix, not also its transpose
     assert calls.count((12, 18)) + calls.count((18, 12)) == 1
+
+
+# Errors of a trace come in this order: coincident planes in the generic
+# fiber, the schedule (here NotOctic), a form vanishing at w0, coincident
+# planes at w0.  A form vanishing at w0 also makes its pairs coincide there,
+# and the non-octic scenarios are also coincident at w0 or have a form
+# vanishing there; the first error in that order is reported.
+# (FormVanishes numbers the forms from 0, CoincidentPlanes the planes
+# from 1.)
+ERROR_ORDER = [
+    ("xyz(x+y+z+t)(wx+wy+wt)", 2,
+     "FormVanishes: form 4 vanishes identically at w = 0\n"),
+    ("xyz(x+y+z+t)(x+wy)", 3, "CoincidentPlanes: planes 1 and 5 coincide\n"),
+    ("xy(x+y)(x-y)z(z+wt)", 3,
+     "NotOctic: arrangement is not octic: (('line', (1, 2, 3, 4)),)\n"),
+    ("xy(x+y)(x-y)z(wz+wt)", 3,
+     "NotOctic: arrangement is not octic: (('line', (1, 2, 3, 4)),)\n"),
+]
+
+
+@pytest.mark.parametrize("command", ["resolve", "reduce", "render"])
+@pytest.mark.parametrize("equation,code,message", ERROR_ORDER)
+def test_trace_errors_keep_their_order(capsys, tmp_path, command, equation,
+                                       code, message):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps({"name": "s", "equation": equation, "w0": "0"}))
+    extra = ["--dot-dir", str(tmp_path / "dot")] if command == "render" else []
+    assert run(capsys, command, str(p), *extra) == (code, "", message)
+
+
+@pytest.mark.parametrize("equation,code,message", [
+    ERROR_ORDER[0], ERROR_ORDER[1],
+    ("xy(x+y)(x-y)z(z+wt)", 3, "CoincidentPlanes: planes 5 and 6 coincide\n"),
+    ("xy(x+y)(x-y)z(wz+wt)", 2,
+     "FormVanishes: form 5 vanishes identically at w = 0\n"),
+])
+def test_classify_errors_keep_their_order(capsys, equation, code, message):
+    assert run(capsys, "classify", equation, "--at", "0") == (code, "",
+                                                                 message)
+
+
+@pytest.mark.parametrize("argv", [["resolve", "P40toP52"],
+                                  ["classify", "P40toP52", "--at", "0"],
+                                  ["classify", "xyz(x+y+wz)(x+2y+z)",
+                                   "--at", "1/2"]])
+def test_one_minor_table_per_command(capsys, monkeypatch, argv):
+    """The central fiber is read off the generic profile's minor table."""
+    tables = []
+    table_of = incidence._minor_table
+
+    def counted(rows):
+        tables.append(rows)
+        return table_of(rows)
+
+    monkeypatch.setattr(incidence, "_minor_table", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(tables) == 1
+
+
+def test_sigma_evaluates_special_rows_only_where_read(capsys, monkeypatch):
+    """A special profile's rows are evaluated when first read: sigma reads
+    them only where a generic point's planes collapse onto a special line,
+    to compare that point's coordinates with the special point's."""
+    calls = []
+    evaluate = Poly.evaluate
+
+    def counted(p, x):
+        calls.append(p)
+        return evaluate(p, x)
+
+    monkeypatch.setattr(Poly, "evaluate", counted)
+    for name in ("NewP40", "P50toP52", "TwoP41toP51"):
+        assert run(capsys, "sigma", name)[0] == 0
+    assert calls == []
+    # the generic point {1,2,3,4} lands on the special line x = y = 0
+    assert run(capsys, "sigma", "xy(x+y+wz+wt)(x-y+wz+wt)z")[0] == 0
+    assert len(calls) >= 5 * 4
 
 
 def test_exit_4_on_unknown_scenario(capsys):

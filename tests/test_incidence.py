@@ -2,10 +2,12 @@
 oracle, the plane-set incidence rules against coordinates, projective
 invariance, and the degeneration scan over the parameter line."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -16,8 +18,8 @@ from oracles import oracle, random_constant_arrangement, random_gl4, transform
 
 from octic import incidence
 from octic.exact import Poly, poly_gcd
-from octic.forms import (LinearForm, ParamArrangement, parse_equation,
-                         specialize)
+from octic.forms import (FormVanishes, LinearForm, ParamArrangement,
+                         parse_equation, specialize)
 
 ELEVEN = [
     "xy(x+y+w)",
@@ -491,6 +493,158 @@ def test_scan_searches_each_gcd_once(monkeypatch, text):
     gcds = {zw_gcd(ms) for ms in scanned} - {(), (1,)}
     assert len(searched) == len(gcds)
     assert {p.coeffs for p in searched} == {Poly(g).coeffs for g in gcds}
+
+
+# ---------------------------------------------------------------------------
+# plane-mask lookups and fibers read off the family's table
+
+DATA = Path(incidence.__file__).resolve().parent / "data"
+BUNDLED = {
+    path.stem: data
+    for sub in ("families", "examples")
+    for path in sorted((DATA / sub).glob("*.json"))
+    for data in [json.loads(path.read_text(encoding="utf-8"))]
+    if isinstance(data, dict) and data.get("equation")
+}
+
+# the seeded 8-plane families of the benchmark's octic-families workload,
+# seed 1
+SEED1 = [
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2x+y-z+3t)(-4x-2wx+y-2wy-6z+2wz+2t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(-2x+2wx+2y+wy-3z+2wz+4t-wt)(-2x-wx-2y+wy+wz-wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x+y+z+t)(-wx-6y+2wy+2z+wz+2t)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x-2wx-2y+2wy+z-2t-2wt)(2y-wy-2z-4t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2x+y-z+3t)(-x-2wx+y-3z-2wz+2t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2wx-y-2wy+z+2wz-2t-wt)(-2wx+y-wy-z+2wz-t+wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x+y+z+t)(x+2wx+wy-2wz+2t)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(x-y+wy-z-wz)(2x+2wx+4y-wy-2z-2wz+3t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2x+y-z+3t)(x+2wx+2y+wy-5z-wz+5t+2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(-2x+wx+2y-3z-2wz+4t-2wt)(-2x-2wx+4y-wy-2z-wz+6t+2wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x+y+z+t)(-x-2wx-y+wy+wz-t+2wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(2x-wx+y+2wy+z-wz)(-2wx-2y+wy+z-2wz+2wt)",
+]
+
+
+def _set_line_through(prof, planes):
+    """The lookup on plane sets, the mask lookups' oracle."""
+    wanted = set(planes)
+    return next((l for l in prof.lines if wanted <= set(l.planes)), None)
+
+
+def _set_point_through(prof, planes):
+    wanted = set(planes)
+    return next((pt for pt in prof.points if wanted <= set(pt.planes)),
+                None)
+
+
+def _assert_lookups_match_sets(prof):
+    for l in prof.lines:
+        assert l.mask == sum(1 << k for k in l.planes)
+    for pt in prof.points:
+        assert pt.mask == sum(1 << k for k in pt.planes)
+    for k in range(2, 6):
+        for planes in combinations(range(1, prof.n_forms + 1), k):
+            # any iterable of the planes, repeats and order included
+            given_as = planes[::-1] + planes[:1]
+            assert prof.line_through(given_as) is _set_line_through(
+                prof, planes)
+            assert prof.point_through(given_as) is _set_point_through(
+                prof, planes)
+
+
+@pytest.mark.parametrize("text", ELEVEN + SEED1)
+def test_mask_lookups_match_set_lookups_on_the_families(text):
+    scan = incidence.degenerate_values(parse_equation(text))
+    for prof in [scan.generic] + [v.profile for v in scan.values]:
+        _assert_lookups_match_sets(prof)
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_rows)
+def test_mask_lookups_match_set_lookups(pairs):
+    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    try:
+        family = ParamArrangement(forms)
+    except ValueError:
+        assume(False)  # a zero form, or two proportional ones
+    scan = incidence.degenerate_values(family)
+    for prof in [scan.generic] + [v.profile for v in scan.values]:
+        _assert_lookups_match_sets(prof)
+
+
+def _assert_fiber_is_eliminated_fiber(family, w0):
+    """The fiber read off the family's table is the profile computed from
+    the specialized rows, and both name the same coincident pair."""
+    generic = incidence.profile(family)
+    try:
+        ref = incidence.profile(specialize(family, w0), at=w0)
+    except FormVanishes:
+        return
+    except incidence.CoincidentPlanes as err:
+        with pytest.raises(incidence.CoincidentPlanes) as got:
+            generic.fiber(w0)
+        assert got.value.indices == err.indices
+        return
+    got = generic.fiber(w0)
+    assert got.lines == ref.lines
+    assert got.points == ref.points
+    assert got.rows == ref.rows
+    assert got.at == ref.at == w0
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_fiber_read_off_the_table_on_bundled_scenarios(name):
+    data = BUNDLED[name]
+    _assert_fiber_is_eliminated_fiber(parse_equation(data["equation"]),
+                                      Fraction(data.get("w0", "0")))
+
+
+@pytest.mark.parametrize("text", ELEVEN)
+def test_fiber_read_off_the_table_at_each_sigma_value(text):
+    family = parse_equation(text)
+    for w0 in incidence.degenerate_values(family).sigma:
+        _assert_fiber_is_eliminated_fiber(family, w0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(affine_rows)
+def test_fiber_read_off_the_table(pairs):
+    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    try:
+        family = ParamArrangement(forms)
+    except ValueError:
+        assume(False)  # a zero form, or two proportional ones
+    for w0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2),
+               Fraction(2, 3)):
+        _assert_fiber_is_eliminated_fiber(family, w0)
+
+
+def test_fiber_of_a_constant_arrangement_is_the_arrangement():
+    a = parse_equation("xyz(x+y+z)(x+y)")
+    generic = incidence.profile(a)
+    got = generic.fiber(Fraction(3))
+    assert (got.lines, got.points, got.rows, got.at) == (
+        generic.lines, generic.points, generic.rows, Fraction(3))
+
+
+def test_special_profiles_reuse_the_generic_records():
+    """A special profile of the scan holds the generic line or point object
+    itself wherever its plane set (and a point's j) is unchanged."""
+    reused = 0
+    for text in ELEVEN + SEED1:
+        scan = incidence.degenerate_values(parse_equation(text))
+        for v in scan.values:
+            lines = {l.planes: l for l in v.profile.lines}
+            points = {(pt.planes, pt.j): pt for pt in v.profile.points}
+            for l in scan.generic.lines:
+                if l.planes in lines:
+                    assert lines[l.planes] is l, (text, v.w0, l)
+                    reused += 1
+            for pt in scan.generic.points:
+                if (pt.planes, pt.j) in points:
+                    assert points[pt.planes, pt.j] is pt, (text, v.w0, pt)
+                    reused += 1
+    assert reused > 0
 
 
 # an 8-plane family whose minor gcds are all linear, with coefficients near
