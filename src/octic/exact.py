@@ -2,13 +2,14 @@
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator, so the invariants come for free).  On top of that:
-dense univariate polynomials over Q, their rational roots, determinants of
-small matrices with polynomial or rational entries (for coordinates), and
-dense matrices over Q with deterministic Gauss-Jordan reduction.  Where the
-data are integers the work stays in integers: ``Poly.evaluate`` sums over
-one common denominator, and ``rational_roots`` tests and divides out each
-candidate root on the primitive integer form, leaving Euclid over Q and the
-square-free decomposition to the leftovers without a rational root.
+dense univariate polynomials over Q (``Poly``, the coefficients the parser
+builds), one kernel of integer polynomials in Z[w] for everything computed
+from them, and dense matrices over Q with deterministic Gauss-Jordan
+reduction.  ``Poly.evaluate`` sums over one common denominator.  In Z[w]
+gcds are taken by primitive pseudo-remainders, and ``rational_roots``
+tests and divides out each candidate root in integers, leaving the
+square-free decomposition, also in Z[w], to the leftovers without a
+rational root.
 
 Everything here is immutable and pure; no floats anywhere.
 """
@@ -16,6 +17,7 @@ Everything here is immutable and pure; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -23,10 +25,6 @@ Rational = Fraction
 
 
 class ZeroPolynomial(ValueError):
-    pass
-
-
-class BothZero(ValueError):
     pass
 
 
@@ -67,19 +65,10 @@ class Poly:
 
     # -- basic queries -----------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def degree(self) -> int:
         # degree of 0 is -1 by convention here
         return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -152,46 +141,6 @@ class Poly:
             n >>= 1
         return result
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.coeffs
-        while len(rem) >= len(d):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            k = len(rem) - len(d)
-            c = rem[-1] / d[-1]
-            q[k] = c
-            for i, dc in enumerate(d):
-                rem[k + i] -= c * dc
-            rem.pop()
-        return Poly(q), Poly(rem)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if r:
-            raise ValueError("division was not exact")
-        return q
-
-    # -- structure ---------------------------------------------------
-
-    def monic(self) -> "Poly":
-        if not self.coeffs:
-            return self
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return Poly([c / lc for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, v) -> Fraction:
         """The value at ``v``.  With v = a/b and D the common denominator of
         the n + 1 coefficients, one integer sum of c_i D a^i b^(n-i) is
@@ -209,28 +158,6 @@ class Poly:
             acc = acc * a + c.numerator * (den // c.denominator) * scale
             scale *= b
         return Fraction(acc, den * scale // b)
-
-    def primitive_integer(self) -> tuple[Fraction, list[int]]:
-        """Split off content: p = content * primitive, primitive integral
-        with gcd of coefficients 1 and positive leading coefficient."""
-        if not self.coeffs:
-            return Fraction(0), []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = int_gcd(g, abs(c))
-        ints = [c // g for c in ints]
-        sign = 1
-        if ints[-1] < 0:
-            sign = -1
-            ints = [-c for c in ints]
-        return Fraction(sign * g, den), ints
-
-    def shift_scale(self, scale: Fraction) -> "Poly":
-        return Poly([c * scale for c in self.coeffs])
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -259,38 +186,134 @@ def _as_poly(x) -> Union[Poly, None]:
     return None
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm.  Raises BothZero on (0, 0)."""
-    if not p and not q:
-        raise BothZero("gcd of two zero polynomials")
-    a, b = p, q
-    while b:
-        a, b = b, a % b
-    return a.monic()
+# ---------------------------------------------------------------------------
+# Z[w]: ascending integer coefficient tuples without trailing zeros; () is 0
+#
+# Minors, gcds, coordinates and roots are all computed here, fraction-free.
+# The names stay private: they run in the innermost loops, which tools that
+# wrap every public function of a module (profilers, tracers) leave alone.
 
 
-def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun-style square-free decomposition: pairwise coprime monic factors
-    with multiplicities, product (with lead constant) rebuilding p."""
-    if not p:
-        raise ZeroPolynomial("square-free decomposition of 0")
-    p = p.monic()
-    out: list[tuple[Poly, int]] = []
-    d = p.derivative()
-    if not d:
-        # constant
-        return out
-    g = poly_gcd(p, d)
-    w = p.exact_div(g)
-    mult = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        factor = w.exact_div(y)
-        if factor.degree > 0:
-            out.append((factor.monic(), mult))
-        w = y
-        g = g.exact_div(y)
-        mult += 1
+def _zw_add(a: tuple, b: tuple) -> tuple:
+    return _zw_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _zw_sub(a: tuple, b: tuple) -> tuple:
+    return _zw_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _zw_trim(coeffs: list) -> tuple:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _zw_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    if len(a) == 1:
+        return tuple(a[0] * y for y in b)
+    if len(b) == 1:
+        return tuple(x * b[0] for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _zw_div(a: tuple, b: tuple) -> tuple:
+    """The quotient of ``a`` by a nonzero ``b`` that divides it in Z[w]
+    (by Gauss's lemma, any primitive ``b`` that divides it in Q[w])."""
+    if not a:
+        return ()
+    r, lead, n = list(a), b[-1], len(b)
+    quotient = [0] * (len(a) - n + 1)
+    for k in reversed(range(len(quotient))):
+        c = quotient[k] = r[k + n - 1] // lead
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    return tuple(quotient)
+
+
+def _zw_gcd(polys: Iterable[tuple]) -> tuple:
+    """The gcd in Z[w] of ``polys`` in primitive form (coefficients without
+    a common factor, positive leading one): () when all are 0, and (1,) as
+    soon as it is constant.  Pairs are reduced by primitive pseudo-remainder
+    sequences (Brown 1971), so every step stays in Z[w]."""
+    g = ()
+    for p in polys:
+        if not p:
+            continue
+        p = _zw_primitive(p)
+        if g:
+            if len(g) < len(p):
+                g, p = p, g
+            while len(p) > 1:
+                r = _zw_prem(g, p)
+                g, p = p, _zw_primitive(r) if r else ()
+            if p:
+                g = (1,)
+        else:
+            g = p
+        if len(g) == 1:
+            return g
+    return g
+
+
+def _zw_primitive(a: tuple) -> tuple:
+    """Nonzero ``a`` without its content, leading coefficient positive."""
+    g = int_gcd(*a)
+    return tuple(x // (g if a[-1] > 0 else -g) for x in a)
+
+
+def _zw_prem(a: tuple, b: tuple) -> tuple:
+    """A nonzero integer multiple of the remainder of a by b in Q[w]: each
+    step scales by b's leading coefficient before subtracting."""
+    r, lead = a, b[-1]
+    while len(r) >= len(b):
+        c, k = r[-1], len(r) - len(b)
+        r = [x * lead for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r = _zw_trim(r)
+    return r
+
+
+def _zw_value(c: tuple, p: int, q: int) -> int:
+    """The value of ``c`` at w = p/q times q^degree, by Horner's rule in
+    integers; it is 0 exactly when ``c`` vanishes at p/q."""
+    value, scale = 0, 1
+    for x in reversed(c):
+        value = value * p + x * scale
+        scale *= q
+    return value
+
+
+def _zw_at(polys: Sequence[tuple], w0: Fraction) -> list:
+    """The values of ``polys`` at ``w0`` = p/q as constant Z[w] tuples, all
+    over the one denominator q^d, d their top degree: the vector of values
+    times the positive integer q^d."""
+    p, q = w0.numerator, w0.denominator
+    top = max(map(len, polys))
+    return [_zw_trim([_zw_value(c, p, q) * q ** (top - len(c))])
+            for c in polys]
+
+
+def _zw_squarefree(p: tuple) -> list:
+    """Yun's square-free decomposition of ``p`` (degree >= 1) in Z[w]: its
+    pairwise coprime square-free factors of degree >= 1, each primitive,
+    one per multiplicity that occurs."""
+    g = _zw_gcd([p, tuple(i * c for i, c in enumerate(p))[1:]])
+    w = _zw_div(p, g)
+    out = []
+    while len(w) > 1:
+        y = _zw_gcd([w, g])
+        factor = _zw_div(w, y)
+        if len(factor) > 1:
+            out.append(_zw_primitive(factor))
+        w, g = y, _zw_div(g, y)
     return out
 
 
@@ -307,23 +330,24 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], list[Poly]]:
-    """All rational roots of p with multiplicities, plus the leftover
-    square-free, pairwise coprime monic factors of degree >= 2 that have no
-    rational root.  No claim of irreducibility is made for the leftovers.
+def rational_roots(p: tuple) -> tuple[list[tuple[Fraction, int]], list[tuple]]:
+    """All rational roots of the nonzero Z[w] polynomial ``p`` (ascending
+    integer coefficients, such as the primitive gcd ``_zw_gcd`` returns)
+    with multiplicities, plus the leftover square-free, pairwise coprime
+    primitive factors of degree >= 2 that have no rational root.  No claim
+    of irreducibility is made for the leftovers.
 
-    The roots are peeled off the primitive integer form a0 + ... + an w^n
-    in integers: 0 as often as w divides it, then each n/d in lowest terms
-    with n | a0 and d | an, divided out as often as d w - n divides it (by
-    Gauss's lemma it divides in Z[w] exactly when n/d is a root).  A
-    remaining degree-1 factor's root is read off, with no divisor search.
-    The square-free decomposition runs only on a leftover of degree >= 2.
+    The roots are peeled off a0 + ... + an w^n in integers: 0 as often as w
+    divides it, then each n/d in lowest terms with n | a0 and d | an,
+    divided out as often as d w - n divides it (by Gauss's lemma it divides
+    in Z[w] exactly when n/d is a root).  A remaining degree-1 factor's
+    root is read off, with no divisor search.  The square-free
+    decomposition runs only on a leftover of degree >= 2.
     """
     if not p:
         raise ZeroPolynomial("roots of the zero polynomial")
-    _, ints = p.primitive_integer()
-    shift = next(i for i, c in enumerate(ints) if c)
-    ints = ints[shift:]
+    shift = next(i for i, c in enumerate(p) if c)
+    ints = p[shift:]
     roots: list[tuple[Fraction, int]] = [(Fraction(0), shift)] if shift else []
     if len(ints) > 2:
         for num, den in _root_candidates(ints[0], ints[-1]):
@@ -337,8 +361,7 @@ def rational_roots(p: Poly) -> tuple[list[tuple[Fraction, int]], list[Poly]]:
     if len(ints) == 2:
         roots.append((Fraction(-ints[0], ints[1]), 1))
     roots.sort(key=lambda rm: rm[0])
-    residual = ([f for f, _ in squarefree_factors(Poly(ints))]
-                if len(ints) > 2 else [])
+    residual = _zw_squarefree(tuple(ints)) if len(ints) > 2 else []
     return roots, residual
 
 
@@ -352,7 +375,7 @@ def _root_candidates(a0: int, an: int):
                 yield -num, den
 
 
-def _divide_root(ints: list[int], num: int, den: int) -> Optional[list[int]]:
+def _divide_root(ints: Sequence[int], num: int, den: int) -> Optional[list[int]]:
     """The quotient of the ascending integer coefficients ``ints`` by
     den*w - num in Z[w], or None when it does not divide."""
     quotient, carry = [], 0
@@ -472,35 +495,6 @@ def _trivial_kernel(ncols: int) -> list[list]:
         v[fc] = Fraction(1)
         out.append(v)
     return out
-
-
-def poly_det(rows: Sequence[Sequence]):
-    """Determinant of a small square matrix by Laplace expansion down the
-    first column.  Entries are all ``Poly`` or all ``Fraction``, and so is
-    the result; only ``+ - *`` and truthiness are used.  It serves the
-    coordinates of incidence points and lines (``incidence.minors``); the
-    minor table that decides incidences is computed fraction-free in
-    ``incidence``.  Not meant for anything big."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Poly.const(1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for i in range(n):
-        if rows[i][0]:
-            minor = [r[1:] for j, r in enumerate(rows) if j != i]
-            term = rows[i][0] * poly_det(minor)
-            if i % 2:
-                term = -term
-            total = term if total is None else total + term
-    # an all-zero first column leaves the determinant at that zero
-    return rows[0][0] if total is None else total
 
 
 def fraction_str(x: Fraction) -> str:

@@ -142,7 +142,7 @@ class ParamArrangement:
         for i in range(len(forms)):
             for j in range(i + 1, len(forms)):
                 if forms[i].proportional_to(forms[j]):
-                    raise DuplicateFactor(i, j)
+                    raise DuplicateFactor(i + 1, j + 1)
         self.forms = forms
 
     def __len__(self):
@@ -192,7 +192,7 @@ def specialize(a: ParamArrangement, w0) -> Arrangement:
     for i, f in enumerate(a.forms):
         g = f.evaluate_at(w0)
         if g.is_zero():
-            raise FormVanishes(i, w0)
+            raise FormVanishes(i + 1, w0)
         out.append(g)
     return Arrangement(out)
 

@@ -14,11 +14,11 @@ minors by that constant, so which minors vanish, and where, is unchanged.
 A profile holds plane sets only, each as a sorted tuple and as a bit mask
 (bit k for plane k), so later incidence questions are subset tests on
 integers: a set ``a`` contains ``b`` when ``a & b == b``.  Coordinates are
-computed on demand from its coefficient rows (``point_vector``,
+read on demand off the profile's minor table (``point_vector``,
 ``line_basis``) where they are printed or compared: the centers ``reduce``
 prints, the trace's fiber-collision message and moving-line test, and a
-collapsed generic point in ``profile_diff``.  A fiber read off a family
-evaluates the family's rows at its parameter on the first such read.
+collapsed generic point in ``profile_diff``.  A fiber of a family
+evaluates the minors it reads at its parameter.
 
 Degenerate parameter values are located by scanning the maximal minors of
 the coefficient rows, each computed once: a subset of planes acquires a new
@@ -40,12 +40,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, zip_longest
+from itertools import combinations
 from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import Poly, fraction_str, poly_det, poly_gcd, rational_roots
+from .exact import (Poly, _zw_add, _zw_at, _zw_div, _zw_gcd, _zw_mul,
+                    _zw_sub, _zw_trim, _zw_value, rational_roots)
 from .forms import Arrangement, ParamArrangement
 
 
@@ -65,7 +65,8 @@ class WrongPlaneCount(ValueError):
 # profile records
 
 
-Vec4 = tuple[Poly, Poly, Poly, Poly]
+# a projective point: four Z[w] coefficient tuples
+Vec4 = tuple[tuple, tuple, tuple, tuple]
 
 
 @dataclass(frozen=True)
@@ -126,26 +127,24 @@ class IncidenceProfile:
     planes, the mask of all planes through their line or point.  A special
     fiber's profile is this profile with more dependent triples and
     quadruples folded in (``_special``): only the lines and points that
-    grow, and the points whose ``j`` changes, are new objects.  A profile
-    computed by ``profile`` keeps its minor table, so ``fiber`` reads the
+    grow, and the points whose ``j`` changes, are new objects.  Every
+    profile keeps the minor table it was read off, so ``fiber`` reads the
     fiber at any parameter off it.
 
-    Coordinates are not stored: ``point_vector`` and ``line_basis``
-    compute canonical ones from the coefficient rows when asked.  A fiber's
-    rows are the family's evaluated at ``at``, on first read.
+    Coordinates are not stored: ``point_vector`` and ``line_basis`` read
+    canonical ones off the table's minors when asked, a fiber of a family
+    evaluating them at ``at``.
     """
 
     def __init__(self, pencils: dict, stars: dict, dependent: set,
-                 family_rows: Sequence[Sequence],
-                 at: Optional[Fraction] = None, table: Optional[dict] = None,
+                 n_forms: int, table: dict, at: Optional[Fraction] = None,
                  base: Optional[IncidenceProfile] = None):
         """``pencils`` maps each 0-based pair, ``stars`` each independent
         0-based triple, to the mask of all planes through its line or
         point; ``dependent`` holds the dependent triples and quadruples.
-        ``family_rows`` are the rows the profile was computed from, to be
-        evaluated at ``at`` when ``at`` is set; ``table`` is their minor
-        table.  Records of ``base`` whose plane set and ``j`` are unchanged
-        are reused."""
+        ``table`` is the minor table of the ``n_forms`` rows, over Z[w] for
+        a family, whose fiber at ``at`` this is when ``at`` is set.  Records
+        of ``base`` whose plane set and ``j`` are unchanged are reused."""
         known_lines = base._line_of if base else {}
         known_points = base._point_of if base else {}
         line_of = {m: known_lines.get(m) or MultipleLine(_planes(m), m)
@@ -169,21 +168,14 @@ class IncidenceProfile:
             self.points = base.points
         else:
             self.points = tuple(sorted(point_of.values(), key=by_planes))
-        self.n_forms = len(family_rows)
+        self.n_forms = n_forms
         self.at = at
         self._line_of, self._point_of = line_of, point_of
         self._triples = triples
         self._pencils, self._stars, self._dependent = pencils, stars, dependent
-        self._family_rows, self._table = family_rows, table
-
-    @cached_property
-    def rows(self) -> tuple:
-        """The coefficient rows: ``Poly`` entries for a family, ``Fraction``
-        ones for a fiber."""
-        rows = self._family_rows
-        if self.at is not None and isinstance(rows[0][0], Poly):
-            return tuple(tuple(c.evaluate(self.at) for c in r) for r in rows)
-        return tuple(tuple(r) for r in rows)
+        self._table = table
+        # entries are ints over Z, coefficient tuples over Z[w]
+        self._over_zw = isinstance(next(iter(table.values()), [0])[0], tuple)
 
     def fiber(self, w0: Fraction) -> IncidenceProfile:
         """The profile of the fiber at ``w0`` of the family this profile
@@ -196,13 +188,13 @@ class IncidenceProfile:
         is what names it.
         """
         extra = set()
-        if isinstance(self._family_rows[0][0], Poly):
+        if self._over_zw:
             p, q = w0.numerator, w0.denominator
             for s, ms in self._table.items():
                 if s in self._dependent:
                     continue
                 for m in ms:
-                    if not _zw_vanishes(m, p, q):
+                    if _zw_value(m, p, q):
                         break
                 else:
                     if len(s) == 2:
@@ -218,31 +210,36 @@ class IncidenceProfile:
             stars.pop(s, None)
         _fold(extra, pencils, stars)
         return IncidenceProfile(pencils, stars, self._dependent | extra,
-                                self._family_rows, at, base=self)
+                                self.n_forms, self._table, at, base=self)
+
+    def _minors(self, planes: Sequence[int]) -> list:
+        """The table's minors of the 1-based ``planes`` as Z[w] tuples: each
+        the minor of the original rows times one positive rational for the
+        whole set, which a fiber of a family evaluates at ``at``."""
+        ms = self._table[tuple(k - 1 for k in planes)]
+        if not self._over_zw:
+            return [_zw_trim([m]) for m in ms]
+        return ms if self.at is None else _zw_at(ms, self.at)
 
     def point_vector(self, pt: MultiplePoint) -> Vec4:
         """Primitive coordinates of ``pt``: the cross product of the first
         three of its planes that meet in a point."""
-        triples = (minors([self.rows[k - 1] for k in t])
-                   for t in combinations(pt.planes, 3))
+        triples = (self._minors(t) for t in combinations(pt.planes, 3))
         return primitive_vector(_cross(next(ms for ms in triples if any(ms))))
 
     def line_basis(self, line: MultipleLine) -> tuple[Vec4, Vec4]:
         """Two primitive points spanning ``line``, sorted: the kernel of its
         first two planes, one vector for each column f outside their first
         nonzero minor's columns, supported on those columns and f."""
-        i, j = line.planes[:2]
-        ms = dict(zip(combinations(range(4), 2),
-                      minors([self.rows[i - 1], self.rows[j - 1]])))
+        ms = dict(zip(_COLUMN_PAIRS, self._minors(line.planes[:2])))
         pivots = next(cols for cols, m in ms.items() if m)
         vectors = []
         for f in sorted(set(range(4)) - set(pivots)):
             a, b, c = sorted(pivots + (f,))
-            v: list = [0] * 4
-            v[a], v[b], v[c] = ms[b, c], -ms[a, c], ms[a, b]
+            v: list = [()] * 4
+            v[a], v[b], v[c] = ms[b, c], _zw_sub((), ms[a, c]), ms[a, b]
             vectors.append(primitive_vector(v))
-        return tuple(sorted(vectors,
-                            key=lambda vec: tuple(p.coeffs for p in vec)))
+        return tuple(sorted(vectors))
 
     def combinatorial_key(self):
         """The profile with coordinates forgotten; two arrangements have
@@ -339,57 +336,36 @@ class NewIncidence:
 # rational that clears its denominators and its content.  Scaling a row by
 # a nonzero constant scales every minor it enters by that constant, so which
 # minors vanish, their rational roots and their gcds up to a constant are
-# those of the original rows.  ``degenerate_values`` scans the table in Z[w]
-# as well: gcds by primitive pseudo-remainders (``_zw_gcd``), and only a
-# nonconstant primitive gcd becomes a ``Poly``, for ``rational_roots``.  A
-# profile keeps the table it was computed from, and ``fiber`` tests which
-# minors vanish at w0 = p/q by evaluating them in integers (``_zw_vanishes``),
-# so a command computes one table.  ``minors`` serves coordinates only
-# (``point_vector``, ``line_basis``), on the original rows.  Later questions
-# are subset tests on the profile's plane masks.
+# those of the original rows, and so are the canonical coordinates read off
+# them.  ``degenerate_values`` scans the table in Z[w] as well: gcds by
+# primitive pseudo-remainders (``_zw_gcd``), and ``rational_roots`` on each
+# nonconstant primitive gcd.  A profile keeps the table it was computed
+# from: ``fiber`` tests which minors vanish at w0 = p/q by evaluating them in
+# integers (``_zw_value``), so a command computes one table, and
+# ``point_vector`` and ``line_basis`` read a point's triple minors and a
+# line's pair minors off it.  Later questions are subset tests on the
+# profile's plane masks.
 
 
-def minors(rows: Sequence[Sequence]) -> list:
-    """The maximal minors of at most 4 rows of 4 entries, one per set of
-    ``len(rows)`` columns in lexicographic order."""
-    k = len(rows)
-    if k > 4:
-        raise ValueError(f"{k} rows have no maximal minors in 4 columns")
-    return [
-        poly_det([[row[c] for c in cols] for row in rows])
-        for cols in combinations(range(4), k)
-    ]
-
-
-def _cross(ms: Sequence) -> list:
+def _cross(ms: Sequence[tuple]) -> list:
     """The signed complementary minors of three rows: a point on all three,
     whose dot product with a fourth row is their determinant up to sign."""
-    return [ms[3], -ms[2], ms[1], -ms[0]]
+    return [ms[3], _zw_sub((), ms[2]), ms[1], _zw_sub((), ms[0])]
 
 
-def primitive_vector(vec: Sequence) -> Vec4:
-    """Canonical representative of a projective point with ``Poly`` or
-    rational entries: polynomial entries with integer coefficients, no
-    common polynomial or integer factor, first nonzero entry with positive
-    leading coefficient."""
-    polys = [v if isinstance(v, Poly) else Poly([v]) for v in vec]
-    nonzero = [p for p in polys if p]
-    if not nonzero:
+def primitive_vector(vec: Sequence[tuple]) -> Vec4:
+    """Canonical representative of a projective point with Z[w] entries:
+    no common polynomial or integer factor, first nonzero entry with
+    positive leading coefficient."""
+    g = _zw_gcd(vec)
+    if not g:
         raise ValueError("zero vector has no primitive form")
-    if all(p.degree > 0 for p in nonzero):
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = poly_gcd(g, p)
-        if g.degree > 0:
-            polys = [p.exact_div(g) for p in polys]
-    coeffs = [c for p in polys for c in p.coeffs if c]
-    scale = Fraction(
-        int_lcm(*(c.denominator for c in coeffs)),
-        int_gcd(*(c.numerator for c in coeffs)),
-    )
-    if next(p for p in polys if p).lead < 0:
-        scale = -scale
-    return tuple(p.shift_scale(scale) for p in polys)  # type: ignore[return-value]
+    if len(g) > 1:
+        vec = [_zw_div(v, g) for v in vec]
+    content = int_gcd(*(c for v in vec for c in v))
+    if next(v for v in vec if v)[-1] < 0:
+        content = -content
+    return tuple(tuple(c // content for c in v) for v in vec)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +384,8 @@ def profile(
     param = any(c.degree > 0 for f in a.forms for c in f.coeffs)
     rows = [[c if param else c.evaluate(0) for c in f.coeffs] for f in a.forms]
     table = _minor_table(rows)
-    return _profile_of({s for s, ms in table.items() if not any(ms)}, rows, at,
-                       table)
+    return _profile_of({s for s, ms in table.items() if not any(ms)},
+                       len(rows), table, at)
 
 
 def _minor_table(rows: Sequence[Sequence]) -> dict:
@@ -418,8 +394,7 @@ def _minor_table(rows: Sequence[Sequence]) -> dict:
     minors as ascending coefficient tuples) on the rows made primitive
     integer rows, so each entry is the original minor times a positive
     rational.  A triple's minors expand along its last row into its first
-    pair's; a quadruple's one minor is its last row dotted with the cross
-    product of the first three.
+    pair's, and a quadruple's one minor into its first triple's.
 
     Raises CoincidentPlanes when two rows are proportional.
     """
@@ -444,8 +419,8 @@ def _minor_table(rows: Sequence[Sequence]) -> dict:
         ]
     for i, j, k, l in combinations(range(len(rows)), 4):
         m, r = table[i, j, k], rows[l]
-        table[i, j, k, l] = [sub(add(sub(mul(r[0], m[3]), mul(r[1], m[2])),
-                                     mul(r[2], m[1])), mul(r[3], m[0]))]
+        table[i, j, k, l] = [sub(add(sub(mul(r[3], m[0]), mul(r[2], m[1])),
+                                     mul(r[1], m[2])), mul(r[0], m[3]))]
     return table
 
 
@@ -476,94 +451,17 @@ def _integer_row(row: Sequence) -> list:
     return [scaled(x) for x in row]
 
 
-# Z[w] as ascending coefficient tuples without trailing zeros; () is 0
-
-
-def _zw_add(a: tuple, b: tuple) -> tuple:
-    return _zw_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _zw_sub(a: tuple, b: tuple) -> tuple:
-    return _zw_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _zw_trim(coeffs: list) -> tuple:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _zw_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    if len(a) == 1:
-        return tuple(a[0] * y for y in b)
-    if len(b) == 1:
-        return tuple(x * b[0] for x in a)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _zw_gcd(polys: Iterable[tuple]) -> tuple:
-    """The gcd in Z[w] of ``polys`` in primitive form (coefficients without
-    a common factor, positive leading one): () when all are 0, and (1,) as
-    soon as it is constant.  Pairs are reduced by primitive pseudo-remainder
-    sequences (Brown 1971), so every step stays in Z[w]."""
-    g = ()
-    for p in polys:
-        if not p:
-            continue
-        p = _zw_primitive(p)
-        if g:
-            if len(g) < len(p):
-                g, p = p, g
-            while len(p) > 1:
-                r = _zw_prem(g, p)
-                g, p = p, _zw_primitive(r) if r else ()
-            if p:
-                g = (1,)
-        else:
-            g = p
-        if len(g) == 1:
-            return g
-    return g
-
-
-def _zw_primitive(a: tuple) -> tuple:
-    """Nonzero ``a`` without its content, leading coefficient positive."""
-    g = int_gcd(*a)
-    return tuple(x // (g if a[-1] > 0 else -g) for x in a)
-
-
-def _zw_prem(a: tuple, b: tuple) -> tuple:
-    """A nonzero integer multiple of the remainder of a by b in Q[w]: each
-    step scales by b's leading coefficient before subtracting."""
-    r, lead = a, b[-1]
-    while len(r) >= len(b):
-        c, k = r[-1], len(r) - len(b)
-        r = [x * lead for x in r]
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        r = _zw_trim(r)
-    return r
-
-
-def _profile_of(dependent: set, rows: Sequence[Sequence],
-                at: Optional[Fraction] = None,
-                table: Optional[dict] = None) -> IncidenceProfile:
-    """The profile of ``rows`` whose dependent triples and quadruples (keys
-    of ``_minor_table`` whose minors all vanish) are ``dependent``."""
-    n = len(rows)
+def _profile_of(dependent: set, n: int, table: dict,
+                at: Optional[Fraction] = None) -> IncidenceProfile:
+    """The profile of ``n`` rows with minor table ``table`` whose dependent
+    triples and quadruples (keys whose minors all vanish) are
+    ``dependent``."""
     pencils = {(i, j): 2 << i | 2 << j for i, j in combinations(range(n), 2)}
     stars = {(i, j, k): 2 << i | 2 << j | 2 << k
              for i, j, k in combinations(range(n), 3)
              if (i, j, k) not in dependent}
     _fold(dependent, pencils, stars)
-    return IncidenceProfile(pencils, stars, dependent, rows, at, table)
+    return IncidenceProfile(pencils, stars, dependent, n, table, at)
 
 
 def _fold(dependent: Iterable[tuple], pencils: dict, stars: dict) -> None:
@@ -578,16 +476,6 @@ def _fold(dependent: Iterable[tuple], pencils: dict, stars: dict) -> None:
         for sub in combinations(s, len(s) - 1):
             if sub in grown:
                 grown[sub] |= m
-
-
-def _zw_vanishes(c: tuple, p: int, q: int) -> bool:
-    """Whether the Z[w] polynomial ``c`` vanishes at w = p/q: its value
-    times q^degree, by Horner's rule in integers."""
-    value, scale = 0, 1
-    for x in reversed(c):
-        value = value * p + x * scale
-        scale *= q
-    return value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +530,7 @@ def profile_diff(
             return False
         if special.line_through(g.planes) is None:
             return True
-        image = [p.evaluate(special.at) for p in generic.point_vector(g)]
+        image = _zw_at(generic.point_vector(g), special.at)
         return primitive_vector(image) == special.point_vector(s)
 
     changes: list[NewIncidence] = []
@@ -735,6 +623,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     rows = [list(f.coeffs) for f in a.forms]
     table = _minor_table(rows)
     fatal: dict[Fraction, str] = {}
+    # monic coefficients -> the unresolved factor
     unresolved: dict[tuple, Poly] = {}
     # root -> the triples and quadruples that turn dependent there
     turning: dict[Fraction, set] = {}
@@ -750,10 +639,11 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
         if len(g) < 2:
             return []
         if g not in roots_of:
-            roots, leftovers = rational_roots(Poly(g))
+            roots, leftovers = rational_roots(g)
             roots_of[g] = [r for r, _ in roots]
-            for q in leftovers:
-                unresolved[q.coeffs] = q
+            for f in leftovers:
+                monic = tuple(Fraction(c, f[-1]) for c in f)
+                unresolved[monic] = Poly(monic)
         return roots_of[g]
 
     for i, row in enumerate(rows):
@@ -767,7 +657,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
                 turning.setdefault(r, set()).add(s)
 
     dependent = {s for s, ms in table.items() if not any(ms)}
-    generic = _profile_of(dependent, rows, table=table)
+    generic = _profile_of(dependent, len(rows), table)
     values = []
     for w0 in sorted(turning.keys() - fatal.keys()):
         prof = generic._special(turning[w0], w0)
@@ -789,11 +679,5 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
 
 
 def point_text(vec: Vec4) -> str:
-    """(a:b:c:d) with entries printed exactly."""
-    parts = []
-    for p in vec:
-        if p.degree <= 0:
-            parts.append(fraction_str(p.coeffs[0]) if p.coeffs else "0")
-        else:
-            parts.append(str(p))
-    return "(" + ":".join(parts) + ")"
+    """(a:b:c:d) with each entry printed as its ``Poly``."""
+    return "(" + ":".join(str(Poly(p)) for p in vec) + ")"

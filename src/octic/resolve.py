@@ -535,7 +535,7 @@ class _Driver:
                 # goes to a successor whose generic line does not move
                 constant = [
                     c2 for c2 in successors
-                    if all(p.degree <= 0 for v in self.generic.line_basis(
+                    if all(len(p) <= 1 for v in self.generic.line_basis(
                         self.generic.line_through(c2.indices)) for p in v)
                 ] if points_on else []
                 if constant:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .exact import ExactMatrix, rref
+from .exact import ExactMatrix
 from .semistable import StrataComplex, betti
 
 
@@ -210,15 +210,6 @@ class CycleModel:
     def rank(self) -> int:
         return self.matrix.rank()
 
-    def relations(self) -> list:
-        """Basis of the relation space among the rows (left kernel)."""
-        _, kernel, _ = rref(self.matrix.transpose())
-        out = []
-        for vec in kernel:
-            out.append({label: coeff for label, coeff in zip(self.row_labels, vec)
-                        if coeff != 0})
-        return out
-
     @classmethod
     def from_json(cls, data: Mapping) -> "CycleModel":
         """Read a stored model; a stored ``rank`` must be the matrix's."""
@@ -235,20 +226,6 @@ class CycleModel:
                 f"the cycle model states rank {data['rank']}, but its matrix "
                 f"has rank {cm.rank()}")
         return cm
-
-
-def verify_cycle_chain(cm: CycleModel, chain: Mapping) -> bool:
-    """True iff the labeled combination of rows lies in the relation space."""
-    index = {l: i for i, l in enumerate(cm.row_labels)}
-    acc = [Fraction(0)] * cm.matrix.cols
-    for label, coeff in chain.items():
-        if label not in index:
-            raise UnknownLabel(label)
-        row = cm.matrix.entries[index[label]]
-        c = Fraction(coeff) if not isinstance(coeff, Fraction) else coeff
-        for i, x in enumerate(row):
-            acc[i] += c * x
-    return all(x == 0 for x in acc)
 
 
 # ---------------------------------------------------------------------------

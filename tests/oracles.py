@@ -1,5 +1,6 @@
 """Independent checks shared between test modules: a sympy brute-force
-incidence oracle and random projective coordinate changes."""
+incidence oracle, random projective coordinate changes and the relations
+among a cycle model's rows."""
 
 from fractions import Fraction
 from functools import cache
@@ -9,7 +10,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from octic import incidence
-from octic.exact import Poly
+from octic.exact import Poly, rref
 from octic.forms import Arrangement, LinearForm, ParamArrangement
 
 
@@ -89,3 +90,19 @@ def transform(a, m):
             coeffs.append(acc)
         out.append(LinearForm(coeffs))
     return cls(out)
+
+
+def relations(cm) -> list:
+    """A basis of the relations among the rows of the cycle model ``cm``
+    (the left kernel of its matrix, by ``rref`` of the transpose), each as
+    {row label: nonzero coefficient}."""
+    _, kernel, _ = rref(cm.matrix.transpose())
+    return [{label: c for label, c in zip(cm.row_labels, vec) if c}
+            for vec in kernel]
+
+
+def combination_vanishes(cm, chain) -> bool:
+    """Whether the rows of ``cm`` combined with the coefficients of the
+    {row label: coefficient} ``chain`` sum to zero."""
+    coeffs = [Fraction(chain.get(label, 0)) for label in cm.row_labels]
+    return not any(cm.matrix.transpose().matvec(coeffs))

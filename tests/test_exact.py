@@ -1,19 +1,25 @@
-"""Exact-arithmetic kernel: polynomials, determinants, rref over Q."""
+"""Exact-arithmetic kernel: polynomials over Q, the Z[w] kernel, rational
+roots and rref over Q, against sympy where a reference is needed."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from octic.exact import (ExactMatrix, Poly, fraction_str, parse_fraction,
-                         poly_det, poly_gcd, rational_roots, rref,
-                         squarefree_factors)
+from octic.exact import (ExactMatrix, Poly, _zw_at, _zw_div, _zw_gcd,
+                         _zw_mul, _zw_squarefree, _zw_trim, fraction_str,
+                         parse_fraction, rational_roots, rref)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(fractions, max_size=5).map(Poly)
+# Z[w] polynomials as ascending coefficient tuples without trailing zeros
+zw_polys = st.lists(st.integers(-30, 30), max_size=4).map(
+    lambda cs: _zw_trim(list(cs)))
 
 
 @given(small_polys, small_polys, fractions)
@@ -23,19 +29,13 @@ def test_poly_ring_laws(p, q, v):
     assert (p - q) + q == p
 
 
-@given(small_polys, small_polys)
-def test_poly_divmod(p, q):
-    if q.is_zero():
-        with pytest.raises(Exception):
-            p.divmod(q)
-        return
-    quo, rem = p.divmod(q)
-    assert quo * q + rem == p
-    assert rem.degree < q.degree or rem.is_zero()
+@given(zw_polys, zw_polys.filter(bool))
+def test_zw_exact_division(a, b):
+    assert _zw_div(_zw_mul(a, b), b) == a
 
 
 def test_poly_normalization():
-    assert Poly([0, 0]).is_zero()
+    assert Poly([0, 0]).coeffs == () and not Poly([0, 0])
     assert Poly([1, 2, 0]).coeffs == (Fraction(1), Fraction(2))
     assert Poly([3]).degree == 0
     assert Poly().degree == -1
@@ -47,45 +47,64 @@ def test_poly_str_ascending():
     assert "w" in s
 
 
-@given(small_polys, small_polys)
+W = sympy.Symbol("w")
+
+
+def _sympy_poly(p: tuple) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p)), W, domain=sympy.ZZ)
+
+
+def _as_zw(p: sympy.Poly) -> tuple:
+    """A sympy polynomial with integer coefficients as a Z[w] tuple."""
+    return _zw_trim([int(c) for c in reversed(p.all_coeffs())])
+
+
+@given(zw_polys, zw_polys)
 def test_gcd_divides_both(p, q):
-    if p.is_zero() and q.is_zero():
+    g = _zw_gcd([p, q])
+    if not p and not q:
+        assert g == ()
         return
-    g = poly_gcd(p, q)
-    assert not g.is_zero()
+    assert g
     for f in (p, q):
-        if not f.is_zero():
-            assert (f % g).is_zero()
+        assert _zw_mul(_zw_div(f, g), g) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(zw_polys, min_size=1, max_size=6), zw_polys)
+def test_zw_gcd_matches_sympy_gcd(polys, common):
+    """The Z[w] gcd is the primitive part of sympy's gcd up to sign; a
+    common factor makes it nontrivial half the time."""
+    polys = [_zw_mul(p, common) for p in polys]
+    g = _zw_gcd(polys)
+    nonzero = [_sympy_poly(p) for p in polys if p]
+    if not nonzero:
+        assert g == ()
+        return
+    expected = _as_zw(reduce(sympy.gcd, nonzero).primitive()[1])
+    assert g in (expected, tuple(-c for c in expected))
+    assert g[-1] > 0 and gcd(*g) == 1
 
 
 def test_squarefree_and_roots():
     # (w - 1)^2 (w + 2) (2w - 1)
-    p = (Poly([-1, 1]) ** 2) * Poly([2, 1]) * Poly([-1, 2])
+    p = _zw_mul(_zw_mul((-1, 1), (-1, 1)), _zw_mul((2, 1), (-1, 2)))
     roots, leftovers = rational_roots(p)
     assert dict(roots) == {Fraction(1): 2, Fraction(-2): 1, Fraction(1, 2): 1}
     assert leftovers == []
-    factors = squarefree_factors(p)
-    assert sorted(mult for _, mult in factors) == [1, 2]
+    # one factor per multiplicity, in increasing multiplicity
+    assert _zw_squarefree(p) == [(-2, 3, 2), (-1, 1)]
 
 
 def test_rational_roots_irreducible_leftover():
-    p = Poly([1, 0, 1]) * Poly([-3, 1])  # (w^2 + 1)(w - 3)
+    p = _zw_mul((1, 0, 1), (-3, 1))  # (w^2 + 1)(w - 3)
     roots, leftovers = rational_roots(p)
     assert dict(roots) == {Fraction(3): 1}
-    assert len(leftovers) == 1
-    assert leftovers[0].monic() == Poly([1, 0, 1])
-
-
-W = sympy.Symbol("w")
-
-
-def _sympy_poly(p: Poly) -> sympy.Poly:
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], W, domain=sympy.QQ)
+    assert leftovers == [(1, 0, 1)]
 
 
 # a product of linear factors with multiplicities and of factors of degree
-# 2 or 3, many of them without a rational root, times a rational constant;
+# 2 or 3, many of them without a rational root, times an integer constant;
 # small enough that the divisor search on the constant terms stays short
 linear_factors = st.lists(
     st.tuples(st.fractions(-6, 6, max_denominator=4), st.integers(1, 2)),
@@ -97,24 +116,25 @@ other_factors = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(linear_factors, other_factors,
-       st.fractions(-30, 30, max_denominator=7).filter(bool))
+@given(linear_factors, other_factors, st.integers(-30, 30).filter(bool))
 def test_rational_roots_match_sympy(linears, others, scale):
-    p = Poly([scale])
+    p = (scale,)
     for root, mult in linears:
-        p = p * Poly([-root, 1]) ** mult
+        for _ in range(mult):
+            p = _zw_mul(p, (-root.numerator, root.denominator))
     for low, mult in others:
-        p = p * Poly(low + [1]) ** mult
+        for _ in range(mult):
+            p = _zw_mul(p, tuple(low) + (1,))
     roots, leftovers = rational_roots(p)
     sp = _sympy_poly(p)
     expected = {Fraction(int(r.p), int(r.q)): m
                 for r, m in sympy.roots(sp, filter="Q").items()}
     assert roots == sorted(expected.items())
-    # the leftovers: monic, square-free, pairwise coprime, without a
+    # the leftovers: primitive, square-free, pairwise coprime, without a
     # rational root, and holding every factor of p of degree >= 2
     lefts = [_sympy_poly(q) for q in leftovers]
     for q, lq in zip(leftovers, lefts):
-        assert q.lead == 1 and q.degree >= 2
+        assert q[-1] > 0 and gcd(*q) == 1 and len(q) >= 3
         assert lq.gcd(lq.diff(W)).degree() == 0
         assert not sympy.roots(lq, filter="Q")
         assert sp.rem(lq).is_zero
@@ -123,6 +143,14 @@ def test_rational_roots_match_sympy(linears, others, scale):
     for factor, _ in sp.factor_list()[1]:
         if factor.degree() >= 2:
             assert sum(lq.rem(factor).is_zero for lq in lefts) == 1
+    # and they are the square-free part of p without its linear factors
+    rest = sp
+    for r, m in expected.items():
+        rest = rest.exquo(sympy.Poly([r.denominator, -r.numerator], W) ** m)
+    expected_lefts = [_as_zw(f) for f, _ in sympy.sqf_list(rest)[1]]
+    expected_lefts = [f if f[-1] > 0 else tuple(-c for c in f)
+                      for f in expected_lefts]
+    assert sorted(leftovers) == sorted(expected_lefts)
 
 
 def test_a_linear_factor_needs_no_divisor_search(monkeypatch):
@@ -130,7 +158,7 @@ def test_a_linear_factor_needs_no_divisor_search(monkeypatch):
         raise AssertionError("searched the divisors of a linear factor")
 
     monkeypatch.setattr("octic.exact._divisors", refused)
-    p = Poly([998244353, -1000000007]) * Poly([0, 1]) ** 2
+    p = (0, 0, 998244353, -1000000007)
     assert rational_roots(p) == (
         [(Fraction(0), 2), (Fraction(998244353, 1000000007), 1)], [])
 
@@ -197,12 +225,15 @@ def test_matvec_shape_guard():
         m.matvec([Fraction(1)])
 
 
-@given(st.lists(st.lists(small_polys, min_size=3, max_size=3),
-                min_size=3, max_size=3), fractions)
-def test_poly_det_commutes_with_evaluation(grid, v):
-    at_v = poly_det([[p.evaluate(v) for p in row] for row in grid])
-    assert isinstance(at_v, Fraction)
-    assert poly_det(grid).evaluate(v) == at_v
+@given(st.lists(zw_polys, min_size=1, max_size=4), points)
+def test_zw_at_evaluates_over_one_denominator(polys, v):
+    """The values at v = p/q, each times the same q^d, d the top degree."""
+    values = _zw_at(polys, v)
+    assert all(len(x) <= 1 and all(isinstance(c, int) for c in x)
+               for x in values)
+    scale = v.denominator ** (max(map(len, polys)) - 1)
+    assert [x[0] if x else 0 for x in values] == [
+        Poly(p).evaluate(v) * scale for p in polys]
 
 
 def test_exact_matrix_is_over_q_only():

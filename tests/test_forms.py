@@ -63,6 +63,9 @@ def test_duplicate_factor_rejected():
         parse_equation("x*x*y*z")
     with pytest.raises(DuplicateFactor):
         parse_equation("xy(2x)")  # proportional to x
+    # factors are numbered from 1
+    with pytest.raises(DuplicateFactor, match="^factors 3 and 4 are proportional$"):
+        parse_equation("xy(x+y)(2x+2y)")
     # the form count is checked before the pairs
     with pytest.raises(ValueError, match="expected 3..8 forms, got 2"):
         parse_equation("x^2")
@@ -98,7 +101,7 @@ def test_specialize_drops_parameter():
 
 def test_specialize_vanishing_form():
     a = parse_equation("xz(y+wy)")  # (1+w) y dies at w = -1
-    with pytest.raises(FormVanishes):
+    with pytest.raises(FormVanishes, match="^form 3 vanishes identically"):
         specialize(a, Fraction(-1))
 
 

@@ -5,6 +5,7 @@ invariance, and the degeneration scan over the parameter line."""
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -17,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 from oracles import oracle, random_constant_arrangement, random_gl4, transform
 
 from octic import incidence
-from octic.exact import Poly, poly_gcd
+from octic.exact import Poly
 from octic.forms import (FormVanishes, LinearForm, ParamArrangement,
                          parse_equation, specialize)
 
@@ -41,6 +42,7 @@ ELEVEN = [
 
 W = sympy.Symbol("w")
 QW = sympy.QQ.frac_field(W)
+QQ_W = sympy.QQ[W]
 
 # coefficients a + b w, zero half the time so that pencils and multiple
 # points occur
@@ -50,32 +52,54 @@ affine_rows = st.lists(st.lists(affine_coefficient, min_size=4, max_size=4),
                        min_size=3, max_size=6)
 
 
-def _sympy(p: Poly):
-    return sum((c * W**k for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+def _sympy(x):
+    """A ``Poly``, a Z[w] tuple or a rational as a sympy expression in w."""
+    coeffs = x.coeffs if isinstance(x, Poly) else (
+        x if isinstance(x, tuple) else (x,))
+    return sum((sympy.Rational(c.numerator, c.denominator) * W**k
+                for k, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+def _as_zw(x) -> tuple:
+    """A sympy polynomial in w with integer coefficients as a Z[w] tuple."""
+    return tuple(int(c) for c in reversed(sympy.Poly(x, W).all_coeffs())
+                 ) if x != 0 else ()
 
 
 def _rank(vectors) -> int:
-    """Rank over Q(w) of rows of ``Poly`` entries, over Q when constant."""
-    domain = QW if any(x.degree > 0 for v in vectors for x in v) else sympy.QQ
+    """Rank over Q(w) of rows of Z[w] tuples, over Q when constant."""
+    domain = QW if any(len(x) > 1 for v in vectors for x in v) else sympy.QQ
     elems = [[domain.from_sympy(_sympy(x)) for x in v] for v in vectors]
     return DomainMatrix(elems, (len(elems), 4), domain).rank()
 
 
+def _in_qq_w(rows) -> list:
+    """Rows of entries ``_sympy`` reads as rows of elements of Q[w]."""
+    return [[QQ_W.from_sympy(_sympy(x)) for x in r] for r in rows]
+
+
+def _sympy_minors(rows) -> list:
+    """The maximal minors of at most 4 rows of 4 elements of Q[w], one per
+    set of ``len(rows)`` columns in lexicographic order, by sympy."""
+    k = len(rows)
+    return [DomainMatrix([[r[c] for c in cols] for r in rows], (k, k),
+                         QQ_W).det()
+            for cols in combinations(range(4), k)]
+
+
 def _assert_primitive(vec):
     nonzero = [p for p in vec if p]
-    assert nonzero[0].lead > 0
-    if all(p.degree > 0 for p in nonzero):
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = poly_gcd(g, p)
-        assert g.degree == 0
-    coeffs = [c for p in vec for c in p.coeffs]
-    assert all(c.denominator == 1 for c in coeffs)
-    assert gcd(*(c.numerator for c in coeffs)) == 1
+    assert nonzero[0][-1] > 0
+    if all(len(p) > 1 for p in nonzero):
+        g = reduce(sympy.gcd, [_sympy(p) for p in nonzero])
+        assert not g.has(W)
+    coeffs = [c for p in vec for c in p]
+    assert all(isinstance(c, int) for c in coeffs)
+    assert gcd(*coeffs) == 1
 
 
 def _on(form, vec) -> bool:
-    return not sum((c * x for c, x in zip(form.coeffs, vec)), Poly())
+    return not sum((c * Poly(x) for c, x in zip(form.coeffs, vec)), Poly())
 
 
 @settings(max_examples=50, deadline=None)
@@ -104,45 +128,25 @@ def test_family_profile_matches_oracle_over_q_w(pairs):
         assert tuple(k + 1 for k, f in enumerate(forms)
                      if _on(f, vec)) == pt.planes
         for t in combinations(pt.planes, 3):
-            ms = incidence.minors([forms[k - 1].coeffs for k in t])
+            ms = _sympy_minors(_in_qq_w(forms[k - 1].coeffs for k in t))
             if any(ms):
                 cross = [ms[3], -ms[2], ms[1], -ms[0]]
-                assert incidence.primitive_vector(cross) == vec
+                assert incidence.primitive_vector(
+                    [_as_zw(QQ_W.to_sympy(m)) for m in cross]) == vec
 
 
-def test_minors_are_the_maximal_minors():
-    w = Poly.x()
-    rows = [[w, Poly([1]), Poly(), Poly([2])],
-            [Poly([1]), w, Poly([3]), Poly()]]
-    ms = incidence.minors(rows)
-    assert len(ms) == 6
-    assert ms[0] == w * w - Poly([1])
-    assert incidence.minors(rows + rows[:1]) == [Poly()] * 4
-    with pytest.raises(ValueError):
-        incidence.minors(rows * 3)
-
-
-# Z[w] polynomials as ascending coefficient tuples without trailing zeros
-zw_polys = st.lists(st.integers(-30, 30), max_size=4).map(
-    lambda cs: incidence._zw_trim(list(cs)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(zw_polys, min_size=1, max_size=6), zw_polys)
-def test_zw_gcd_matches_poly_gcd(polys, common):
-    """The Z[w] gcd, in primitive form, is the monic gcd over Q up to a
-    constant; a common factor makes it nontrivial half the time."""
-    polys = [incidence._zw_mul(p, common) for p in polys]
-    g = incidence._zw_gcd(polys)
-    nonzero = [Poly(p) for p in polys if p]
-    if not nonzero:
-        assert g == ()
-        return
-    expected = nonzero[0].monic()
-    for p in nonzero[1:]:
-        expected = poly_gcd(expected, p)
-    assert Poly(g).monic() == expected
-    assert g[-1] > 0 and gcd(*g) == 1
+def test_minors_are_read_off_the_table():
+    """A pair's minors are the maximal minors of its rows (here already
+    primitive integer rows); a fiber of the family evaluates them at its
+    parameter, over one denominator: times 4 at w = 1/2."""
+    family = incidence.profile(parse_equation("(wx+y+2t)(x+wy+3z)z"))
+    assert family._minors((1, 2)) == [
+        (-1, 0, 1), (0, 3), (-2,), (3,), (0, -2), (-6,)]
+    assert family.fiber(Fraction(1, 2))._minors((1, 2)) == [
+        (-3,), (6,), (-8,), (12,), (-4,), (-24,)]
+    assert family._minors((1, 2, 3)) == [(-1, 0, 1), (), (2,), (0, 2)]
+    (pt,) = family.points
+    assert family.point_vector(pt) == ((0, 2), (-2,), (), (1, 0, -1))
 
 
 # rationals with denominators up to 12, zero a third of the time; a nonzero
@@ -162,14 +166,6 @@ copies = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
                             nonzero_rational), max_size=2)
 
 
-def _as_poly(entry) -> Poly:
-    """A table entry (``int`` or coefficient tuple) or a reference minor
-    (``Fraction`` or ``Poly``) as a ``Poly``."""
-    if isinstance(entry, Poly):
-        return entry
-    return Poly(entry) if isinstance(entry, tuple) else Poly([entry])
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(constant_rows, poly_rows), copies)
 def test_minor_table_matches_the_unscaled_minors(rows, inserted):
@@ -177,9 +173,10 @@ def test_minor_table_matches_the_unscaled_minors(rows, inserted):
         copy = [c * x for x in rows[src % len(rows)]]
         rows.insert(dst % (len(rows) + 1), copy)
     n = len(rows)
+    elems = _in_qq_w(rows)
 
     def reference(s):
-        return [_as_poly(m) for m in incidence.minors([rows[i] for i in s])]
+        return _sympy_minors([elems[i] for i in s])
 
     coincident = next((s for s in combinations(range(n), 2)
                        if not any(reference(s))), None)
@@ -193,16 +190,16 @@ def test_minor_table_matches_the_unscaled_minors(rows, inserted):
                            for s in combinations(range(n), k)]
     for s, entries in table.items():
         ref = reference(s)
-        got = [_as_poly(e) for e in entries]
+        got = [QQ_W.from_sympy(_sympy(e)) for e in entries]
         assert [bool(g) for g in got] == [bool(r) for r in ref], s
         assert all(isinstance(c, int) for e in entries
                    for c in (e if isinstance(e, tuple) else (e,)))
-        # one nonzero rational factor for the whole subset
+        # one positive rational factor for the whole subset
         k = next((m for m, r in enumerate(ref) if r), None)
         if k is not None:
-            factor = got[k].lead / ref[k].lead
-            assert factor != 0
-            assert got == [r.shift_scale(factor) for r in ref], s
+            factor = got[k].LC / ref[k].LC
+            assert factor > 0
+            assert got == [r * factor for r in ref], s
 
 
 def _random_family(rng: random.Random) -> ParamArrangement:
@@ -241,7 +238,7 @@ def test_scaling_the_forms_changes_no_answer(family):
     factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
                         rng.randint(1, 12)) for _ in family.forms]
     scaled = ParamArrangement([
-        LinearForm([p.shift_scale(c) for p in f.coeffs])
+        LinearForm([p * c for p in f.coeffs])
         for f, c in zip(family.forms, factors)])
     assert _scan_described(incidence.degenerate_values(scaled)) == (
         _scan_described(incidence.degenerate_values(family)))
@@ -250,15 +247,14 @@ def test_scaling_the_forms_changes_no_answer(family):
 
 
 def test_primitive_vector_clears_content():
-    w = Poly.x()
-    vec = incidence.primitive_vector(
-        [w * Poly([-2, 2]), Poly(), Poly([0, 4]), w * w * Poly([Fraction(2, 3)])])
-    assert vec == (Poly([-3, 3]), Poly(), Poly([6]), Poly([0, 1]))
-    assert incidence.primitive_vector(
-        [Fraction(0), Fraction(-1, 2), Fraction(3, 4), 0]) == (
-            Poly(), Poly([2]), Poly([-3]), Poly())
+    # 3 (w (2w - 2), 0, 4w, 2/3 w^2): the factor w and the content 2 go
+    vec = incidence.primitive_vector([(0, -6, 6), (), (0, 12), (0, 0, 2)])
+    assert vec == ((-3, 3), (), (6,), (0, 1))
+    # 4 (0, -1/2, 3/4, 0)
+    assert incidence.primitive_vector([(), (-2,), (3,), ()]) == (
+        (), (2,), (-3,), ())
     with pytest.raises(ValueError):
-        incidence.primitive_vector([Fraction(0)] * 4)
+        incidence.primitive_vector([()] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +387,22 @@ def test_degenerate_values_of_the_family(text):
         assert scan.fatal == ()
 
 
+def _coordinates(prof):
+    return ([prof.point_vector(pt) for pt in prof.points],
+            [prof.line_basis(l) for l in prof.lines])
+
+
 def _assert_scan_matches_fiber_profiles(family):
     """Every special profile equals the one eliminated from the fiber, and
     an integer value off the fatal list is degenerate exactly when the
-    fiber's profile differs from the generic one."""
+    fiber's profile differs from the generic one; coordinates read off the
+    family's table are the fiber's own."""
     scan = incidence.degenerate_values(family)
     for v in scan.values:
         ref = incidence.profile(specialize(family, v.w0), at=v.w0)
         assert v.profile.combinatorial_key() == ref.combinatorial_key()
         assert v.profile.to_json() == ref.to_json()
-        assert v.profile.rows == ref.rows
-        assert [v.profile.point_vector(pt) for pt in v.profile.points] == [
-            ref.point_vector(pt) for pt in ref.points]
+        assert _coordinates(v.profile) == _coordinates(ref)
     generic_key = scan.generic.combinatorial_key()
     fatal = {f.w0 for f in scan.fatal}
     for w0 in map(Fraction, range(-3, 4)):
@@ -411,6 +411,7 @@ def _assert_scan_matches_fiber_profiles(family):
         fiber = incidence.profile(specialize(family, w0), at=w0)
         assert (w0 in scan.sigma) == (
             fiber.combinatorial_key() != generic_key), w0
+        assert _coordinates(scan.generic.fiber(w0)) == _coordinates(fiber)
 
 
 @settings(max_examples=50, deadline=None)
@@ -444,7 +445,6 @@ def test_scan_eliminates_no_fiber(monkeypatch):
         raise AssertionError("the scan eliminated a fiber")
 
     monkeypatch.setattr(incidence, "_minor_table", recorded)
-    monkeypatch.setattr(incidence, "poly_det", refused)
     monkeypatch.setattr(incidence, "profile", refused)
     monkeypatch.setattr("octic.forms.specialize", refused)
     monkeypatch.setattr(incidence, "specialize", refused, raising=False)
@@ -459,9 +459,8 @@ def test_scan_eliminates_no_fiber(monkeypatch):
 
 @pytest.mark.parametrize("text", [ELEVEN[10], ELEVEN[9]])
 def test_scan_searches_each_gcd_once(monkeypatch, text):
-    """The scan stays in Z[w]: no ``poly_gcd``, no gcd for an entry with a
-    nonzero constant minor, and one ``rational_roots`` per distinct
-    primitive gcd.  (ELEVEN[9] has six nonconstant gcds on three distinct
+    """The scan stays in Z[w]: no gcd for an entry with a nonzero constant
+    minor, and one ``rational_roots`` per distinct primitive gcd.  (ELEVEN[9] has six nonconstant gcds on three distinct
     ones; ELEVEN[10] has three distinct ones.)"""
     family = parse_equation(text)
     gcd_inputs, searched = [], []
@@ -475,13 +474,8 @@ def test_scan_searches_each_gcd_once(monkeypatch, text):
         searched.append(p)
         return roots_of(p)
 
-    def refused(*args):
-        raise AssertionError("the scan took a gcd over Q")
-
     monkeypatch.setattr(incidence, "_zw_gcd", recorded_gcd)
     monkeypatch.setattr(incidence, "rational_roots", recorded_roots)
-    monkeypatch.setattr(incidence, "poly_gcd", refused)
-    monkeypatch.setattr("octic.exact.poly_gcd", refused)
     incidence.degenerate_values(family)
     monkeypatch.undo()
 
@@ -492,7 +486,7 @@ def test_scan_searches_each_gcd_once(monkeypatch, text):
     assert gcd_inputs == scanned
     gcds = {zw_gcd(ms) for ms in scanned} - {(), (1,)}
     assert len(searched) == len(gcds)
-    assert {p.coeffs for p in searched} == {Poly(g).coeffs for g in gcds}
+    assert set(searched) == gcds
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +582,7 @@ def _assert_fiber_is_eliminated_fiber(family, w0):
     got = generic.fiber(w0)
     assert got.lines == ref.lines
     assert got.points == ref.points
-    assert got.rows == ref.rows
+    assert _coordinates(got) == _coordinates(ref)
     assert got.at == ref.at == w0
 
 
@@ -623,8 +617,8 @@ def test_fiber_of_a_constant_arrangement_is_the_arrangement():
     a = parse_equation("xyz(x+y+z)(x+y)")
     generic = incidence.profile(a)
     got = generic.fiber(Fraction(3))
-    assert (got.lines, got.points, got.rows, got.at) == (
-        generic.lines, generic.points, generic.rows, Fraction(3))
+    assert (got.lines, got.points, _coordinates(got), got.at) == (
+        generic.lines, generic.points, _coordinates(generic), Fraction(3))
 
 
 def test_special_profiles_reuse_the_generic_records():
