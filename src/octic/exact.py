@@ -5,11 +5,18 @@ positive denominator, so the invariants come for free).  On top of that:
 dense univariate polynomials over Q (``Poly``, the coefficients the parser
 builds), one kernel of integer polynomials in Z[w] for everything computed
 from them, and dense matrices over Q with deterministic Gauss-Jordan
-reduction.  ``Poly.evaluate`` sums over one common denominator.  In Z[w]
-gcds are taken by primitive pseudo-remainders, and ``rational_roots``
-tests and divides out each candidate root in integers, leaving the
-square-free decomposition, also in Z[w], to the leftovers without a
-rational root.
+reduction.  ``Poly.evaluate`` sums over one common denominator.
+
+Minors of Z[w] rows are taken by Kronecker substitution: each entry is
+packed into one Python integer, its value at w = 2^k (``_zw_pack``), the
+products and sums run on those integers, and each result is unpacked once
+as its balanced base-2^k digits (``_zw_unpack``).  The width k comes from a
+1-norm bound (``_zw_width``): k - 1 bits hold 24 times the product of the
+four largest row norms, which bounds every coefficient of every maximal
+minor of at most four rows.  In Z[w] gcds are taken by primitive
+pseudo-remainders, and ``rational_roots`` tests and divides out each
+candidate root in integers, leaving the square-free decomposition, also in
+Z[w], to the leftovers without a rational root.
 
 Everything here is immutable and pure; no floats anywhere.
 """
@@ -18,10 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd as int_gcd, lcm as int_lcm, prod
 from typing import Iterable, Optional, Sequence, Union
-
-Rational = Fraction
 
 
 class ZeroPolynomial(ValueError):
@@ -192,10 +197,11 @@ def _as_poly(x) -> Union[Poly, None]:
 # Minors, gcds, coordinates and roots are all computed here, fraction-free.
 # The names stay private: they run in the innermost loops, which tools that
 # wrap every public function of a module (profilers, tracers) leave alone.
-
-
-def _zw_add(a: tuple, b: tuple) -> tuple:
-    return _zw_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+#
+# Packing (Kronecker substitution) is exact: evaluation at w = 2^k is a ring
+# homomorphism, so a packed result is the true result's value at 2^k, and
+# its balanced base-2^k digits are the true coefficients while each lies in
+# [-2^(k-1), 2^(k-1)).
 
 
 def _zw_sub(a: tuple, b: tuple) -> tuple:
@@ -208,19 +214,70 @@ def _zw_trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-def _zw_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    if len(a) == 1:
-        return tuple(a[0] * y for y in b)
-    if len(b) == 1:
-        return tuple(x * b[0] for x in a)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
+def _integer_row(row: Sequence) -> list:
+    """``row`` times the positive rational that makes it a primitive integer
+    row: ``int`` entries for rational ones, Z[w] tuples for ``Poly`` ones."""
+    polys = isinstance(row[0], Poly)
+    cs = [c for x in row for c in (x.coeffs if polys else (x,))]
+    den = int_lcm(*(c.denominator for c in cs))
+    content = int_gcd(*(c.numerator * (den // c.denominator) for c in cs))
+
+    def scaled(c) -> int:
+        return c.numerator * (den // c.denominator) // content
+
+    if polys:
+        return [tuple(scaled(c) for c in x.coeffs) for x in row]
+    return [scaled(x) for x in row]
+
+
+def _pack_rows(rows: Sequence[Sequence]) -> tuple[list, int]:
+    """``rows`` made primitive integer rows (``_integer_row``), their Z[w]
+    entries packed at w = 2^k for k = ``_zw_width`` of them, and k; k is 0
+    for rational rows, whose entries are integers already."""
+    rows = [_integer_row(r) for r in rows]
+    if not isinstance(rows[0][0], tuple):
+        return rows, 0
+    k = _zw_width(rows)
+    return [[_zw_pack(x, k) for x in r] for r in rows], k
+
+
+def _zw_width(rows: Sequence[Sequence[tuple]]) -> int:
+    """A packing width k for the maximal minors of any at most four of the
+    nonzero Z[w] ``rows``.  A minor of m rows is a sum of m! products of one
+    entry per row, so the 1-norm of its coefficients, and with it each
+    coefficient, is at most m! <= 24 times the product of the rows' largest
+    entry 1-norms, which the product of the four largest such norms over
+    all rows bounds (each is >= 1).  k - 1 bits hold that bound."""
+    norms = sorted(max(sum(map(abs, x)) for x in r) for r in rows)
+    return (24 * prod(norms[-4:])).bit_length() + 1
+
+
+def _zw_pack(c: tuple, k: int) -> int:
+    """The value of ``c`` at w = 2^k, one shift per nonzero coefficient, so
+    a sparse ``c`` of high degree costs no more than its length."""
+    return sum(x << (k * i) for i, x in enumerate(c) if x)
+
+
+def _zw_unpack(value: int, k: int) -> tuple:
+    """The Z[w] tuple whose value at w = 2^k (k >= 2) is ``value`` and
+    whose coefficients all lie in [-2^(k-1), 2^(k-1)): the balanced
+    base-2^k digits of ``value``, lowest first.  A run of zero digits is
+    shifted off at once, so a sparse result of high degree takes one shift
+    per nonzero digit."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    digits = []
+    while value:
+        low = value & mask
+        if not low:
+            zeros = ((value & -value).bit_length() - 1) // k
+            digits += [0] * zeros
+            value >>= k * zeros
+            continue
+        if low >= half:
+            low -= mask + 1
+        digits.append(low)
+        value = (value - low) >> k
+    return tuple(digits)
 
 
 def _zw_div(a: tuple, b: tuple) -> tuple:

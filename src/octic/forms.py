@@ -9,9 +9,10 @@ the affine chart t = 1, so they pick up a factor of t on the way in.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-from .exact import Poly, Rational
+from .exact import Poly, _pack_rows
 
 VARIABLES = ("x", "y", "z", "t")
 PARAMETER = "w"
@@ -78,13 +79,6 @@ class LinearForm:
     def __hash__(self):
         return hash(tuple(c.coeffs for c in self.coeffs))
 
-    def proportional_to(self, other: "LinearForm") -> bool:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if self.coeffs[i] * other.coeffs[j] != self.coeffs[j] * other.coeffs[i]:
-                    return False
-        return True
-
     def text(self) -> str:
         """Compact printable form; round-trips through parse_equation."""
         parts = []
@@ -130,7 +124,13 @@ def _coeff_str(c: Fraction, bare_ok: bool) -> str:
 
 
 class ParamArrangement:
-    """One-parameter family of plane arrangements, 3 to 8 forms."""
+    """One-parameter family of plane arrangements, 3 to 8 forms.
+
+    Two forms are proportional over Q(w) when all six 2x2 minors of their
+    coefficient rows vanish.  The minors are taken on the primitive integer
+    rows packed into integers at w = 2^k (``_pack_rows``); a packed minor
+    is 0 exactly when the minor is.
+    """
 
     def __init__(self, forms: Sequence[LinearForm]):
         forms = list(forms)
@@ -138,11 +138,12 @@ class ParamArrangement:
             raise ValueError(f"expected 3..8 forms, got {len(forms)}")
         for i, f in enumerate(forms):
             if f.is_zero():
-                raise ValueError(f"form {i} is identically zero")
-        for i in range(len(forms)):
-            for j in range(i + 1, len(forms)):
-                if forms[i].proportional_to(forms[j]):
-                    raise DuplicateFactor(i + 1, j + 1)
+                raise ValueError(f"form {i + 1} is identically zero")
+        rows, _ = _pack_rows([f.coeffs for f in forms])
+        for (i, ri), (j, rj) in combinations(enumerate(rows, 1), 2):
+            if all(ri[a] * rj[b] == ri[b] * rj[a]
+                   for a, b in combinations(range(4), 2)):
+                raise DuplicateFactor(i, j)
         self.forms = forms
 
     def __len__(self):
@@ -166,9 +167,10 @@ class Arrangement:
         forms = list(forms)
         for i, f in enumerate(forms):
             if not f.is_constant():
-                raise ValueError(f"form {i} still depends on the parameter")
+                raise ValueError(
+                    f"form {i + 1} still depends on the parameter")
             if f.is_zero():
-                raise ValueError(f"form {i} is identically zero")
+                raise ValueError(f"form {i + 1} is identically zero")
         self.forms = forms
 
     def __len__(self):
@@ -241,18 +243,8 @@ def parse_equation(text: str) -> ParamArrangement:
     else:
         offset = 0
     sc = _Scanner(stripped)
-    raw_factors: list[tuple] = []  # (vector-of-4-Polys, factor) before scalars
-    pending_scalar = Poly.const(1)
-
-    def flush_pending_onto_last():
-        nonlocal pending_scalar
-        if pending_scalar == Poly.const(1):
-            return
-        if not raw_factors:
-            raise ParseError("dangling coefficient with no factor", offset + sc.pos)
-        last = raw_factors[-1]
-        raw_factors[-1] = tuple(pending_scalar * c for c in last)
-        pending_scalar = Poly.const(1)
+    raw_factors: list[tuple] = []  # 4-tuples of Polys, scalars applied
+    scalar, power = Fraction(1), 0  # the pending scalar, scalar * w^power
 
     while True:
         c = sc.peek()
@@ -264,46 +256,49 @@ def parse_equation(text: str) -> ParamArrangement:
         if c == ")":
             raise sc.error("unbalanced ')'")
         if c == "(":
-            try:
-                vec = _parse_paren(sc)
-            except NonLinearFactor as e:
-                raise NonLinearFactor(len(raw_factors), str(e)) from None
-            count = _maybe_exponent(sc)
-            for _ in range(count):
-                raw_factors.append(tuple(pending_scalar * co for co in vec))
-            pending_scalar = Poly.const(1)
-            continue
-        if c in "xyzt":
+            vec = _parse_paren(sc, len(raw_factors) + 1)
+        elif c in "xyzt":
             sc.take()
-            vec = [Poly(), Poly(), Poly(), Poly()]
-            vec["xyzt".index(c)] = Poly.const(1)
-            count = _maybe_exponent(sc)
-            for _ in range(count):
-                raw_factors.append(tuple(pending_scalar * co for co in vec))
-            pending_scalar = Poly.const(1)
-            continue
-        if c == PARAMETER:
+            vec = _UNIT[c]
+        elif c == PARAMETER:
             sc.take()
-            count = _maybe_exponent(sc)
-            pending_scalar = pending_scalar * (Poly.x() ** count)
+            power += _maybe_exponent(sc)
             continue
-        if c.isdigit():
-            n = _parse_int(sc)
-            pending_scalar = pending_scalar * Poly.const(n)
+        elif c.isdigit():
+            scalar *= _parse_int(sc)
             continue
-        raise sc.error(f"unexpected character {c!r}")
-    flush_pending_onto_last()
+        else:
+            raise sc.error(f"unexpected character {c!r}")
+        count = _maybe_exponent(sc)
+        if scalar != 1 or power:
+            vec = _scaled(vec, scalar, power)
+            scalar, power = Fraction(1), 0
+        raw_factors.extend([vec] * count)
+    if scalar != 1 or power:
+        if not raw_factors:
+            raise ParseError("dangling coefficient with no factor", offset + sc.pos)
+        raw_factors[-1] = _scaled(raw_factors[-1], scalar, power)
 
     if not raw_factors:
         raise ParseError("empty product", offset)
 
     forms = []
-    for idx, vec in enumerate(raw_factors):
-        degree_part = vec[:3]
-        if all(not p for p in degree_part) and not vec[3]:
+    for idx, vec in enumerate(raw_factors, 1):
+        if not any(vec):
             raise NonLinearFactor(idx, "zero factor")
-        forms.append(LinearForm(list(vec)))
+        forms.append(LinearForm(vec))
     return ParamArrangement(forms)
+
+
+# the factor each projective variable stands for
+_UNIT = {v: tuple(Poly.const(1) if u == v else Poly() for u in VARIABLES)
+         for v in VARIABLES}
+
+
+def _scaled(vec: tuple, scalar: Fraction, power: int) -> tuple:
+    """The factor ``vec`` times scalar * w^power."""
+    return tuple(Poly([0] * power + [scalar * c for c in p.coeffs]) if p else p
+                 for p in vec)
 
 
 def _parse_int(sc: _Scanner) -> Fraction:
@@ -338,9 +333,10 @@ def _maybe_exponent(sc: _Scanner) -> int:
     return int(n)
 
 
-def _parse_paren(sc: _Scanner):
-    """One parenthesized linear combination.  Terms without a projective
-    variable are constant terms and land on t (chart t = 1)."""
+def _parse_paren(sc: _Scanner, index: int):
+    """One parenthesized linear combination, factor ``index`` (from 1).
+    Terms without a projective variable are constant terms and land on t
+    (chart t = 1)."""
     sc.take()  # the "(" the caller peeked at
     vec = [Poly(), Poly(), Poly(), Poly()]
     sign = 1
@@ -360,14 +356,12 @@ def _parse_paren(sc: _Scanner):
             sc.take()
             sign = -1
             continue
-        coeff, var = _parse_term(sc)
+        coeff, var = _parse_term(sc, index)
         if sign < 0:
             coeff = -coeff
-        if var is None:
-            # additive constant: homogenize onto t
-            vec[3] = vec[3] + coeff
-        else:
-            vec[VARIABLES.index(var)] = vec[VARIABLES.index(var)] + coeff
+        # an additive constant is homogenized onto t
+        slot = 3 if var is None else VARIABLES.index(var)
+        vec[slot] = vec[slot] + coeff
         sign = 1
         empty = False
     if empty:
@@ -375,34 +369,30 @@ def _parse_paren(sc: _Scanner):
     return tuple(vec)
 
 
-def _parse_term(sc: _Scanner):
+def _parse_term(sc: _Scanner, index: int):
     """One product of an optional rational coefficient, powers of w, and at
-    most one projective variable.  Returns (coefficient Poly in w, var|None).
+    most one projective variable, in factor ``index``.  Returns (the
+    coefficient as one monomial ``Poly`` in w, var|None).
     """
-    coeff = Poly.const(1)
+    coeff, power = Fraction(1), 0
     var = None
     saw_anything = False
     while True:
         c = sc.peek()
         if c.isdigit():
-            coeff = coeff * Poly.const(_parse_int(sc))
-            saw_anything = True
-            continue
-        if c == PARAMETER:
+            coeff *= _parse_int(sc)
+        elif c == PARAMETER:
             sc.take()
-            k = _maybe_exponent(sc)
-            coeff = coeff * (Poly.x() ** k)
-            saw_anything = True
-            continue
-        if c in "xyzt":
+            power += _maybe_exponent(sc)
+        elif c and c in "xyzt":
             sc.take()
             k = _maybe_exponent(sc)
             if var is not None or k > 1:
-                raise NonLinearFactor(-1, "term of degree > 1")
+                raise NonLinearFactor(index, "term of degree > 1")
             var = c
-            saw_anything = True
-            continue
-        break
+        else:
+            break
+        saw_anything = True
     if not saw_anything:
         raise sc.error("expected a term")
-    return coeff, var
+    return Poly([0] * power + [coeff]), var

@@ -41,11 +41,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd as int_gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import (Poly, _zw_add, _zw_at, _zw_div, _zw_gcd, _zw_mul,
-                    _zw_sub, _zw_trim, _zw_value, rational_roots)
+from .exact import (Poly, _integer_row, _pack_rows, _zw_at, _zw_div, _zw_gcd,
+                    _zw_sub, _zw_trim, _zw_unpack, _zw_value, rational_roots)
 from .forms import Arrangement, ParamArrangement
 
 
@@ -337,14 +337,20 @@ class NewIncidence:
 # a nonzero constant scales every minor it enters by that constant, so which
 # minors vanish, their rational roots and their gcds up to a constant are
 # those of the original rows, and so are the canonical coordinates read off
-# them.  ``degenerate_values`` scans the table in Z[w] as well: gcds by
-# primitive pseudo-remainders (``_zw_gcd``), and ``rational_roots`` on each
-# nonconstant primitive gcd.  A profile keeps the table it was computed
-# from: ``fiber`` tests which minors vanish at w0 = p/q by evaluating them in
-# integers (``_zw_value``), so a command computes one table, and
-# ``point_vector`` and ``line_basis`` read a point's triple minors and a
-# line's pair minors off it.  Later questions are subset tests on the
-# profile's plane masks.
+# them.  Z and Z[w] share one arithmetic path: a Z[w] row's entries are
+# packed into integers, their values at w = 2^k (Kronecker substitution),
+# with k - 1 bits holding 24 times the product of the four largest row
+# norms (a row's largest entry 1-norm), which bounds every coefficient of
+# every minor; the expansions run on plain integers, and each Z[w] minor is
+# unpacked once into its coefficient tuple, as the balanced base-2^k digits
+# of its packed value.  ``degenerate_values`` scans the table in Z[w] as
+# well: gcds by primitive pseudo-remainders (``_zw_gcd``), and
+# ``rational_roots`` on each nonconstant primitive gcd.  A profile keeps the
+# table it was computed from: ``fiber`` tests which minors vanish at
+# w0 = p/q by evaluating them in integers (``_zw_value``), so a command
+# computes one table, and ``point_vector`` and ``line_basis`` read a point's
+# triple minors and a line's pair minors off it.  Later questions are
+# subset tests on the profile's plane masks.
 
 
 def _cross(ms: Sequence[tuple]) -> list:
@@ -396,31 +402,31 @@ def _minor_table(rows: Sequence[Sequence]) -> dict:
     rational.  A triple's minors expand along its last row into its first
     pair's, and a quadruple's one minor into its first triple's.
 
+    Z[w] rows are packed into integers at w = 2^k, k from the rows' norms
+    (``_pack_rows``), so both run the same integer expansions; each Z[w]
+    entry is unpacked once, at the end.
+
     Raises CoincidentPlanes when two rows are proportional.
     """
-    if isinstance(rows[0][0], Poly):
-        add, sub, mul = _zw_add, _zw_sub, _zw_mul
-    else:
-        add, sub, mul = operator.add, operator.sub, operator.mul
-    rows = [_integer_row(r) for r in rows]
+    rows, width = _pack_rows(rows)
     table = {}
     for i, j in combinations(range(len(rows)), 2):
         ri, rj = rows[i], rows[j]
-        ms = [sub(mul(ri[a], rj[b]), mul(ri[b], rj[a]))
-              for a, b in _COLUMN_PAIRS]
+        ms = [ri[a] * rj[b] - ri[b] * rj[a] for a, b in _COLUMN_PAIRS]
         if not any(ms):
             raise CoincidentPlanes(i, j)
         table[i, j] = ms
     for i, j, k in combinations(range(len(rows)), 3):
         m, r = table[i, j], rows[k]
-        table[i, j, k] = [
-            add(sub(mul(r[a], m[bc]), mul(r[b], m[ac])), mul(r[c], m[ab]))
-            for a, b, c, bc, ac, ab in _COLUMN_TRIPLES
-        ]
+        table[i, j, k] = [r[a] * m[bc] - r[b] * m[ac] + r[c] * m[ab]
+                          for a, b, c, bc, ac, ab in _COLUMN_TRIPLES]
     for i, j, k, l in combinations(range(len(rows)), 4):
         m, r = table[i, j, k], rows[l]
-        table[i, j, k, l] = [sub(add(sub(mul(r[3], m[0]), mul(r[2], m[1])),
-                                     mul(r[1], m[2])), mul(r[0], m[3]))]
+        table[i, j, k, l] = [r[3] * m[0] - r[2] * m[1] + r[1] * m[2]
+                             - r[0] * m[3]]
+    if width:
+        for ms in table.values():
+            ms[:] = [_zw_unpack(m, width) for m in ms]
     return table
 
 
@@ -432,23 +438,6 @@ _COLUMN_TRIPLES = tuple(
      _COLUMN_PAIRS.index((a, b)))
     for a, b, c in combinations(range(4), 3)
 )
-
-
-def _integer_row(row: Sequence) -> list:
-    """``row`` times the positive rational that makes it a primitive integer
-    row: ``int`` entries for rational ones, ascending coefficient tuples
-    for ``Poly`` ones."""
-    polys = isinstance(row[0], Poly)
-    cs = [c for x in row for c in (x.coeffs if polys else (x,))]
-    den = int_lcm(*(c.denominator for c in cs))
-    content = int_gcd(*(c.numerator * (den // c.denominator) for c in cs))
-
-    def scaled(c) -> int:
-        return c.numerator * (den // c.denominator) // content
-
-    if polys:
-        return [tuple(scaled(c) for c in x.coeffs) for x in row]
-    return [scaled(x) for x in row]
 
 
 def _profile_of(dependent: set, n: int, table: dict,

@@ -1,6 +1,6 @@
 """Independent checks shared between test modules: a sympy brute-force
-incidence oracle, random projective coordinate changes and the relations
-among a cycle model's rows."""
+incidence oracle, random projective coordinate changes, the relations
+among a cycle model's rows and schoolbook multiplication in Z[w]."""
 
 from fractions import Fraction
 from functools import cache
@@ -106,3 +106,15 @@ def combination_vanishes(cm, chain) -> bool:
     {row label: coefficient} ``chain`` sum to zero."""
     coeffs = [Fraction(chain.get(label, 0)) for label in cm.row_labels]
     return not any(cm.matrix.transpose().matvec(coeffs))
+
+
+def zw_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two Z[w] polynomials (ascending integer coefficient
+    tuples without trailing zeros, () for 0), by schoolbook convolution."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)

@@ -1,12 +1,16 @@
 """Command line driver: golden scenarios, exit codes, determinism."""
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octic import cli, incidence
 
@@ -329,6 +333,50 @@ def test_sigma_evaluates_minors_only_where_read(capsys, monkeypatch):
     # the generic point {1,2,3,4} lands on the special line x = y = 0
     assert run(capsys, "sigma", "xy(x+y+wz+wt)(x-y+wz+wt)z")[0] == 0
     assert calls
+
+
+# equation text over the parser's alphabet, without runs of three digits
+# or two-digit exponents: a factor ^99 is 99 factors, and a coefficient
+# near 10^18 makes a long divisor search
+fuzz_text = st.text("xyztwu0123456789()+-*/^= ", max_size=24).filter(
+    lambda s: not re.search(r"\d{3}|\^\d\d", s.replace(" ", "")))
+fuzz_w_power = st.sampled_from(["", "", "w", "w^2", "w^3"])
+
+
+@st.composite
+def fuzz_products(draw) -> str:
+    """A product of bare variables and random linear factors: zero
+    coefficients, powers of w, ``^`` exponents and a ``u^2 =`` prefix."""
+    out = draw(st.sampled_from(["", "", "u^2 = ", "u2="]))
+    bare = draw(st.integers(0, 4))
+    out += "".join(draw(st.permutations("xyzt"))[:bare])
+    for _ in range(draw(st.integers(max(0, 3 - bare), 8 - bare))):
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from(["+", "+", "-"]),
+            st.from_regex(r"([0-9](/[0-9])?)?", fullmatch=True),
+            fuzz_w_power, st.sampled_from(["x", "y", "z", "t", ""])),
+            min_size=1, max_size=5))
+        out += draw(fuzz_w_power) + "(" + "".join(map("".join, terms)) + ")"
+        out += draw(st.sampled_from(["", "", "", "", "^2", "^3"]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["sigma", "incidence", "classify"]),
+       st.one_of(fuzz_text, fuzz_products()),
+       st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3"]))
+def test_exit_codes_hold_under_fuzzing(command, equation, w0):
+    """``sigma``, ``incidence --at`` and ``classify --at`` end every input
+    in a documented exit code with a message, never in a traceback."""
+    args = [command, equation] + ([] if command == "sigma" else ["--at", w0])
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as stop:  # argparse: an equation like "-x"
+            code = stop.code
+    assert code in (0, 2, 3, 4), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_exit_4_on_unknown_scenario(capsys):

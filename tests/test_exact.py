@@ -11,9 +11,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from oracles import zw_mul
+
 from octic.exact import (ExactMatrix, Poly, _zw_at, _zw_div, _zw_gcd,
-                         _zw_mul, _zw_squarefree, _zw_trim, fraction_str,
-                         parse_fraction, rational_roots, rref)
+                         _zw_pack, _zw_squarefree, _zw_trim, _zw_unpack,
+                         fraction_str, parse_fraction, rational_roots, rref)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(fractions, max_size=5).map(Poly)
@@ -31,7 +33,31 @@ def test_poly_ring_laws(p, q, v):
 
 @given(zw_polys, zw_polys.filter(bool))
 def test_zw_exact_division(a, b):
-    assert _zw_div(_zw_mul(a, b), b) == a
+    assert _zw_div(zw_mul(a, b), b) == a
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 17, 64, 200])
+def test_zw_pack_round_trips_at_the_digit_limits(k):
+    """Balanced base-2^k digits hold exactly [-2^(k-1), 2^(k-1) - 1]."""
+    hi, lo = 2 ** (k - 1) - 1, -2 ** (k - 1)
+    cases = [(hi,), (lo,), (0, hi), (0, lo), (hi, lo, hi), (lo, hi, lo),
+             (lo, lo, lo), (hi, 0, 0, hi), (lo, 0, lo), (-hi, hi, lo, hi),
+             (0,) * 3000 + (lo,), (hi,) + (0,) * 3000 + (lo, 0, hi)]
+    for c in cases:
+        c = _zw_trim(list(c))
+        assert _zw_unpack(_zw_pack(c, k), k) == c, c
+    assert _zw_unpack(_zw_pack((hi + 1,), k), k) != (hi + 1,)
+    assert _zw_unpack(0, k) == ()
+
+
+@given(st.integers(2, 80).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.one_of(st.just(0), st.integers(-2 ** (k - 1), 2 ** (k - 1) - 1)),
+    max_size=8))))
+def test_zw_pack_round_trips(case):
+    k, coeffs = case
+    c = _zw_trim(coeffs)
+    assert _zw_pack(c, k) == Poly(c).evaluate(2 ** k)
+    assert _zw_unpack(_zw_pack(c, k), k) == c
 
 
 def test_poly_normalization():
@@ -67,7 +93,7 @@ def test_gcd_divides_both(p, q):
         return
     assert g
     for f in (p, q):
-        assert _zw_mul(_zw_div(f, g), g) == f
+        assert zw_mul(_zw_div(f, g), g) == f
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,7 +101,7 @@ def test_gcd_divides_both(p, q):
 def test_zw_gcd_matches_sympy_gcd(polys, common):
     """The Z[w] gcd is the primitive part of sympy's gcd up to sign; a
     common factor makes it nontrivial half the time."""
-    polys = [_zw_mul(p, common) for p in polys]
+    polys = [zw_mul(p, common) for p in polys]
     g = _zw_gcd(polys)
     nonzero = [_sympy_poly(p) for p in polys if p]
     if not nonzero:
@@ -88,7 +114,7 @@ def test_zw_gcd_matches_sympy_gcd(polys, common):
 
 def test_squarefree_and_roots():
     # (w - 1)^2 (w + 2) (2w - 1)
-    p = _zw_mul(_zw_mul((-1, 1), (-1, 1)), _zw_mul((2, 1), (-1, 2)))
+    p = zw_mul(zw_mul((-1, 1), (-1, 1)), zw_mul((2, 1), (-1, 2)))
     roots, leftovers = rational_roots(p)
     assert dict(roots) == {Fraction(1): 2, Fraction(-2): 1, Fraction(1, 2): 1}
     assert leftovers == []
@@ -97,7 +123,7 @@ def test_squarefree_and_roots():
 
 
 def test_rational_roots_irreducible_leftover():
-    p = _zw_mul((1, 0, 1), (-3, 1))  # (w^2 + 1)(w - 3)
+    p = zw_mul((1, 0, 1), (-3, 1))  # (w^2 + 1)(w - 3)
     roots, leftovers = rational_roots(p)
     assert dict(roots) == {Fraction(3): 1}
     assert leftovers == [(1, 0, 1)]
@@ -121,10 +147,10 @@ def test_rational_roots_match_sympy(linears, others, scale):
     p = (scale,)
     for root, mult in linears:
         for _ in range(mult):
-            p = _zw_mul(p, (-root.numerator, root.denominator))
+            p = zw_mul(p, (-root.numerator, root.denominator))
     for low, mult in others:
         for _ in range(mult):
-            p = _zw_mul(p, tuple(low) + (1,))
+            p = zw_mul(p, tuple(low) + (1,))
     roots, leftovers = rational_roots(p)
     sp = _sympy_poly(p)
     expected = {Fraction(int(r.p), int(r.q)): m

@@ -1,10 +1,16 @@
 """Equation parsing and specialization."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from octic.forms import (DuplicateFactor, FormVanishes, NonLinearFactor,
+from octic.exact import Poly
+from octic.forms import (Arrangement, DuplicateFactor, FormVanishes,
+                         LinearForm, NonLinearFactor, ParamArrangement,
                          ParseError, parse_equation, specialize)
 
 ELEVEN = [
@@ -66,14 +72,100 @@ def test_duplicate_factor_rejected():
     # factors are numbered from 1
     with pytest.raises(DuplicateFactor, match="^factors 3 and 4 are proportional$"):
         parse_equation("xy(x+y)(2x+2y)")
+    # a copy times a polynomial in w
+    with pytest.raises(DuplicateFactor, match="^factors 3 and 4 "):
+        parse_equation("xy(wx+w^2y)(x+wy)z")
     # the form count is checked before the pairs
     with pytest.raises(ValueError, match="expected 3..8 forms, got 2"):
         parse_equation("x^2")
 
 
+W = sympy.Symbol("w")
+QW = sympy.QQ.frac_field(W)
+
+# nonzero polynomials in w of degree <= 2 with small rational
+# coefficients; forms with each coefficient zero about half the time
+nonzero_polys = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1,
+                         max_size=3).map(Poly).filter(bool)
+forms = st.lists(st.one_of(st.just(Poly()), nonzero_polys), min_size=4,
+                 max_size=4).filter(any)
+# a copy of an earlier form times a nonzero constant or a nonzero
+# polynomial in w
+scalings = st.one_of(st.fractions(-5, 5, max_denominator=4).filter(bool),
+                     nonzero_polys)
+copies = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 8), scalings),
+                  max_size=2)
+
+
+def _rank_over_q_w(rows) -> int:
+    elems = [[QW.from_sympy(sum((sympy.Rational(c.numerator, c.denominator)
+                                 * W**k for k, c in enumerate(p.coeffs)),
+                                sympy.Integer(0)))
+              for p in row] for row in rows]
+    return DomainMatrix(elems, (len(elems), 4), QW).rank()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(forms, min_size=2, max_size=6), copies)
+def test_duplicate_factor_matches_rank_over_q_w(rows, inserted):
+    """``parse_equation`` names the first pair of factors whose 2x4 matrix
+    has rank 1 over Q(w), and accepts the family when there is none."""
+    for src, dst, c in inserted:
+        copy = [c * p for p in rows[src % len(rows)]]
+        rows.insert(dst % (len(rows) + 1), copy)
+    assume(len(rows) >= 3)
+    text = "".join(f"({LinearForm(r).text()})" for r in rows)
+    first = next(((i + 1, j + 1)
+                  for i, j in combinations(range(len(rows)), 2)
+                  if _rank_over_q_w([rows[i], rows[j]]) == 1), None)
+    if first is None:
+        family = parse_equation(text)
+        assert [f.coeffs for f in family.forms] == [tuple(r) for r in rows]
+    else:
+        with pytest.raises(DuplicateFactor) as err:
+            parse_equation(text)
+        assert err.value.indices == first
+
+
 def test_nonlinear_factor_rejected():
     with pytest.raises((NonLinearFactor, ParseError)):
         parse_equation("x(x+yy)")
+
+
+@pytest.mark.parametrize("text,index,detail", [
+    ("xy(x+yy)", 3, "term of degree > 1"),
+    ("x^2y(x+y^2)", 4, "term of degree > 1"),
+    ("(xy)yz", 1, "term of degree > 1"),
+    ("xy(0x)", 3, "zero factor"),
+    ("x(x-x)yz", 2, "zero factor"),
+    ("xyz0", 3, "zero factor"),
+])
+def test_nonlinear_factor_numbers_factors_from_1(text, index, detail):
+    """One message, counting the expanded factors from 1, as
+    ``DuplicateFactor`` does."""
+    with pytest.raises(NonLinearFactor) as err:
+        parse_equation(text)
+    assert str(err.value) == (
+        f"factor {index} is not linear in x,y,z,t: {detail}")
+    assert err.value.factor_index == index
+
+
+def test_unterminated_factor_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^unterminated '\('"):
+        parse_equation("xyz(x+y")
+
+
+def test_arrangement_errors_number_forms_from_1():
+    x, y = LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0])
+    zero = LinearForm([0, 0, 0, 0])
+    moving = LinearForm([Poly([0, 1]), 1, 0, 0])
+    with pytest.raises(ValueError, match="^form 2 is identically zero$"):
+        ParamArrangement([x, zero, y])
+    with pytest.raises(ValueError, match="^form 3 is identically zero$"):
+        Arrangement([x, y, zero])
+    with pytest.raises(ValueError,
+                       match="^form 1 still depends on the parameter$"):
+        Arrangement([moving, x, y])
 
 
 def test_garbage_rejected():

@@ -169,6 +169,45 @@ copies = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(constant_rows, poly_rows), copies)
 def test_minor_table_matches_the_unscaled_minors(rows, inserted):
+    _assert_minor_table_matches(rows, inserted)
+
+
+# integer coefficients up to 10^18 in size, often exactly +-10^18, of
+# w-degree up to 5, and rows whose coefficients are all negative: minors
+# near the packing width bound
+big = st.one_of(st.integers(-10**18, 10**18),
+                st.sampled_from([-10**18, 10**18]))
+big_poly_rows = st.lists(
+    st.lists(st.lists(big, max_size=6).map(Poly), min_size=4,
+             max_size=4).filter(any),
+    min_size=2, max_size=4)
+negative_poly_rows = st.lists(
+    st.lists(st.lists(st.integers(-10**18, -1), min_size=1,
+                      max_size=6).map(Poly), min_size=4, max_size=4),
+    min_size=2, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(big_poly_rows, negative_poly_rows), copies)
+def test_minor_table_with_large_coefficients(rows, inserted):
+    _assert_minor_table_matches(rows, inserted)
+
+
+def test_minor_table_of_a_hadamard_matrix():
+    """The rows of a 4x4 Hadamard matrix times N + (N - 1) w: the
+    quadruple minor is 16 (N + (N - 1) w)^4, whose middle coefficient
+    96 N^2 (N - 1)^2 is a quarter of the width bound 24 (2N - 1)^4."""
+    hadamard = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    n = 10**18
+    rows = [[Poly([h * n, h * (n - 1)]) for h in row] for row in hadamard]
+    _assert_minor_table_matches(rows, [])
+    (quadruple,) = incidence._minor_table(rows)[0, 1, 2, 3]
+    assert quadruple[2] == 16 * 6 * n**2 * (n - 1)**2
+
+
+def _assert_minor_table_matches(rows, inserted):
+    """``_minor_table`` of ``rows`` with the scaled copies ``inserted``
+    against sympy's minors of the unscaled rows."""
     for src, dst, c in inserted:
         copy = [c * x for x in rows[src % len(rows)]]
         rows.insert(dst % (len(rows) + 1), copy)
