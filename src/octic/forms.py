@@ -229,8 +229,10 @@ def parse_equation(text: str) -> ParamArrangement:
     """Parse a product of linear factors into a parameterized arrangement.
 
     Accepts an optional "u^2 =" prefix, implicit or explicit multiplication,
-    and caret exponents on factors (which expand to repeated factors and are
-    therefore rejected as duplicates).
+    and caret exponents on factors (which stand for repeated factors and
+    are therefore rejected as duplicates).  A repeated factor is kept as
+    one run with its count until the number of factors has been checked,
+    so a large exponent costs no more than a small one.
     """
     stripped = text
     eq = stripped.find("=")
@@ -243,7 +245,8 @@ def parse_equation(text: str) -> ParamArrangement:
     else:
         offset = 0
     sc = _Scanner(stripped)
-    raw_factors: list[tuple] = []  # 4-tuples of Polys, scalars applied
+    runs: list[tuple] = []  # (4-tuple of Polys, scalars applied; count)
+    n_factors = 0
     scalar, power = Fraction(1), 0  # the pending scalar, scalar * w^power
 
     while True:
@@ -256,7 +259,7 @@ def parse_equation(text: str) -> ParamArrangement:
         if c == ")":
             raise sc.error("unbalanced ')'")
         if c == "(":
-            vec = _parse_paren(sc, len(raw_factors) + 1)
+            vec = _parse_paren(sc, n_factors + 1)
         elif c in "xyzt":
             sc.take()
             vec = _UNIT[c]
@@ -273,21 +276,29 @@ def parse_equation(text: str) -> ParamArrangement:
         if scalar != 1 or power:
             vec = _scaled(vec, scalar, power)
             scalar, power = Fraction(1), 0
-        raw_factors.extend([vec] * count)
+        runs.append((vec, count))
+        n_factors += count
     if scalar != 1 or power:
-        if not raw_factors:
+        if not runs:
             raise ParseError("dangling coefficient with no factor", offset + sc.pos)
-        raw_factors[-1] = _scaled(raw_factors[-1], scalar, power)
+        # a trailing coefficient scales the last factor of the last run
+        vec, count = runs.pop()
+        if count > 1:
+            runs.append((vec, count - 1))
+        runs.append((_scaled(vec, scalar, power), 1))
 
-    if not raw_factors:
+    if not runs:
         raise ParseError("empty product", offset)
 
-    forms = []
-    for idx, vec in enumerate(raw_factors, 1):
+    idx = 1
+    for vec, count in runs:
         if not any(vec):
             raise NonLinearFactor(idx, "zero factor")
-        forms.append(LinearForm(vec))
-    return ParamArrangement(forms)
+        idx += count
+    if not 3 <= n_factors <= 8:
+        raise ValueError(f"expected 3..8 forms, got {n_factors}")
+    return ParamArrangement([LinearForm(vec) for vec, count in runs
+                             for _ in range(count)])
 
 
 # the factor each projective variable stands for

@@ -13,7 +13,13 @@ minors by that constant, so which minors vanish, and where, is unchanged.
 
 A profile holds plane sets only, each as a sorted tuple and as a bit mask
 (bit k for plane k), so later incidence questions are subset tests on
-integers: a set ``a`` contains ``b`` when ``a & b == b``.  Coordinates are
+integers: a set ``a`` contains ``b`` when ``a & b == b``.  It also indexes
+them: ``_pencils`` maps each pair of planes to the mask of its line and
+``_stars`` each independent triple to the mask of its point.  So the line
+through a set of planes is read off its two lowest planes, and the point
+through a set off its first independent triple, and each is checked to
+contain the whole set.  Only the point through a set on one line, and the
+line through fewer than two planes, are found by a scan.  Coordinates are
 read on demand off the profile's minor table (``point_vector``,
 ``line_basis``) where they are printed or compared: the centers ``reduce``
 prints, the trace's fiber-collision message and moving-line test, and a
@@ -123,8 +129,12 @@ class IncidenceProfile:
     point's mask contains both, and a set of planes has a common line
     (point) when some line (point) contains it.
 
-    A profile also keeps, for every pair and every independent triple of
-    planes, the mask of all planes through their line or point.  A special
+    A profile also keeps, for every pair (``_pencils``) and every
+    independent triple (``_stars``) of planes, the mask of all planes
+    through their line or point.  ``line_through``, ``point_through`` and
+    ``points_on`` are index reads on these, in time independent of the
+    number of lines and points; only a set of planes on one line is looked
+    up by a scan.  A special
     fiber's profile is this profile with more dependent triples and
     quadruples folded in (``_special``): only the lines and points that
     grow, and the points whose ``j`` changes, are new objects.  Every
@@ -250,23 +260,46 @@ class IncidenceProfile:
         )
 
     def line_through(self, planes: Iterable[int]) -> Optional[MultipleLine]:
-        """The line contained in every plane of ``planes`` (at least two
-        distinct planes), or None when they share no line."""
-        wanted = _plane_mask(planes)
-        for l in self.lines:
-            if l.mask & wanted == wanted:
-                return l
-        return None
+        """The line contained in every plane of ``planes``, or None when
+        they share no line.
+
+        Two distinct planes meet in one line, so this is the pencil of the
+        two lowest planes (an index read on ``_pencils``) when its mask
+        contains the whole set.  A set of fewer than two distinct planes
+        gets the first line, in the profile's order, containing it."""
+        ks = sorted(set(planes))
+        if len(ks) < 2:
+            return _first_containing(self.lines, ks)
+        m = self._pencils.get((ks[0] - 1, ks[1] - 1), 0)
+        wanted = _plane_mask(ks)
+        return self._line_of[m] if m & wanted == wanted else None
 
     def point_through(self, planes: Iterable[int]) -> Optional[MultiplePoint]:
         """The first point lying on every plane of ``planes``, or None.
 
-        The point is unique when the planes share no line."""
-        wanted = _plane_mask(planes)
-        for pt in self.points:
-            if pt.mask & wanted == wanted:
-                return pt
-        return None
+        Three planes that share no line meet in one point, so when the set
+        holds such a triple this is the star of its first one (an index
+        read on ``_stars``) when its mask contains the whole set.  A set
+        with no such triple lies on one line (or has fewer than three
+        planes) and gets the first point, in the profile's order,
+        containing it."""
+        ks = sorted(set(planes))
+        for t in combinations(ks, 3):
+            m = self._stars.get((t[0] - 1, t[1] - 1, t[2] - 1))
+            if m is not None:
+                wanted = _plane_mask(ks)
+                return self._point_of[m] if m & wanted == wanted else None
+        return _first_containing(self.points, ks)
+
+    def points_on(self, line: MultipleLine) -> list[MultiplePoint]:
+        """The points on ``line``, each once, in no particular order: the
+        stars of its first two planes with each plane off it."""
+        i, j = line.planes[0] - 1, line.planes[1] - 1
+        stars = self._stars
+        masks = {stars[(k, i, j) if k < i else (i, k, j) if k < j
+                       else (i, j, k)]
+                 for k in range(self.n_forms) if not line.mask >> k + 1 & 1}
+        return [self._point_of[m] for m in masks]
 
     def to_json(self) -> dict:
         return {
@@ -281,6 +314,12 @@ class IncidenceProfile:
         ls = ", ".join(f"l{l.q}{set(l.planes)}" for l in self.lines)
         ps = ", ".join(f"p{pt.p}^{pt.j}{set(pt.planes)}" for pt in self.points)
         return f"IncidenceProfile({ls}; {ps})"
+
+
+def _first_containing(records: Sequence, planes: Sequence[int]):
+    """The first of ``records`` whose plane mask contains ``planes``."""
+    wanted = _plane_mask(planes)
+    return next((r for r in records if r.mask & wanted == wanted), None)
 
 
 def _planes(mask: int) -> tuple[int, ...]:
@@ -504,30 +543,43 @@ def profile_diff(
     generic point, evaluated at ``special.at``, against the special point.
     A changed point owns the new pencils through it; pencils away from
     every changed point are reported on their own.
+
+    Only special points with p >= 4 or j >= 1 that are not the generic
+    profile's own records are visited.  The generic points inside one are
+    the generic stars of the triples of its planes, so its sources are
+    found there rather than among all generic points.
     """
     if generic.n_forms != special.n_forms:
         raise ValueError("profiles of different arrangements")
     new_lines = [
         l
         for l in special.lines
-        if l.q >= 3 and l.mask not in generic._line_of
+        if l.mask not in generic._line_of and l.q >= 3
     ]
-    sources = [g for g in generic.points if g.p >= 4 or g.j >= 1]
 
     def lands_on(g: MultiplePoint, s: MultiplePoint) -> bool:
-        if g.mask & s.mask != g.mask:
-            return False
         if special.line_through(g.planes) is None:
             return True
         image = _zw_at(generic.point_vector(g), special.at)
         return primitive_vector(image) == special.point_vector(s)
 
+    def sources(s: MultiplePoint) -> list[MultiplePoint]:
+        """The generic points with p >= 4 or j >= 1 that land on ``s``, in
+        the generic profile's order."""
+        inside = {generic._stars.get((i - 1, j - 1, k - 1))
+                  for i, j, k in combinations(s.planes, 3)}
+        inside.discard(None)
+        found = [generic._point_of[m] for m in inside if m & s.mask == m]
+        return sorted((g for g in found
+                       if (g.p >= 4 or g.j >= 1) and lands_on(g, s)),
+                      key=operator.attrgetter("planes"))
+
     changes: list[NewIncidence] = []
     claimed_line_sets: set[tuple[int, ...]] = set()
     for s in special.points:
-        if s.p < 4 and s.j < 1:
+        if generic._point_of.get(s.mask) is s or s.p < 4 and s.j < 1:
             continue
-        notable = [g for g in sources if lands_on(g, s)]
+        notable = sources(s)
         if any(g.planes == s.planes and g.j == s.j for g in notable):
             continue  # the point was already there, unchanged
         lines_here = tuple(

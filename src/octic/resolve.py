@@ -19,6 +19,11 @@ at the traced value, read off the generic one's minor table
 through them, as tuples and as bit masks: a plane passes through a point
 when its index is listed, a point lies on a line when its mask contains
 the line's, and two lines meet when one point's mask contains both.
+The line or point through a set of planes is an index read on a profile
+(``line_through``, ``point_through``).  After a plain double line is blown
+up, the node scan looks for later double lines among the planes of the
+central points on it (``points_on``), through a map from plane pairs to
+schedule steps, rather than over the whole schedule.
 Coordinates are computed only for the centers ``reduce`` prints, a
 fiber-curve collision message and whether a pair's line moves with w.  A
 point center whose planes meet in a central line rather than a point (the
@@ -289,6 +294,9 @@ class _Driver:
         self.flagged: set = set()      # pair names marked for a node rewrite
         self.flag_points: set = set()  # masks of crossing points the scan used
         self.pending: dict = {}        # center name -> [curve ids to pinch]
+        # the plane pair of each plane-plane double line -> (position, step)
+        self.pair_steps = {c.indices: (k, c) for k, c in enumerate(sched.steps)
+                           if c.role == "pair"}
 
     # -- central geometry ----------------------------------------------------
 
@@ -452,16 +460,24 @@ class _Driver:
         def post(_):
             prior = tuple(self.blown_lines)
             self.blown_lines[line.mask] = {"jump": False, "name": c.name}
-            self._node_scan(c, prior)
+            self._node_scan(c, line, prior)
         return ctx, post
 
-    def _node_scan(self, c: Center, prior):
+    def _node_scan(self, c: Center, line: incidence.MultipleLine, prior):
         # a blown double line may reveal that a later center degenerated
-        # into two curves crossing at a fresh central point
-        for c2 in self.sched.steps:
-            if c2.role != "pair" or c2.name in self.blown:
-                continue
-            if not set(c.indices).isdisjoint(c2.indices):
+        # into two curves crossing at a fresh central point; such a center
+        # is a pair {k, l} of planes through a central point on the line
+        found = {}
+        for pt in self.central.points_on(line):
+            rest = [k for k in pt.planes if k not in c.indices]
+            for pair in combinations(rest, 2):
+                if pair in self.pair_steps:
+                    k, c2 = self.pair_steps[pair]
+                    found[k] = c2
+        # in schedule order: the first pair through a crossing point takes it
+        for k in sorted(found):
+            c2 = found[k]
+            if c2.name in self.blown:
                 continue
             four = c.indices + c2.indices
             if self.generic.point_through(four) is not None:
@@ -643,7 +659,9 @@ def trace_central_fiber(a: ParamArrangement, w0, s: BlowUpSchedule,
     ``s`` is scheduled from ``incidence.profile(a)``, whose minor table the
     central fiber is read off.  Returns ``(trace, residual)``: every
     intermediate diagram (the fiber's initial diagram first) and the
-    residual-singularity report of the last one.  A step that matches no rewrite rule raises :class:`TraceAborted`
+    residual-singularity report of the last one.
+
+    A step that matches no rewrite rule raises :class:`TraceAborted`
     carrying the partial trace; parse and incidence errors propagate.
     """
     return _Driver(a, w0, s, directives).run()

@@ -1,6 +1,8 @@
 """Independent checks shared between test modules: a sympy brute-force
-incidence oracle, random projective coordinate changes, the relations
-among a cycle model's rows and schoolbook multiplication in Z[w]."""
+incidence oracle, incidence lookups, profile diffs and node scans by
+scanning every line, point or schedule step, random projective coordinate
+changes, the relations among a cycle model's rows and schoolbook
+multiplication in Z[w]."""
 
 from fractions import Fraction
 from functools import cache
@@ -10,7 +12,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from octic import incidence
-from octic.exact import Poly, rref
+from octic.exact import Poly, _zw_at, rref
 from octic.forms import Arrangement, LinearForm, ParamArrangement
 
 
@@ -53,6 +55,84 @@ def oracle(rows, domain=sympy.QQ):
         j = sum(1 for s in big if s <= set(mem))
         decorated[mem] = (len(mem), j)
     return lines, decorated
+
+
+def line_through(prof, planes):
+    """The first line of ``prof`` whose plane set contains ``planes``."""
+    wanted = set(planes)
+    return next((l for l in prof.lines if wanted <= set(l.planes)), None)
+
+
+def point_through(prof, planes):
+    """The first point of ``prof`` whose plane set contains ``planes``."""
+    wanted = set(planes)
+    return next((pt for pt in prof.points if wanted <= set(pt.planes)),
+                None)
+
+
+def profile_diff(generic, special):
+    """``incidence.profile_diff`` by brute force: every special point with
+    p >= 4 or j >= 1 against every generic one, lookups by scanning."""
+    new_lines = [l for l in special.lines if l.q >= 3
+                 and all(l.planes != g.planes for g in generic.lines)]
+    sources = [g for g in generic.points if g.p >= 4 or g.j >= 1]
+
+    def lands_on(g, s):
+        if not set(g.planes) <= set(s.planes):
+            return False
+        if line_through(special, g.planes) is None:
+            return True
+        image = _zw_at(generic.point_vector(g), special.at)
+        return incidence.primitive_vector(image) == special.point_vector(s)
+
+    changes, claimed = [], set()
+    for s in special.points:
+        if s.p < 4 and s.j < 1:
+            continue
+        notable = [g for g in sources if lands_on(g, s)]
+        if any(g.planes == s.planes and g.j == s.j for g in notable):
+            continue
+        lines_here = tuple(l.planes for l in new_lines
+                           if set(l.planes) <= set(s.planes))
+        claimed.update(lines_here)
+        kind = ("PointCollision" if len(notable) >= 2 else
+                "PointOnNewLine" if lines_here else "NewPoint")
+        changes.append(incidence.NewIncidence(
+            kind=kind, involved_planes=s.planes,
+            sources=tuple(g.planes for g in notable),
+            source_profiles=tuple((g.p, g.j) for g in notable),
+            new_lines=lines_here, multiplicity=(s.p, s.j)))
+    line_changes = [
+        incidence.NewIncidence(kind="NewTripleLine", involved_planes=l.planes,
+                               new_lines=(l.planes,))
+        for l in new_lines if l.planes not in claimed]
+    key = lambda c: c.involved_planes
+    return sorted(line_changes, key=key) + sorted(changes, key=key)
+
+
+def node_scan(driver, c, prior, flagged, flag_points):
+    """The node scan of the trace driver ``driver`` after it blew up the
+    plain double line ``c``, by brute force: every schedule step is tried,
+    in schedule order, with lookups by scanning.  ``prior`` holds the masks
+    of the lines blown before ``c``; the pairs and crossing points flagged
+    are added to ``flagged`` and ``flag_points``."""
+    for c2 in driver.sched.steps:
+        if c2.role != "pair" or c2.name in driver.blown:
+            continue
+        if not set(c.indices).isdisjoint(c2.indices):
+            continue
+        four = c.indices + c2.indices
+        if point_through(driver.generic, four) is not None:
+            continue
+        if line_through(driver.central, c2.indices).q != 2:
+            continue
+        pt = point_through(driver.central, four)
+        if pt is None or pt.mask in flag_points or not driver._virgin(pt):
+            continue
+        if any(m & pt.mask == m for m in prior):
+            continue
+        flagged.add(c2.name)
+        flag_points.add(pt.mask)
 
 
 def random_constant_arrangement(rng, n):

@@ -335,11 +335,17 @@ def test_sigma_evaluates_minors_only_where_read(capsys, monkeypatch):
     assert calls
 
 
-# equation text over the parser's alphabet, without runs of three digits
-# or two-digit exponents: a factor ^99 is 99 factors, and a coefficient
-# near 10^18 makes a long divisor search
-fuzz_text = st.text("xyztwu0123456789()+-*/^= ", max_size=24).filter(
-    lambda s: not re.search(r"\d{3}|\^\d\d", s.replace(" ", "")))
+def _fuzz_ok(text: str) -> bool:
+    """Whether ``text`` holds no run of three digits and no two-digit power
+    of w, leaving out the exponents of factors: a coefficient near 10^18
+    makes a long divisor search and w^99 a long root search, while a
+    factor's exponent is only counted."""
+    text = re.sub(r"(?<!w)\^\d+", "^", text.replace(" ", ""))
+    return not re.search(r"\d{3}|\^\d\d", text)
+
+
+# equation text over the parser's alphabet
+fuzz_text = st.text("xyztwu0123456789()+-*/^= ", max_size=24).filter(_fuzz_ok)
 fuzz_w_power = st.sampled_from(["", "", "w", "w^2", "w^3"])
 
 
@@ -357,7 +363,8 @@ def fuzz_products(draw) -> str:
             fuzz_w_power, st.sampled_from(["x", "y", "z", "t", ""])),
             min_size=1, max_size=5))
         out += draw(fuzz_w_power) + "(" + "".join(map("".join, terms)) + ")"
-        out += draw(st.sampled_from(["", "", "", "", "^2", "^3"]))
+        out += draw(st.sampled_from(["", "", "", "", "^2", "^3", "^10",
+                                     "^99", "^1000000000"]))
     return out
 
 
@@ -377,6 +384,12 @@ def test_exit_codes_hold_under_fuzzing(command, equation, w0):
             code = stop.code
     assert code in (0, 2, 3, 4), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_huge_factor_power_is_exit_2_at_once(capsys):
+    code, out, err = run(capsys, "sigma", "xyz^1000000000")
+    assert (code, out, err) == (
+        2, "", "ValueError: expected 3..8 forms, got 1000000002\n")
 
 
 def test_exit_4_on_unknown_scenario(capsys):

@@ -1,5 +1,6 @@
 """Equation parsing and specialization."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -78,6 +79,29 @@ def test_duplicate_factor_rejected():
     # the form count is checked before the pairs
     with pytest.raises(ValueError, match="expected 3..8 forms, got 2"):
         parse_equation("x^2")
+
+
+def test_repeated_factors_are_counted_not_expanded():
+    """A factor's exponent is a count: the form count is checked on the
+    counts, in memory independent of the exponent, and factors after a
+    power are numbered past all of its copies."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^expected 3\.\.8 forms, got 1000000002$"):
+            parse_equation("xyz^1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(NonLinearFactor, match="^factor 5 is not linear"):
+        parse_equation("xy^3(0z)t")
+    with pytest.raises(DuplicateFactor, match="^factors 4 and 5 are proportional$"):
+        parse_equation("xyz(x+y)^2")
+    # a trailing coefficient scales the last copy only
+    with pytest.raises(DuplicateFactor, match="^factors 7 and 8 are proportional$"):
+        parse_equation("xyzt(x+y)(x+z)(y+z)^2*2")
+    assert parse_equation("xy(x+y)z^1").text() == "xy(x+y)z"
 
 
 W = sympy.Symbol("w")

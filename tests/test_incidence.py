@@ -15,6 +15,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import oracles
 from oracles import oracle, random_constant_arrangement, random_gl4, transform
 
 from octic import incidence
@@ -558,38 +559,38 @@ SEED1 = [
 ]
 
 
-def _set_line_through(prof, planes):
-    """The lookup on plane sets, the mask lookups' oracle."""
-    wanted = set(planes)
-    return next((l for l in prof.lines if wanted <= set(l.planes)), None)
-
-
-def _set_point_through(prof, planes):
-    wanted = set(planes)
-    return next((pt for pt in prof.points if wanted <= set(pt.planes)),
-                None)
-
-
 def _assert_lookups_match_sets(prof):
     for l in prof.lines:
         assert l.mask == sum(1 << k for k in l.planes)
+        on = prof.points_on(l)
+        assert len(on) == len(set(on))
+        assert set(on) == {pt for pt in prof.points
+                           if set(l.planes) <= set(pt.planes)}
     for pt in prof.points:
         assert pt.mask == sum(1 << k for k in pt.planes)
-    for k in range(2, 6):
+    for k in range(6):
         for planes in combinations(range(1, prof.n_forms + 1), k):
             # any iterable of the planes, repeats and order included
             given_as = planes[::-1] + planes[:1]
-            assert prof.line_through(given_as) is _set_line_through(
+            assert prof.line_through(given_as) is oracles.line_through(
                 prof, planes)
-            assert prof.point_through(given_as) is _set_point_through(
+            assert prof.point_through(given_as) is oracles.point_through(
                 prof, planes)
+
+
+def _assert_scan_lookups_match_sets(family):
+    """The lookups on the generic profile, on every special profile of the
+    scan and on the fiber read off the table at each degenerate value."""
+    scan = incidence.degenerate_values(family)
+    for prof in [scan.generic] + [v.profile for v in scan.values]:
+        _assert_lookups_match_sets(prof)
+    for w0 in scan.sigma:
+        _assert_lookups_match_sets(scan.generic.fiber(w0))
 
 
 @pytest.mark.parametrize("text", ELEVEN + SEED1)
 def test_mask_lookups_match_set_lookups_on_the_families(text):
-    scan = incidence.degenerate_values(parse_equation(text))
-    for prof in [scan.generic] + [v.profile for v in scan.values]:
-        _assert_lookups_match_sets(prof)
+    _assert_scan_lookups_match_sets(parse_equation(text))
 
 
 @settings(max_examples=40, deadline=None)
@@ -600,9 +601,22 @@ def test_mask_lookups_match_set_lookups(pairs):
         family = ParamArrangement(forms)
     except ValueError:
         assume(False)  # a zero form, or two proportional ones
-    scan = incidence.degenerate_values(family)
-    for prof in [scan.generic] + [v.profile for v in scan.values]:
-        _assert_lookups_match_sets(prof)
+    _assert_scan_lookups_match_sets(family)
+
+
+def test_lookups_on_planes_sharing_a_fourfold_line():
+    """At w = 0 the planes 1-4 share the line x = y = 0, which z and t
+    cross in two points: a set of planes on that line holds no independent
+    triple, so ``point_through`` scans for the first point containing
+    it."""
+    central = incidence.profile(
+        parse_equation("xy(x+y+wz)(x+2y+w^2z)zt")).fiber(Fraction(0))
+    assert [l.planes for l in central.lines if l.q == 4] == [(1, 2, 3, 4)]
+    assert central.point_through({1, 2, 3, 4}).planes == (1, 2, 3, 4, 5)
+    assert central.point_through({2, 4}).planes == (1, 2, 3, 4, 5)
+    assert central.point_through({1, 2, 3, 4, 6}).planes == (1, 2, 3, 4, 6)
+    assert central.line_through({1, 2, 3, 4}).q == 4
+    _assert_lookups_match_sets(central)
 
 
 def _assert_fiber_is_eliminated_fiber(family, w0):
@@ -773,6 +787,37 @@ def test_point_on_new_line_kind():
 def test_collapsed_sources_are_placed_by_coordinates(text, kind, sources):
     (change,) = _diff_at_zero(text)
     assert (change.kind, [list(s) for s in change.sources]) == (kind, sources)
+
+
+def _assert_diff_matches_brute_force(family):
+    """``profile_diff`` against the brute-force one at every degenerate
+    value, on the scan's special profile (which shares the generic records)
+    and on the fiber's own profile (equal records, other objects)."""
+    scan = incidence.degenerate_values(family)
+    for v in scan.values:
+        assert list(v.changes) == oracles.profile_diff(scan.generic, v.profile)
+        try:
+            own = incidence.profile(specialize(family, v.w0), at=v.w0)
+        except incidence.CoincidentPlanes:
+            continue
+        assert incidence.profile_diff(scan.generic, own) == \
+            oracles.profile_diff(scan.generic, own) == list(v.changes)
+
+
+@pytest.mark.parametrize("text", ELEVEN + SEED1)
+def test_diff_matches_brute_force_on_the_families(text):
+    _assert_diff_matches_brute_force(parse_equation(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_rows)
+def test_diff_matches_brute_force(pairs):
+    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    try:
+        family = ParamArrangement(forms)
+    except ValueError:
+        assume(False)  # a zero form, or two proportional ones
+    _assert_diff_matches_brute_force(family)
 
 
 def test_no_diff_at_generic_value():

@@ -1,6 +1,7 @@
 """Blow-up traces of the eleven degenerations against the outcome table."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -8,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import octic
-from octic import incidence
+import oracles
+from octic import incidence, resolve
 from octic.classify import residual_key, residual_outcome
 from octic.forms import parse_equation
 from octic.resolve import (NotOctic, TraceAborted, near_pencil_check,
                            schedule, trace_central_fiber)
+from test_incidence import SEED1
 
 FAMILIES = {
     path.stem: json.loads(path.read_text(encoding="utf-8"))
@@ -98,6 +101,74 @@ def test_node_scan_order_invariance_720():
         nodes.add(r.nodes)
     assert len(keys) == 1
     assert nodes == {2}
+
+
+class _CheckedDriver(resolve._Driver):
+    """A trace driver that also runs the brute-force node scan on its own
+    flags and compares the two after every step."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ref_flagged, self.ref_flag_points = set(), set()
+        self.scans = 0
+
+    def _node_scan(self, c, line, prior):
+        oracles.node_scan(self, c, prior, self.ref_flagged,
+                          self.ref_flag_points)
+        super()._node_scan(c, line, prior)
+        self.scans += 1
+
+    def _step(self, c):
+        super()._step(c)
+        assert self.flagged == self.ref_flagged, c.name
+        assert self.flag_points == self.ref_flag_points, c.name
+
+
+def _check_node_scans(equation, order, directives):
+    """Trace ``equation`` at w = 0 in the default order and in ten seeded
+    random orders of its plane-plane double lines (``order``'s other names
+    first); returns how many node scans ran and how many pairs they
+    flagged."""
+    a = parse_equation(equation)
+    generic = incidence.profile(a)
+    pairs = [c.name for c in schedule(generic).steps if c.role == "pair"]
+    others = tuple(n for n in order if n not in pairs)
+    orders = [order]
+    for seed in range(10):
+        shuffled = list(pairs)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(others + tuple(shuffled))
+    scans = flags = 0
+    for o in orders:
+        driver = _CheckedDriver(a, Fraction(0), schedule(generic, o),
+                                directives)
+        try:
+            driver.run()
+        except TraceAborted:
+            pass
+        scans += driver.scans
+        flags += len(driver.flagged)
+    return scans, flags
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_node_scan_matches_brute_force_on_the_families(tag):
+    _check_node_scans(FAMILIES[tag]["equation"], _order(tag),
+                      FAMILIES[tag].get("directives"))
+
+
+@pytest.mark.parametrize("text", SEED1)
+def test_node_scan_matches_brute_force_on_seeded_families(text):
+    scans, _ = _check_node_scans(text, (), None)
+    assert scans > 0
+
+
+def test_node_scans_flag_pairs():
+    """The node scans above flag pairs, on a bundled family and on a seeded
+    one, so their comparison is not between empty sets."""
+    assert _check_node_scans(FAMILIES["NewP40"]["equation"], _order("NewP40"),
+                             None)[1] > 0
+    assert _check_node_scans(SEED1[0], (), None)[1] > 0
 
 
 def test_fiber_collision_steps_need_directives():
