@@ -64,10 +64,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly([_coerce_fraction(c)])
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
     # -- basic queries -----------------------------------------------
 
     @property
@@ -79,8 +75,8 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        other = _as_poly(other)
-        if other is None:
+        # only a Poly equals a Poly, so that equal objects hash alike
+        if not isinstance(other, Poly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -133,18 +129,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, v) -> Fraction:
         """The value at ``v``.  With v = a/b and D the common denominator of

@@ -35,11 +35,9 @@ when two fiber curves of one tower collide in the central fiber; that
 situation is outside the derivable rule set and the transcribed rewrite
 is applied verbatim.
 
-:func:`near_pencil_check` is the combinatorial crepant-resolution
-certificate for the branch divisor of the whole family, viewed as a
-fourfold over the w-line; one stratum lies in another when it lies on
-all of the other's divisors.  Equational smoothness of the blow-up centers
-is not verified; the certificate is the documented substitute.
+The trace checks neither that the blow-up centers are smooth nor that
+the strata of the branch divisor at w0 are near-pencil; a residual is
+reported without either check (ROADMAP item 10).
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from .diagram import (
     initial_diagram,
     residual_report,
 )
-from .exact import fraction_str
 from .forms import ParamArrangement, specialize
 
 QUADRUPLE_POINT = "quadruple_point"
@@ -665,181 +662,3 @@ def trace_central_fiber(a: ParamArrangement, w0, s: BlowUpSchedule,
     carrying the partial trace; parse and incidence errors propagate.
     """
     return _Driver(a, w0, s, directives).run()
-
-
-# ---------------------------------------------------------------------------
-# crepant certificate for the branch fourfold
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """Irreducible intersection stratum of the branch divisor fourfold."""
-
-    label: str
-    planes: tuple        # divisors containing the stratum
-    dim: int             # dimension inside the fourfold
-    vertical: bool       # contained in one special fiber
-    at: Optional[Fraction]   # that fiber's w, vertical strata only
-    verdict: str         # near_pencil | dimension_identity | fail
-    witness: tuple = ()  # planes of the containing stratum, near-pencil only
-
-    @property
-    def m(self) -> int:
-        return len(self.planes)
-
-
-@dataclass(frozen=True)
-class Observation:
-    name: str
-    ok: bool
-    instances: tuple = ()
-
-
-@dataclass(frozen=True)
-class NearPencilReport:
-    ok: bool
-    strata: tuple
-    failures: tuple
-    observations: tuple
-    special_first_blowup: bool
-    notes: tuple
-
-
-class _RawStratum:
-    def __init__(self, label, planes, dim, vertical, at):
-        self.label = label
-        self.planes = tuple(planes)  # every divisor containing the stratum
-        self.dim = dim
-        self.vertical = vertical
-        self.at = at
-
-    @property
-    def m(self):
-        return len(self.planes)
-
-
-def _contains(outer: _RawStratum, inner: _RawStratum) -> bool:
-    """Whether the inner stratum lies inside the outer one: every divisor
-    through the outer stratum also passes through the inner one."""
-    if outer.vertical and not inner.vertical:
-        return False  # a horizontal stratum never sits in one fiber
-    if outer.vertical and inner.at != outer.at:
-        return False
-    return set(outer.planes) <= set(inner.planes)
-
-
-def near_pencil_check(a: ParamArrangement) -> NearPencilReport:
-    """Crepant-resolution certificate for the family's branch divisor.
-
-    Enumerates the intersection strata of the eight (or fewer) divisor
-    hypersurfaces over the w-line: the horizontal strata traced by the
-    generic multiple lines and points, and the vertical strata appearing
-    inside special fibers.  Every stratum on three or more divisors must
-    either be near-pencil (contained in a stratum of one more dimension
-    on one fewer divisor) or satisfy floor(m/2) = 3 - dim.  Fatal values
-    where two planes coincide fall outside the certificate and are noted.
-    """
-    scan = incidence.degenerate_values(a)
-    generic = scan.generic
-
-    strata: list[_RawStratum] = []
-    for line in generic.lines:
-        strata.append(_RawStratum(
-            "C" + "".join(str(i) for i in line.planes),
-            line.planes, 2, False, None))
-    for pt in generic.points:
-        strata.append(_RawStratum(
-            "C" + "".join(str(i) for i in pt.planes),
-            pt.planes, 1, False, None))
-
-    notes: list[str] = []
-    for fv in scan.fatal:
-        notes.append(
-            "w=%s: %s; that fiber is outside the certificate"
-            % (fraction_str(fv.w0), fv.reason))
-
-    for dv in scan.values:
-        w0 = dv.w0
-        cprof = dv.profile
-        suffix = "@" + fraction_str(w0)
-        for line in cprof.lines:
-            if generic.line_through(line.planes) is not None:
-                continue  # the whole pencil already exists generically
-            strata.append(_RawStratum(
-                "C" + "".join(str(i) for i in line.planes) + suffix,
-                line.planes, 1, True, w0))
-        for pt in cprof.points:
-            if generic.point_through(pt.planes) is not None:
-                continue  # fiber of a horizontal point family
-            strata.append(_RawStratum(
-                "C" + "".join(str(i) for i in pt.planes) + suffix,
-                pt.planes, 0, True, w0))
-
-    judged: list[Stratum] = []
-    failures: list[str] = []
-    for s in strata:
-        verdict, witness = "dimension_identity", ()
-        if s.m >= 3:
-            found = None
-            for t in strata:
-                if t is s or t.dim != s.dim + 1 or t.m != s.m - 1:
-                    continue
-                if _contains(t, s):
-                    found = t
-                    break
-            if found is not None:
-                verdict, witness = "near_pencil", found.planes
-            elif s.m // 2 == 3 - s.dim:
-                verdict = "dimension_identity"
-            else:
-                verdict = "fail"
-                failures.append(s.label)
-        judged.append(Stratum(
-            label=s.label, planes=s.planes, dim=s.dim, vertical=s.vertical,
-            at=s.at, verdict=verdict, witness=witness))
-
-    def _check(name, want_dim, want_m, outer_test):
-        instances, ok = [], True
-        for s in strata:
-            if not s.vertical or s.dim != want_dim or s.m != want_m:
-                continue
-            instances.append(s.label)
-            if not any(outer_test(t) and _contains(t, s)
-                       for t in strata if t is not s):
-                ok = False
-        return Observation(name=name, ok=ok, instances=tuple(instances))
-
-    observations = (
-        _check("triple_curve_on_double_surface", 1, 3,
-               lambda t: t.dim == 2),
-        _check("quadruple_point_on_triple_curve", 0, 4,
-               lambda t: t.dim == 1 and t.m == 3),
-        _check("quintuple_point_on_quadruple_curve", 0, 5,
-               lambda t: t.dim == 1 and t.m == 4),
-    )
-
-    for s in judged:
-        if s.m == 5 and s.vertical and s.verdict == "near_pencil":
-            notes.append(
-                "quintuple point %s lies on the quadruple curve C%s"
-                % (s.label, "".join(str(i) for i in s.witness)))
-        elif s.m == 5 and not s.vertical:
-            notes.append(
-                "quintuple locus %s is a curve of the family and passes "
-                "by the dimension identity" % s.label)
-
-    special = any(
-        f.coeffs[k].degree > 0 for f in a.forms for k in range(3))
-    if special:
-        notes.append(
-            "a projective coordinate coefficient varies with w: the first "
-            "blow-up center sweeps through the degenerate fiber and its "
-            "strict transforms need the separate smoothness argument")
-
-    return NearPencilReport(
-        ok=not failures and all(o.ok for o in observations),
-        strata=tuple(judged),
-        failures=tuple(failures),
-        observations=observations,
-        special_first_blowup=special,
-        notes=tuple(notes))

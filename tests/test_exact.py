@@ -67,6 +67,15 @@ def test_poly_normalization():
     assert Poly().degree == -1
 
 
+def test_poly_equality_matches_its_hash():
+    # only a Poly equals a Poly; arithmetic still coerces numbers
+    assert Poly([3]) != 3 and Poly() != 0
+    assert len({Poly([3]), 3}) == 2
+    p, q = Poly([1, 2, 0]), Poly(["1", Fraction(4, 2)])
+    assert p == q and hash(p) == hash(q)
+    assert 1 + Poly([0, 2]) == q
+
+
 def test_poly_str_ascending():
     p = Poly([1, -2, 1])
     s = str(p)

@@ -13,8 +13,8 @@ import oracles
 from octic import incidence, resolve
 from octic.classify import residual_key, residual_outcome
 from octic.forms import parse_equation
-from octic.resolve import (NotOctic, TraceAborted, near_pencil_check,
-                           schedule, trace_central_fiber)
+from octic.resolve import (NotOctic, TraceAborted, schedule,
+                           trace_central_fiber)
 from test_incidence import SEED1
 
 FAMILIES = {
@@ -191,23 +191,6 @@ def test_point_center_collapsing_into_a_pencil_aborts_there():
         trace_central_fiber(a, Fraction(0), s)
     assert exc.value.step == "P1234"
     assert len(exc.value.trace) == 1
-
-
-def test_near_pencil_reports():
-    for eq, expect_ok in [("xy(x+y+zw)z", True),
-                          ("xyz(x+y+wz)(x+wy+z)", True),
-                          ("xyz(x+y+z+t)", True),
-                          ("xyz(x+y+z)", True)]:
-        rep = near_pencil_check(parse_equation(eq))
-        assert rep.ok is expect_ok
-        assert rep.failures == ()
-
-
-def test_special_first_blowup_flags():
-    got = {tag for tag, data in FAMILIES.items()
-           if near_pencil_check(parse_equation(data["equation"]))
-           .special_first_blowup}
-    assert got == {"P40toP41", "P51toP52", "P50toP52", "P50toP51"}
 
 
 def test_step_counts():
