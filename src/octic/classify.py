@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .incidence import IncidenceProfile, NewIncidence
 

@@ -33,7 +33,7 @@ from typing import Optional
 from . import classify, diagram, incidence, resolve, semistable, specseq
 from .exact import fraction_str, parse_fraction
 from .forms import (DuplicateFactor, FormVanishes, NonLinearFactor,
-                    ParseError, parse_equation, specialize)
+                    ParseError, parse_equation)
 
 OK = 0
 CHECK_FAILED = 1
@@ -206,10 +206,7 @@ def _dot_paths(args, name: str, trace) -> list:
 
 def _profile_payload(equation: str, at: Optional[Fraction]):
     a = parse_equation(equation)
-    if at is None:
-        prof = incidence.profile(a)
-    else:
-        prof = incidence.profile(specialize(a, at), at=at)
+    prof = incidence.profile(a, at)
     payload = {
         "equation": equation,
         "at": None if at is None else fraction_str(at),
@@ -316,7 +313,6 @@ def cmd_classify(args) -> int:
         at = _scenario_w0(data or {})
     a = parse_equation(equation)
     generic = incidence.profile(a)
-    specialize(a, at)  # raises FormVanishes before any coincident pair
     special = generic.fiber(at)
     changes = incidence.profile_diff(generic, special)
     tags = []

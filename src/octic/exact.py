@@ -5,7 +5,8 @@ positive denominator, so the invariants come for free).  On top of that:
 dense univariate polynomials over Q (``Poly``, the coefficients the parser
 builds), one kernel of integer polynomials in Z[w] for everything computed
 from them, and dense matrices over Q with deterministic Gauss-Jordan
-reduction.  ``Poly.evaluate`` sums over one common denominator.
+reduction.  A family's rows enter the kernel once, made primitive integer
+rows (``_integer_row``).
 
 Minors of Z[w] rows are taken by Kronecker substitution: each entry is
 packed into one Python integer, its value at w = 2^k (``_zw_pack``), the
@@ -97,56 +98,8 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, v) -> Fraction:
-        """The value at ``v``.  With v = a/b and D the common denominator of
-        the n + 1 coefficients, one integer sum of c_i D a^i b^(n-i) is
-        divided once by D b^n; a constant is its own value."""
-        v = _coerce_fraction(v)
-        cs = self.coeffs
-        if len(cs) < 2:
-            return cs[0] if cs else Fraction(0)
-        den = 1
-        for c in cs:
-            den = int_lcm(den, c.denominator)
-        a, b = v.numerator, v.denominator
-        acc, scale = 0, 1
-        for c in reversed(cs):
-            acc = acc * a + c.numerator * (den // c.denominator) * scale
-            scale *= b
-        return Fraction(acc, den * scale // b)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -198,29 +151,20 @@ def _zw_trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-def _integer_row(row: Sequence) -> list:
-    """``row`` times the positive rational that makes it a primitive integer
-    row: ``int`` entries for rational ones, Z[w] tuples for ``Poly`` ones."""
-    polys = isinstance(row[0], Poly)
-    cs = [c for x in row for c in (x.coeffs if polys else (x,))]
+def _integer_row(row: Sequence[Poly]) -> tuple:
+    """The ``Poly`` ``row`` times the positive rational that makes it a
+    primitive integer row: its entries as Z[w] tuples whose coefficients
+    share no common factor."""
+    cs = [c for x in row for c in x.coeffs]
     den = int_lcm(*(c.denominator for c in cs))
     content = int_gcd(*(c.numerator * (den // c.denominator) for c in cs))
-
-    def scaled(c) -> int:
-        return c.numerator * (den // c.denominator) // content
-
-    if polys:
-        return [tuple(scaled(c) for c in x.coeffs) for x in row]
-    return [scaled(x) for x in row]
+    return tuple(tuple(c.numerator * (den // c.denominator) // content
+                       for c in x.coeffs) for x in row)
 
 
-def _pack_rows(rows: Sequence[Sequence]) -> tuple[list, int]:
-    """``rows`` made primitive integer rows (``_integer_row``), their Z[w]
-    entries packed at w = 2^k for k = ``_zw_width`` of them, and k; k is 0
-    for rational rows, whose entries are integers already."""
-    rows = [_integer_row(r) for r in rows]
-    if not isinstance(rows[0][0], tuple):
-        return rows, 0
+def _pack_rows(rows: Sequence[Sequence[tuple]]) -> tuple[list, int]:
+    """The Z[w] ``rows`` with every entry packed at w = 2^k, for k the
+    ``_zw_width`` of them, and k."""
     k = _zw_width(rows)
     return [[_zw_pack(x, k) for x in r] for r in rows], k
 

@@ -2,8 +2,14 @@
 
 An equation like ``u^2 = xy(x+y+w)z`` is a product of factors, each linear
 in the projective variables x, y, z, t with coefficients polynomial in the
-parameter w.  Additive constant terms (including bare ``w``) are read in
-the affine chart t = 1, so they pick up a factor of t on the way in.
+parameter w, of degree at most ``MAX_W_DEGREE``.  Additive constant terms
+(including bare ``w``) are read in the affine chart t = 1, so they pick up
+a factor of t on the way in.
+
+A parsed family keeps each form twice: as a ``LinearForm`` of ``Poly``
+coefficients over Q, which prints it, and as its primitive integer row over
+Z[w] (``ParamArrangement.rows``), from which every minor, degenerate value
+and fiber is computed.
 """
 
 from __future__ import annotations
@@ -12,10 +18,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exact import Poly, _pack_rows
+from .exact import Poly, _integer_row, _pack_rows
 
 VARIABLES = ("x", "y", "z", "t")
 PARAMETER = "w"
+# the largest degree in w a coefficient may have: sigma on 8-plane families
+# with this power in several moving forms takes under half a second, and
+# its cost grows with about the cube of the degree
+MAX_W_DEGREE = 50
 
 
 class ParseError(ValueError):
@@ -63,13 +73,6 @@ class LinearForm:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
-
-    def is_constant(self) -> bool:
-        # no dependence on the parameter
-        return all(c.degree <= 0 for c in self.coeffs)
-
-    def evaluate_at(self, w0) -> "LinearForm":
-        return LinearForm([Poly([c.evaluate(w0)]) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
@@ -126,10 +129,14 @@ def _coeff_str(c: Fraction, bare_ok: bool) -> str:
 class ParamArrangement:
     """One-parameter family of plane arrangements, 3 to 8 forms.
 
-    Two forms are proportional over Q(w) when all six 2x2 minors of their
-    coefficient rows vanish.  The minors are taken on the primitive integer
-    rows packed into integers at w = 2^k (``_pack_rows``); a packed minor
-    is 0 exactly when the minor is.
+    ``rows`` holds each form's primitive integer row: its coefficients
+    times the positive rational that clears their denominators and their
+    content, as four Z[w] coefficient tuples (``exact._integer_row``).
+    Every minor, fiber and coordinate of the family is computed from these
+    rows.  Two forms are proportional over Q(w) when all six 2x2 minors of
+    their rows vanish; the minors are taken on the rows packed into
+    integers at w = 2^k (``_pack_rows``), and a packed minor is 0 exactly
+    when the minor is.
     """
 
     def __init__(self, forms: Sequence[LinearForm]):
@@ -139,8 +146,9 @@ class ParamArrangement:
         for i, f in enumerate(forms):
             if f.is_zero():
                 raise ValueError(f"form {i + 1} is identically zero")
-        rows, _ = _pack_rows([f.coeffs for f in forms])
-        for (i, ri), (j, rj) in combinations(enumerate(rows, 1), 2):
+        self.rows = tuple(_integer_row(f.coeffs) for f in forms)
+        packed, _ = _pack_rows(self.rows)
+        for (i, ri), (j, rj) in combinations(enumerate(packed, 1), 2):
             if all(ri[a] * rj[b] == ri[b] * rj[a]
                    for a, b in combinations(range(4), 2)):
                 raise DuplicateFactor(i, j)
@@ -156,47 +164,12 @@ class ParamArrangement:
         return f"ParamArrangement({self.text()})"
 
 
-class Arrangement:
-    """Specialized arrangement: every coefficient a plain rational.
-
-    Proportional pairs are allowed here; coincident planes in a degenerate
-    fiber get reported by the incidence checks, not at construction.
-    """
-
-    def __init__(self, forms: Sequence[LinearForm]):
-        forms = list(forms)
-        for i, f in enumerate(forms):
-            if not f.is_constant():
-                raise ValueError(
-                    f"form {i + 1} still depends on the parameter")
-            if f.is_zero():
-                raise ValueError(f"form {i + 1} is identically zero")
-        self.forms = forms
-
-    def __len__(self):
-        return len(self.forms)
-
-    def __repr__(self):
-        return f"Arrangement({''.join(_factor_text(f) for f in self.forms)})"
-
-
 def _factor_text(f: LinearForm) -> str:
     t = f.text()
     nontrivial = sum(1 for poly in f.coeffs for c in poly.coeffs if c != 0)
     if nontrivial == 1 and t in ("x", "y", "z", "t"):
         return t
     return f"({t})"
-
-
-def specialize(a: ParamArrangement, w0) -> Arrangement:
-    w0 = Fraction(w0) if not isinstance(w0, Fraction) else w0
-    out = []
-    for i, f in enumerate(a.forms):
-        g = f.evaluate_at(w0)
-        if g.is_zero():
-            raise FormVanishes(i + 1, w0)
-        out.append(g)
-    return Arrangement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +237,7 @@ def parse_equation(text: str) -> ParamArrangement:
             sc.take()
             vec = _UNIT[c]
         elif c == PARAMETER:
-            sc.take()
-            power += _maybe_exponent(sc)
+            power = _times_w(sc, power)
             continue
         elif c.isdigit():
             scalar *= _parse_int(sc)
@@ -274,7 +246,7 @@ def parse_equation(text: str) -> ParamArrangement:
             raise sc.error(f"unexpected character {c!r}")
         count = _maybe_exponent(sc)
         if scalar != 1 or power:
-            vec = _scaled(vec, scalar, power)
+            vec = _scaled(vec, scalar, power, sc.pos)
             scalar, power = Fraction(1), 0
         runs.append((vec, count))
         n_factors += count
@@ -285,7 +257,7 @@ def parse_equation(text: str) -> ParamArrangement:
         vec, count = runs.pop()
         if count > 1:
             runs.append((vec, count - 1))
-        runs.append((_scaled(vec, scalar, power), 1))
+        runs.append((_scaled(vec, scalar, power, offset + sc.pos), 1))
 
     if not runs:
         raise ParseError("empty product", offset)
@@ -306,8 +278,12 @@ _UNIT = {v: tuple(Poly.const(1) if u == v else Poly() for u in VARIABLES)
          for v in VARIABLES}
 
 
-def _scaled(vec: tuple, scalar: Fraction, power: int) -> tuple:
-    """The factor ``vec`` times scalar * w^power."""
+def _scaled(vec: tuple, scalar: Fraction, power: int,
+            position: int) -> tuple:
+    """The factor ``vec`` times scalar * w^power.  A coefficient of degree
+    above ``MAX_W_DEGREE`` in w is refused at ``position``."""
+    if power + max(p.degree for p in vec) > MAX_W_DEGREE:
+        raise ParseError(f"degree in w above {MAX_W_DEGREE}", position)
     return tuple(Poly([0] * power + [scalar * c for c in p.coeffs]) if p else p
                  for p in vec)
 
@@ -330,6 +306,18 @@ def _parse_int(sc: _Scanner) -> Fraction:
             raise ParseError("zero denominator", start)
         return Fraction(int(digits), int(dd))
     return Fraction(int(digits))
+
+
+def _times_w(sc: _Scanner, power: int) -> int:
+    """``power`` plus the exponent of the ``w`` at the scanner, which it
+    takes; a total above ``MAX_W_DEGREE`` is refused at the exponent,
+    before any coefficient list is built."""
+    sc.take()
+    start = sc.pos
+    power += _maybe_exponent(sc)
+    if power > MAX_W_DEGREE:
+        raise ParseError(f"degree in w above {MAX_W_DEGREE}", start)
+    return power
 
 
 def _maybe_exponent(sc: _Scanner) -> int:
@@ -393,8 +381,7 @@ def _parse_term(sc: _Scanner, index: int):
         if c.isdigit():
             coeff *= _parse_int(sc)
         elif c == PARAMETER:
-            sc.take()
-            power += _maybe_exponent(sc)
+            power = _times_w(sc, power)
         elif c and c in "xyzt":
             sc.take()
             k = _maybe_exponent(sc)

@@ -4,12 +4,15 @@ The combinatorial type of an arrangement is the list of its maximal
 multiple lines (q planes through a common line, q >= 2) and multiple
 points (p planes through a common point, p >= 3, decorated with the
 count j of triple-or-worse lines through it).  Everything is decided by
-the maximal minors of coefficient matrices with 4 columns, over Z for a
-single arrangement and over Z[w] for a one-parameter family, so "generic"
-really means generic and not "at a randomly sampled parameter".  The
-minors are taken fraction-free, on each plane's coefficient row scaled to
-a primitive integer row; scaling a row by a nonzero constant scales its
-minors by that constant, so which minors vanish, and where, is unchanged.
+the maximal minors of coefficient matrices with 4 columns, over Z[w] for a
+one-parameter family and over Z for one of its fibers, so "generic" really
+means generic and not "at a randomly sampled parameter".  The minors are
+taken fraction-free on the family's primitive integer rows
+(``ParamArrangement.rows``), a fiber's on those rows evaluated at its
+parameter; scaling a row by a nonzero constant scales its minors by that
+constant, so which minors vanish, and where, is unchanged.  A form that
+vanishes at a parameter is named (``FormVanishes``) before any pair of
+planes is compared there.
 
 A profile holds plane sets only, each as a sorted tuple and as a bit mask
 (bit k for plane k), so later incidence questions are subset tests on
@@ -48,11 +51,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .exact import (Poly, _integer_row, _pack_rows, _zw_at, _zw_div, _zw_gcd,
-                    _zw_sub, _zw_trim, _zw_unpack, _zw_value, rational_roots)
-from .forms import Arrangement, ParamArrangement
+from .exact import (Poly, _pack_rows, _zw_at, _zw_div, _zw_gcd, _zw_sub,
+                    _zw_trim, _zw_unpack, _zw_value, rational_roots)
+from .forms import FormVanishes, ParamArrangement
 
 
 class CoincidentPlanes(ValueError):
@@ -147,14 +150,16 @@ class IncidenceProfile:
     """
 
     def __init__(self, pencils: dict, stars: dict, dependent: set,
-                 n_forms: int, table: dict, at: Optional[Fraction] = None,
+                 rows: Sequence, table: dict, at: Optional[Fraction] = None,
                  base: Optional[IncidenceProfile] = None):
         """``pencils`` maps each 0-based pair, ``stars`` each independent
         0-based triple, to the mask of all planes through its line or
         point; ``dependent`` holds the dependent triples and quadruples.
-        ``table`` is the minor table of the ``n_forms`` rows, over Z[w] for
-        a family, whose fiber at ``at`` this is when ``at`` is set.  Records
-        of ``base`` whose plane set and ``j`` are unchanged are reused."""
+        ``rows`` are the family's primitive integer Z[w] rows and ``table``
+        a minor table of them: over Z[w], or over Z for the fiber at ``at``
+        (``profile``); a profile with ``at`` set is the fiber there.
+        Records of ``base`` whose plane set and ``j`` are unchanged are
+        reused."""
         known_lines = base._line_of if base else {}
         known_points = base._point_of if base else {}
         line_of = {m: known_lines.get(m) or MultipleLine(_planes(m), m)
@@ -178,8 +183,9 @@ class IncidenceProfile:
             self.points = base.points
         else:
             self.points = tuple(sorted(point_of.values(), key=by_planes))
-        self.n_forms = n_forms
+        self.n_forms = len(rows)
         self.at = at
+        self._rows = rows
         self._line_of, self._point_of = line_of, point_of
         self._triples = triples
         self._pencils, self._stars, self._dependent = pencils, stars, dependent
@@ -192,13 +198,14 @@ class IncidenceProfile:
         was computed for, read off its minor table: the triples and
         quadruples whose minors all vanish at ``w0`` are folded in.
 
-        Raises CoincidentPlanes for the first pair whose minors all vanish
-        there, the pair ``profile`` of the fiber would name.  A form that
-        vanishes at ``w0`` shows here only through such pairs; ``specialize``
-        is what names it.
+        Raises FormVanishes for the first form that vanishes at ``w0``
+        (``_rows_at``), and then CoincidentPlanes for the first pair whose
+        minors all vanish there: the errors ``profile`` of the family at
+        ``w0`` raises, in its order.
         """
         extra = set()
         if self._over_zw:
+            _rows_at(self._rows, w0)
             p, q = w0.numerator, w0.denominator
             for s, ms in self._table.items():
                 if s in self._dependent:
@@ -220,7 +227,7 @@ class IncidenceProfile:
             stars.pop(s, None)
         _fold(extra, pencils, stars)
         return IncidenceProfile(pencils, stars, self._dependent | extra,
-                                self.n_forms, self._table, at, base=self)
+                                self._rows, self._table, at, base=self)
 
     def _minors(self, planes: Sequence[int]) -> list:
         """The table's minors of the 1-based ``planes`` as Z[w] tuples: each
@@ -367,29 +374,30 @@ class NewIncidence:
 # the minors kernel
 #
 # ``profile`` and ``degenerate_values`` ask every incidence question of a
-# matrix with 4 columns whose rows are plane coefficients: all ``Poly`` (a
-# family, over Q[w]) or all ``Fraction`` (one fiber).  Ranks of such a
-# matrix are read off its maximal minors, so only + - * are needed.
-# ``_minor_table`` computes them fraction-free, over Z for a fiber and over
-# Z[w] for a family, on primitive integer rows: each row times the positive
-# rational that clears its denominators and its content.  Scaling a row by
-# a nonzero constant scales every minor it enters by that constant, so which
-# minors vanish, their rational roots and their gcds up to a constant are
-# those of the original rows, and so are the canonical coordinates read off
-# them.  Z and Z[w] share one arithmetic path: a Z[w] row's entries are
-# packed into integers, their values at w = 2^k (Kronecker substitution),
-# with k - 1 bits holding 24 times the product of the four largest row
-# norms (a row's largest entry 1-norm), which bounds every coefficient of
-# every minor; the expansions run on plain integers, and each Z[w] minor is
-# unpacked once into its coefficient tuple, as the balanced base-2^k digits
-# of its packed value.  ``degenerate_values`` scans the table in Z[w] as
-# well: gcds by primitive pseudo-remainders (``_zw_gcd``), and
-# ``rational_roots`` on each nonconstant primitive gcd.  A profile keeps the
-# table it was computed from: ``fiber`` tests which minors vanish at
-# w0 = p/q by evaluating them in integers (``_zw_value``), so a command
-# computes one table, and ``point_vector`` and ``line_basis`` read a point's
-# triple minors and a line's pair minors off it.  Later questions are
-# subset tests on the profile's plane masks.
+# matrix with 4 columns whose rows are a family's primitive integer rows
+# (``ParamArrangement.rows``): each form's coefficients times the positive
+# rational that clears their denominators and their content, as Z[w]
+# tuples.  Ranks of such a matrix are read off its maximal minors, so only
+# + - * are needed.  ``_minor_table`` computes them fraction-free, over Z[w]
+# for the family and over Z for a fiber, whose integer rows are the family's
+# rows evaluated at its parameter over one denominator each (``_rows_at``).
+# Scaling a row by a nonzero constant scales every minor it enters by that
+# constant, so which minors vanish, their rational roots and their gcds up
+# to a constant are those of the original rows, and so are the canonical
+# coordinates read off them.  Z and Z[w] share one arithmetic path: a Z[w]
+# row's entries are packed into integers, their values at w = 2^k
+# (Kronecker substitution), with k - 1 bits holding 24 times the product of
+# the four largest row norms (a row's largest entry 1-norm), which bounds
+# every coefficient of every minor; the expansions run on plain integers,
+# and each Z[w] minor is unpacked once into its coefficient tuple, as the
+# balanced base-2^k digits of its packed value.  ``degenerate_values`` scans
+# the table in Z[w] as well: gcds by primitive pseudo-remainders
+# (``_zw_gcd``), and ``rational_roots`` on each nonconstant primitive gcd.
+# A profile keeps the table it was computed from: ``fiber`` tests which
+# minors vanish at w0 = p/q by evaluating them in integers (``_zw_value``),
+# so a command computes one table, and ``point_vector`` and ``line_basis``
+# read a point's triple minors and a line's pair minors off it.  Later
+# questions are subset tests on the profile's plane masks.
 
 
 def _cross(ms: Sequence[tuple]) -> list:
@@ -417,29 +425,41 @@ def primitive_vector(vec: Sequence[tuple]) -> Vec4:
 # the profile computation
 
 
-def profile(
-    a: Union[Arrangement, ParamArrangement], at: Optional[Fraction] = None
-) -> IncidenceProfile:
-    """Exact incidence profile; generic over Q(w) when any coefficient
-    involves w.
+def profile(a: ParamArrangement,
+            at: Optional[Fraction] = None) -> IncidenceProfile:
+    """Exact incidence profile of the family ``a``: the generic one, over
+    Q(w), or with ``at`` set the one of its fiber at ``at``, whose table
+    is taken over Z on the rows evaluated there (``_rows_at``).
 
-    Raises CoincidentPlanes when two forms are proportional, which for a
-    specialized fiber marks the degeneration as out of scope.
+    Raises FormVanishes for a form that vanishes at ``at``, and then
+    CoincidentPlanes when two forms are proportional, which for a fiber
+    marks the degeneration as out of scope.
     """
-    param = any(c.degree > 0 for f in a.forms for c in f.coeffs)
-    rows = [[c if param else c.evaluate(0) for c in f.coeffs] for f in a.forms]
+    rows = a.rows if at is None else _rows_at(a.rows, at)
     table = _minor_table(rows)
     return _profile_of({s for s, ms in table.items() if not any(ms)},
-                       len(rows), table, at)
+                       a.rows, table, at)
+
+
+def _rows_at(rows: Sequence[Sequence[tuple]], w0: Fraction) -> list:
+    """The Z[w] ``rows`` at ``w0`` as integer rows, each its values over
+    one denominator (``_zw_at``).  Raises FormVanishes for the first row
+    that vanishes at ``w0``, before any pair of rows is compared."""
+    out = []
+    for i, row in enumerate(rows):
+        values = [v[0] if v else 0 for v in _zw_at(row, w0)]
+        if not any(values):
+            raise FormVanishes(i + 1, w0)
+        out.append(values)
+    return out
 
 
 def _minor_table(rows: Sequence[Sequence]) -> dict:
     """The maximal minors of every two, three and four rows, keyed by sorted
-    0-based index tuples, over Z (``Fraction`` rows) or Z[w] (``Poly`` rows,
-    minors as ascending coefficient tuples) on the rows made primitive
-    integer rows, so each entry is the original minor times a positive
-    rational.  A triple's minors expand along its last row into its first
-    pair's, and a quadruple's one minor into its first triple's.
+    0-based index tuples: over Z[w] (minors as ascending coefficient tuples)
+    for rows of Z[w] tuples, over Z for rows of integers.  A triple's
+    minors expand along its last row into its first pair's, and a
+    quadruple's one minor into its first triple's.
 
     Z[w] rows are packed into integers at w = 2^k, k from the rows' norms
     (``_pack_rows``), so both run the same integer expansions; each Z[w]
@@ -447,7 +467,9 @@ def _minor_table(rows: Sequence[Sequence]) -> dict:
 
     Raises CoincidentPlanes when two rows are proportional.
     """
-    rows, width = _pack_rows(rows)
+    width = 0
+    if isinstance(rows[0][0], tuple):
+        rows, width = _pack_rows(rows)
     table = {}
     for i, j in combinations(range(len(rows)), 2):
         ri, rj = rows[i], rows[j]
@@ -479,17 +501,18 @@ _COLUMN_TRIPLES = tuple(
 )
 
 
-def _profile_of(dependent: set, n: int, table: dict,
+def _profile_of(dependent: set, rows: Sequence, table: dict,
                 at: Optional[Fraction] = None) -> IncidenceProfile:
-    """The profile of ``n`` rows with minor table ``table`` whose dependent
-    triples and quadruples (keys whose minors all vanish) are
+    """The profile of the family ``rows`` with minor table ``table`` whose
+    dependent triples and quadruples (keys whose minors all vanish) are
     ``dependent``."""
+    n = len(rows)
     pencils = {(i, j): 2 << i | 2 << j for i, j in combinations(range(n), 2)}
     stars = {(i, j, k): 2 << i | 2 << j | 2 << k
              for i, j, k in combinations(range(n), 3)
              if (i, j, k) not in dependent}
     _fold(dependent, pencils, stars)
-    return IncidenceProfile(pencils, stars, dependent, n, table, at)
+    return IncidenceProfile(pencils, stars, dependent, rows, table, at)
 
 
 def _fold(dependent: Iterable[tuple], pencils: dict, stars: dict) -> None:
@@ -661,7 +684,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     with that root to the generic vanishing pattern; factors of degree
     >= 2 without rational roots are returned unresolved.
     """
-    rows = [list(f.coeffs) for f in a.forms]
+    rows = a.rows
     table = _minor_table(rows)
     fatal: dict[Fraction, str] = {}
     # monic coefficients -> the unresolved factor
@@ -688,7 +711,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
         return roots_of[g]
 
     for i, row in enumerate(rows):
-        for r in common_roots(_integer_row(row)):
+        for r in common_roots(row):
             fatal.setdefault(r, f"form {i + 1} vanishes")
     for s, ms in table.items():
         for r in common_roots(ms):
@@ -698,7 +721,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
                 turning.setdefault(r, set()).add(s)
 
     dependent = {s for s, ms in table.items() if not any(ms)}
-    generic = _profile_of(dependent, len(rows), table)
+    generic = _profile_of(dependent, rows, table)
     values = []
     for w0 in sorted(turning.keys() - fatal.keys()):
         prof = generic._special(turning[w0], w0)

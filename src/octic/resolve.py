@@ -62,7 +62,7 @@ from .diagram import (
     initial_diagram,
     residual_report,
 )
-from .forms import ParamArrangement, specialize
+from .forms import ParamArrangement
 
 QUADRUPLE_POINT = "quadruple_point"
 DOUBLE_LINE = "double_line"
@@ -275,13 +275,11 @@ def schedule(generic: incidence.IncidenceProfile,
 class _Driver:
     """Applies one schedule to one special fiber, deriving each rewrite."""
 
-    def __init__(self, a: ParamArrangement, w0, sched: BlowUpSchedule,
-                 directives=None):
+    def __init__(self, w0, sched: BlowUpSchedule, directives=None):
         self.w0 = Fraction(w0)
         self.sched = sched
         self.directives = dict(directives or {})
         self.generic = sched.generic
-        specialize(a, self.w0)  # raises FormVanishes before any central pair
         self.central = self.generic.fiber(self.w0)
         self.d = initial_diagram(self.central)
         self.trace = [self.d]
@@ -654,11 +652,12 @@ def trace_central_fiber(a: ParamArrangement, w0, s: BlowUpSchedule,
     """Carry the schedule across the family, restricted to the fiber at w0.
 
     ``s`` is scheduled from ``incidence.profile(a)``, whose minor table the
-    central fiber is read off.  Returns ``(trace, residual)``: every
-    intermediate diagram (the fiber's initial diagram first) and the
-    residual-singularity report of the last one.
+    central fiber is read off (``IncidenceProfile.fiber``, which raises
+    FormVanishes for a form of ``a`` that vanishes at w0).  Returns
+    ``(trace, residual)``: every intermediate diagram (the fiber's initial
+    diagram first) and the residual-singularity report of the last one.
 
     A step that matches no rewrite rule raises :class:`TraceAborted`
     carrying the partial trace; parse and incidence errors propagate.
     """
-    return _Driver(a, w0, s, directives).run()
+    return _Driver(w0, s, directives).run()

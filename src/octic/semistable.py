@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .classify import (
-    FIVEFOLD_POINT,
-    TRIPLE_LINE,
-    DoubleCurve,
-    ResidualSingularities,
-)
+from .classify import FIVEFOLD_POINT, TRIPLE_LINE, ResidualSingularities
 from .resolve import NODE_MARKER
 
 

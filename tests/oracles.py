@@ -1,8 +1,9 @@
-"""Independent checks shared between test modules: a sympy brute-force
-incidence oracle, incidence lookups, profile diffs and node scans by
-scanning every line, point or schedule step, random projective coordinate
-changes, the relations among a cycle model's rows and schoolbook
-multiplication in Z[w]."""
+"""Independent checks and data shared between test modules: the eleven
+bundled families, a sympy brute-force incidence oracle, incidence lookups,
+profile diffs and node scans by scanning every line, point or schedule
+step, random projective coordinate changes, the relations among a cycle
+model's rows, and schoolbook multiplication and Horner evaluation of
+polynomials."""
 
 from fractions import Fraction
 from functools import cache
@@ -11,9 +12,17 @@ from itertools import combinations
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from octic import incidence
+from octic import classify, cli, incidence
 from octic.exact import Poly, _zw_at, rref
-from octic.forms import Arrangement, LinearForm, ParamArrangement
+from octic.forms import LinearForm, ParamArrangement
+
+# the eleven bundled families in ``classify.TAGS`` order, read from their
+# scenario files: name -> scenario, (name, equation) pairs, and the pinch
+# multiset each scenario expects
+FAMILIES = {name: cli.find_scenario(name)[0] for name in classify.TAGS}
+ELEVEN = [(name, data["equation"]) for name, data in FAMILIES.items()]
+PINCHES = {name: tuple(data["expected"]["pinches"])
+           for name, data in FAMILIES.items()}
 
 
 def oracle(rows, domain=sympy.QQ):
@@ -135,19 +144,27 @@ def node_scan(driver, c, prior, flagged, flag_points):
         flag_points.add(pt.mask)
 
 
+def family_through(rows) -> ParamArrangement:
+    """A family whose fiber at w = 0 has the rational ``rows``: row i (from
+    1) plus w (1, i, i^2, i^3).  Those vectors are pairwise independent, so
+    no two forms are proportional over Q(w), while the fiber at 0 may have
+    coincident planes."""
+    return ParamArrangement([
+        LinearForm([Poly([c, i ** k]) for k, c in enumerate(r)])
+        for i, r in enumerate(rows, 1)])
+
+
 def random_constant_arrangement(rng, n):
-    while True:
-        rows = []
-        for _ in range(n):
-            while True:
-                r = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
-                if any(r):
-                    break
-            rows.append(r)
-        try:
-            return rows, Arrangement([LinearForm(r) for r in rows])
-        except ValueError:
-            continue
+    """``n`` random nonzero rows of integers in [-2, 2], as ``Fraction``s,
+    and the family through them at w = 0 (``family_through``)."""
+    rows = []
+    for _ in range(n):
+        while True:
+            r = [Fraction(rng.randint(-2, 2)) for _ in range(4)]
+            if any(r):
+                break
+        rows.append(r)
+    return rows, family_through(rows)
 
 
 def random_gl4(rng):
@@ -158,18 +175,12 @@ def random_gl4(rng):
 
 
 def transform(a, m):
-    """Substitute x_i -> sum_k m[i][k] x_k in every form."""
-    cls = ParamArrangement if isinstance(a, ParamArrangement) else Arrangement
-    out = []
-    for f in a.forms:
-        coeffs = []
-        for k in range(4):
-            acc = Poly() if isinstance(a, ParamArrangement) else Fraction(0)
-            for i in range(4):
-                acc = acc + f.coeffs[i] * m[i][k]
-            coeffs.append(acc)
-        out.append(LinearForm(coeffs))
-    return cls(out)
+    """Substitute x_i -> sum_k m[i][k] x_k in every form of the family
+    ``a``."""
+    return ParamArrangement([
+        LinearForm([sum((times(f.coeffs[i], m[i][k]) for i in range(4)),
+                        Poly()) for k in range(4)])
+        for f in a.forms])
 
 
 def relations(cm) -> list:
@@ -189,8 +200,9 @@ def combination_vanishes(cm, chain) -> bool:
 
 
 def zw_mul(a: tuple, b: tuple) -> tuple:
-    """The product of two Z[w] polynomials (ascending integer coefficient
-    tuples without trailing zeros, () for 0), by schoolbook convolution."""
+    """The product of two polynomials given as ascending coefficient tuples
+    without trailing zeros (() for 0), such as Z[w] tuples, by schoolbook
+    convolution."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -198,3 +210,17 @@ def zw_mul(a: tuple, b: tuple) -> tuple:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
+
+
+def times(p: Poly, c) -> Poly:
+    """The ``Poly`` ``p`` times the ``Poly`` or rational ``c``."""
+    return Poly(zw_mul(p.coeffs, c.coeffs if isinstance(c, Poly) else (c,)))
+
+
+def evaluate(coeffs, v) -> Fraction:
+    """The value at ``v`` of the polynomial with the ascending coefficients
+    ``coeffs`` (a ``Poly``'s, or a Z[w] tuple), by Horner's rule."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * v + c
+    return value

@@ -19,18 +19,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (combination_vanishes, oracle, random_constant_arrangement,
+from oracles import (ELEVEN, PINCHES, combination_vanishes, evaluate,
+                     family_through, oracle, random_constant_arrangement,
                      random_gl4, relations, transform)
 
 from octic import classify, cli, incidence, semistable, specseq
 from octic.exact import ExactMatrix, rref
-from octic.forms import (Arrangement, FormVanishes, LinearForm,
-                         parse_equation, specialize)
-
-FAMILIES = {name: cli.find_scenario(name)[0] for name in classify.TAGS}
-ELEVEN = [(name, data["equation"]) for name, data in FAMILIES.items()]
-PINCHES = {name: tuple(data["expected"]["pinches"])
-           for name, data in FAMILIES.items()}
+from octic.forms import parse_equation
 
 EXAMPLES = ["two-nodes", "four-pinches", "seven-lines"]
 
@@ -72,8 +67,7 @@ def test_criterion_1a_every_family_classified_at_zero():
         scan = incidence.degenerate_values(a)
         assert Fraction(0) in scan.sigma, name
         assert not scan.unresolved, name
-        special = incidence.profile(specialize(a, Fraction(0)),
-                                    at=Fraction(0))
+        special = incidence.profile(a, at=Fraction(0))
         changes = incidence.profile_diff(generic, special)
         tags = {classify.classify_local(c, generic).tag
                 for c in changes}
@@ -206,16 +200,18 @@ def test_criterion_6_component_betti_regression():
 
 def test_criterion_7a_profile_invariant_under_coordinate_changes(limits):
     rng = random.Random(20260822)
-    constant = [specialize(parse_equation(e), Fraction(v))
-                for (_, e), v in zip(ELEVEN[:8], (0, 3, 2, -1, 0, 5, 0, 1))]
-    parameterized = [parse_equation(ELEVEN[2][1]),
-                     parse_equation(ELEVEN[9][1])]
-    sources = constant + parameterized
-    keys = [incidence.profile(a).combinatorial_key() for a in sources]
+    # fibers of the first eight families, and two generic profiles
+    fibers = [(parse_equation(e), Fraction(v))
+              for (_, e), v in zip(ELEVEN[:8], (0, 3, 2, -1, 0, 5, 0, 1))]
+    parameterized = [(parse_equation(ELEVEN[2][1]), None),
+                     (parse_equation(ELEVEN[9][1]), None)]
+    sources = fibers + parameterized
+    keys = [incidence.profile(a, at).combinatorial_key() for a, at in sources]
     for i in range(100):
         j = i % len(sources)
-        b = transform(sources[j], random_gl4(rng))
-        assert incidence.profile(b).combinatorial_key() == keys[j], (i, j)
+        a, at = sources[j]
+        b = transform(a, random_gl4(rng))
+        assert incidence.profile(b, at).combinatorial_key() == keys[j], (i, j)
 
 
 def test_criterion_7b_profile_matches_oracle_on_small_arrangements():
@@ -224,12 +220,10 @@ def test_criterion_7b_profile_matches_oracle_on_small_arrangements():
     for _, equation in ELEVEN:
         a = parse_equation(equation)
         for v in (0, 1, -1, 2):
-            try:
-                spec = specialize(a, Fraction(v))
-            except FormVanishes:
-                continue
-            corpus.append([[c.evaluate(Fraction(0)) for c in f.coeffs]
-                           for f in spec.forms])
+            rows = [[evaluate(c.coeffs, v) for c in f.coeffs]
+                    for f in a.forms]
+            if all(any(r) for r in rows):  # no form vanishes at v
+                corpus.append(rows)
     while len(corpus) < 100:
         rows, _ = random_constant_arrangement(rng, rng.randint(3, 5))
         corpus.append(rows)
@@ -239,9 +233,9 @@ def test_criterion_7b_profile_matches_oracle_on_small_arrangements():
             expected = oracle(rows)
         except incidence.CoincidentPlanes:
             with pytest.raises(incidence.CoincidentPlanes):
-                incidence.profile(Arrangement([LinearForm(r) for r in rows]))
+                incidence.profile(family_through(rows), Fraction(0))
             continue
-        prof = incidence.profile(Arrangement([LinearForm(r) for r in rows]))
+        prof = incidence.profile(family_through(rows), Fraction(0))
         got = ({l.planes: l.q for l in prof.lines},
                {p.planes: (p.p, p.j) for p in prof.points})
         assert got == expected, rows

@@ -4,49 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ELEVEN, PINCHES
+
 from octic import classify, incidence
 from octic.classify import (FIVEFOLD_POINT, TRIPLE_LINE, DoubleCurve,
                             ResidualSingularities, Unclassifiable,
                             classify_local, residual_outcome)
-from octic.forms import parse_equation, specialize
-
-FAMILY = [
-    ("NewL3", "xy(x+y+w)"),
-    ("NewP40", "xyz(x+y+z+w)"),
-    ("P51toP52", "xy(x+y)z(x+wy+z)"),
-    ("TwoP41toP52", "xy(x+y)z(x+z+w)"),
-    ("TwoP41toP51", "xy(x+y)z(x+y+z+w)"),
-    ("P40toP52", "xyz(x+y+z)(x+y+w)"),
-    ("NewP41", "xy(x+y+w)z"),
-    ("P40toP41", "xy(x+y+zw)z"),
-    ("P40toP51", "xyz(x+y+z)(x-y+w)"),
-    ("P50toP52", "xyz(x+y+wz)(x+wy+z)"),
-    ("P50toP51", "xyz(x+y+wz)(x+2y+z)"),
-]
-
-PINCHES = {
-    "NewL3": (0,),
-    "NewP40": (),
-    "P51toP52": (1,),
-    "TwoP41toP52": (1, 3),
-    "TwoP41toP51": (4,),
-    "P40toP52": (0, 0, 0, 2, 2),
-    "NewP41": (1,),
-    "P40toP41": (0,),
-    "P40toP51": (0, 2, 2),
-    "P50toP52": (1, 1),
-    "P50toP51": (1,),
-}
+from octic.forms import parse_equation
 
 
 def _changes_at_zero(text):
     a = parse_equation(text)
     generic = incidence.profile(a)
-    special = incidence.profile(specialize(a, Fraction(0)), at=Fraction(0))
+    special = incidence.profile(a, at=Fraction(0))
     return incidence.profile_diff(generic, special), generic, special
 
 
-@pytest.mark.parametrize("tag,text", FAMILY)
+@pytest.mark.parametrize("tag,text", ELEVEN)
 def test_each_member_classifies_to_its_tag(tag, text):
     changes, generic, special = _changes_at_zero(text)
     assert len(changes) == 1
@@ -54,7 +28,7 @@ def test_each_member_classifies_to_its_tag(tag, text):
     assert t.tag == tag
 
 
-@pytest.mark.parametrize("tag,text", FAMILY)
+@pytest.mark.parametrize("tag,text", ELEVEN)
 def test_residual_pinch_multisets(tag, text):
     assert residual_outcome(tag).pinch_multiset() == PINCHES[tag]
 
@@ -79,7 +53,7 @@ def test_triple_meeting_structures():
 
 
 def test_residual_json_round_trip_fields():
-    for tag, _ in FAMILY:
+    for tag, _ in ELEVEN:
         r = residual_outcome(tag)
         j = r.to_json()
         assert isinstance(j["curves"], list)
@@ -103,7 +77,7 @@ def test_unknown_tag_rejected():
 def test_unclassifiable_change_raises(text):
     a = parse_equation(text)
     generic = incidence.profile(a)
-    special = incidence.profile(specialize(a, Fraction(0)), at=Fraction(0))
+    special = incidence.profile(a, at=Fraction(0))
     changes = incidence.profile_diff(generic, special)
     assert changes
     for c in changes:

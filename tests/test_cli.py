@@ -296,6 +296,13 @@ def test_classify_errors_keep_their_order(capsys, equation, code, message):
                                                                  message)
 
 
+def test_incidence_at_names_a_vanishing_form_first(capsys):
+    """The form vanishes at 0 and makes planes 1 and 5 coincide there; the
+    form is named."""
+    assert run(capsys, "incidence", ERROR_ORDER[0][0], "--at", "0") == (
+        2, "", ERROR_ORDER[0][2])
+
+
 @pytest.mark.parametrize("argv", [["resolve", "P40toP52"],
                                   ["classify", "P40toP52", "--at", "0"],
                                   ["classify", "xyz(x+y+wz)(x+2y+z)",
@@ -336,17 +343,19 @@ def test_sigma_evaluates_minors_only_where_read(capsys, monkeypatch):
 
 
 def _fuzz_ok(text: str) -> bool:
-    """Whether ``text`` holds no run of three digits and no two-digit power
-    of w, leaving out the exponents of factors: a coefficient near 10^18
-    makes a long divisor search and w^99 a long root search, while a
-    factor's exponent is only counted."""
-    text = re.sub(r"(?<!w)\^\d+", "^", text.replace(" ", ""))
-    return not re.search(r"\d{3}|\^\d\d", text)
+    """Whether ``text`` holds no run of three digits outside exponents: a
+    coefficient near 10^18 makes a long divisor search, while a factor's
+    exponent is only counted and a power of w is bounded by the parser."""
+    text = re.sub(r"\^\d+", "^", text.replace(" ", ""))
+    return not re.search(r"\d{3}", text)
 
 
 # equation text over the parser's alphabet
 fuzz_text = st.text("xyztwu0123456789()+-*/^= ", max_size=24).filter(_fuzz_ok)
 fuzz_w_power = st.sampled_from(["", "", "w", "w^2", "w^3"])
+# a power of w in front of a factor, drawn as a factor's exponent is
+fuzz_w_prefix = st.sampled_from(["", "", "", "", "w", "w^2", "w^10", "w^99",
+                                 "w^1000000000"])
 
 
 @st.composite
@@ -362,7 +371,7 @@ def fuzz_products(draw) -> str:
             st.from_regex(r"([0-9](/[0-9])?)?", fullmatch=True),
             fuzz_w_power, st.sampled_from(["x", "y", "z", "t", ""])),
             min_size=1, max_size=5))
-        out += draw(fuzz_w_power) + "(" + "".join(map("".join, terms)) + ")"
+        out += draw(fuzz_w_prefix) + "(" + "".join(map("".join, terms)) + ")"
         out += draw(st.sampled_from(["", "", "", "", "^2", "^3", "^10",
                                      "^99", "^1000000000"]))
     return out
@@ -390,6 +399,12 @@ def test_a_huge_factor_power_is_exit_2_at_once(capsys):
     code, out, err = run(capsys, "sigma", "xyz^1000000000")
     assert (code, out, err) == (
         2, "", "ValueError: expected 3..8 forms, got 1000000002\n")
+
+
+def test_a_huge_power_of_w_is_exit_2_at_once(capsys):
+    code, out, err = run(capsys, "sigma", "xy(z+w^1000000000t)")
+    assert (code, out, err) == (
+        2, "", "ParseError: degree in w above 50 (at position 6)\n")
 
 
 def test_exit_4_on_unknown_scenario(capsys):

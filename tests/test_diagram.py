@@ -6,13 +6,13 @@ import pytest
 
 from octic import diagram, incidence
 from octic.diagram import initial_diagram, render_dot, residual_report
-from octic.forms import parse_equation, specialize
+from octic.forms import parse_equation
 from octic.resolve import schedule, trace_central_fiber
 
 
 def _fiber(text, w0=Fraction(0)):
     """Incidence profile of the family's fiber at w0."""
-    return incidence.profile(specialize(parse_equation(text), w0), at=w0)
+    return incidence.profile(parse_equation(text), at=w0)
 
 
 def test_initial_diagram_of_triple_line_fiber():

@@ -1,7 +1,7 @@
-"""Equation parsing and specialization."""
+"""Equation parsing and the families' primitive integer rows."""
 
+import re
 import tracemalloc
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,24 +9,17 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from octic.exact import Poly
-from octic.forms import (Arrangement, DuplicateFactor, FormVanishes,
-                         LinearForm, NonLinearFactor, ParamArrangement,
-                         ParseError, parse_equation, specialize)
+from oracles import ELEVEN as FAMILIES, evaluate, times
 
-ELEVEN = [
-    ("xy(x+y+w)", 3),
-    ("xyz(x+y+z+w)", 4),
-    ("xy(x+y)z(x+wy+z)", 5),
-    ("xy(x+y)z(x+z+w)", 5),
-    ("xy(x+y)z(x+y+z+w)", 5),
-    ("xyz(x+y+z)(x+y+w)", 5),
-    ("xy(x+y+w)z", 4),
-    ("xy(x+y+zw)z", 4),
-    ("xyz(x+y+z)(x-y+w)", 5),
-    ("xyz(x+y+wz)(x+wy+z)", 5),
-    ("xyz(x+y+wz)(x+2y+z)", 5),
-]
+from octic.exact import Poly
+from octic.forms import (MAX_W_DEGREE, DuplicateFactor, LinearForm,
+                         NonLinearFactor, ParamArrangement, ParseError,
+                         parse_equation)
+
+# each bundled equation with its number of factors: a parenthesized factor
+# or a bare variable outside parentheses
+ELEVEN = [(text, len(re.sub(r"\([^)]*\)", "(", text)))
+          for _, text in FAMILIES]
 
 
 @pytest.mark.parametrize("text,n", ELEVEN)
@@ -39,23 +32,24 @@ def test_factor_order_is_source_order():
     a = parse_equation("zy(x+w)")
     rows = [f.coeffs for f in a.forms]
     # z first, then y, then x + w*t
-    assert [c.evaluate(1) for c in rows[0][:3]] == [0, 0, 1]
-    assert [c.evaluate(1) for c in rows[1][:3]] == [0, 1, 0]
-    assert rows[2][0].evaluate(1) == 1 and rows[2][3].evaluate(1) == 1
+    assert [evaluate(c.coeffs, 1) for c in rows[0][:3]] == [0, 0, 1]
+    assert [evaluate(c.coeffs, 1) for c in rows[1][:3]] == [0, 1, 0]
+    assert evaluate(rows[2][0].coeffs, 1) == 1
+    assert evaluate(rows[2][3].coeffs, 1) == 1
 
 
 def test_bare_w_means_w_times_t():
     a = parse_equation("xy(x+w)")
     f = a.forms[2]
-    assert f.coeffs[3].evaluate(5) == 5
-    assert f.coeffs[3].evaluate(0) == 0
+    assert evaluate(f.coeffs[3].coeffs, 5) == 5
+    assert evaluate(f.coeffs[3].coeffs, 0) == 0
 
 
 def test_explicit_t_and_constants():
     a = parse_equation("x(x+2t)(y+t)")
-    assert a.forms[1].coeffs[3].evaluate(0) == 2
+    assert evaluate(a.forms[1].coeffs[3].coeffs, 0) == 2
     b = parse_equation("xz(x+3y)")
-    assert b.forms[2].coeffs[1].evaluate(0) == 3
+    assert evaluate(b.forms[2].coeffs[1].coeffs, 0) == 3
 
 
 def test_star_products_and_powers():
@@ -104,6 +98,29 @@ def test_repeated_factors_are_counted_not_expanded():
     assert parse_equation("xy(x+y)z^1").text() == "xy(x+y)z"
 
 
+def test_degree_in_w_is_bounded_at_parse_time():
+    """A coefficient of degree above ``MAX_W_DEGREE`` in w is refused at the
+    exponent that passes it, in memory independent of the exponent; powers
+    in front of a factor count towards its coefficients' degrees."""
+    top = f"w^{MAX_W_DEGREE}"
+    a = parse_equation(f"xy(z+{top}t)")
+    assert a.forms[2].coeffs[3].degree == MAX_W_DEGREE
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_equation("xy(z+w^1000000000t)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(err.value) == (
+        f"degree in w above {MAX_W_DEGREE} (at position 6)")
+    for text in (f"xy(z+w{top}t)", f"xyz{top}w", f"w{top}(x+y)z",
+                 f"{top}(x+wy)yz", f"xyz(x+wy){top}"):
+        with pytest.raises(ParseError, match="^degree in w above "):
+            parse_equation(text)
+
+
 W = sympy.Symbol("w")
 QW = sympy.QQ.frac_field(W)
 
@@ -135,7 +152,7 @@ def test_duplicate_factor_matches_rank_over_q_w(rows, inserted):
     """``parse_equation`` names the first pair of factors whose 2x4 matrix
     has rank 1 over Q(w), and accepts the family when there is none."""
     for src, dst, c in inserted:
-        copy = [c * p for p in rows[src % len(rows)]]
+        copy = [times(p, c) for p in rows[src % len(rows)]]
         rows.insert(dst % (len(rows) + 1), copy)
     assume(len(rows) >= 3)
     text = "".join(f"({LinearForm(r).text()})" for r in rows)
@@ -182,14 +199,8 @@ def test_unterminated_factor_is_a_parse_error():
 def test_arrangement_errors_number_forms_from_1():
     x, y = LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0])
     zero = LinearForm([0, 0, 0, 0])
-    moving = LinearForm([Poly([0, 1]), 1, 0, 0])
     with pytest.raises(ValueError, match="^form 2 is identically zero$"):
         ParamArrangement([x, zero, y])
-    with pytest.raises(ValueError, match="^form 3 is identically zero$"):
-        Arrangement([x, y, zero])
-    with pytest.raises(ValueError,
-                       match="^form 1 still depends on the parameter$"):
-        Arrangement([moving, x, y])
 
 
 def test_garbage_rejected():
@@ -206,19 +217,6 @@ def test_zero_denominator_rejected():
         parse_equation("xyz(x+y+z+1/0)")
     assert str(info.value) == "zero denominator (at position 10)"
     assert info.value.position == 10
-
-
-def test_specialize_drops_parameter():
-    a = parse_equation("xy(x+y+w)")
-    arr = specialize(a, Fraction(2))
-    last = arr.forms[-1].coeffs
-    assert [c.evaluate(0) for c in last] == [1, 1, 0, 2]
-
-
-def test_specialize_vanishing_form():
-    a = parse_equation("xz(y+wy)")  # (1+w) y dies at w = -1
-    with pytest.raises(FormVanishes, match="^form 3 vanishes identically"):
-        specialize(a, Fraction(-1))
 
 
 def test_text_round_trip():

@@ -1,5 +1,6 @@
-"""The package runs on the Python standard library alone, and every
-public definition in it is named somewhere else in it."""
+"""The package runs on the Python standard library alone, every name it
+imports is used, and every public definition in it is named somewhere else
+in it."""
 
 import ast
 import sys
@@ -29,9 +30,39 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
-# the order-insensitive residual comparator exists for the trace tests,
-# which compare residuals across blow-up orders; no command needs one
-CALLED_FROM_TESTS = {("classify", "residual_key")}
+def _bound_by_imports(tree):
+    """Every name an import statement of a module binds, ``__future__``
+    features left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [(path.stem, name) for name in _bound_by_imports(tree)
+                   if name not in used]
+    assert unused == []
+
+
+CALLED_FROM_TESTS = {
+    # the order-insensitive residual comparator exists for the trace tests,
+    # which compare residuals across blow-up orders; no command needs one
+    ("classify", "residual_key"),
+    # the profile with coordinates forgotten, which the invariance tests
+    # compare under coordinate changes; commands print whole profiles
+    ("incidence", "IncidenceProfile.combinatorial_key"),
+    # the degenerate values alone, which the scan tests compare; commands
+    # read each value with its profile and changes
+    ("incidence", "DegenerationScan.sigma"),
+}
 
 
 def _names(node):
@@ -45,19 +76,34 @@ def _names(node):
             yield sub.name.split(".")[-1]
 
 
+def _public_definitions(tree):
+    """(qualified name, node) of every public top-level function and class
+    of a module, and of every public method and property of its top-level
+    classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if (isinstance(sub, kinds[:2])
+                            and not sub.name.startswith("_")):
+                        yield f"{node.name}.{sub.name}", sub
+
+
 def test_every_public_definition_has_a_caller():
+    """A method counts as called when its name is named anywhere in the
+    package outside its own body, whatever the object it is named on."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.rglob("*.py"))}
     named = Counter(name for tree in trees.values()
                     for name in _names(tree))
     uncalled = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and (module, node.name) not in CALLED_FROM_TESTS):
-                inside = sum(name == node.name for name in _names(node))
-                if named[node.name] == inside:
-                    uncalled.append((module, node.name))
+        for qualified, node in _public_definitions(tree):
+            if (module, qualified) in CALLED_FROM_TESTS:
+                continue
+            inside = sum(name == node.name for name in _names(node))
+            if named[node.name] == inside:
+                uncalled.append((module, qualified))
     assert uncalled == []

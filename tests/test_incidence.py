@@ -16,26 +16,15 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import oracles
-from oracles import oracle, random_constant_arrangement, random_gl4, transform
+from oracles import (oracle, random_constant_arrangement, random_gl4, times,
+                     transform)
 
 from octic import incidence
-from octic.exact import Poly
+from octic.exact import Poly, _integer_row
 from octic.forms import (FormVanishes, LinearForm, ParamArrangement,
-                         parse_equation, specialize)
+                         parse_equation)
 
-ELEVEN = [
-    "xy(x+y+w)",
-    "xyz(x+y+z+w)",
-    "xy(x+y)z(x+wy+z)",
-    "xy(x+y)z(x+z+w)",
-    "xy(x+y)z(x+y+z+w)",
-    "xyz(x+y+z)(x+y+w)",
-    "xy(x+y+w)z",
-    "xy(x+y+zw)z",
-    "xyz(x+y+z)(x-y+w)",
-    "xyz(x+y+wz)(x+wy+z)",
-    "xyz(x+y+wz)(x+2y+z)",
-]
+ELEVEN = [text for _, text in oracles.ELEVEN]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +89,8 @@ def _assert_primitive(vec):
 
 
 def _on(form, vec) -> bool:
-    return not sum((c * Poly(x) for c, x in zip(form.coeffs, vec)), Poly())
+    return not sum((times(c, Poly(x)) for c, x in zip(form.coeffs, vec)),
+                   Poly())
 
 
 @settings(max_examples=50, deadline=None)
@@ -202,16 +192,31 @@ def test_minor_table_of_a_hadamard_matrix():
     n = 10**18
     rows = [[Poly([h * n, h * (n - 1)]) for h in row] for row in hadamard]
     _assert_minor_table_matches(rows, [])
-    (quadruple,) = incidence._minor_table(rows)[0, 1, 2, 3]
+    (quadruple,) = incidence._minor_table(
+        [_integer_row(r) for r in rows])[0, 1, 2, 3]
     assert quadruple[2] == 16 * 6 * n**2 * (n - 1)**2
 
 
 def _assert_minor_table_matches(rows, inserted):
-    """``_minor_table`` of ``rows`` with the scaled copies ``inserted``
-    against sympy's minors of the unscaled rows."""
+    """``_minor_table`` of ``rows`` (of ``Poly``s or of rationals) with the
+    scaled copies ``inserted``, made primitive integer rows, against
+    sympy's minors of the unscaled rows: over Z[w], and over Z as well when
+    the rows are constant."""
+    rows = [[x if isinstance(x, Poly) else Poly([x]) for x in r]
+            for r in rows]
     for src, dst, c in inserted:
-        copy = [c * x for x in rows[src % len(rows)]]
+        copy = [times(x, c) for x in rows[src % len(rows)]]
         rows.insert(dst % (len(rows) + 1), copy)
+    integer_rows = [_integer_row(r) for r in rows]
+    if all(len(x) <= 1 for r in integer_rows for x in r):
+        _assert_table_matches(rows, [[x[0] if x else 0 for x in r]
+                                     for r in integer_rows])
+    _assert_table_matches(rows, integer_rows)
+
+
+def _assert_table_matches(rows, integer_rows):
+    """``_minor_table`` of ``integer_rows`` against sympy's minors of the
+    ``Poly`` ``rows`` they are positive multiples of."""
     n = len(rows)
     elems = _in_qq_w(rows)
 
@@ -222,10 +227,10 @@ def _assert_minor_table_matches(rows, inserted):
                        if not any(reference(s))), None)
     if coincident is not None:
         with pytest.raises(incidence.CoincidentPlanes) as err:
-            incidence._minor_table(rows)
+            incidence._minor_table(integer_rows)
         assert err.value.indices == (coincident[0] + 1, coincident[1] + 1)
         return
-    table = incidence._minor_table(rows)
+    table = incidence._minor_table(integer_rows)
     assert list(table) == [s for k in (2, 3, 4)
                            for s in combinations(range(n), k)]
     for s, entries in table.items():
@@ -278,7 +283,7 @@ def test_scaling_the_forms_changes_no_answer(family):
     factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
                         rng.randint(1, 12)) for _ in family.forms]
     scaled = ParamArrangement([
-        LinearForm([p * c for p in f.coeffs])
+        LinearForm([times(p, c) for p in f.coeffs])
         for f, c in zip(family.forms, factors)])
     assert _scan_described(incidence.degenerate_values(scaled)) == (
         _scan_described(incidence.degenerate_values(family)))
@@ -306,14 +311,14 @@ def test_profile_matches_brute_force_oracle():
     done = 0
     while done < 120:
         n = rng.randint(3, 5)
-        rows, arr = random_constant_arrangement(rng, n)
+        rows, family = random_constant_arrangement(rng, n)
         try:
             expected_lines, expected_points = oracle(rows)
         except incidence.CoincidentPlanes:
             with pytest.raises(incidence.CoincidentPlanes):
-                incidence.profile(arr)
+                incidence.profile(family, Fraction(0))
             continue
-        prof = incidence.profile(arr)
+        prof = incidence.profile(family, Fraction(0))
         got_lines = {l.planes: l.q for l in prof.lines}
         got_points = {pt.planes: (pt.p, pt.j) for pt in prof.points}
         assert got_lines == expected_lines, rows
@@ -345,9 +350,9 @@ def test_subset_rules_match_coordinates_on_random_arrangements():
     rng = random.Random(4321)
     done = 0
     while done < 30:
-        _, arr = random_constant_arrangement(rng, rng.randint(4, 6))
+        _, family = random_constant_arrangement(rng, rng.randint(4, 6))
         try:
-            prof = incidence.profile(arr)
+            prof = incidence.profile(family, Fraction(0))
         except incidence.CoincidentPlanes:
             continue
         _assert_subset_rules_match_coordinates(prof)
@@ -359,7 +364,7 @@ def test_subset_rules_match_coordinates_on_the_families(text):
     a = parse_equation(text)
     _assert_subset_rules_match_coordinates(incidence.profile(a))
     _assert_subset_rules_match_coordinates(
-        incidence.profile(specialize(a, Fraction(0)), at=Fraction(0)))
+        incidence.profile(a, at=Fraction(0)))
 
 
 def test_lookups_miss_when_no_line_or_point_contains_the_planes():
@@ -368,7 +373,7 @@ def test_lookups_miss_when_no_line_or_point_contains_the_planes():
     assert generic.point_through({1, 2, 3, 4}) is None
     assert generic.line_through({1, 2, 3}) is None
     assert generic.point_through({1, 2, 3}).planes == (1, 2, 3)
-    central = incidence.profile(specialize(a, Fraction(0)))
+    central = incidence.profile(a, Fraction(0))
     assert central.point_through({1, 2, 3}).planes == (1, 2, 3, 4)
 
 
@@ -390,10 +395,10 @@ def test_profile_invariant_under_100_projective_transforms():
 def test_specialized_profile_also_invariant():
     rng = random.Random(99)
     a = parse_equation("xyz(x+y+z)(x+y+w)")
-    key = incidence.profile(specialize(a, Fraction(0))).combinatorial_key()
+    key = incidence.profile(a, Fraction(0)).combinatorial_key()
     for _ in range(20):
         b = transform(a, random_gl4(rng))
-        got = incidence.profile(specialize(b, Fraction(0))).combinatorial_key()
+        got = incidence.profile(b, Fraction(0)).combinatorial_key()
         assert got == key
 
 
@@ -439,7 +444,7 @@ def _assert_scan_matches_fiber_profiles(family):
     family's table are the fiber's own."""
     scan = incidence.degenerate_values(family)
     for v in scan.values:
-        ref = incidence.profile(specialize(family, v.w0), at=v.w0)
+        ref = incidence.profile(family, at=v.w0)
         assert v.profile.combinatorial_key() == ref.combinatorial_key()
         assert v.profile.to_json() == ref.to_json()
         assert _coordinates(v.profile) == _coordinates(ref)
@@ -448,7 +453,7 @@ def _assert_scan_matches_fiber_profiles(family):
     for w0 in map(Fraction, range(-3, 4)):
         if w0 in fatal:
             continue
-        fiber = incidence.profile(specialize(family, w0), at=w0)
+        fiber = incidence.profile(family, at=w0)
         assert (w0 in scan.sigma) == (
             fiber.combinatorial_key() != generic_key), w0
         assert _coordinates(scan.generic.fiber(w0)) == _coordinates(fiber)
@@ -473,7 +478,7 @@ def test_scan_profiles_match_fiber_elimination_on_the_families(text):
 def test_scan_eliminates_no_fiber(monkeypatch):
     """Each minor of the family is computed once, fraction-free, and no
     special fiber is eliminated again: no determinant by expansion, no
-    ``profile`` or ``specialize`` inside the scan."""
+    ``profile`` inside the scan."""
     tables = []
     table_of = incidence._minor_table
 
@@ -486,8 +491,6 @@ def test_scan_eliminates_no_fiber(monkeypatch):
 
     monkeypatch.setattr(incidence, "_minor_table", recorded)
     monkeypatch.setattr(incidence, "profile", refused)
-    monkeypatch.setattr("octic.forms.specialize", refused)
-    monkeypatch.setattr(incidence, "specialize", refused, raising=False)
     scan = incidence.degenerate_values(parse_equation(ELEVEN[10]))
     assert len(scan.sigma) == 3
     (table,) = tables
@@ -500,8 +503,9 @@ def test_scan_eliminates_no_fiber(monkeypatch):
 @pytest.mark.parametrize("text", [ELEVEN[10], ELEVEN[9]])
 def test_scan_searches_each_gcd_once(monkeypatch, text):
     """The scan stays in Z[w]: no gcd for an entry with a nonzero constant
-    minor, and one ``rational_roots`` per distinct primitive gcd.  (ELEVEN[9] has six nonconstant gcds on three distinct
-    ones; ELEVEN[10] has three distinct ones.)"""
+    minor, and one ``rational_roots`` per distinct primitive gcd.
+    (ELEVEN[9] has six nonconstant gcds on three distinct ones; ELEVEN[10]
+    has three distinct ones.)"""
     family = parse_equation(text)
     gcd_inputs, searched = [], []
     zw_gcd, roots_of = incidence._zw_gcd, incidence.rational_roots
@@ -519,10 +523,9 @@ def test_scan_searches_each_gcd_once(monkeypatch, text):
     incidence.degenerate_values(family)
     monkeypatch.undo()
 
-    rows = [f.coeffs for f in family.forms]
-    entries = [incidence._integer_row(r) for r in rows] + list(
-        incidence._minor_table(rows).values())
-    scanned = [ms for ms in entries if all(len(m) != 1 for m in ms)]
+    entries = list(family.rows) + list(
+        incidence._minor_table(family.rows).values())
+    scanned = [list(ms) for ms in entries if all(len(m) != 1 for m in ms)]
     assert gcd_inputs == scanned
     gcds = {zw_gcd(ms) for ms in scanned} - {(), (1,)}
     assert len(searched) == len(gcds)
@@ -621,11 +624,15 @@ def test_lookups_on_planes_sharing_a_fourfold_line():
 
 def _assert_fiber_is_eliminated_fiber(family, w0):
     """The fiber read off the family's table is the profile computed from
-    the specialized rows, and both name the same coincident pair."""
+    the rows evaluated at w0, and both name the same vanishing form or
+    coincident pair."""
     generic = incidence.profile(family)
     try:
-        ref = incidence.profile(specialize(family, w0), at=w0)
-    except FormVanishes:
+        ref = incidence.profile(family, at=w0)
+    except FormVanishes as err:
+        with pytest.raises(FormVanishes) as got:
+            generic.fiber(w0)
+        assert got.value.index == err.index
         return
     except incidence.CoincidentPlanes as err:
         with pytest.raises(incidence.CoincidentPlanes) as got:
@@ -755,7 +762,7 @@ def test_scan_values_carry_changes():
 def _diff_at_zero(text):
     a = parse_equation(text)
     generic = incidence.profile(a)
-    special = incidence.profile(specialize(a, Fraction(0)), at=Fraction(0))
+    special = incidence.profile(a, at=Fraction(0))
     return incidence.profile_diff(generic, special)
 
 
@@ -797,7 +804,7 @@ def _assert_diff_matches_brute_force(family):
     for v in scan.values:
         assert list(v.changes) == oracles.profile_diff(scan.generic, v.profile)
         try:
-            own = incidence.profile(specialize(family, v.w0), at=v.w0)
+            own = incidence.profile(family, at=v.w0)
         except incidence.CoincidentPlanes:
             continue
         assert incidence.profile_diff(scan.generic, own) == \
@@ -823,7 +830,7 @@ def test_diff_matches_brute_force(pairs):
 def test_no_diff_at_generic_value():
     a = parse_equation("xy(x+y+w)")
     generic = incidence.profile(a)
-    special = incidence.profile(specialize(a, Fraction(5)), at=Fraction(5))
+    special = incidence.profile(a, at=Fraction(5))
     assert incidence.profile_diff(generic, special) == []
 
 
@@ -854,4 +861,16 @@ def test_octic_check_needs_eight_planes():
 def test_coincident_planes_at_fatal_value():
     a = parse_equation("xyz(x+y+wz)(x+wy+z)")
     with pytest.raises(incidence.CoincidentPlanes):
-        incidence.profile(specialize(a, Fraction(1)), at=Fraction(1))
+        incidence.profile(a, at=Fraction(1))
+
+
+def test_vanishing_form_is_named_before_any_pair():
+    """A form that vanishes at w0 is named by the profile of the fiber and
+    by the fiber read off the table alike, before the pairs it makes
+    coincide."""
+    a = parse_equation("xz(y+wy)")  # (1+w) y dies at w = -1
+    for fiber in (lambda: incidence.profile(a, at=Fraction(-1)),
+                  lambda: incidence.profile(a).fiber(Fraction(-1))):
+        with pytest.raises(FormVanishes,
+                           match="^form 3 vanishes identically at w = -1$"):
+            fiber()

@@ -140,8 +140,7 @@ def _check_node_scans(equation, order, directives):
         orders.append(others + tuple(shuffled))
     scans = flags = 0
     for o in orders:
-        driver = _CheckedDriver(a, Fraction(0), schedule(generic, o),
-                                directives)
+        driver = _CheckedDriver(Fraction(0), schedule(generic, o), directives)
         try:
             driver.run()
         except TraceAborted:
