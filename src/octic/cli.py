@@ -12,6 +12,12 @@ Scenario files live in the package's ``data`` directory (override with the
 any mismatch.  All JSON output is canonical: sorted keys, two-space indent,
 exact rationals printed as ``p/q`` strings.
 
+``main`` builds only the sub-parser of the subcommand it runs, and all seven
+only when the first argument names none (``-h``, nothing, a typo): building
+seven cost more than any one stage of a typical call's mathematics.  Usage
+and error messages still name all seven, because they list the choices of
+the ``COMMANDS`` table, not the sub-parsers built.
+
 Exit codes: 0 success, 1 failed ``--check``, 2 malformed input (equations,
 parameters, data files), 3 the mathematics refused (out-of-taxonomy
 degeneration, aborted trace, unsupported configuration, inconsistent rank
@@ -86,7 +92,8 @@ def find_scenario(token: str):
         root = data_root()
         paths = [root / sub / f"{token}.json"
                  for sub in ("families", "examples", ".")]
-    path = next((p for p in paths if p.is_file()), None)
+    # os.path.isfile: Path.is_file raises on a name too long to look up
+    path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
         raise ScenarioNotFound(token)
     data = _load_json(path)
@@ -129,7 +136,7 @@ def _referenced(data, base: Path, key: str):
     if value is None or isinstance(value, (dict, list)):
         return value
     path = base / str(value)
-    if not path.is_file():
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"{key} file {value!r} is missing")
     return _load_json(path)
 
@@ -470,60 +477,49 @@ def cmd_render(args) -> int:
 # wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true",
-                        help="emit canonical JSON instead of text")
-    shared.add_argument("--check", action="store_true",
-                        help="compare against the scenario's expected block")
+_EQUATION = ("equation", None, "equation text or scenario name")
+_SCENARIO = ("scenario", None, "scenario name or JSON file")
+# name: (function, help, arguments as (name, default, help)); every
+# subcommand also takes --json and --check
+COMMANDS = {
+    "incidence": (cmd_incidence, "incidence profile of an arrangement",
+                  [_EQUATION, ("--at", None, "parameter value for the fiber")]),
+    "sigma": (cmd_sigma, "degenerate parameter values with classifications",
+              [_EQUATION]),
+    "classify": (cmd_classify, "classify the degeneration at one parameter value",
+                 [_EQUATION, ("--at", None, "parameter value (default 0)")]),
+    "resolve": (cmd_resolve, "run the blow-up trace and report the residual",
+                [_SCENARIO, ("--dot-dir", None,
+                             "also write one DOT file per trace step here")]),
+    "reduce": (cmd_reduce, "step-by-step blow-up trace", [_SCENARIO]),
+    "ss": (cmd_ss, "semistable model and weight spectral sequence", [_SCENARIO]),
+    "render": (cmd_render, "write DOT artifacts for a scenario's trace",
+               [_SCENARIO, ("--dot-dir", ".",
+                            "directory for the DOT files (default: .)")]),
+}
 
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s sub-parser alone when ``command`` names
+    one, and with all seven otherwise."""
     parser = argparse.ArgumentParser(
         prog="octic",
         description="incidence analysis and semistable reduction for "
                     "one-parameter families of octic plane arrangements")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("incidence", parents=[shared],
-                       help="incidence profile of an arrangement")
-    p.add_argument("equation", help="equation text or scenario name")
-    p.add_argument("--at", default=None, help="parameter value for the fiber")
-    p.set_defaults(func=cmd_incidence)
-
-    p = sub.add_parser("sigma", parents=[shared],
-                       help="degenerate parameter values with classifications")
-    p.add_argument("equation", help="equation text or scenario name")
-    p.set_defaults(func=cmd_sigma)
-
-    p = sub.add_parser("classify", parents=[shared],
-                       help="classify the degeneration at one parameter value")
-    p.add_argument("equation", help="equation text or scenario name")
-    p.add_argument("--at", default=None, help="parameter value (default 0)")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("resolve", parents=[shared],
-                       help="run the blow-up trace and report the residual")
-    p.add_argument("scenario", help="scenario name or JSON file")
-    p.add_argument("--dot-dir", default=None,
-                   help="also write one DOT file per trace step here")
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("reduce", parents=[shared],
-                       help="step-by-step blow-up trace")
-    p.add_argument("scenario", help="scenario name or JSON file")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("ss", parents=[shared],
-                       help="semistable model and weight spectral sequence")
-    p.add_argument("scenario", help="scenario name or JSON file")
-    p.set_defaults(func=cmd_ss)
-
-    p = sub.add_parser("render", parents=[shared],
-                       help="write DOT artifacts for a scenario's trace")
-    p.add_argument("scenario", help="scenario name or JSON file")
-    p.add_argument("--dot-dir", default=".",
-                   help="directory for the DOT files (default: .)")
-    p.set_defaults(func=cmd_render)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                prog=parser.prog)
+    # usage and error messages list these choices, not the sub-parsers built
+    sub.choices = COMMANDS
+    for name in [command] if command in COMMANDS else COMMANDS:
+        func, text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--json", action="store_true",
+                       help="emit canonical JSON instead of text")
+        p.add_argument("--check", action="store_true",
+                       help="compare against the scenario's expected block")
+        for arg, default, arg_help in arguments:
+            p.add_argument(arg, default=default, help=arg_help)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -534,7 +530,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--at" and re.match(r"-\d", argv[i]):
             argv[i - 1:i + 1] = ["--at=" + argv[i]]
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ScenarioNotFound as err:

@@ -1,5 +1,6 @@
 """Command line driver: golden scenarios, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from octic import cli, incidence
 
@@ -23,6 +24,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of ``main``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_bundled_scenario_inventory():
@@ -356,18 +368,22 @@ fuzz_w_power = st.sampled_from(["", "", "w", "w^2", "w^3"])
 # a power of w in front of a factor, drawn as a factor's exponent is
 fuzz_w_prefix = st.sampled_from(["", "", "", "", "w", "w^2", "w^10", "w^99",
                                  "w^1000000000"])
+# zeros in front of a coefficient, which make a token longer than a file
+# name may be without making the coefficient large
+fuzz_zeros = st.sampled_from(["", "", "", "", "", "", "", "0" * 300])
 
 
 @st.composite
 def fuzz_products(draw) -> str:
     """A product of bare variables and random linear factors: zero
-    coefficients, powers of w, ``^`` exponents and a ``u^2 =`` prefix."""
+    coefficients, zero-padded ones, powers of w, ``^`` exponents and a
+    ``u^2 =`` prefix."""
     out = draw(st.sampled_from(["", "", "u^2 = ", "u2="]))
     bare = draw(st.integers(0, 4))
     out += "".join(draw(st.permutations("xyzt"))[:bare])
     for _ in range(draw(st.integers(max(0, 3 - bare), 8 - bare))):
         terms = draw(st.lists(st.tuples(
-            st.sampled_from(["+", "+", "-"]),
+            st.sampled_from(["+", "+", "-"]), fuzz_zeros,
             st.from_regex(r"([0-9](/[0-9])?)?", fullmatch=True),
             fuzz_w_power, st.sampled_from(["x", "y", "z", "t", ""])),
             min_size=1, max_size=5))
@@ -378,21 +394,23 @@ def fuzz_products(draw) -> str:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["sigma", "incidence", "classify"]),
+@given(st.sampled_from(["sigma", "incidence", "classify", "resolve", "reduce",
+                        "ss"]),
        st.one_of(fuzz_text, fuzz_products()),
        st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3"]))
+@example("sigma", "xyz(x+w^" + "9" * 300 + "y)", "0")
+@example("resolve", "xyz(x+" + "0" * 300 + "1w)", "0")
 def test_exit_codes_hold_under_fuzzing(command, equation, w0):
-    """``sigma``, ``incidence --at`` and ``classify --at`` end every input
-    in a documented exit code with a message, never in a traceback."""
-    args = [command, equation] + ([] if command == "sigma" else ["--at", w0])
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        try:
-            code = cli.main(args)
-        except SystemExit as stop:  # argparse: an equation like "-x"
-            code = stop.code
-    assert code in (0, 2, 3, 4), (args, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    """Every command ends every input in a documented exit code with a
+    message, never in a traceback: ``sigma``, ``incidence --at`` and
+    ``classify --at`` read the token as an equation, ``resolve``, ``reduce``
+    and ``ss`` as a scenario name or file, and tokens run longer than a
+    file name may be."""
+    at = ["--at", w0] if command in ("incidence", "classify") else []
+    # argparse exits 2 on an equation like "-x"
+    code, _, err = _outcome([command, equation] + at)
+    assert code in (0, 2, 3, 4), (command, equation, err)
+    assert "Traceback" not in err
 
 
 def test_a_huge_factor_power_is_exit_2_at_once(capsys):
@@ -405,6 +423,26 @@ def test_a_huge_power_of_w_is_exit_2_at_once(capsys):
     code, out, err = run(capsys, "sigma", "xy(z+w^1000000000t)")
     assert (code, out, err) == (
         2, "", "ParseError: degree in w above 50 (at position 6)\n")
+
+
+# Every token is first looked up as a scenario file; one longer than a file
+# name may be is no such file, not an error.
+def test_a_token_too_long_for_a_file_name_is_parsed(capsys):
+    refused = (2, "", "ParseError: degree in w above 50 (at position 7)\n")
+    assert run(capsys, "sigma", "xyz(x+w^" + "9" * 300 + "y)") == refused
+    assert run(capsys, "sigma", "xyz(x+w^" + "9" * 240 + "y)") == refused
+
+
+def test_a_long_valid_equation_runs(capsys):
+    padded = run(capsys, "incidence", "xyz(x+y+z+" + "0" * 300 + "1w)", "--at",
+                 "1")
+    assert padded[0] == 0
+    assert padded == run(capsys, "incidence", "xyz(x+y+z+w)", "--at", "1")
+
+
+def test_a_scenario_name_too_long_for_a_file_is_exit_4(capsys):
+    assert run(capsys, "resolve", "a" * 300) == (
+        4, "", f"unknown scenario: {'a' * 300}\n")
 
 
 def test_exit_4_on_unknown_scenario(capsys):
@@ -477,3 +515,54 @@ def test_stored_residual_reads_back_unchanged(name):
     data, base = cli.find_scenario(name)
     stored = cli._referenced(data, base, "residual")
     assert cli.residual_from_json(stored).to_json() == stored
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+SUBCOMMANDS = ["incidence", "sigma", "classify", "resolve", "reduce", "ss",
+               "render"]
+# help, usage errors and the one rewritten option value
+USAGE = ([["-h"]] + [[command, "-h"] for command in SUBCOMMANDS]
+         + [[], ["--json"], ["sigm", "x"], ["incidence"],
+            ["sigma", "xyzt", "--foo"],
+            ["incidence", "xyz(x+y+z+wt)", "--at", "-1/2"]])
+
+
+@pytest.mark.parametrize("argv", USAGE, ids=lambda argv: " ".join(argv) or "-")
+def test_usage_is_that_of_all_seven_sub_parsers(monkeypatch, argv):
+    """``main`` builds one sub-parser where the first argument names it; its
+    help, usage and errors are those of the parser with all seven."""
+    one = _outcome(argv)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert one == _outcome(argv)
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """The ``prog`` of every ArgumentParser made from here on."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return progs
+
+
+def test_main_builds_the_sub_parser_it_runs(capsys, parsers):
+    assert run(capsys, "sigma", "NewL3")[0] == 0
+    assert parsers == ["octic", "octic sigma"]
+    # nothing is kept for the next call
+    assert run(capsys, "sigma", "NewL3")[0] == 0
+    assert parsers == ["octic", "octic sigma"] * 2
+
+
+def test_help_builds_all_seven_sub_parsers(capsys, parsers):
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    assert parsers == ["octic"] + [f"octic {c}" for c in SUBCOMMANDS]
