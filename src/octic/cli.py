@@ -118,16 +118,77 @@ def _scenario_w0(data) -> Fraction:
     return parse_fraction(str(data.get("w0", "0")))
 
 
+# Readers of the stored blocks a scenario refers to, the inputs of ``ss``:
+# each refuses a field of the wrong JSON type with a one-line ValueError.
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` when it is a ``kind``, else a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _expect_list(value, kind: type, what: str) -> tuple:
+    """The list ``value`` of ``kind`` entries as a tuple."""
+    return tuple(_expect(x, kind, f"an entry of {what}")
+                 for x in _expect(value, list, what))
+
+
 def residual_from_json(data) -> classify.ResidualSingularities:
+    """Read a stored residual, in the form ``ResidualSingularities.to_json``
+    writes (its ``adjacency`` is derived, and not read)."""
+    _expect(data, dict, "the residual")
+    curves = tuple(
+        classify.DoubleCurve(_expect(c.get("pinch"), int, "a pinch count"),
+                             _expect(c.get("over"), str, "a curve's location"))
+        for c in _expect_list(data.get("curves", []), dict, "the curves"))
+    triples = tuple(_expect_list(t, int, "a triple point")
+                    for t in _expect_list(data.get("triple_points", []), list,
+                                          "the triple points"))
+    if any(not 0 <= i < len(curves) for t in triples for i in t):
+        raise ValueError("a triple point names a curve the residual lacks")
+    marker = data.get("node_surface")
     return classify.ResidualSingularities(
-        double_curves=tuple(
-            classify.DoubleCurve(int(c["pinch"]), c["over"])
-            for c in data.get("curves", ())),
-        nodes=int(data.get("nodes", 0)),
-        node_surface_marker=data.get("node_surface"),
-        triple_meeting_points=tuple(
-            tuple(int(i) for i in t) for t in data.get("triple_points", ())),
-    )
+        double_curves=curves,
+        nodes=_expect(data.get("nodes", 0), int, "the node count"),
+        node_surface_marker=(marker if marker is None else
+                             _expect(marker, str, "the node surface")),
+        triple_meeting_points=triples)
+
+
+def cycle_model_from_json(data) -> specseq.CycleModel:
+    """Read a stored cycle model; a stored ``rank`` must be the matrix's."""
+    _expect(data, dict, "the cycle model")
+    generators = _expect(data.get("generators"), dict,
+                         "the cycle model's generators")
+    cm = specseq.CycleModel(
+        generators={k: _expect_list(v, str, f"the generators of {k}")
+                    for k, v in generators.items()},
+        row_labels=_expect_list(data.get("row_labels"), str,
+                                "the cycle model's row labels"),
+        col_labels=_expect_list(data.get("col_labels"), str,
+                                "the cycle model's column labels"),
+        matrix=tuple(tuple(parse_fraction(str(x)) for x in row)
+                     for row in _expect_list(data.get("matrix"), list,
+                                             "the cycle model's matrix")))
+    if "rank" in data and _expect(data["rank"], int,
+                                  "the cycle model's rank") != cm.rank:
+        raise specseq.InconsistentRanks(
+            f"the cycle model states rank {data['rank']}, but its matrix has "
+            f"rank {cm.rank}")
+    return cm
+
+
+def annotations_from_json(data) -> tuple:
+    """Read stored rank annotations: a list of {p, q, rank, why}."""
+    return tuple(specseq.RankAnnotation(
+        *(_expect(a.get(key), int, f"an annotation's {key}")
+          for key in ("p", "q", "rank")),
+        _expect(a.get("why", ""), str, "an annotation's why"))
+        for a in _expect_list(data, dict, "the rank annotations"))
 
 
 def _referenced(data, base: Path, key: str):
@@ -414,6 +475,7 @@ def cmd_ss(args) -> int:
         raise semistable.UnsupportedConfiguration(
             "scenario has no y_betti; the semistable model needs the "
             "resolved threefold's Betti numbers")
+    _expect_list(y_betti, int, "y_betti")
     if data.get("residual") is not None:
         residual = residual_from_json(_referenced(data, base, "residual"))
     else:
@@ -421,9 +483,10 @@ def cmd_ss(args) -> int:
     complex_ = semistable.build_components(residual, tuple(y_betti))
     e1 = specseq.assemble_e1(complex_)
     cm_data = _referenced(data, base, "cycle_model")
-    cm = specseq.CycleModel.from_json(cm_data) if cm_data else None
-    annotations = _referenced(data, base, "annotations") or ()
-    d1 = specseq.build_d1(complex_, cm=cm, annotations=annotations)
+    cm = cycle_model_from_json(cm_data) if cm_data else None
+    annotations = annotations_from_json(
+        _referenced(data, base, "annotations") or [])
+    d1 = specseq.build_d1(e1, cm=cm, annotations=annotations)
     report = specseq.compute_e2(e1, d1)
 
     payload = report.to_json()

@@ -4,9 +4,9 @@ Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator, so the invariants come for free).  On top of that:
 dense univariate polynomials over Q (``Poly``, the coefficients the parser
 builds), one kernel of integer polynomials in Z[w] for everything computed
-from them, and dense matrices over Q with deterministic Gauss-Jordan
-reduction.  A family's rows enter the kernel once, made primitive integer
-rows (``_integer_row``).
+from them, and the rank of a matrix over Q by fraction-free elimination on
+integer rows.  A family's rows enter the kernel once, made primitive integer
+rows (``_integer_row``), and so do a matrix's rows (``rank``).
 
 Minors of Z[w] rows are taken by Kronecker substitution: each entry is
 packed into one Python integer, its value at w = 2^k (``_zw_pack``), the
@@ -25,7 +25,7 @@ Everything here is immutable and pure; no floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import gcd as int_gcd, lcm as int_lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
@@ -155,11 +155,17 @@ def _integer_row(row: Sequence[Poly]) -> tuple:
     """The ``Poly`` ``row`` times the positive rational that makes it a
     primitive integer row: its entries as Z[w] tuples whose coefficients
     share no common factor."""
-    cs = [c for x in row for c in x.coeffs]
+    ints = iter(_primitive([c for x in row for c in x.coeffs]))
+    return tuple(tuple(islice(ints, len(x.coeffs))) for x in row)
+
+
+def _primitive(cs: Sequence) -> list:
+    """The ints or Fractions ``cs``, not all 0, times the positive rational
+    that makes them integers without a common factor."""
     den = int_lcm(*(c.denominator for c in cs))
-    content = int_gcd(*(c.numerator * (den // c.denominator) for c in cs))
-    return tuple(tuple(c.numerator * (den // c.denominator) // content
-                       for c in x.coeffs) for x in row)
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    content = int_gcd(*ints)
+    return [x // content for x in ints]
 
 
 def _pack_rows(rows: Sequence[Sequence[tuple]]) -> tuple[list, int]:
@@ -378,108 +384,37 @@ def _divide_root(ints: Sequence[int], num: int, den: int) -> Optional[list[int]]
 # matrices over Q
 
 
-class ExactMatrix:
-    """Dense matrix over Q.  ``field`` names the scalar domain, always "Q"."""
+def rank(rows: Sequence[Sequence]) -> int:
+    """The rank of the matrix over Q whose ``rows`` hold ints or Fractions.
 
-    __slots__ = ("rows", "cols", "entries", "field", "_rank")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        grid = [list(row) for row in entries]
-        ncols = len(grid[0]) if grid else 0
-        for row in grid:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-        self.entries = [[_coerce_fraction(e) for e in row] for row in grid]
-        self.rows = len(grid)
-        self.cols = ncols
-        self.field = "Q"
-        self._rank = None
-
-    def rank(self) -> int:
-        """The rank, by one ``rref`` on the first request; a transpose is
-        handed the rank already known, since it has the same."""
-        if self._rank is None:
-            self._rank = rref(self)[0]
-        return self._rank
-
-    def transpose(self) -> "ExactMatrix":
-        if self.rows == 0:
-            t = ExactMatrix([[] for _ in range(self.cols)]) if self.cols else ExactMatrix([])
-        else:
-            t = ExactMatrix([[self.entries[r][c] for r in range(self.rows)]
-                             for c in range(self.cols)])
-        t._rank = self._rank
-        return t
-
-    def matvec(self, v: Sequence) -> list:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.entries:
-            acc = None
-            for a, b in zip(row, v):
-                term = a * b
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = Fraction(0)
-            out.append(acc)
-        return out
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
-
-
-def rref(m: ExactMatrix) -> tuple[int, list[list], list[int]]:
-    """Reduced row echelon form bookkeeping, by Gauss-Jordan over Q.
-
-    Returns (rank, kernel_basis, pivot_columns).  Pivoting is always on the
-    first nonzero entry scanning columns left to right, so the kernel basis
-    is canonical: one vector per free column, with 1 in the free position.
+    Each nonzero row is scaled to a primitive integer row (``_primitive``),
+    which keeps the rank.  Fraction-free elimination (Bareiss 1968) then
+    runs on the integers: for each column, the first row below the pivots
+    with a nonzero entry there becomes the next pivot row (a column without
+    one is skipped), and every row below it is cross-multiplied by the new
+    pivot and divided by the previous one.  By Sylvester's identity the
+    division is exact, each entry stays a minor of the scaled matrix (up to
+    sign), and the rank is the number of pivots.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0, _trivial_kernel(m.cols), []
-    work = [row[:] for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [e * inv for e in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged matrix")
+    work = [_primitive(row) for row in rows if any(row)]
+    r, prev = 0, 1
+    for c in range(width):
+        if r == len(work):
             break
-    rank = len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][fc]
-        kernel.append(v)
-    return rank, kernel, pivots
-
-
-def _trivial_kernel(ncols: int) -> list[list]:
-    out = []
-    for fc in range(ncols):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        out.append(v)
-    return out
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        lead = top[c]
+        for i in range(r + 1, len(work)):
+            a = work[i][c]
+            work[i] = [(lead * x - a * y) // prev for x, y in zip(work[i], top)]
+        r, prev = r + 1, lead
+    return r
 
 
 def fraction_str(x: Fraction) -> str:

@@ -25,6 +25,9 @@ blocks bound from below, or inherited from the dual arrow -- Poincare
 duality of the pages pairs the arrow at (p, q) with the one at (-p-1, 6-q)
 rank for rank.
 
+Blocks and arrows are tuples of rows (0 and +-1 in the coboundaries,
+rationals in a cycle model); their ranks come from ``exact.rank``.
+
 The second page is then exact linear algebra over the resolved ranks.  It
 degenerates there, so its antidiagonals are the Betti numbers of a nearby
 smooth fiber, and the off-center entries of the middle antidiagonal decide
@@ -34,10 +37,11 @@ whether the limit mixed Hodge structure on H^3 is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from operator import mul
+from typing import Mapping, Optional, Sequence
 
-from .exact import ExactMatrix
+from . import exact
 from .semistable import StrataComplex, betti
 
 
@@ -147,26 +151,25 @@ def assemble_e1(s: StrataComplex) -> E1Grid:
 # nerve coboundaries
 
 
-def nerve_coboundary(s: StrataComplex, m: int) -> ExactMatrix:
-    """Signed incidence matrix from depth-m strata to depth-(m+1) strata.
+def nerve_coboundary(s: StrataComplex, m: int) -> tuple:
+    """Signed incidence matrix from depth-m strata to depth-(m+1) strata,
+    as rows of 0 and +-1.
 
     Rows follow the deeper level, columns the shallower one; the sign of an
     incidence is the position of the dropped component, so consecutive
     coboundaries compose to zero.
     """
     cols = [members for members, _ in s.level(m)]
-    rows = [members for members, _ in s.level(m + 1)]
     col_index = {tup: i for i, tup in enumerate(cols)}
     entries = []
-    for tup in rows:
-        row = [Fraction(0)] * len(cols)
+    for tup, _ in s.level(m + 1):
+        row = [0] * len(cols)
         for t in range(len(tup)):
-            face = tup[:t] + tup[t + 1:]
-            i = col_index.get(face)
+            i = col_index.get(tup[:t] + tup[t + 1:])
             if i is not None:
-                row[i] = Fraction((-1) ** t)
-        entries.append(row)
-    return ExactMatrix(entries)
+                row[i] = (-1) ** t
+        entries.append(tuple(row))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +181,16 @@ class CycleModel:
     """Labeled degree-2 homology bases and an explicit pushforward matrix.
 
     ``generators`` lists a basis of curve classes per double stratum.  The
-    matrix presents the pushforward of the ``row_labels`` subset of them in
-    the span of the ``col_labels`` classes on the components; a relation
-    among the rows is exactly a cycle that dies under d1.
+    matrix, rows of rationals, presents the pushforward of the
+    ``row_labels`` subset of them in the span of the ``col_labels`` classes
+    on the components; a relation among the rows is exactly a cycle that
+    dies under d1.
     """
 
     generators: dict
     row_labels: tuple
     col_labels: tuple
-    matrix: ExactMatrix
+    matrix: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
@@ -202,30 +206,15 @@ class CycleModel:
             raise ValueError("matrix row labels repeat")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise ValueError("matrix column labels repeat")
-        if self.matrix.rows != len(self.row_labels):
+        if len(self.matrix) != len(self.row_labels):
             raise ValueError("matrix height does not match its row labels")
-        if self.matrix.cols != len(self.col_labels):
+        if any(len(row) != len(self.col_labels) for row in self.matrix):
             raise ValueError("matrix width does not match its column labels")
 
+    @cached_property
     def rank(self) -> int:
-        return self.matrix.rank()
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "CycleModel":
-        """Read a stored model; a stored ``rank`` must be the matrix's."""
-        matrix = ExactMatrix([[Fraction(str(x)) for x in row]
-                              for row in data["matrix"]])
-        cm = cls(
-            generators={k: tuple(v) for k, v in data["generators"].items()},
-            row_labels=tuple(data["row_labels"]),
-            col_labels=tuple(data["col_labels"]),
-            matrix=matrix,
-        )
-        if "rank" in data and int(data["rank"]) != cm.rank():
-            raise InconsistentRanks(
-                f"the cycle model states rank {data['rank']}, but its matrix "
-                f"has rank {cm.rank()}")
-        return cm
+        """The matrix's rank, computed on the first request only."""
+        return exact.rank(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +239,16 @@ class RankAnnotation:
 class Arrow:
     """The differential leaving one position of the first page.
 
-    ``matrix`` is the whole arrow, present when its target is nonzero and
-    every block of it is known; ``known`` lists the blocks that are known,
-    each of whose ranks bounds the rank of the arrow from below.
+    ``matrix`` is the whole arrow as rows, present when its target is
+    nonzero and every block of it is known.  ``lower``, computed for an
+    annotated arrow only, is the largest rank of its known blocks, which
+    bounds the rank of the arrow from below.
     """
 
     source_dim: int
     target_dim: int
-    matrix: Optional[ExactMatrix] = None
-    known: tuple = ()
+    matrix: Optional[tuple] = None
+    lower: int = 0
     annotation: Optional[RankAnnotation] = None
 
 
@@ -286,11 +276,11 @@ def _offsets(groups) -> dict:
     return out
 
 
-def build_d1(s: StrataComplex,
+def build_d1(e1: E1Grid,
              cm: Optional[CycleModel] = None,
-             annotations: Iterable = ()) -> dict:
-    """Every arrow of d1 on the first page, keyed by the (p, q) it leaves,
-    each assembled from its blocks.
+             annotations: Sequence[RankAnnotation] = ()) -> dict:
+    """Every arrow of d1 on the first page ``e1``, keyed by the (p, q) it
+    leaves, each assembled from its blocks.
 
     Known blocks: degree-zero restrictions are nerve coboundaries,
     top-degree Gysin maps their transposes, and a supplied cycle model
@@ -300,17 +290,16 @@ def build_d1(s: StrataComplex,
     the dual arrow at (-p-1, 6-q); otherwise the arrow is reported
     missing.
     """
-    e1 = assemble_e1(s)
+    s = e1.complex
     anns = {}
     for a in annotations:
-        if not isinstance(a, RankAnnotation):
-            a = RankAnnotation(int(a["p"]), int(a["q"]), int(a["rank"]),
-                               str(a.get("why", "")))
         if (a.p, a.q) in anns:
             raise ValueError(f"two annotations for the arrow at ({a.p}, {a.q})")
         anns[(a.p, a.q)] = a
 
     deltas = {m: nerve_coboundary(s, m) for m in range(1, s.depth)}
+    # model rows are source classes, block rows targets
+    cm_block = tuple(zip(*cm.matrix)) if cm is not None else None
 
     arrows = {}
     for p in e1.columns:
@@ -323,19 +312,18 @@ def build_d1(s: StrataComplex,
             tgt_dims = dict(tgt_groups)
             known, placed, complete = [], [], True
             for (m, deg), dim in src_groups:
-                blocks = []            # (target group, matrix or None, full)
+                blocks = []            # (target group, rows or None, full)
                 restriction, gysin = (m + 1, deg), (m - 1, deg + 2)
                 if tgt_dims.get(restriction):
                     blocks.append((restriction,
                                    deltas.get(m) if deg == 0 else None, True))
                 if tgt_dims.get(gysin):
                     if deg == _top_degree(m) and (m - 1) in deltas:
-                        blocks.append((gysin, deltas[m - 1].transpose(), True))
+                        blocks.append((gysin, tuple(zip(*deltas[m - 1])), True))
                     elif m == 2 and deg == 2 and cm is not None:
-                        # model rows are source classes, block rows targets
-                        full = (cm.matrix.rows == dim and
-                                cm.matrix.cols == tgt_dims[gysin])
-                        blocks.append((gysin, cm.matrix.transpose(), full))
+                        full = (len(cm.matrix) == dim and
+                                len(cm.col_labels) == tgt_dims[gysin])
+                        blocks.append((gysin, cm_block, full))
                     else:
                         blocks.append((gysin, None, True))
                 for target, block, full in blocks:
@@ -348,15 +336,17 @@ def build_d1(s: StrataComplex,
             matrix = None
             if complete and tgt.dim:
                 col_off, row_off = _offsets(src_groups), _offsets(tgt_groups)
-                zero = Fraction(0)
-                grid = [[zero] * src.dim for _ in range(tgt.dim)]
+                grid = [[0] * src.dim for _ in range(tgt.dim)]
                 for source, target, block in placed:
                     r0, c0 = row_off[target], col_off[source]
-                    for r, row in enumerate(block.entries):
+                    for r, row in enumerate(block):
                         grid[r0 + r][c0:c0 + len(row)] = row
-                matrix = ExactMatrix(grid)
-            arrows[(p, q)] = Arrow(src.dim, tgt.dim, matrix, tuple(known),
-                                   anns.pop((p, q), None))
+                matrix = tuple(map(tuple, grid))
+            annotation = anns.pop((p, q), None)
+            # the model's block has the model's rank, known once
+            lower = max((cm.rank if b is cm_block else exact.rank(b)
+                         for b in known), default=0) if annotation else 0
+            arrows[(p, q)] = Arrow(src.dim, tgt.dim, matrix, lower, annotation)
 
     for (p, q), a in anns.items():
         raise ValueError(f"annotation at ({p}, {q}) matches no arrow")
@@ -397,14 +387,14 @@ def _resolve_ranks(e1: E1Grid, d1: Mapping):
             continue
         if arrow.matrix is not None:
             assembled[(p, q)] = arrow.matrix
-            ranks[(p, q)] = (arrow.matrix.rank(), "matrix", "")
+            ranks[(p, q)] = (exact.rank(arrow.matrix), "matrix", "")
         a = arrow.annotation
         if a is not None:
-            lower = max((b.rank() for b in arrow.known), default=0)
-            if not (lower <= a.rank <= min(arrow.source_dim, arrow.target_dim)):
+            top = min(arrow.source_dim, arrow.target_dim)
+            if not (arrow.lower <= a.rank <= top):
                 raise InconsistentRanks(
                     f"annotated rank {a.rank} at ({p}, {q}) is outside "
-                    f"[{lower}, {min(arrow.source_dim, arrow.target_dim)}]")
+                    f"[{arrow.lower}, {top}]")
             if (p, q) in ranks and ranks[(p, q)][0] != a.rank:
                 raise InconsistentRanks(
                     f"annotated rank {a.rank} at ({p}, {q}) disagrees with "
@@ -435,10 +425,9 @@ def _resolve_ranks(e1: E1Grid, d1: Mapping):
     # d1 * d1 = 0, on matrices where both are assembled, on ranks always
     for (p, q), m2 in assembled.items():
         m1 = assembled.get((p - 1, q))
-        if m1 is not None and m1.rows:
-            prod = [m2.matvec([m1.entries[r][c] for r in range(m1.rows)])
-                    for c in range(m1.cols)]
-            if any(x != 0 for col in prod for x in col):
+        if m1 is not None:
+            cols = list(zip(*m1))
+            if any(sum(map(mul, row, col)) for row in m2 for col in cols):
                 raise InconsistentRanks(
                     f"d1 after d1 at ({p - 1}, {q}) is not zero")
     for (p, q), (r, _, _) in ranks.items():

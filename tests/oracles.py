@@ -13,7 +13,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from octic import classify, cli, incidence
-from octic.exact import Poly, _zw_at, rref
+from octic.exact import Poly, _zw_at
 from octic.forms import LinearForm, ParamArrangement
 
 # the eleven bundled families in ``classify.TAGS`` order, read from their
@@ -185,10 +185,11 @@ def transform(a, m):
 
 def relations(cm) -> list:
     """A basis of the relations among the rows of the cycle model ``cm``
-    (the left kernel of its matrix, by ``rref`` of the transpose), each as
-    {row label: nonzero coefficient}."""
-    _, kernel, _ = rref(cm.matrix.transpose())
-    return [{label: c for label, c in zip(cm.row_labels, vec) if c}
+    (the left kernel of its matrix, by sympy's nullspace of the transpose),
+    each as {row label: nonzero coefficient}."""
+    kernel = sympy.Matrix(cm.matrix).T.nullspace()
+    return [{label: Fraction(int(c.p), int(c.q))
+             for label, c in zip(cm.row_labels, vec) if c}
             for vec in kernel]
 
 
@@ -196,7 +197,8 @@ def combination_vanishes(cm, chain) -> bool:
     """Whether the rows of ``cm`` combined with the coefficients of the
     {row label: coefficient} ``chain`` sum to zero."""
     coeffs = [Fraction(chain.get(label, 0)) for label in cm.row_labels]
-    return not any(cm.matrix.transpose().matvec(coeffs))
+    return not any(sum(c * x for c, x in zip(coeffs, col))
+                   for col in zip(*cm.matrix))
 
 
 def zw_mul(a: tuple, b: tuple) -> tuple:

@@ -1,5 +1,5 @@
 """Exact-arithmetic kernel: polynomials over Q, the Z[w] kernel, rational
-roots and rref over Q, against sympy or Horner's rule where a reference is
+roots and ranks over Q, against sympy or Horner's rule where a reference is
 needed."""
 
 import random
@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import evaluate, zw_mul
 
-from octic.exact import (ExactMatrix, Poly, _integer_row, _zw_at, _zw_div,
-                         _zw_gcd, _zw_pack, _zw_squarefree, _zw_trim,
-                         _zw_unpack, fraction_str, parse_fraction,
-                         rational_roots, rref)
+from octic.exact import (Poly, _integer_row, _zw_at, _zw_div, _zw_gcd,
+                         _zw_pack, _zw_squarefree, _zw_trim, _zw_unpack,
+                         fraction_str, parse_fraction, rank, rational_roots)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_polys = st.lists(fractions, max_size=5).map(Poly)
@@ -226,45 +225,45 @@ def test_fraction_str_round_trip():
     assert fraction_str(Fraction(1, 2)) == "1/2"
 
 
-def _random_matrix(rng, rows, cols):
-    return ExactMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                         for _ in range(cols)] for _ in range(rows)])
-
-
-def test_rref_kernel_500_random():
+def test_rank_500_random():
     rng = random.Random(20260822)
     for _ in range(500):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = _random_matrix(rng, rows, cols)
-        rank, kernel, pivots = rref(m)
-        assert rank + len(kernel) == cols
-        assert rank == len(pivots)
-        for v in kernel:
-            assert all(x == 0 for x in m.matvec(v))
-        # canonical: each kernel vector has a 1 in a distinct free column
-        # and zeros in the other free columns
-        free = [j for j in range(cols) if j not in pivots]
-        assert len(free) == len(kernel)
-        for v, j in zip(kernel, free):
-            assert v[j] == 1
-            for other in free:
-                if other != j:
-                    assert v[other] == 0
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+              for _ in range(cols)] for _ in range(rows)]
+        assert rank(m) == sympy.Matrix(m).rank()
 
 
-def test_rref_rank_matches_scaling():
-    rng = random.Random(7)
-    for _ in range(50):
-        m = _random_matrix(rng, 4, 4)
-        scaled = ExactMatrix([[3 * x for x in row] for row in m.entries])
-        assert rref(m)[0] == rref(scaled)[0]
+# matrices of 0 to 5 rows of 0 to 5 rationals, mostly small integers so that
+# dependent rows turn up
+matrices = st.integers(0, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2), fractions), min_size=cols,
+             max_size=cols), max_size=5))
 
 
-def test_matvec_shape_guard():
-    m = ExactMatrix([[Fraction(1), Fraction(2)]])
-    with pytest.raises(Exception):
-        m.matvec([Fraction(1)])
+@settings(max_examples=200, deadline=None)
+@given(matrices, st.data())
+def test_rank_is_that_of_the_transpose_and_of_a_scaled_row(m, data):
+    r = rank(m)
+    assert r == sympy.Matrix(m).rank()
+    assert rank(list(zip(*m))) == r
+    if m:
+        i = data.draw(st.integers(0, len(m) - 1))
+        c = data.draw(fractions.filter(bool))
+        assert rank(m[:i] + [[c * x for x in m[i]]] + m[i + 1:]) == r
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, 0], [Fraction(0), 0]]) == 0
+    assert rank([[0, 0, 1], [0, 0, 2]]) == 1
+
+
+def test_rank_refuses_a_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[1, 2], [3]])
 
 
 @given(st.lists(zw_polys, min_size=1, max_size=4), points)
@@ -276,9 +275,3 @@ def test_zw_at_evaluates_over_one_denominator(polys, v):
     scale = v.denominator ** (max(map(len, polys)) - 1)
     assert [x[0] if x else 0 for x in values] == [
         evaluate(p, v) * scale for p in polys]
-
-
-def test_exact_matrix_is_over_q_only():
-    assert ExactMatrix([[1, Fraction(1, 2)]]).field == "Q"
-    with pytest.raises(TypeError):
-        ExactMatrix([[Poly([0, 1]), 1]])
