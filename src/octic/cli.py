@@ -109,16 +109,17 @@ def scenario_or_equation(token: str):
         data, _ = find_scenario(token)
     except ScenarioNotFound:
         return None, token
-    if not data.get("equation"):
+    equation = _expect(data.get("equation", ""), str, "the equation")
+    if not equation:
         raise NoEquation(token)
-    return data, data["equation"]
+    return data, equation
 
 
 def _scenario_w0(data) -> Fraction:
-    return parse_fraction(str(data.get("w0", "0")))
+    return parse_fraction(_expect(data.get("w0", "0"), str, "w0"))
 
 
-# Readers of the stored blocks a scenario refers to, the inputs of ``ss``:
+# Readers of a scenario's fields and of the stored blocks it refers to:
 # each refuses a field of the wrong JSON type with a one-line ValueError.
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
                int: "an integer"}
@@ -299,16 +300,39 @@ def _classify_value(generic, value) -> list:
 
 
 def _trace_scenario(data):
-    equation = data.get("equation")
+    """The schedule, trace and residual of a scenario.  Every field they
+    read is checked for its JSON type first."""
+    equation = _expect(data.get("equation", ""), str, "the equation")
     if not equation:
         raise resolve.TraceAborted(
             "start", "scenario carries no equation to trace", ())
+    order = _expect_list(data.get("blowup_order", []), str,
+                         "the blow-up order")
+    directives = directives_from_json(data.get("directives", {}))
+    w0 = _scenario_w0(data)
     a = parse_equation(equation)
     generic = incidence.profile(a)
-    sched = resolve.schedule(generic, tuple(data.get("blowup_order") or ()))
-    trace, residual = resolve.trace_central_fiber(
-        a, _scenario_w0(data), sched, data.get("directives"))
+    sched = resolve.schedule(generic, order)
+    trace, residual = resolve.trace_central_fiber(a, w0, sched, directives)
     return sched, trace, residual
+
+
+def directives_from_json(data) -> dict:
+    """A scenario's transcribed steps by center name (``resolve`` reads
+    them): lists of surface-label lists under ``targets`` and ``pinches``,
+    a label list under ``sections``, and strings under ``rewrite``,
+    ``over``, ``parent`` and ``fiber_with``."""
+    for spec in _expect(data, dict, "the directives").values():
+        _expect(spec, dict, "a directive")
+        for key in ("targets", "pinches"):
+            for labels in _expect_list(spec.get(key, []), list,
+                                       f"a directive's {key}"):
+                _expect_list(labels, str, f"a directive's {key}")
+        _expect_list(spec.get("sections", []), str, "a directive's sections")
+        for key in ("rewrite", "over", "parent", "fiber_with"):
+            if key in spec:
+                _expect(spec[key], str, f"a directive's {key}")
+    return data
 
 
 # ---------------------------------------------------------------------------

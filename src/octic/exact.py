@@ -10,14 +10,17 @@ rows (``_integer_row``), and so do a matrix's rows (``rank``).
 
 Minors of Z[w] rows are taken by Kronecker substitution: each entry is
 packed into one Python integer, its value at w = 2^k (``_zw_pack``), the
-products and sums run on those integers, and each result is unpacked once
-as its balanced base-2^k digits (``_zw_unpack``).  The width k comes from a
-1-norm bound (``_zw_width``): k - 1 bits hold 24 times the product of the
-four largest row norms, which bounds every coefficient of every maximal
-minor of at most four rows.  In Z[w] gcds are taken by primitive
-pseudo-remainders, and ``rational_roots`` tests and divides out each
-candidate root in integers, leaving the square-free decomposition, also in
-Z[w], to the leftovers without a rational root.
+products and sums run on those integers, and a result's coefficients are
+its balanced base-2^k digits (``_zw_unpack``), read where they are needed.
+The width k comes from a 1-norm bound (``_zw_width``): k - 1 bits hold 24
+times the product of the four largest row norms, which bounds every
+coefficient of every maximal minor of at most four rows.  Gcds in Z[w] are
+taken on packed integers too, by the heuristic gcd GCDHEU (Char, Geddes and
+Gonnet 1989): one integer gcd at a 2^k large enough to hold the inputs'
+roots, read back as digits and checked by exact division, with primitive
+pseudo-remainder sequences as the fallback.  ``rational_roots`` tests and
+divides out each candidate root in integers, leaving the square-free
+decomposition, also in Z[w], to the leftovers without a rational root.
 
 Everything here is immutable and pure; no floats anywhere.
 """
@@ -214,29 +217,85 @@ def _zw_unpack(value: int, k: int) -> tuple:
     return tuple(digits)
 
 
-def _zw_div(a: tuple, b: tuple) -> tuple:
-    """The quotient of ``a`` by a nonzero ``b`` that divides it in Z[w]
-    (by Gauss's lemma, any primitive ``b`` that divides it in Q[w])."""
+def _zw_div(a: tuple, b: tuple) -> Optional[tuple]:
+    """The quotient of ``a`` by a nonzero ``b`` in Z[w], or None when ``b``
+    does not divide ``a`` there (by Gauss's lemma, for a primitive ``b``,
+    when it does not divide it in Q[w])."""
     if not a:
         return ()
     r, lead, n = list(a), b[-1], len(b)
+    if len(r) < n:
+        return None
     quotient = [0] * (len(a) - n + 1)
     for k in reversed(range(len(quotient))):
-        c = quotient[k] = r[k + n - 1] // lead
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-    return tuple(quotient)
+        c, rest = divmod(r[k + n - 1], lead)
+        if rest:
+            return None
+        if c:
+            quotient[k] = c
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+    return None if any(r[:n - 1]) else tuple(quotient)
 
 
-def _zw_gcd(polys: Iterable[tuple]) -> tuple:
+# tries of the heuristic gcd, each at twice the width of the last, before
+# the pseudo-remainder sequence takes over
+_HEU_TRIES = 4
+
+
+def _zw_gcd(polys: Iterable[tuple], k: int = 0) -> tuple:
     """The gcd in Z[w] of ``polys`` in primitive form (coefficients without
-    a common factor, positive leading one): () when all are 0, and (1,) as
-    soon as it is constant.  Pairs are reduced by primitive pseudo-remainder
-    sequences (Brown 1971), so every step stays in Z[w]."""
+    a common factor, positive leading one): () when all are 0, and (1,) when
+    it is constant.
+
+    GCDHEU (Char, Geddes and Gonnet 1989): one integer gcd of the values at
+    w = 2^k, with 2^k >= 2 h + 2 for h the least height (largest absolute
+    coefficient) of a nonzero input, read back as balanced base-2^k digits
+    and made primitive (``_zw_heu``).  A candidate that fails the division
+    test is retried at twice the width, and after ``_HEU_TRIES`` widths the
+    primitive pseudo-remainder sequence decides (``_zw_prs_gcd``).  ``k``
+    sets the first width; one below the bound is doubled up to it.
+    """
+    polys = [p for p in polys if p]
+    if not polys:
+        return ()
+    if any(len(p) == 1 for p in polys):
+        return (1,)
+    bound = 2 * min(max(map(abs, p)) for p in polys) + 2
+    k = k or (bound - 1).bit_length()
+    for _ in range(_HEU_TRIES):
+        if 1 << k >= bound:
+            g = _zw_heu(polys, int_gcd(*(_zw_pack(p, k) for p in polys)), k)
+            if g:
+                return g
+        k *= 2
+    return _zw_prs_gcd(polys)
+
+
+def _zw_heu(polys: Sequence[tuple], value: int, k: int) -> Optional[tuple]:
+    """The primitive gcd of the nonzero ``polys`` read off ``value``, the
+    integer gcd of their values at w = 2^k, or None when the candidate (the
+    balanced base-2^k digits of ``value``, made primitive) does not divide
+    them all.
+
+    It needs 2^k >= 2 h + 2 for the height h of one of them: every root of
+    that one then lies below 1 + h <= 2^(k-1) in absolute value (Cauchy),
+    so each nonconstant factor f of it has |f(2^k)| > 2^(k-1).  The gcd's
+    value divides ``value``, so a ``value`` below 2^(k-1) in absolute value
+    makes the gcd 1.  A candidate that divides them all is the gcd: the gcd
+    is the candidate times a factor whose value divides the digits'
+    content, which is at most 2^(k-1), so that factor is constant."""
+    g = _zw_primitive(_zw_unpack(value, k))
+    if len(g) == 1 or all(_zw_div(p, g) is not None for p in polys):
+        return g
+    return None
+
+
+def _zw_prs_gcd(polys: Sequence[tuple]) -> tuple:
+    """``_zw_gcd`` of the nonzero ``polys`` by primitive pseudo-remainder
+    sequences (Brown 1971), every step in Z[w]."""
     g = ()
     for p in polys:
-        if not p:
-            continue
         p = _zw_primitive(p)
         if g:
             if len(g) < len(p):

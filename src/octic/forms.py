@@ -23,9 +23,10 @@ from .exact import Poly, _integer_row, _pack_rows
 VARIABLES = ("x", "y", "z", "t")
 PARAMETER = "w"
 # the largest degree in w a coefficient may have: sigma on 8-plane families
-# with this power in several moving forms takes under half a second, and
-# its cost grows with about the cube of the degree
-MAX_W_DEGREE = 50
+# with this power in several moving forms takes under half a second (the
+# heuristic gcd of ``exact._zw_gcd`` keeps its cost near 0.03 s at degree
+# 100 and 0.35 s at 1000 on one Xeon core, growing faster than the degree)
+MAX_W_DEGREE = 1000
 
 
 class ParseError(ValueError):

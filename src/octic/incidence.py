@@ -30,18 +30,21 @@ collapsed generic point in ``profile_diff``.  A fiber of a family
 evaluates the minors it reads at its parameter.
 
 Degenerate parameter values are located by scanning the maximal minors of
-the coefficient rows, each computed once: a subset of planes acquires a new
-coincidence exactly where its minors all vanish, that is at the roots of
-their gcd.  The scan stays in Z[w]: a subset with a nonzero constant minor
-is skipped, the others' gcd is taken by primitive pseudo-remainders, and
-the rational roots of each distinct primitive gcd are searched once per
-family.  The profile at a rational root is the generic one with the
-subsets whose minors vanish there folded in: each dependent triple
-(quadruple) adds its planes to the pencil (star) of each pair (triple)
-inside it, and only the lines and points that grow, or whose ``j``
-changes, are new objects.  Irrational candidates are handed back
+the coefficient rows, each computed once and kept packed: a subset of
+planes acquires a new coincidence exactly where its minors all vanish, that
+is at the roots of their gcd.  The scan stays on the packed integers: a
+subset whose packed minors have an integer gcd below 2^(k-1) has coprime
+minors (a nonzero constant among them, say) or only zero ones, and is
+passed over without unpacking; the others are unpacked, and their gcd is
+read off that same integer gcd (GCDHEU, ``exact._zw_heu``).  The rational
+roots of each distinct primitive gcd are searched once per family.  The
+profile at a rational root is the generic one with the subsets whose minors
+vanish there folded in: each dependent triple (quadruple) adds its planes
+to the pencil (star) of each pair (triple) inside it, and only the lines
+and points that grow, or whose ``j`` changes, are new objects, which
+``profile_diff`` visits.  Irrational candidates are handed back
 unevaluated.  ``IncidenceProfile.fiber`` reads the fiber at any parameter
-off the same table, by evaluating the minors there.
+off the same table, unpacking only the minors it tests.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd as int_gcd
 from typing import Iterable, Optional, Sequence
 
-from .exact import (Poly, _pack_rows, _zw_at, _zw_div, _zw_gcd, _zw_sub,
-                    _zw_trim, _zw_unpack, _zw_value, rational_roots)
+from .exact import (Poly, _pack_rows, _zw_at, _zw_div, _zw_gcd, _zw_heu,
+                    _zw_sub, _zw_trim, _zw_unpack, _zw_value, rational_roots)
 from .forms import FormVanishes, ParamArrangement
 
 
@@ -113,6 +117,9 @@ class MultiplePoint:
         return len(self.planes)
 
 
+_BY_PLANES = operator.attrgetter("planes")
+
+
 def _plane_mask(planes: Iterable[int]) -> int:
     """The bit mask of a set of 1-based plane indices: bit k for plane k.
     A plane set contains another exactly when ``a & b == b``."""
@@ -137,12 +144,13 @@ class IncidenceProfile:
     through their line or point.  ``line_through``, ``point_through`` and
     ``points_on`` are index reads on these, in time independent of the
     number of lines and points; only a set of planes on one line is looked
-    up by a scan.  A special
-    fiber's profile is this profile with more dependent triples and
-    quadruples folded in (``_special``): only the lines and points that
-    grow, and the points whose ``j`` changes, are new objects.  Every
-    profile keeps the minor table it was read off, so ``fiber`` reads the
-    fiber at any parameter off it.
+    up by a scan.  A special fiber's profile is this profile with more
+    dependent triples and quadruples folded in (``_special``): only the
+    lines and points that grow, and the points whose ``j`` changes, are
+    new objects, and only they are visited by ``profile_diff``.  ``lines``
+    and ``points`` are sorted when first read.  Every profile keeps the
+    packed minor table it was read off, so ``fiber`` reads the fiber at
+    any parameter off it.
 
     Coordinates are not stored: ``point_vector`` and ``line_basis`` read
     canonical ones off the table's minors when asked, a fiber of a family
@@ -150,53 +158,41 @@ class IncidenceProfile:
     """
 
     def __init__(self, pencils: dict, stars: dict, dependent: set,
-                 rows: Sequence, table: dict, at: Optional[Fraction] = None,
-                 base: Optional[IncidenceProfile] = None):
+                 line_of: dict, point_of: dict, rows: Sequence, table: dict,
+                 width: int, at: Optional[Fraction] = None,
+                 base: Optional[IncidenceProfile] = None,
+                 new: tuple[Sequence, Sequence] = ((), ())):
         """``pencils`` maps each 0-based pair, ``stars`` each independent
         0-based triple, to the mask of all planes through its line or
-        point; ``dependent`` holds the dependent triples and quadruples.
-        ``rows`` are the family's primitive integer Z[w] rows and ``table``
-        a minor table of them: over Z[w], or over Z for the fiber at ``at``
-        (``profile``); a profile with ``at`` set is the fiber there.
-        Records of ``base`` whose plane set and ``j`` are unchanged are
-        reused."""
-        known_lines = base._line_of if base else {}
-        known_points = base._point_of if base else {}
-        line_of = {m: known_lines.get(m) or MultipleLine(_planes(m), m)
-                   for m in set(pencils.values())}
-        triples = frozenset(m for m in line_of if m.bit_count() >= 3)
-        same_triples = base is not None and triples == base._triples
-        point_of = {}
-        for m in set(stars.values()):
-            pt = known_points.get(m)
-            if pt is None or not same_triples:
-                j = sum(l & m == l for l in triples)
-                if pt is None or pt.j != j:
-                    pt = MultiplePoint(_planes(m), j, m)
-            point_of[m] = pt
-        by_planes = operator.attrgetter("planes")
-        if base is not None and line_of == known_lines:
-            self.lines = base.lines
-        else:
-            self.lines = tuple(sorted(line_of.values(), key=by_planes))
-        if base is not None and point_of == known_points:
-            self.points = base.points
-        else:
-            self.points = tuple(sorted(point_of.values(), key=by_planes))
+        point; ``dependent`` holds the dependent triples and quadruples, and
+        ``line_of`` and ``point_of`` map each line's and point's mask to its
+        record.  ``rows`` are the family's primitive integer Z[w] rows and
+        ``table`` a minor table of them (``_minor_table``): over Z[w],
+        packed at w = 2^``width``, or over Z (``width`` 0) for the fiber at
+        ``at``; a profile with ``at`` set is the fiber there.  A special
+        profile names the profile ``base`` it was folded from and its
+        ``new`` lines and points, the records that are not ``base``'s."""
         self.n_forms = len(rows)
         self.at = at
-        self._rows = rows
-        self._line_of, self._point_of = line_of, point_of
-        self._triples = triples
+        self._rows, self._table, self._width = rows, table, width
         self._pencils, self._stars, self._dependent = pencils, stars, dependent
-        self._table = table
-        # entries are ints over Z, coefficient tuples over Z[w]
-        self._over_zw = isinstance(next(iter(table.values()), [0])[0], tuple)
+        self._line_of, self._point_of = line_of, point_of
+        self._base, self._new = base, new
+
+    @cached_property
+    def lines(self) -> tuple[MultipleLine, ...]:
+        return tuple(sorted(self._line_of.values(), key=_BY_PLANES))
+
+    @cached_property
+    def points(self) -> tuple[MultiplePoint, ...]:
+        return tuple(sorted(self._point_of.values(), key=_BY_PLANES))
 
     def fiber(self, w0: Fraction) -> IncidenceProfile:
         """The profile of the fiber at ``w0`` of the family this profile
         was computed for, read off its minor table: the triples and
-        quadruples whose minors all vanish at ``w0`` are folded in.
+        quadruples whose minors all vanish at ``w0`` are folded in.  A
+        packed minor vanishes at 0 when its low ``width`` bits do; at any
+        other ``w0`` it is unpacked, one at a time, until one does not.
 
         Raises FormVanishes for the first form that vanishes at ``w0``
         (``_rows_at``), and then CoincidentPlanes for the first pair whose
@@ -204,14 +200,14 @@ class IncidenceProfile:
         ``w0`` raises, in its order.
         """
         extra = set()
-        if self._over_zw:
+        if k := self._width:
             _rows_at(self._rows, w0)
-            p, q = w0.numerator, w0.denominator
+            p, q, low = w0.numerator, w0.denominator, (1 << k) - 1
             for s, ms in self._table.items():
                 if s in self._dependent:
                     continue
                 for m in ms:
-                    if _zw_value(m, p, q):
+                    if _zw_value(_zw_unpack(m, k), p, q) if p else m & low:
                         break
                 else:
                     if len(s) == 2:
@@ -221,21 +217,61 @@ class IncidenceProfile:
 
     def _special(self, extra: set, at: Fraction) -> IncidenceProfile:
         """The fiber at ``at`` whose dependent triples and quadruples are
-        this profile's and ``extra``."""
+        this profile's and ``extra``.
+
+        Only what ``extra`` reaches changes: the pencils of the pairs inside
+        its triples, the stars of the triples inside its quadruples (and
+        its triples' own, which go), and the ``j`` of the points on a new
+        triple line.  A line or point whose mask no pencil or star keeps is
+        dropped, and only the masks that appear, and the points whose ``j``
+        changes, become new records; every other record is this profile's.
+        """
         pencils, stars = dict(self._pencils), dict(self._stars)
+        line_of, point_of = dict(self._line_of), dict(self._point_of)
+        pairs, triples = set(), set()
         for s in extra:
-            stars.pop(s, None)
-        _fold(extra, pencils, stars)
+            m = _index_mask(s)
+            if len(s) == 3:
+                for sub in combinations(s, 2):
+                    pencils[sub] |= m
+                    pairs.add(sub)
+            else:
+                for sub in combinations(s, 3):
+                    if sub in stars:
+                        stars[sub] |= m
+                        triples.add(sub)
+        for s in extra:
+            if len(s) == 3 and stars.pop(s, None) is not None:
+                triples.add(s)
+        new_lines = _regrown(line_of, pencils, pairs, self._pencils, _line)
+        threes = _triple_lines(line_of)
+        new_points = _regrown(point_of, stars, triples, self._stars,
+                              lambda m: _point(m, threes))
+        for l in new_lines:
+            # the points on a new triple line: its first two planes' stars
+            i, j = l.planes[0] - 1, l.planes[1] - 1
+            for k in range(self.n_forms):
+                if l.mask >> k + 1 & 1:
+                    continue
+                m = stars[(k, i, j) if k < i else (i, k, j) if k < j
+                          else (i, j, k)]
+                pt = point_of[m]
+                if pt is self._point_of.get(m) and pt.j != _j(m, threes):
+                    point_of[m] = _point(m, threes)
+                    new_points.append(point_of[m])
         return IncidenceProfile(pencils, stars, self._dependent | extra,
-                                self._rows, self._table, at, base=self)
+                                line_of, point_of, self._rows, self._table,
+                                self._width, at, self, (new_lines, new_points))
 
     def _minors(self, planes: Sequence[int]) -> list:
         """The table's minors of the 1-based ``planes`` as Z[w] tuples: each
         the minor of the original rows times one positive rational for the
-        whole set, which a fiber of a family evaluates at ``at``."""
+        whole set, which a fiber of a family evaluates at ``at``.  Only these
+        entries of the table are unpacked."""
         ms = self._table[tuple(k - 1 for k in planes)]
-        if not self._over_zw:
+        if not self._width:
             return [_zw_trim([m]) for m in ms]
+        ms = [_zw_unpack(m, self._width) for m in ms]
         return ms if self.at is None else _zw_at(ms, self.at)
 
     def point_vector(self, pt: MultiplePoint) -> Vec4:
@@ -389,15 +425,21 @@ class NewIncidence:
 # (Kronecker substitution), with k - 1 bits holding 24 times the product of
 # the four largest row norms (a row's largest entry 1-norm), which bounds
 # every coefficient of every minor; the expansions run on plain integers,
-# and each Z[w] minor is unpacked once into its coefficient tuple, as the
-# balanced base-2^k digits of its packed value.  ``degenerate_values`` scans
-# the table in Z[w] as well: gcds by primitive pseudo-remainders
-# (``_zw_gcd``), and ``rational_roots`` on each nonconstant primitive gcd.
-# A profile keeps the table it was computed from: ``fiber`` tests which
-# minors vanish at w0 = p/q by evaluating them in integers (``_zw_value``),
-# so a command computes one table, and ``point_vector`` and ``line_basis``
-# read a point's triple minors and a line's pair minors off it.  Later
-# questions are subset tests on the profile's plane masks.
+# and the table keeps the packed minors with k (k = 0 over Z).  A minor's
+# coefficients are the balanced base-2^k digits of its packed value, read
+# (``_zw_unpack``) only where they are used: by ``_minors``, for the
+# coordinates ``point_vector`` and ``line_basis`` read off a point's triple
+# minors and a line's pair minors; by ``fiber``, which tests which minors
+# vanish at w0 = p/q by evaluating them in integers (``_zw_value``), or at
+# w0 = 0 by their low k bits; and by ``degenerate_values`` for the subsets
+# whose minors may share a root.  Since every coefficient is below
+# 2^(k-1) in absolute value, 2^k meets the bound of the heuristic gcd
+# (``_zw_heu``): a nonconstant common factor keeps the integer gcd of a
+# subset's packed minors at 2^(k-1) or more, so the scan passes over every
+# subset below that, and reads the others' gcd off that integer gcd; it
+# searches the rational roots of each nonconstant primitive gcd.  A
+# profile keeps the table it was computed from, so a command computes one
+# table.  Later questions are subset tests on the profile's plane masks.
 
 
 def _cross(ms: Sequence[tuple]) -> list:
@@ -436,9 +478,9 @@ def profile(a: ParamArrangement,
     marks the degeneration as out of scope.
     """
     rows = a.rows if at is None else _rows_at(a.rows, at)
-    table = _minor_table(rows)
+    table, width = _minor_table(rows)
     return _profile_of({s for s, ms in table.items() if not any(ms)},
-                       a.rows, table, at)
+                       a.rows, table, width, at)
 
 
 def _rows_at(rows: Sequence[Sequence[tuple]], w0: Fraction) -> list:
@@ -454,16 +496,17 @@ def _rows_at(rows: Sequence[Sequence[tuple]], w0: Fraction) -> list:
     return out
 
 
-def _minor_table(rows: Sequence[Sequence]) -> dict:
+def _minor_table(rows: Sequence[Sequence]) -> tuple[dict, int]:
     """The maximal minors of every two, three and four rows, keyed by sorted
-    0-based index tuples: over Z[w] (minors as ascending coefficient tuples)
-    for rows of Z[w] tuples, over Z for rows of integers.  A triple's
+    0-based index tuples, and the width k they are packed at.  A triple's
     minors expand along its last row into its first pair's, and a
     quadruple's one minor into its first triple's.
 
-    Z[w] rows are packed into integers at w = 2^k, k from the rows' norms
-    (``_pack_rows``), so both run the same integer expansions; each Z[w]
-    entry is unpacked once, at the end.
+    Rows of Z[w] tuples are packed into integers at w = 2^k, k from the
+    rows' norms (``_pack_rows``), and the minors stay packed: each is its
+    Z[w] minor's value at 2^k, whose balanced base-2^k digits
+    (``_zw_unpack``) are the minor's coefficients.  Rows of integers give
+    minors over Z, and k = 0.  Both run the same integer expansions.
 
     Raises CoincidentPlanes when two rows are proportional.
     """
@@ -485,10 +528,7 @@ def _minor_table(rows: Sequence[Sequence]) -> dict:
         m, r = table[i, j, k], rows[l]
         table[i, j, k, l] = [r[3] * m[0] - r[2] * m[1] + r[1] * m[2]
                              - r[0] * m[3]]
-    if width:
-        for ms in table.values():
-            ms[:] = [_zw_unpack(m, width) for m in ms]
-    return table
+    return table, width
 
 
 # a pair's minors in column-pair order; each column triple (a, b, c) with
@@ -501,32 +541,74 @@ _COLUMN_TRIPLES = tuple(
 )
 
 
-def _profile_of(dependent: set, rows: Sequence, table: dict,
+def _profile_of(dependent: set, rows: Sequence, table: dict, width: int,
                 at: Optional[Fraction] = None) -> IncidenceProfile:
-    """The profile of the family ``rows`` with minor table ``table`` whose
-    dependent triples and quadruples (keys whose minors all vanish) are
-    ``dependent``."""
+    """The profile of the family ``rows`` with minor table ``table``, packed
+    at w = 2^``width`` (0 over Z), whose dependent triples and quadruples
+    (keys whose minors all vanish) are ``dependent``: every record made
+    here."""
     n = len(rows)
     pencils = {(i, j): 2 << i | 2 << j for i, j in combinations(range(n), 2)}
     stars = {(i, j, k): 2 << i | 2 << j | 2 << k
              for i, j, k in combinations(range(n), 3)
              if (i, j, k) not in dependent}
-    _fold(dependent, pencils, stars)
-    return IncidenceProfile(pencils, stars, dependent, rows, table, at)
-
-
-def _fold(dependent: Iterable[tuple], pencils: dict, stars: dict) -> None:
-    """Add the planes of each dependent triple (quadruple) to the pencil
-    (star) of each pair (independent triple) inside it.  ``pencils`` and
-    ``stars`` map 0-based index tuples to plane masks."""
     for s in dependent:
-        m = 0
-        for i in s:
-            m |= 2 << i
+        m = _index_mask(s)
         grown = pencils if len(s) == 3 else stars
         for sub in combinations(s, len(s) - 1):
             if sub in grown:
                 grown[sub] |= m
+    line_of = {m: _line(m) for m in set(pencils.values())}
+    threes = _triple_lines(line_of)
+    point_of = {m: _point(m, threes) for m in set(stars.values())}
+    return IncidenceProfile(pencils, stars, dependent, line_of, point_of, rows,
+                            table, width, at)
+
+
+def _index_mask(s: Iterable[int]) -> int:
+    """The plane mask of the 0-based index tuple ``s``."""
+    m = 0
+    for i in s:
+        m |= 2 << i
+    return m
+
+
+def _line(m: int) -> MultipleLine:
+    return MultipleLine(_planes(m), m)
+
+
+def _triple_lines(line_of: dict) -> list[int]:
+    """The masks among ``line_of``'s of lines on three or more planes."""
+    return [l for l in line_of if l.bit_count() >= 3]
+
+
+def _j(m: int, threes: Sequence[int]) -> int:
+    """The number of the triple-line masks ``threes`` inside the mask ``m``."""
+    return sum(l & m == l for l in threes)
+
+
+def _point(m: int, threes: Sequence[int]) -> MultiplePoint:
+    return MultiplePoint(_planes(m), _j(m, threes), m)
+
+
+def _regrown(records: dict, index: dict, keys: set, before: dict,
+             make) -> list:
+    """Bring ``records`` (mask -> record) up to date with ``index`` (index
+    tuples -> the mask of their line or point) after its ``keys`` changed
+    from their values in ``before``, or left it.  Each mask they held
+    before goes when no entry of ``index`` holds it any more, and each mask
+    they hold now that has no record gets one from ``make``.  Returns the
+    new records."""
+    if not keys:
+        return []
+    for old in {before[t] for t in keys}.difference(index.values()):
+        del records[old]
+    new = []
+    for m in {index[t] for t in keys if t in index}:
+        if m not in records:
+            records[m] = make(m)
+            new.append(records[m])
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -567,18 +649,23 @@ def profile_diff(
     A changed point owns the new pencils through it; pencils away from
     every changed point are reported on their own.
 
-    Only special points with p >= 4 or j >= 1 that are not the generic
-    profile's own records are visited.  The generic points inside one are
-    the generic stars of the triples of its planes, so its sources are
-    found there rather than among all generic points.
+    Only the records of ``special`` that are not ``generic``'s own are
+    visited: of a profile folded from ``generic`` (``_special``), its new
+    lines and points, which it lists; of any other, such as one computed
+    from scratch, every record, passing over those equal to a generic
+    one.  Of the points,
+    only those with p >= 4 or j >= 1 count.  The generic points inside one
+    are the generic stars of the triples of its planes, so its sources are
+    found there rather than among all generic points.  No other test of a
+    change runs: an empty list means the same incidences.
     """
     if generic.n_forms != special.n_forms:
         raise ValueError("profiles of different arrangements")
-    new_lines = [
-        l
-        for l in special.lines
-        if l.mask not in generic._line_of and l.q >= 3
-    ]
+    lines, points = (special._new if special._base is generic
+                     else (special.lines, special.points))
+    new_lines = sorted((l for l in lines
+                        if l.mask not in generic._line_of and l.q >= 3),
+                       key=_BY_PLANES)
 
     def lands_on(g: MultiplePoint, s: MultiplePoint) -> bool:
         if special.line_through(g.planes) is None:
@@ -595,11 +682,11 @@ def profile_diff(
         found = [generic._point_of[m] for m in inside if m & s.mask == m]
         return sorted((g for g in found
                        if (g.p >= 4 or g.j >= 1) and lands_on(g, s)),
-                      key=operator.attrgetter("planes"))
+                      key=_BY_PLANES)
 
     changes: list[NewIncidence] = []
     claimed_line_sets: set[tuple[int, ...]] = set()
-    for s in special.points:
+    for s in points:
         if generic._point_of.get(s.mask) is s or s.p < 4 and s.j < 1:
             continue
         notable = sources(s)
@@ -680,12 +767,16 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     proportional (fatal), a triple acquiring a common line, a quadruple
     acquiring a common point.  Rank drops of larger subsets are witnessed
     by their 3- and 4-element subsets, so those two scans see every
-    combinatorial change.  The profile at a rational root adds the minors
-    with that root to the generic vanishing pattern; factors of degree
-    >= 2 without rational roots are returned unresolved.
+    combinatorial change.  The minors are packed, and a subset's are
+    unpacked only when their integer gcd shows that they may share a root.
+    The profile at a rational root adds the minors with that root to the
+    generic vanishing pattern, and the root is a degenerate value when
+    ``profile_diff`` finds a change there; factors of degree >= 2 without
+    rational roots are returned unresolved.
     """
     rows = a.rows
-    table = _minor_table(rows)
+    table, k = _minor_table(rows)
+    half = 1 << (k - 1)
     fatal: dict[Fraction, str] = {}
     # monic coefficients -> the unresolved factor
     unresolved: dict[tuple, Poly] = {}
@@ -694,41 +785,44 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     # primitive gcd -> its rational roots, so each is searched once
     roots_of: dict[tuple, list[Fraction]] = {}
 
-    def common_roots(polys: Sequence[tuple]) -> list[Fraction]:
-        """The rational roots where the Z[w] polynomials ``polys`` all
-        vanish; none when one is a nonzero constant or all are 0."""
-        if any(len(p) == 1 for p in polys):
-            return []
-        g = _zw_gcd(polys)
+    def roots(g: tuple) -> list[Fraction]:
+        """The rational roots of the primitive gcd ``g``."""
         if len(g) < 2:
             return []
         if g not in roots_of:
-            roots, leftovers = rational_roots(g)
-            roots_of[g] = [r for r, _ in roots]
+            found, leftovers = rational_roots(g)
+            roots_of[g] = [r for r, _ in found]
             for f in leftovers:
                 monic = tuple(Fraction(c, f[-1]) for c in f)
                 unresolved[monic] = Poly(monic)
         return roots_of[g]
 
     for i, row in enumerate(rows):
-        for r in common_roots(row):
+        for r in roots(_zw_gcd(row)):
             fatal.setdefault(r, f"form {i + 1} vanishes")
     for s, ms in table.items():
-        for r in common_roots(ms):
+        # the integer gcd of the packed minors is a multiple of the value at
+        # 2^k of their gcd, which exceeds 2^(k-1) when that gcd is
+        # nonconstant (``_zw_heu``): a set whose minors are coprime (a
+        # nonzero constant among them, say) or all 0 stops here, unpacked
+        value = int_gcd(*ms)
+        if value < half:
+            continue
+        polys = [_zw_unpack(m, k) for m in ms if m]
+        for r in roots(_zw_heu(polys, value, k) or _zw_gcd(polys, 2 * k)):
             if len(s) == 2:
                 fatal.setdefault(r, f"planes {s[0] + 1} and {s[1] + 1} coincide")
             else:
                 turning.setdefault(r, set()).add(s)
 
     dependent = {s for s, ms in table.items() if not any(ms)}
-    generic = _profile_of(dependent, rows, table)
+    generic = _profile_of(dependent, rows, table, k)
     values = []
     for w0 in sorted(turning.keys() - fatal.keys()):
         prof = generic._special(turning[w0], w0)
-        if prof.lines == generic.lines and prof.points == generic.points:
-            continue  # the same incidences
         changes = profile_diff(generic, prof)
-        values.append(DegenerateValue(w0, prof, tuple(changes)))
+        if changes:
+            values.append(DegenerateValue(w0, prof, tuple(changes)))
 
     return DegenerationScan(
         values=tuple(values),

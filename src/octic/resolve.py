@@ -638,7 +638,7 @@ class _Driver:
                     % c.name)
             ctx = CenterContext(
                 name=c.name, rewrite=SPLIT_REWRITE,
-                split_surface=spec["parent"], split_over=over,
+                split_surface=spec.get("parent"), split_over=over,
                 target_curves=targets,
                 section_surfaces=tuple(spec.get("sections", ())),
                 fiber_with=spec.get("fiber_with"), pinches=pinches)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from octic import cli, incidence
+from octic.forms import MAX_W_DEGREE
 
 DATA = Path(cli.__file__).resolve().parent / "data"
 FAMILIES = sorted(p.stem for p in (DATA / "families").glob("*.json"))
@@ -365,10 +366,13 @@ def _fuzz_ok(text: str) -> bool:
 
 # equation text over the parser's alphabet
 fuzz_text = st.text("xyztwu0123456789()+-*/^= ", max_size=24).filter(_fuzz_ok)
-fuzz_w_power = st.sampled_from(["", "", "w", "w^2", "w^3"])
+# powers of w up to the degree bound, and past it
+fuzz_w_power = st.sampled_from(["", "", "", "", "w", "w^2", "w^3",
+                                f"w^{MAX_W_DEGREE - 1}", f"w^{MAX_W_DEGREE}"])
 # a power of w in front of a factor, drawn as a factor's exponent is
 fuzz_w_prefix = st.sampled_from(["", "", "", "", "w", "w^2", "w^10", "w^99",
-                                 "w^1000000000"])
+                                 f"w^{MAX_W_DEGREE // 2}",
+                                 f"w^{MAX_W_DEGREE}", "w^1000000000"])
 # zeros in front of a coefficient, which make a token longer than a file
 # name may be without making the coefficient large
 fuzz_zeros = st.sampled_from(["", "", "", "", "", "", "", "0" * 300])
@@ -505,6 +509,91 @@ def test_ss_exit_codes_hold_under_mutated_scenario_files(files):
     assert code == 0 or err.count("\n") == 1, err
 
 
+# bundled scenarios that ``resolve`` and ``reduce`` trace, and mistyped
+# versions of them: (scenario, mutation, the one line on stderr)
+TRACED = {name: json.loads((DATA / "families" / f"{name}.json").read_text(
+    "utf-8")) for name in ("NewL3", "TwoP41toP51")}
+TRACE_MUTANTS = {
+    "equation-number": ("NewL3", lambda d: {"name": "s", "equation": 5,
+                                             "w0": "0"},
+                        "ValueError: the equation must be a string"),
+    "order-number": ("NewL3", lambda d: {**d, "blowup_order": 1.5},
+                     "ValueError: the blow-up order must be a list"),
+    "order-entry-list": ("TwoP41toP51", lambda d: {
+        **d, "blowup_order": [["L123"]] + d["blowup_order"][1:]},
+        "ValueError: an entry of the blow-up order must be a string"),
+    "w0-number": ("NewL3", lambda d: {**d, "w0": 0},
+                  "ValueError: w0 must be a string"),
+    "directives-list": ("TwoP41toP51", lambda d: {**d, "directives": [1]},
+                        "ValueError: the directives must be an object"),
+    "directive-text": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L45": "plain"}},
+        "ValueError: a directive must be an object"),
+    "targets-labels": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L34": {
+            "rewrite": "plain", "targets": ["P3"]}}},
+        "ValueError: an entry of a directive's targets must be a list"),
+    "pinches-null": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L45": {
+            **d["directives"]["L45"], "pinches": None}}},
+        "ValueError: a directive's pinches must be a list"),
+    "split-without-parent": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L4A": {
+            k: v for k, v in d["directives"]["L4A"].items()
+            if k != "parent"}}},
+        "TraceAborted: trace aborted at L4A: split rewrite with no surface "
+        "to split"),
+}
+
+
+def _trace_outcome(command: str, directory: Path, data: dict):
+    path = directory / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return _outcome([command, str(path)])
+
+
+@pytest.mark.parametrize("command", ["resolve", "reduce"])
+@pytest.mark.parametrize("mutant", TRACE_MUTANTS)
+def test_trace_refuses_a_mistyped_scenario_with_one_line(tmp_path, command,
+                                                         mutant):
+    name, mutate, message = TRACE_MUTANTS[mutant]
+    code = 3 if message.startswith("TraceAborted") else 2
+    assert _trace_outcome(command, tmp_path, mutate(TRACED[name])) == (
+        code, "", message + "\n")
+
+
+@st.composite
+def trace_mutants(draw) -> dict:
+    """A traced scenario with one field at any depth replaced by a value of
+    another JSON type or dropped."""
+    data = json.loads(json.dumps(TRACED[draw(st.sampled_from(sorted(
+        TRACED)))]))
+    node, key = data, draw(st.sampled_from(sorted(data)))
+    while draw(st.integers(0, 3)) and isinstance(node[key], (dict, list)) \
+            and node[key]:
+        node, key = node[key], draw(st.sampled_from(
+            sorted(node[key]) if isinstance(node[key], dict)
+            else range(len(node[key]))))
+    value = draw(fuzz_json)
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["resolve", "reduce"]), trace_mutants())
+def test_trace_exit_codes_hold_under_mutated_scenario_files(command, data):
+    """``resolve`` and ``reduce`` end a scenario with any one field
+    mistyped or missing in a documented exit code and one line on stderr,
+    never in a traceback."""
+    with tempfile.TemporaryDirectory() as directory:
+        code, _, err = _trace_outcome(command, Path(directory), data)
+    assert code in (0, 2, 3, 4), err
+    assert code == 0 or err.count("\n") == 1, err
+
+
 def test_a_huge_factor_power_is_exit_2_at_once(capsys):
     code, out, err = run(capsys, "sigma", "xyz^1000000000")
     assert (code, out, err) == (
@@ -514,13 +603,13 @@ def test_a_huge_factor_power_is_exit_2_at_once(capsys):
 def test_a_huge_power_of_w_is_exit_2_at_once(capsys):
     code, out, err = run(capsys, "sigma", "xy(z+w^1000000000t)")
     assert (code, out, err) == (
-        2, "", "ParseError: degree in w above 50 (at position 6)\n")
+        2, "", "ParseError: degree in w above 1000 (at position 6)\n")
 
 
 # Every token is first looked up as a scenario file; one longer than a file
 # name may be is no such file, not an error.
 def test_a_token_too_long_for_a_file_name_is_parsed(capsys):
-    refused = (2, "", "ParseError: degree in w above 50 (at position 7)\n")
+    refused = (2, "", "ParseError: degree in w above 1000 (at position 7)\n")
     assert run(capsys, "sigma", "xyz(x+w^" + "9" * 300 + "y)") == refused
     assert run(capsys, "sigma", "xyz(x+w^" + "9" * 240 + "y)") == refused
 

@@ -5,7 +5,7 @@ needed."""
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import evaluate, zw_mul
 
+from octic import exact
 from octic.exact import (Poly, _integer_row, _zw_at, _zw_div, _zw_gcd,
                          _zw_pack, _zw_squarefree, _zw_trim, _zw_unpack,
                          fraction_str, parse_fraction, rank, rational_roots)
@@ -33,9 +34,15 @@ def test_poly_ring_laws(p, q, v):
     assert (p + -q) + q == p
 
 
-@given(zw_polys, zw_polys.filter(bool))
-def test_zw_exact_division(a, b):
+@given(zw_polys, zw_polys.filter(bool), zw_polys)
+def test_zw_exact_division(a, b, r):
+    """The quotient where ``b`` divides, None where a remainder of lower
+    degree is left over (over Q[w] for primitive ``b``)."""
     assert _zw_div(zw_mul(a, b), b) == a
+    r = r[:len(b) - 1]
+    if any(r) and gcd(*b) == 1:
+        assert _zw_div(_zw_trim([x + y for x, y in zip_longest(
+            zw_mul(a, b), r, fillvalue=0)]), b) is None
 
 
 @pytest.mark.parametrize("k", [2, 3, 6, 17, 64, 200])
@@ -107,13 +114,24 @@ def test_gcd_divides_both(p, q):
         assert zw_mul(_zw_div(f, g), g) == f
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(zw_polys, min_size=1, max_size=6), zw_polys)
-def test_zw_gcd_matches_sympy_gcd(polys, common):
+# coefficients up to 2^40, so that a first width forced below the bound
+# is doubled past it, or is not within the tries and leaves the gcd to the
+# pseudo-remainder sequence
+big_zw_polys = st.lists(st.one_of(st.integers(-30, 30),
+                                  st.integers(-2 ** 40, 2 ** 40)),
+                        max_size=4).map(lambda cs: _zw_trim(list(cs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(zw_polys, big_zw_polys), min_size=1, max_size=6),
+       st.one_of(zw_polys, big_zw_polys), st.sampled_from([0, 0, 2, 3, 5]))
+def test_zw_gcd_matches_sympy_gcd(polys, common, k):
     """The Z[w] gcd is the primitive part of sympy's gcd up to sign; a
-    common factor makes it nontrivial half the time."""
+    common factor makes it nontrivial half the time.  ``k`` > 0 forces a
+    first width, 2^k below the heuristic gcd's bound for all but the
+    smallest inputs."""
     polys = [zw_mul(p, common) for p in polys]
-    g = _zw_gcd(polys)
+    g = _zw_gcd(polys, k)
     nonzero = [_sympy_poly(p) for p in polys if p]
     if not nonzero:
         assert g == ()
@@ -121,6 +139,37 @@ def test_zw_gcd_matches_sympy_gcd(polys, common):
     expected = _as_zw(reduce(sympy.gcd, nonzero).primitive()[1])
     assert g in (expected, tuple(-c for c in expected))
     assert g[-1] > 0 and gcd(*g) == 1
+
+
+# (w - 3)(2w + 1) times w + 7c and w^2 - 5 scaled: c = 1 gives heights 38
+# and 25, so the bound 2 * 25 + 2 = 52 first holds at 2^6; c = 2^40 keeps
+# it above every width up to 2^16
+@pytest.mark.parametrize("c, k, widths, fallbacks", [
+    (1, 0, [6], 0),        # the first width meets the bound
+    (1, 2, [8], 0),        # 2^2 and 2^4 are below it, 2^8 is not
+    (2 ** 40, 2, [], 1),   # 2^2 ... 2^16 are all below it
+])
+def test_zw_gcd_doubles_a_narrow_width_then_falls_back(monkeypatch, c, k,
+                                                       widths, fallbacks):
+    """A first width below the bound is doubled up to it, and after the
+    last try the pseudo-remainder sequence decides; each gives the gcd."""
+    tried, prs = [], []
+    heu, prs_gcd = exact._zw_heu, exact._zw_prs_gcd
+
+    def recorded_heu(polys, value, width):
+        tried.append(width)
+        return heu(polys, value, width)
+
+    def recorded_prs(polys):
+        prs.append(polys)
+        return prs_gcd(polys)
+
+    monkeypatch.setattr(exact, "_zw_heu", recorded_heu)
+    monkeypatch.setattr(exact, "_zw_prs_gcd", recorded_prs)
+    common = zw_mul((-3, 1), (1, 2))
+    polys = [zw_mul(common, (7 * c, 1)), zw_mul(common, (-5 * c, 0, c))]
+    assert _zw_gcd(polys, k) == (-3, -5, 2)
+    assert (tried, len(prs)) == (widths, fallbacks)
 
 
 def test_squarefree_and_roots():

@@ -4,6 +4,7 @@ invariance, and the degeneration scan over the parameter line."""
 
 import json
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -20,7 +21,8 @@ from oracles import (oracle, random_constant_arrangement, random_gl4, times,
                      transform)
 
 from octic import incidence
-from octic.exact import Poly, _integer_row
+from octic.exact import (Poly, _integer_row, _zw_heu, _zw_prs_gcd,
+                         _zw_unpack)
 from octic.forms import (FormVanishes, LinearForm, ParamArrangement,
                          parse_equation)
 
@@ -192,9 +194,9 @@ def test_minor_table_of_a_hadamard_matrix():
     n = 10**18
     rows = [[Poly([h * n, h * (n - 1)]) for h in row] for row in hadamard]
     _assert_minor_table_matches(rows, [])
-    (quadruple,) = incidence._minor_table(
-        [_integer_row(r) for r in rows])[0, 1, 2, 3]
-    assert quadruple[2] == 16 * 6 * n**2 * (n - 1)**2
+    table, width = incidence._minor_table([_integer_row(r) for r in rows])
+    (quadruple,) = table[0, 1, 2, 3]
+    assert _zw_unpack(quadruple, width)[2] == 16 * 6 * n**2 * (n - 1)**2
 
 
 def _assert_minor_table_matches(rows, inserted):
@@ -216,7 +218,9 @@ def _assert_minor_table_matches(rows, inserted):
 
 def _assert_table_matches(rows, integer_rows):
     """``_minor_table`` of ``integer_rows`` against sympy's minors of the
-    ``Poly`` ``rows`` they are positive multiples of."""
+    ``Poly`` ``rows`` they are positive multiples of: packed integers, read
+    back as coefficient tuples at the table's width over Z[w], or integers
+    of width 0 over Z."""
     n = len(rows)
     elems = _in_qq_w(rows)
 
@@ -230,10 +234,13 @@ def _assert_table_matches(rows, integer_rows):
             incidence._minor_table(integer_rows)
         assert err.value.indices == (coincident[0] + 1, coincident[1] + 1)
         return
-    table = incidence._minor_table(integer_rows)
+    table, width = incidence._minor_table(integer_rows)
+    assert (width > 0) == isinstance(integer_rows[0][0], tuple)
     assert list(table) == [s for k in (2, 3, 4)
                            for s in combinations(range(n), k)]
-    for s, entries in table.items():
+    for s, packed in table.items():
+        assert all(isinstance(e, int) for e in packed)
+        entries = [_zw_unpack(e, width) for e in packed] if width else packed
         ref = reference(s)
         got = [QQ_W.from_sympy(_sympy(e)) for e in entries]
         assert [bool(g) for g in got] == [bool(r) for r in ref], s
@@ -493,7 +500,9 @@ def test_scan_eliminates_no_fiber(monkeypatch):
     monkeypatch.setattr(incidence, "profile", refused)
     scan = incidence.degenerate_values(parse_equation(ELEVEN[10]))
     assert len(scan.sigma) == 3
-    (table,) = tables
+    ((table, width),) = tables
+    assert width > 0 and all(isinstance(m, int) for ms in table.values()
+                             for m in ms)
     assert sorted(table) == sorted(
         s for k in (2, 3, 4) for s in combinations(range(5), k))
     assert all(len(ms) == {2: 6, 3: 4, 4: 1}[len(s)]
@@ -502,32 +511,45 @@ def test_scan_eliminates_no_fiber(monkeypatch):
 
 @pytest.mark.parametrize("text", [ELEVEN[10], ELEVEN[9]])
 def test_scan_searches_each_gcd_once(monkeypatch, text):
-    """The scan stays in Z[w]: no gcd for an entry with a nonzero constant
-    minor, and one ``rational_roots`` per distinct primitive gcd.
-    (ELEVEN[9] has six nonconstant gcds on three distinct ones; ELEVEN[10]
-    has three distinct ones.)"""
+    """The scan stays on the packed minors: a set reaches a gcd only when
+    the integer gcd of its packed minors is at least 2^(k-1), which no set
+    with a nonzero constant minor does, and no set with a nonconstant gcd
+    misses; its minors are unpacked there, GCDHEU takes its first candidate
+    at the table's own width and succeeds, and ``rational_roots`` runs once
+    per distinct primitive gcd.  (ELEVEN[9] has six nonconstant gcds on
+    three distinct ones; ELEVEN[10] has three distinct ones.)"""
     family = parse_equation(text)
-    gcd_inputs, searched = [], []
-    zw_gcd, roots_of = incidence._zw_gcd, incidence.rational_roots
+    heu_inputs, searched = [], []
+    heu, roots_of = incidence._zw_heu, incidence.rational_roots
+    table, width = incidence._minor_table(family.rows)
 
-    def recorded_gcd(polys):
-        gcd_inputs.append(list(polys))
-        return zw_gcd(gcd_inputs[-1])
+    def recorded_heu(polys, value, k):
+        assert k == width
+        heu_inputs.append(list(polys))
+        g = heu(heu_inputs[-1], value, k)
+        assert g is not None
+        return g
 
     def recorded_roots(p):
         searched.append(p)
         return roots_of(p)
 
-    monkeypatch.setattr(incidence, "_zw_gcd", recorded_gcd)
+    monkeypatch.setattr(incidence, "_zw_heu", recorded_heu)
     monkeypatch.setattr(incidence, "rational_roots", recorded_roots)
     incidence.degenerate_values(family)
     monkeypatch.undo()
 
-    entries = list(family.rows) + list(
-        incidence._minor_table(family.rows).values())
-    scanned = [list(ms) for ms in entries if all(len(m) != 1 for m in ms)]
-    assert gcd_inputs == scanned
-    gcds = {zw_gcd(ms) for ms in scanned} - {(), (1,)}
+    unpacked = [[_zw_unpack(m, width) for m in ms] for ms in table.values()]
+    scanned = [[m for m in ms if m] for ms, packed in zip(unpacked,
+                                                           table.values())
+               if gcd(*packed) >= 1 << width - 1]
+    assert heu_inputs == scanned
+    assert all(len(m) != 1 for ms in scanned for m in ms)
+    assert all(ms in scanned for ms in ([m for m in ms if m]
+                                        for ms in unpacked)
+               if len(_zw_prs_gcd(ms)) > 1)
+    gcds = {_zw_prs_gcd([m for m in ms if m])
+            for ms in list(family.rows) + scanned} - {(), (1,)}
     assert len(searched) == len(gcds)
     assert set(searched) == gcds
 
@@ -699,6 +721,90 @@ def test_special_profiles_reuse_the_generic_records():
                     assert points[pt.planes, pt.j] is pt, (text, v.w0, pt)
                     reused += 1
     assert reused > 0
+
+
+def _assert_special_is_from_scratch(family):
+    """Every special profile of the scan, folded from the generic one, is
+    the profile ``_profile_of`` makes from scratch over the same dependent
+    set: the same lines, points and ``j``, pencils and stars.  Its new
+    records are exactly those that are not the generic profile's own."""
+    scan = incidence.degenerate_values(family)
+    generic = scan.generic
+    for v in scan.values:
+        special = v.profile
+        scratch = incidence._profile_of(special._dependent, family.rows,
+                                        generic._table, generic._width, v.w0)
+        assert special.lines == scratch.lines, v.w0
+        assert [pt.j for pt in special.points] == [
+            pt.j for pt in scratch.points]
+        assert special.points == scratch.points, v.w0
+        assert special._pencils == scratch._pencils, v.w0
+        assert special._stars == scratch._stars, v.w0
+        assert special._line_of == scratch._line_of
+        assert special._point_of == scratch._point_of
+        new_lines, new_points = special._new
+        assert {id(r) for r in new_lines + new_points} == {
+            id(r) for r in special.lines + special.points
+            if r is not generic._line_of.get(r.mask)
+            and r is not generic._point_of.get(r.mask)}
+
+
+@pytest.mark.parametrize("text", ELEVEN + SEED1)
+def test_special_profiles_are_the_profiles_from_scratch(text):
+    _assert_special_is_from_scratch(parse_equation(text))
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_rows)
+def test_special_profiles_are_the_profiles_from_scratch_at_random(pairs):
+    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    try:
+        family = ParamArrangement(forms)
+    except ValueError:
+        assume(False)  # a zero form, or two proportional ones
+    _assert_special_is_from_scratch(family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(affine_rows.map(lambda pairs: [[Poly([a, b]) for a, b in row]
+                                                for row in pairs]),
+                 poly_rows, big_poly_rows))
+def test_packed_coprimality_shortcut_matches_the_prs(rows):
+    """The scan leaves out a set whose packed minors have an integer gcd
+    below 2^(k-1), k the table's width, only when the pseudo-remainder
+    sequence finds their gcd constant or all of them 0; a set it keeps gets
+    GCDHEU's candidate at that width, the same gcd whenever it passes its
+    division test."""
+    rows = [[x if isinstance(x, Poly) else Poly([x]) for x in r]
+            for r in rows]
+    try:
+        table, k = incidence._minor_table([_integer_row(r) for r in rows])
+    except incidence.CoincidentPlanes:
+        assume(False)
+    for packed in table.values():
+        polys = [_zw_unpack(m, k) for m in packed if m]
+        expected = _zw_prs_gcd(polys) if polys else ()
+        value = gcd(*packed)
+        if value < 1 << k - 1:
+            assert len(expected) <= 1
+        else:
+            assert _zw_heu(polys, value, k) in (None, expected)
+
+
+# the family whose gcds set the degree bound at 50 while they ran as
+# pseudo-remainder sequences (about 3 s for its scan)
+DEGREE_100 = ("xyzt(-2wx-2w^100y-3w^99z+1wt)(-2w^50x+3y-1w^99z+1wt)"
+              "(+3w^100x+1wy+1w^99z+1w^50t)(-1w^50x+1w^99y-3wz+3w^99t)")
+
+
+def test_a_scan_of_degree_100_takes_under_a_second():
+    family = parse_equation(DEGREE_100)
+    start = time.perf_counter()
+    scan = incidence.degenerate_values(family)
+    assert time.perf_counter() - start < 1
+    assert scan.sigma == tuple(map(Fraction, ("-3", "-1", "-2/3", "1", "9")))
+    assert [(f.w0, f.reason) for f in scan.fatal] == [(0, "form 5 vanishes")]
+    assert len(scan.unresolved) == 48
 
 
 # an 8-plane family whose minor gcds are all linear, with coefficients near
