@@ -12,23 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
 from .incidence import IncidenceProfile, NewIncidence
-
-TAGS = (
-    "NewL3",
-    "NewP40",
-    "P51toP52",
-    "TwoP41toP52",
-    "TwoP41toP51",
-    "P40toP52",
-    "NewP41",
-    "P40toP41",
-    "P40toP51",
-    "P50toP52",
-    "P50toP51",
-)
 
 TRIPLE_LINE = "triple_line"
 FIVEFOLD_POINT = "fivefold_point"
@@ -41,18 +27,6 @@ class Unclassifiable(ValueError):
             msg += f" ({detail})"
         super().__init__(msg)
         self.change = change
-
-
-@dataclass(frozen=True)
-class LocalDegenerationType:
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown local type {self.tag!r}")
-
-    def __str__(self):
-        return self.tag
 
 
 @dataclass(frozen=True)
@@ -142,8 +116,9 @@ _SINGLE_SOURCE = {
 def classify_local(
     change: NewIncidence,
     generic: IncidenceProfile,
-) -> LocalDegenerationType:
-    """Match one new incidence against the local taxonomy.
+) -> str:
+    """Match one new incidence against the local taxonomy; returns the tag
+    of its local type.
 
     Points are dispatched on (sources before, multiplicity after); the
     two-point collision splits by which plane the old and the new pencil
@@ -151,7 +126,7 @@ def classify_local(
     """
     if change.kind == "NewTripleLine":
         if len(change.involved_planes) == 3:
-            return LocalDegenerationType("NewL3")
+            return "NewL3"
         raise Unclassifiable(change, "line of multiplicity > 3")
 
     s = change.multiplicity
@@ -175,19 +150,19 @@ def classify_local(
         if len(shared) != 1:
             raise Unclassifiable(change, "pencils share more than one plane")
         if shared == {min(old[0])}:
-            return LocalDegenerationType("TwoP41toP52")
-        return LocalDegenerationType("TwoP41toP51")
+            return "TwoP41toP52"
+        return "TwoP41toP51"
 
     if len(sources) == 1:
         tag = _SINGLE_SOURCE.get((sources[0], s))
         if tag is None:
             raise Unclassifiable(change, f"no model for {sources[0]} -> {s}")
-        return LocalDegenerationType(tag)
+        return tag
 
     if s == (4, 0) and change.kind == "NewPoint":
-        return LocalDegenerationType("NewP40")
+        return "NewP40"
     if s == (4, 1) and change.kind == "PointOnNewLine":
-        return LocalDegenerationType("NewP41")
+        return "NewP41"
     raise Unclassifiable(change, f"point {s} from nowhere")
 
 
@@ -230,10 +205,9 @@ _OUTCOMES: dict[str, ResidualSingularities] = {
 }
 
 
-def residual_outcome(
-    t: Union[LocalDegenerationType, str]
-) -> ResidualSingularities:
-    tag = t.tag if isinstance(t, LocalDegenerationType) else t
-    if tag not in _OUTCOMES:
-        raise ValueError(f"unknown local type {tag!r}")
+# the eleven tags, in the order of the taxonomy table
+TAGS = tuple(_OUTCOMES)
+
+
+def residual_outcome(tag: str) -> ResidualSingularities:
     return _OUTCOMES[tag]

@@ -59,9 +59,8 @@ class NoEquation(ValueError):
 
 _PARSE_ERRORS = (ParseError, NonLinearFactor, DuplicateFactor, FormVanishes,
                  json.JSONDecodeError)
-_DOMAIN_ERRORS = (incidence.CoincidentPlanes, incidence.WrongPlaneCount,
-                  classify.Unclassifiable, resolve.NotOctic,
-                  resolve.TraceAborted, diagram.RuleConflict,
+_DOMAIN_ERRORS = (incidence.CoincidentPlanes, classify.Unclassifiable,
+                  resolve.NotOctic, resolve.TraceAborted, diagram.RuleConflict,
                   diagram.CenterNotInDiagram,
                   semistable.UnsupportedConfiguration,
                   specseq.MissingBlock, specseq.InconsistentRanks,
@@ -99,6 +98,10 @@ def find_scenario(token: str):
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {path.name} holds no JSON object")
+    # refused before anything is printed or written: --check compares the
+    # expected block, and the trace commands print the name
+    _expect(data.get("expected") or {}, dict, "the expected block")
+    _expect(data.get("name", ""), str, "the scenario's name")
     return data, path.parent
 
 
@@ -151,10 +154,13 @@ def residual_from_json(data) -> classify.ResidualSingularities:
                                           "the triple points"))
     if any(not 0 <= i < len(curves) for t in triples for i in t):
         raise ValueError("a triple point names a curve the residual lacks")
+    nodes = _expect(data.get("nodes", 0), int, "the node count")
+    if nodes < 0:
+        raise ValueError(f"the node count must not be negative, got {nodes}")
     marker = data.get("node_surface")
     return classify.ResidualSingularities(
         double_curves=curves,
-        nodes=_expect(data.get("nodes", 0), int, "the node count"),
+        nodes=nodes,
         node_surface_marker=(marker if marker is None else
                              _expect(marker, str, "the node surface")),
         triple_meeting_points=triples)
@@ -259,7 +265,11 @@ def run_check(args, data, payload: dict) -> int:
 
 
 def _dot_paths(args, name: str, trace) -> list:
-    """Write one DOT file per trace step, return the relative file names."""
+    """Write one DOT file per trace step into ``--dot-dir``, return the
+    relative file names; each starts with ``name``, which must be a plain
+    file name, so no file lands outside the directory."""
+    if name in ("", ".", "..") or "/" in name or os.sep in name:
+        raise ValueError(f"DOT files cannot be named after {name!r}")
     outdir = Path(args.dot_dir)
     written = []
     for i, d in enumerate(trace):
@@ -283,7 +293,7 @@ def _profile_payload(equation: str, at: Optional[Fraction]):
         "profile": prof.to_json(),
     }
     if len(a.forms) == 8:
-        payload["octic"] = incidence.is_octic(prof).valid
+        payload["octic"] = not incidence.octic_violations(prof)
     return prof, payload
 
 
@@ -292,8 +302,7 @@ def _classify_value(generic, value) -> list:
     out = []
     for change in value.changes:
         try:
-            t = classify.classify_local(change, generic)
-            out.append(t.tag)
+            out.append(classify.classify_local(change, generic))
         except classify.Unclassifiable as err:
             out.append(f"unclassifiable({change.kind}: {err.args[-1]})")
     return sorted(set(out))
@@ -407,9 +416,7 @@ def cmd_classify(args) -> int:
     generic = incidence.profile(a)
     special = generic.fiber(at)
     changes = incidence.profile_diff(generic, special)
-    tags = []
-    for change in changes:
-        tags.append(classify.classify_local(change, generic).tag)
+    tags = [classify.classify_local(change, generic) for change in changes]
     payload = {
         "equation": equation,
         "at": fraction_str(at),

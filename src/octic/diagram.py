@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .classify import (
-    FIVEFOLD_POINT,
-    TRIPLE_LINE,
-    DoubleCurve,
-    ResidualSingularities,
-)
+from .classify import FIVEFOLD_POINT, DoubleCurve, ResidualSingularities
 from .incidence import IncidenceProfile
 
 
@@ -50,17 +45,6 @@ TRACE = "trace"              # trace of a plane on a point tower
 TOWER_SECTION = "tower_section"  # sections of a line tower
 TOWER_FIBER = "tower_fiber"
 TOWER_MEET = "tower_meet"    # two exceptional towers meet
-
-_CURVE_KINDS = (
-    STRICT,
-    SPLIT_CURVE,
-    SECTION,
-    SPLIT_FIBER,
-    TRACE,
-    TOWER_SECTION,
-    TOWER_FIBER,
-    TOWER_MEET,
-)
 
 # rewrite selectors used by CenterContext
 PLAIN_EVEN = "plain_even"
@@ -92,12 +76,6 @@ class Surface:
     origin: str                      # plane | exceptional | split
     parent: Optional[str] = None     # the plane a split piece came from
 
-    def __post_init__(self):
-        if self.origin not in (PLANE, EXCEPTIONAL, SPLIT):
-            raise ValueError("unknown surface origin %r" % (self.origin,))
-        if (self.origin == SPLIT) != (self.parent is not None):
-            raise ValueError("split surfaces (exactly) carry a parent")
-
 
 @dataclass(frozen=True)
 class DiagramCurve:
@@ -107,14 +85,6 @@ class DiagramCurve:
     exceptional_on: tuple = ()    # surfaces on which the curve is drawn dashed
     over: Optional[str] = None    # triple_line | fivefold_point for split-type curves
     pinch_count: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _CURVE_KINDS:
-            raise ValueError("unknown curve kind %r" % (self.kind,))
-        if len(self.surfaces) < 2:
-            raise ValueError("a diagram curve joins at least two surfaces")
-        if self.over is not None and self.over not in (TRIPLE_LINE, FIVEFOLD_POINT):
-            raise ValueError("unknown over tag %r" % (self.over,))
 
     @property
     def label(self) -> str:
@@ -203,14 +173,9 @@ class CenterContext:
     node_marker: Optional[str] = None
 
     def __post_init__(self):
-        if self.rewrite not in (PLAIN_EVEN, PLAIN_ODD, SPLIT_REWRITE, NODE_PAIR):
-            raise RuleConflict("unknown rewrite %r" % (self.rewrite,))
+        # a transcribed split may leave out its parent
         if self.rewrite == SPLIT_REWRITE and not self.split_surface:
             raise RuleConflict("split rewrite with no surface to split")
-        if self.rewrite == PLAIN_ODD and not self.tower_label:
-            raise RuleConflict("odd blow-up must name its exceptional surface")
-        if self.rewrite == NODE_PAIR and self.nodes <= 0:
-            raise RuleConflict("node rewrite with no nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +309,6 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
         if parent not in out.surfaces:
             raise CenterNotInDiagram(parent)
         over = ctx.split_over
-        if over not in (TRIPLE_LINE, FIVEFOLD_POINT):
-            raise RuleConflict("split curve needs a singular-locus tag")
         label = out.next_prime_label(parent)
         out.add_surface(Surface(label=label, origin=SPLIT, parent=parent))
         out.events.append(SplitComponent(ctx.name, parent, label, over))

@@ -68,12 +68,6 @@ class CoincidentPlanes(ValueError):
         self.indices = (i + 1, j + 1)
 
 
-class WrongPlaneCount(ValueError):
-    def __init__(self, n: int):
-        super().__init__(f"octic check needs 8 planes, got {n}")
-        self.n_forms = n
-
-
 # ---------------------------------------------------------------------------
 # profile records
 
@@ -615,20 +609,12 @@ def _regrown(records: dict, index: dict, keys: set, before: dict,
 # octic condition
 
 
-@dataclass(frozen=True)
-class OcticCheck:
-    valid: bool
-    violations: tuple
-
-
-def is_octic(p: IncidenceProfile) -> OcticCheck:
-    """An arrangement of 8 planes qualifies when no line carries more than
-    3 of them and no point more than 5."""
-    if p.n_forms != 8:
-        raise WrongPlaneCount(p.n_forms)
-    bad: list = [l for l in p.lines if l.q >= 4]
-    bad += [pt for pt in p.points if pt.p >= 6]
-    return OcticCheck(valid=not bad, violations=tuple(bad))
+def octic_violations(p: IncidenceProfile) -> tuple:
+    """Where an arrangement breaks the octic bound: ``("line", planes)`` for
+    each line on more than 3 planes, then ``("point", planes)`` for each
+    point on more than 5.  An arrangement of 8 planes with none is octic."""
+    return tuple([("line", l.planes) for l in p.lines if l.q >= 4]
+                 + [("point", pt.planes) for pt in p.points if pt.p >= 6])
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +645,6 @@ def profile_diff(
     found there rather than among all generic points.  No other test of a
     change runs: an empty list means the same incidences.
     """
-    if generic.n_forms != special.n_forms:
-        raise ValueError("profiles of different arrangements")
     lines, points = (special._new if special._base is generic
                      else (special.lines, special.points))
     new_lines = sorted((l for l in lines

@@ -71,7 +71,8 @@ NODE_MARKER = "small_resolution"
 
 
 class NotOctic(ValueError):
-    """The arrangement violates the multiplicity bounds (q <= 3, p <= 5)."""
+    """The arrangement violates the multiplicity bounds (q <= 3, p <= 5);
+    ``violations`` as ``incidence.octic_violations`` lists them."""
 
     def __init__(self, violations):
         self.violations = tuple(violations)
@@ -133,16 +134,6 @@ class BlowUpSchedule:
     steps: tuple
     generic: incidence.IncidenceProfile  # the profile the steps come from
 
-    def __post_init__(self):
-        last = 0
-        for c in self.steps:
-            if c.phase not in (1, 2, 3, 4):
-                raise RuleConflict("phase %r out of range" % (c.phase,))
-            if c.phase < last:
-                raise RuleConflict(
-                    "schedule phases out of order at %s" % c.name)
-            last = c.phase
-
     def names(self):
         return [c.name for c in self.steps]
 
@@ -158,8 +149,7 @@ def schedule(generic: incidence.IncidenceProfile,
     two exceptional towers meet.  Centers named in ``order`` come first
     within their phase; the rest keep the lexicographic default.
     """
-    bad = [("line", l.planes) for l in generic.lines if l.q >= 4]
-    bad += [("point", pt.planes) for pt in generic.points if pt.p >= 6]
+    bad = incidence.octic_violations(generic)
     if bad:
         raise NotOctic(bad)
 
@@ -198,14 +188,6 @@ def schedule(generic: incidence.IncidenceProfile,
             role="l3", indices=line.planes, tower=label)
         l3_centers.append(c)
         centers.append(c)
-    for c1, c2 in combinations(l3_centers, 2):
-        combined = set(c1.indices) | set(c2.indices)
-        if generic.point_through(combined) is None:
-            continue  # disjoint
-        if not any(combined <= set(p5.indices) for p5 in p5_centers):
-            raise RuleConflict(
-                "triple lines %s and %s meet away from a fivefold point"
-                % (c1.name, c2.name))
 
     for pt in generic.points:
         if pt.p == 4 and pt.j == 0:

@@ -23,11 +23,6 @@ class UnsupportedConfiguration(ValueError):
     """Residual shape outside the catalogue of worked component models."""
 
 
-def _check_count(value: int, what: str) -> None:
-    if not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # component geometries (threefolds)
 
@@ -62,13 +57,6 @@ class QuadricBundle:
     split_fibers: tuple = ()
     cone_fibers: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "split_fibers", tuple(int(c) for c in self.split_fibers))
-        _check_count(self.cone_fibers, "cone fiber count")
-        for c in self.split_fibers:
-            if c < 2:
-                raise ValueError(f"a split fiber has at least two components, got {c}")
-
 
 @dataclass(frozen=True)
 class DoubleCoverP2xP1:
@@ -77,7 +65,6 @@ class DoubleCoverP2xP1:
     pinch_fibers: int
 
     def __post_init__(self):
-        _check_count(self.pinch_fibers, "pinch fiber count")
         if self.pinch_fibers < 2:
             # b3 = pinch_fibers - 2 in this family; fewer pinches never occur
             raise UnsupportedConfiguration(
@@ -89,11 +76,6 @@ class NodeResolution:
     """Component replacing a surface that carries ordinary double points."""
 
     node_count_on_surface: int
-
-    def __post_init__(self):
-        _check_count(self.node_count_on_surface, "node count")
-        if self.node_count_on_surface == 0:
-            raise ValueError("a node-resolution component needs at least one node")
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +89,6 @@ class ConicBundle:
 
     split_fibers: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "split_fibers", tuple(int(c) for c in self.split_fibers))
-        for c in self.split_fibers:
-            if c < 2:
-                raise ValueError(f"a split fiber has at least two components, got {c}")
-
 
 @dataclass(frozen=True)
 class SmoothQuadric:
@@ -124,9 +100,6 @@ class BlownP1xP1:
     """P1 x P1 blown up in a set of points."""
 
     points: int
-
-    def __post_init__(self):
-        _check_count(self.points, "blown-up point count")
 
 
 @dataclass(frozen=True)
@@ -199,52 +172,15 @@ class StrataComplex:
     """Nerve of the semistable fiber: components, double and triple loci.
 
     The component order (Y first, new components in creation order) is part
-    of the data; differential signs downstream depend on it.
+    of the data; differential signs downstream depend on it.  Only
+    ``build_components`` makes one: its labels are distinct, each stratum
+    lists its components in that order, and every face of a triple stratum
+    is a double stratum.
     """
 
     components: tuple
     double_strata: tuple = ()
     triple_strata: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "double_strata", tuple(self.double_strata))
-        object.__setattr__(self, "triple_strata", tuple(self.triple_strata))
-        order = {c.label: i for i, c in enumerate(self.components)}
-        if len(order) != len(self.components):
-            raise ValueError("component labels repeat")
-        for c in self.components:
-            if not isinstance(c.geometry, (ResolvedCY, QuadricBundle,
-                                           DoubleCoverP2xP1, NodeResolution)):
-                raise ValueError(f"{c.label}: not a component geometry")
-        pairs = set()
-        for d in self.double_strata:
-            if len(d.pair) != 2 or any(l not in order for l in d.pair):
-                raise ValueError(f"double stratum {d.pair} not among the components")
-            if order[d.pair[0]] >= order[d.pair[1]]:
-                raise ValueError(f"double stratum {d.pair} not in component order")
-            if d.pair in pairs:
-                raise ValueError(f"double stratum {d.pair} repeats")
-            if not isinstance(d.geometry, (ConicBundle, SmoothQuadric, BlownP1xP1)):
-                raise ValueError(f"{d.pair}: not a double-stratum geometry")
-            pairs.add(tuple(d.pair))
-        triples = set()
-        for t in self.triple_strata:
-            if len(t.triple) != 3 or any(l not in order for l in t.triple):
-                raise ValueError(f"triple stratum {t.triple} not among the components")
-            if not order[t.triple[0]] < order[t.triple[1]] < order[t.triple[2]]:
-                raise ValueError(f"triple stratum {t.triple} not in component order")
-            if t.triple in triples:
-                raise ValueError(f"triple stratum {t.triple} repeats")
-            if not isinstance(t.geometry, SmoothConic):
-                raise ValueError(f"{t.triple}: not a triple-stratum geometry")
-            triples.add(tuple(t.triple))
-            a, b, c = t.triple
-            for face in ((a, b), (a, c), (b, c)):
-                if face not in pairs:
-                    # simplicial-complex condition on the nerve
-                    raise ValueError(
-                        f"triple stratum {t.triple} misses its face {face}")
 
     # -- views ----------------------------------------------------------
 

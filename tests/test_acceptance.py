@@ -70,8 +70,7 @@ def test_criterion_1a_every_family_classified_at_zero():
         assert not scan.unresolved, name
         special = incidence.profile(a, at=Fraction(0))
         changes = incidence.profile_diff(generic, special)
-        tags = {classify.classify_local(c, generic).tag
-                for c in changes}
+        tags = {classify.classify_local(c, generic) for c in changes}
         assert tags == {name}
 
 

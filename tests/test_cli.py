@@ -451,6 +451,9 @@ SS_MUTANTS = {
     "triple-point-index": ("", lambda d: {**d, "residual": {
         **d["residual"], "triple_points": [[0, 1, 7]]}},
         "ValueError: a triple point names a curve the residual lacks"),
+    "nodes-negative": ("", lambda d: {**d, "residual": {
+        **d["residual"], "nodes": -1}},
+        "ValueError: the node count must not be negative, got -1"),
 }
 
 
@@ -510,7 +513,9 @@ def test_ss_exit_codes_hold_under_mutated_scenario_files(files):
 
 
 # bundled scenarios that ``resolve`` and ``reduce`` trace, and mistyped
-# versions of them: (scenario, mutation, the one line on stderr)
+# versions of them: (scenario, mutation, the one line on stderr, flags);
+# "{dir}" in a flag or message is the directory the scenario file is in,
+# and a row with --dot-dir runs under ``resolve`` and ``render``
 TRACED = {name: json.loads((DATA / "families" / f"{name}.json").read_text(
     "utf-8")) for name in ("NewL3", "TwoP41toP51")}
 TRACE_MUTANTS = {
@@ -543,23 +548,69 @@ TRACE_MUTANTS = {
             if k != "parent"}}},
         "TraceAborted: trace aborted at L4A: split rewrite with no surface "
         "to split"),
+    "expected-list": ("NewL3", lambda d: {**d, "expected": [[1]]},
+                      "ValueError: the expected block must be an object",
+                      "--check"),
+    "name-number": ("NewL3", lambda d: {**d, "name": 5},
+                    "ValueError: the scenario's name must be a string"),
+    "name-escapes": ("NewL3", lambda d: {**d, "name": "../escaped"},
+                     "ValueError: DOT files cannot be named after "
+                     "'../escaped'", "--dot-dir", "{dir}/out/sub"),
+    "nameless-path": ("NewL3", lambda d: {
+        k: v for k, v in d.items() if k != "name"},
+        "ValueError: DOT files cannot be named after '{dir}/scenario.json'",
+        "--dot-dir", "{dir}/out/sub"),
 }
+TRACE_RUNS = [(mutant, command) for mutant, row in TRACE_MUTANTS.items()
+              for command in ("resolve",
+                              "render" if "--dot-dir" in row else "reduce")]
 
 
-def _trace_outcome(command: str, directory: Path, data: dict):
+def _trace_outcome(command: str, directory: Path, data: dict, *flags):
     path = directory / "scenario.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    return _outcome([command, str(path)])
+    return _outcome([command, str(path), *flags])
 
 
-@pytest.mark.parametrize("command", ["resolve", "reduce"])
-@pytest.mark.parametrize("mutant", TRACE_MUTANTS)
+def _written(directory: Path) -> list:
+    """Every file under ``directory``, as a path relative to it."""
+    return sorted(p.relative_to(directory).as_posix()
+                  for p in directory.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("mutant,command", TRACE_RUNS,
+                         ids=["-".join(run) for run in TRACE_RUNS])
 def test_trace_refuses_a_mistyped_scenario_with_one_line(tmp_path, command,
                                                          mutant):
-    name, mutate, message = TRACE_MUTANTS[mutant]
+    name, mutate, message, *flags = TRACE_MUTANTS[mutant]
+    flags = [flag.format(dir=tmp_path) for flag in flags]
     code = 3 if message.startswith("TraceAborted") else 2
-    assert _trace_outcome(command, tmp_path, mutate(TRACED[name])) == (
-        code, "", message + "\n")
+    assert _trace_outcome(command, tmp_path, mutate(TRACED[name]),
+                          *flags) == (
+        code, "", message.format(dir=tmp_path) + "\n")
+    assert _written(tmp_path) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("command", ["resolve", "render"])
+def test_dot_files_are_written_inside_the_dot_dir_or_not_at_all(
+        tmp_path, monkeypatch, command):
+    """A nameless scenario given by a relative token that leaves the working
+    directory names no DOT file; a plain name writes them all under
+    --dot-dir."""
+    data = dict(TRACED["NewL3"])
+    del data["name"]
+    (tmp_path / "nameless.json").write_text(json.dumps(data), "utf-8")
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert _outcome([command, "../nameless.json", "--dot-dir", "out/sub"]) \
+        == (2, "", "ValueError: DOT files cannot be named after "
+                   "'../nameless.json'\n")
+    assert _written(tmp_path) == ["nameless.json"]
+    code, _, _ = _outcome([command, "NewL3", "--dot-dir", "out/sub"])
+    assert code == 0
+    assert _written(tmp_path) == [
+        f"cwd/out/sub/NewL3-step-0{i}.dot" for i in range(4)] + [
+        "nameless.json"]
 
 
 @st.composite
@@ -583,15 +634,30 @@ def trace_mutants(draw) -> dict:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["resolve", "reduce"]), trace_mutants())
-def test_trace_exit_codes_hold_under_mutated_scenario_files(command, data):
-    """``resolve`` and ``reduce`` end a scenario with any one field
-    mistyped or missing in a documented exit code and one line on stderr,
-    never in a traceback."""
+@given(st.sampled_from(["resolve", "reduce", "render"]), trace_mutants(),
+       st.booleans(), st.booleans())
+def test_trace_exit_codes_hold_under_mutated_scenario_files(command, data,
+                                                            check, dot):
+    """``resolve``, ``reduce`` and ``render`` end a scenario with any one
+    field mistyped or missing in a documented exit code and one line on
+    stderr, never in a traceback, with or without --check; exit 1 only
+    under --check, with one line per mismatched key.  DOT files land
+    inside --dot-dir (always given to ``render``), and nothing else is
+    written."""
     with tempfile.TemporaryDirectory() as directory:
-        code, _, err = _trace_outcome(command, Path(directory), data)
-    assert code in (0, 2, 3, 4), err
-    assert code == 0 or err.count("\n") == 1, err
+        directory = Path(directory)
+        flags = ["--check"] if check else []
+        if command == "render" or command == "resolve" and dot:
+            flags += ["--dot-dir", str(directory / "out" / "sub")]
+        code, _, err = _trace_outcome(command, directory, data, *flags)
+        stray = [f for f in _written(directory)
+                 if f != "scenario.json" and not f.startswith("out/sub/")]
+    assert code in ((0, 1, 2, 3, 4) if check else (0, 2, 3, 4)), err
+    if code == 1:
+        assert all(line.startswith("check ") for line in err.splitlines())
+    elif code != 0:
+        assert err.count("\n") == 1, err
+    assert stray == []
 
 
 def test_a_huge_factor_power_is_exit_2_at_once(capsys):

@@ -946,22 +946,13 @@ def test_no_diff_at_generic_value():
 
 def test_octic_check_accepts_a_mild_arrangement():
     a = parse_equation("xyzt(x+y+z)(x+y+t)(x+z+t)(y+z+t)")
-    chk = incidence.is_octic(incidence.profile(a))
-    assert chk.valid
-    assert chk.violations == ()
+    assert incidence.octic_violations(incidence.profile(a)) == ()
 
 
 def test_octic_check_flags_a_four_plane_pencil():
     a = parse_equation("xy(x+y)(x+2y)zt(x+z)(y+z)")
-    chk = incidence.is_octic(incidence.profile(a))
-    assert not chk.valid
-    assert any(getattr(v, "q", 0) >= 4 for v in chk.violations)
-
-
-def test_octic_check_needs_eight_planes():
-    a = parse_equation("xy(x+y+w)")
-    with pytest.raises(incidence.WrongPlaneCount):
-        incidence.is_octic(incidence.profile(a))
+    assert incidence.octic_violations(incidence.profile(a)) == (
+        ("line", (1, 2, 3, 4)), ("point", (1, 2, 3, 4, 5, 7, 8)))
 
 
 def test_coincident_planes_at_fatal_value():
