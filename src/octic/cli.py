@@ -10,7 +10,13 @@ Scenario files live in the package's ``data`` directory (override with the
 ``OCTIC_DATA`` environment variable) and may carry an ``expected`` block;
 ``--check`` compares the computed result against it and exits with code 1 on
 any mismatch.  All JSON output is canonical: sorted keys, two-space indent,
-exact rationals printed as ``p/q`` strings.
+exact rationals printed as ``p/q`` strings.  ``canonical_json`` writes the
+bytes ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
+writes, in one direct pass of its own: the standard library's encoder runs
+in pure Python whenever it indents, and cost an ``incidence --at`` call
+more than any one stage of its mathematics.  It refuses, with a TypeError,
+any type but the dicts with str keys, lists, tuples, strs, ints, bools and
+None that payloads hold.
 
 ``main`` builds only the sub-parser of the subcommand it runs, and all seven
 only when the first argument names none (``-h``, nothing, a typo): building
@@ -129,8 +135,9 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
 
 
 def _expect(value, kind: type, what: str):
-    """``value`` when it is a ``kind``, else a ValueError naming ``what``."""
-    if not isinstance(value, kind):
+    """``value`` when it is a ``kind``, else a ValueError naming ``what``;
+    a JSON true or false is no integer, though Python's bool is an int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
     return value
 
@@ -213,8 +220,53 @@ def _referenced(data, base: Path, key: str):
 # output plumbing
 
 
+_json_str = json.encoder.encode_basestring
+_int_repr = int.__repr__
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
+    and a newline, written directly; a type JSON payloads never hold is a
+    TypeError."""
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as JSON, where ``indent`` is a newline and the indentation
+    of the line ``value`` begins on; leaves inside a container are written
+    in its loop, because most values are leaves."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return _int_repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        # encode_basestring refuses a key that is not a str
+        for key in sorted(value):
+            item = value[key]
+            leaf = type(item)
+            items.append(_json_str(key) + ": " + (
+                _json_str(item) if leaf is str else
+                _int_repr(item) if leaf is int else _json_value(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json_str(item) if type(item) is str else
+                 _int_repr(item) if type(item) is int else
+                 _json_value(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def emit(args, payload: dict, text: str) -> None:

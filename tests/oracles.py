@@ -24,6 +24,23 @@ ELEVEN = [(name, data["equation"]) for name, data in FAMILIES.items()]
 PINCHES = {name: tuple(data["expected"]["pinches"])
            for name, data in FAMILIES.items()}
 
+# the seeded 8-plane families of the benchmark's octic-families workload,
+# seed 1
+SEED1 = [
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2x+y-z+3t)(-4x-2wx+y-2wy-6z+2wz+2t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(-2x+2wx+2y+wy-3z+2wz+4t-wt)(-2x-wx-2y+wy+wz-wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x+y+z+t)(-wx-6y+2wy+2z+wz+2t)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x-2wx-2y+2wy+z-2t-2wt)(2y-wy-2z-4t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2x+y-z+3t)(-x-2wx+y-3z-2wz+2t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2wx-y-2wy+z+2wz-2t-wt)(-2wx+y-wy-z+2wz-t+wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x+y+z+t)(x+2wx+wy-2wz+2t)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(x-y+wy-z-wz)(2x+2wx+4y-wy-2z-2wz+3t-2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(2x+y-z+3t)(x+2wx+2y+wy-5z-wz+5t+2wt)",
+    "xyzt(x+y+z+t)(x-y+2z-2t)(-2x+wx+2y-3z-2wz+4t-2wt)(-2x-2wx+4y-wy-2z-wz+6t+2wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(-2x+y+z+t)(-x-2wx-y+wy+wz-t+2wt)",
+    "xyzt(x+2y-z+t)(x-y+z+2t)(2x-wx+y+2wy+z-wz)(-2wx-2y+wy+z-2wz+2wt)",
+]
+
 
 def oracle(rows, domain=sympy.QQ):
     """Recompute the profile with sympy: pencils, points, decorations.

@@ -1,6 +1,7 @@
 """Command line driver: golden scenarios, exit codes, determinism."""
 
 import argparse
+import enum
 import io
 import json
 import os
@@ -14,12 +15,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from octic import cli, incidence
 from octic.forms import MAX_W_DEGREE
 
 DATA = Path(cli.__file__).resolve().parent / "data"
 FAMILIES = sorted(p.stem for p in (DATA / "families").glob("*.json"))
 EXAMPLES = ["two-nodes", "four-pinches", "seven-lines"]
+SUBCOMMANDS = ["incidence", "sigma", "classify", "resolve", "reduce", "ss",
+               "render"]
 
 
 def run(capsys, *argv):
@@ -84,14 +88,84 @@ def test_reduce_runs(capsys, name):
 # output forms
 
 
-def test_json_output_is_canonical(capsys):
+def _dumps(value) -> str:
+    """The canonical JSON of ``value`` as the standard library writes it."""
+    return json.dumps(value, sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_json_output_is_canonical(capsys, tmp_path, command):
+    """Every ``--json`` run that succeeds, on a bundled scenario or on a
+    fiber of a seeded family, prints the bytes ``json.dumps`` prints for
+    its payload, sorted and indented."""
+    runs = [[command, name] for name in FAMILIES + EXAMPLES]
+    if command == "incidence":
+        runs += [[command, equation, f"--at={w}"]
+                 for equation in oracles.SEED1[:2] for w in ("0", "-1/2", "3")]
+    flags = ["--json"] + (["--dot-dir", str(tmp_path)]
+                          if command == "render" else [])
+    succeeded = 0
+    for argv in runs:
+        code, out, err = run(capsys, *argv, *flags)
+        if code == 0:
+            assert out == _dumps(json.loads(out)), argv
+            succeeded += 1
+        else:
+            assert out == "", (argv, err)
+    # ss runs on the three examples alone, which carry a y_betti
+    assert succeeded >= len(EXAMPLES)
+
+
+def test_sigma_json_names_the_degenerate_values(capsys):
     code, out, _ = run(capsys, "sigma", "NewL3", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert out == json.dumps(payload, sort_keys=True, indent=2,
-                             ensure_ascii=False) + "\n"
     assert payload["sigma"] == ["0"]
     assert payload["classification"] == {"0": ["NewL3"]}
+
+
+# text with what JSON escapes or passes through: quotes, backslashes,
+# control characters, non-ASCII and lone surrogates
+json_text = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", " ", "é😀", "\ud800", "\udfff x"])
+json_trees = st.recursive(
+    st.none() | st.booleans() | json_text
+    | st.integers(-2 ** 130, 2 ** 130),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=30)
+
+
+@st.composite
+def deep_json_trees(draw):
+    """A tree under up to eight more lists and one-key objects, so that
+    some are nested at least six deep."""
+    tree = draw(json_trees)
+    for key in draw(st.lists(st.none() | json_text, max_size=8)):
+        tree = [tree] if key is None else {key: tree}
+    return tree
+
+
+@settings(max_examples=400, deadline=None)
+@given(deep_json_trees())
+@example([[[[[[[{}]]]]]], ()])
+@example({"\ud800": [2 ** 64, -2 ** 100, ""], "": {"a": (None, True)}})
+def test_canonical_json_writes_the_bytes_json_dumps_writes(value):
+    assert cli.canonical_json(value) == _dumps(value)
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [1.5, {1}, {1: "one"}, _Small.ONE],
+                         ids=["float", "set", "int-key", "IntEnum"])
+def test_canonical_json_refuses_what_payloads_never_hold(value):
+    for tree in (value, [value], {"a": value}, {"a": [0, {"b": value}]}):
+        with pytest.raises(TypeError):
+            cli.canonical_json(tree)
 
 
 def test_ss_json_deterministic(capsys):
@@ -454,6 +528,16 @@ SS_MUTANTS = {
     "nodes-negative": ("", lambda d: {**d, "residual": {
         **d["residual"], "nodes": -1}},
         "ValueError: the node count must not be negative, got -1"),
+    # JSON true and false are Python bools, and a bool is an int
+    "nodes-true": ("", lambda d: {**d, "residual": {
+        **d["residual"], "nodes": True}},
+        "ValueError: the node count must be an integer"),
+    "annotation-rank-false": ("-annotations",
+                              lambda d: [{**d[0], "rank": False}] + d[1:],
+                              "ValueError: an annotation's rank must be an "
+                              "integer"),
+    "rank-true": ("-cycle-model", lambda d: {**d, "rank": True},
+                  "ValueError: the cycle model's rank must be an integer"),
 }
 
 
@@ -768,8 +852,6 @@ def test_stored_residual_reads_back_unchanged(name):
 # argument parsing
 
 
-SUBCOMMANDS = ["incidence", "sigma", "classify", "resolve", "reduce", "ss",
-               "render"]
 # help, usage errors and the one rewritten option value
 USAGE = ([["-h"]] + [[command, "-h"] for command in SUBCOMMANDS]
          + [[], ["--json"], ["sigm", "x"], ["incidence"],

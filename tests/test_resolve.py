@@ -15,7 +15,6 @@ from octic.classify import residual_key, residual_outcome
 from octic.forms import parse_equation
 from octic.resolve import (NotOctic, TraceAborted, schedule,
                            trace_central_fiber)
-from test_incidence import SEED1
 
 FAMILIES = {
     path.stem: json.loads(path.read_text(encoding="utf-8"))
@@ -156,7 +155,7 @@ def test_node_scan_matches_brute_force_on_the_families(tag):
                       FAMILIES[tag].get("directives"))
 
 
-@pytest.mark.parametrize("text", SEED1)
+@pytest.mark.parametrize("text", oracles.SEED1)
 def test_node_scan_matches_brute_force_on_seeded_families(text):
     scans, _ = _check_node_scans(text, (), None)
     assert scans > 0
@@ -167,7 +166,7 @@ def test_node_scans_flag_pairs():
     one, so their comparison is not between empty sets."""
     assert _check_node_scans(FAMILIES["NewP40"]["equation"], _order("NewP40"),
                              None)[1] > 0
-    assert _check_node_scans(SEED1[0], (), None)[1] > 0
+    assert _check_node_scans(oracles.SEED1[0], (), None)[1] > 0
 
 
 def test_fiber_collision_steps_need_directives():
