@@ -18,11 +18,12 @@ more than any one stage of its mathematics.  It refuses, with a TypeError,
 any type but the dicts with str keys, lists, tuples, strs, ints, bools and
 None that payloads hold.
 
-``main`` builds only the sub-parser of the subcommand it runs, and all seven
-only when the first argument names none (``-h``, nothing, a typo): building
-seven cost more than any one stage of a typical call's mathematics.  Usage
-and error messages still name all seven, because they list the choices of
-the ``COMMANDS`` table, not the sub-parsers built.
+Each call pays only for the parser it runs and the output it prints.
+``parse_args`` builds the parser of the subcommand named first, and that of
+all seven only for help and usage errors (``-h``, nothing, a typo, an
+argument left over), so their bytes stay those of all seven.  Each
+``cmd_*`` returns its scenario data, its payload and a renderer of its
+text, which ``main`` calls only to print the text: ``--json`` builds none.
 
 Exit codes: 0 success, 1 failed ``--check``, 2 malformed input (equations,
 parameters, data files), 3 the mathematics refused (out-of-taxonomy
@@ -77,11 +78,12 @@ _DOMAIN_ERRORS = (incidence.CoincidentPlanes, classify.Unclassifiable,
 # scenario plumbing
 
 
+_DATA = Path(__file__).resolve().parent / "data"
+
+
 def data_root() -> Path:
     override = os.environ.get("OCTIC_DATA")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "data"
+    return Path(override) if override else _DATA
 
 
 def _load_json(path: Path):
@@ -269,13 +271,6 @@ def _json_value(value, indent: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        sys.stdout.write(canonical_json(payload))
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
@@ -397,68 +392,69 @@ def directives_from_json(data) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its scenario data (or None), its payload and a
+# renderer of its text
 
 
-def cmd_incidence(args) -> int:
+def cmd_incidence(args):
     data, equation = scenario_or_equation(args.equation)
     if args.at is not None:
         at = parse_fraction(args.at)
     else:
         at = None if data is None else _scenario_w0(data)
     prof, payload = _profile_payload(equation, at)
-    lines = [f"{payload['planes']} planes"
-             + ("" if at is None else f" at w = {fraction_str(at)}")]
-    if prof.lines:
-        lines.append("lines:")
-        for l in prof.lines:
-            lines.append(f"  planes {{{','.join(str(i) for i in l.planes)}}}"
-                         f"  q={l.q}")
-    if prof.points:
-        lines.append("points:")
-        for pt in prof.points:
-            lines.append(f"  planes {{{','.join(str(i) for i in pt.planes)}}}"
-                         f"  p={pt.p} j={pt.j}")
-    if not prof.lines and not prof.points:
-        lines.append("no multiple lines or points beyond general position")
-    if "octic" in payload:
-        lines.append("octic: " + ("yes" if payload["octic"] else "no"))
-    emit(args, payload, "\n".join(lines))
-    return run_check(args, data, payload)
+
+    def text():
+        lines = [f"{payload['planes']} planes"
+                 + ("" if at is None else f" at w = {payload['at']}")]
+        if prof.lines:
+            lines.append("lines:")
+            for l in prof.lines:
+                lines.append(f"  planes {{{','.join(map(str, l.planes))}}}"
+                             f"  q={l.q}")
+        if prof.points:
+            lines.append("points:")
+            for pt in prof.points:
+                lines.append(f"  planes {{{','.join(map(str, pt.planes))}}}"
+                             f"  p={pt.p} j={pt.j}")
+        if not prof.lines and not prof.points:
+            lines.append("no multiple lines or points beyond general position")
+        if "octic" in payload:
+            lines.append("octic: " + ("yes" if payload["octic"] else "no"))
+        return "\n".join(lines)
+    return data, payload, text
 
 
-def cmd_sigma(args) -> int:
+def cmd_sigma(args):
     data, equation = scenario_or_equation(args.equation)
     scan = incidence.degenerate_values(parse_equation(equation))
     ordered = sorted(scan.values, key=lambda v: v.w0)
-    values = {}
-    for v in ordered:
-        values[fraction_str(v.w0)] = _classify_value(scan.generic, v)
+    values = {fraction_str(v.w0): _classify_value(scan.generic, v)
+              for v in ordered}
     payload = {
         "equation": equation,
-        "sigma": [fraction_str(v.w0) for v in ordered],
+        "sigma": list(values),
         "classification": values,
         "fatal": [{"w": fraction_str(f.w0), "reason": f.reason}
                   for f in sorted(scan.fatal, key=lambda f: f.w0)],
     }
     if scan.unresolved:
         payload["unresolved"] = [str(p) for p in scan.unresolved]
-    lines = []
-    if not ordered:
-        lines.append("no degenerate parameter values")
-    for v in ordered:
-        lines.append(f"w = {fraction_str(v.w0)}: "
-                     + ", ".join(values[fraction_str(v.w0)]))
-    for f in scan.fatal:
-        lines.append(f"w = {fraction_str(f.w0)}: fatal ({f.reason})")
-    if scan.unresolved:
-        lines.append("unresolved factors: "
-                     + ", ".join(str(p) for p in scan.unresolved))
-    emit(args, payload, "\n".join(lines))
-    return run_check(args, data, payload)
+
+    def text():
+        lines = [f"w = {w}: " + ", ".join(tags) for w, tags in values.items()]
+        if not lines:
+            lines.append("no degenerate parameter values")
+        for f in scan.fatal:
+            lines.append(f"w = {fraction_str(f.w0)}: fatal ({f.reason})")
+        if scan.unresolved:
+            lines.append("unresolved factors: "
+                         + ", ".join(payload["unresolved"]))
+        return "\n".join(lines)
+    return data, payload, text
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     data, equation = scenario_or_equation(args.equation)
     if args.at is not None:
         at = parse_fraction(args.at)
@@ -478,21 +474,23 @@ def cmd_classify(args) -> int:
     if len(set(tags)) == 1:
         payload["type"] = tags[0]
         payload["residual"] = classify.residual_outcome(tags[0]).to_json()
-    lines = [f"w = {fraction_str(at)}"]
-    if not changes:
-        lines.append("no new incidences; the fiber is as generic")
-    for c, t in zip(changes, tags):
-        lines.append(f"  {c.kind} on planes "
-                     f"{{{','.join(str(i) for i in c.involved_planes)}}}: {t}")
-    if "residual" in payload:
-        r = payload["residual"]
-        lines.append(f"residual: {len(r['curves'])} double curve(s), "
-                     f"{r['nodes']} node(s)")
-    emit(args, payload, "\n".join(lines))
-    return run_check(args, data, payload)
+
+    def text():
+        lines = [f"w = {payload['at']}"]
+        if not changes:
+            lines.append("no new incidences; the fiber is as generic")
+        for c, t in zip(changes, tags):
+            lines.append(f"  {c.kind} on planes "
+                         f"{{{','.join(map(str, c.involved_planes))}}}: {t}")
+        if "residual" in payload:
+            r = payload["residual"]
+            lines.append(f"residual: {len(r['curves'])} double curve(s), "
+                         f"{r['nodes']} node(s)")
+        return "\n".join(lines)
+    return data, payload, text
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args):
     data, _ = find_scenario(args.scenario)
     sched, trace, residual = _trace_scenario(data)
     payload = {
@@ -505,53 +503,55 @@ def cmd_resolve(args) -> int:
     }
     if args.dot_dir:
         payload["dot_files"] = _dot_paths(args, payload["scenario"], trace)
-    final = trace[-1]
-    lines = [
-        f"{payload['scenario']}: {len(sched.names())} blow-up steps at "
-        f"w = {payload['w0']}",
-        f"surfaces in the final diagram: {len(final.surfaces)}",
-        f"double curves: {len(payload['residual']['curves'])}"
-        f"  pinch points: {payload['pinches']}",
-        f"nodes: {payload['residual']['nodes']}",
-    ]
-    if payload["residual"].get("triple_points"):
-        lines.append(f"triple meetings: {payload['residual']['triple_points']}")
-    if "dot_files" in payload:
-        lines.append(f"wrote {len(payload['dot_files'])} DOT files to "
-                     f"{args.dot_dir}")
-    emit(args, payload, "\n".join(lines))
-    return run_check(args, data, payload)
+
+    def text():
+        lines = [
+            f"{payload['scenario']}: {len(payload['steps'])} blow-up steps at "
+            f"w = {payload['w0']}",
+            f"surfaces in the final diagram: {len(trace[-1].surfaces)}",
+            f"double curves: {len(payload['residual']['curves'])}"
+            f"  pinch points: {payload['pinches']}",
+            f"nodes: {payload['residual']['nodes']}",
+        ]
+        if payload["residual"].get("triple_points"):
+            lines.append(
+                f"triple meetings: {payload['residual']['triple_points']}")
+        if "dot_files" in payload:
+            lines.append(f"wrote {len(payload['dot_files'])} DOT files to "
+                         f"{args.dot_dir}")
+        return "\n".join(lines)
+    return data, payload, text
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     data, _ = find_scenario(args.scenario)
     sched, trace, residual = _trace_scenario(data)
-    steps = []
-    lines = []
-    for i, center in enumerate(sched.steps):
-        before, after = trace[i], trace[i + 1]
-        fresh = after.events[len(before.events):]
-        steps.append({"center": center.to_json(),
-                      "events": [e.to_json() for e in fresh]})
-        lines.append(f"step {i + 1}: {center.name} ({center.kind})")
-        for e in fresh:
-            j = e.to_json()
-            kind = j.pop("event", "?")
-            detail = ", ".join(f"{k}={j[k]}" for k in sorted(j))
-            lines.append(f"  {kind}: {detail}" if detail else f"  {kind}")
     payload = {
         "scenario": data.get("name", args.scenario),
-        "steps": steps,
+        "steps": [{"center": center.to_json(),
+                   "events": [e.to_json() for e in
+                              trace[i + 1].events[len(trace[i].events):]]}
+                  for i, center in enumerate(sched.steps)],
         "residual": residual.to_json(),
         "pinches": list(residual.pinch_multiset()),
     }
-    lines.append(f"residual pinch multiset: {payload['pinches']}, "
-                 f"nodes: {residual.nodes}")
-    emit(args, payload, "\n".join(lines))
-    return run_check(args, data, payload)
+
+    def text():
+        lines = []
+        for i, (center, step) in enumerate(zip(sched.steps, payload["steps"])):
+            lines.append(f"step {i + 1}: {center.name} ({center.kind})")
+            for j in step["events"]:
+                detail = ", ".join(f"{k}={j[k]}" for k in sorted(j)
+                                   if k != "event")
+                kind = j.get("event", "?")
+                lines.append(f"  {kind}: {detail}" if detail else f"  {kind}")
+        lines.append(f"residual pinch multiset: {payload['pinches']}, "
+                     f"nodes: {residual.nodes}")
+        return "\n".join(lines)
+    return data, payload, text
 
 
-def cmd_ss(args) -> int:
+def cmd_ss(args):
     data, base = find_scenario(args.scenario)
     y_betti = data.get("y_betti")
     if not y_betti:
@@ -580,43 +580,43 @@ def cmd_ss(args) -> int:
         {"q": q, "dims": [e1.dim_pq(p, q) for p in e1.columns]}
         for q in range(6, -1, -1)]
 
-    lines = [
-        f"{payload['scenario']}: {n} components, {dbl} double strata, "
-        f"{tri} triple strata",
-        "",
-        "E1 page:",
-        specseq.render_e1(e1),
-        "",
-        "E2 page:",
-        specseq.render_e2(report),
-        "",
-        "betti: " + " ".join(str(b) for b in report.betti),
-        "weights on the middle cohomology (2, 3, 4): "
-        + " ".join(str(x) for x in report.h3_weights),
-        "pure: " + ("yes" if report.pure else "no"),
-    ]
-    annotated = [(pq, r) for pq, r in sorted(report.ranks.items())
-                 if r[1] == "annotation"]
-    if annotated:
-        lines.append("annotated ranks:")
-        for (p, q), (rank, _, why) in annotated:
-            lines.append(f"  ({p}, {q}) rank {rank}: {why}")
-    for w in report.warnings:
-        lines.append("warning: " + w)
-    emit(args, payload, "\n".join(lines))
-    return run_check(args, data, payload)
+    def text():
+        lines = [
+            f"{payload['scenario']}: {n} components, {dbl} double strata, "
+            f"{tri} triple strata",
+            "",
+            "E1 page:",
+            specseq.render_e1(e1),
+            "",
+            "E2 page:",
+            specseq.render_e2(report),
+            "",
+            "betti: " + " ".join(str(b) for b in report.betti),
+            "weights on the middle cohomology (2, 3, 4): "
+            + " ".join(str(x) for x in report.h3_weights),
+            "pure: " + ("yes" if report.pure else "no"),
+        ]
+        annotated = [(pq, r) for pq, r in sorted(report.ranks.items())
+                     if r[1] == "annotation"]
+        if annotated:
+            lines.append("annotated ranks:")
+            for (p, q), (rank, _, why) in annotated:
+                lines.append(f"  ({p}, {q}) rank {rank}: {why}")
+        for w in report.warnings:
+            lines.append("warning: " + w)
+        return "\n".join(lines)
+    return data, payload, text
 
 
-def cmd_render(args) -> int:
+def cmd_render(args):
     data, _ = find_scenario(args.scenario)
     _, trace, _ = _trace_scenario(data)
     name = data.get("name", args.scenario)
     files = _dot_paths(args, name, trace)
     payload = {"scenario": name, "dot_files": files, "dot_dir": args.dot_dir}
-    emit(args, payload,
-         "\n".join([f"wrote {len(files)} DOT files to {args.dot_dir}"]
-                   + [f"  {f}" for f in files]))
-    return run_check(args, data, payload)
+    return data, payload, lambda: "\n".join(
+        [f"wrote {len(files)} DOT files to {args.dot_dir}"]
+        + [f"  {f}" for f in files])
 
 
 # ---------------------------------------------------------------------------
@@ -645,28 +645,42 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with ``command``'s sub-parser alone when ``command`` names
-    one, and with all seven otherwise."""
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help="emit canonical JSON instead of text")
+    parser.add_argument("--check", action="store_true",
+                        help="compare against the scenario's expected block")
+    for arg, default, arg_help in COMMANDS[command][2]:
+        parser.add_argument(arg, default=default, help=arg_help)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with all seven sub-parsers."""
     parser = argparse.ArgumentParser(
         prog="octic",
         description="incidence analysis and semistable reduction for "
                     "one-parameter families of octic plane arrangements")
     sub = parser.add_subparsers(dest="command", required=True,
                                 prog=parser.prog)
-    # usage and error messages list these choices, not the sub-parsers built
-    sub.choices = COMMANDS
-    for name in [command] if command in COMMANDS else COMMANDS:
-        func, text, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--json", action="store_true",
-                       help="emit canonical JSON instead of text")
-        p.add_argument("--check", action="store_true",
-                       help="compare against the scenario's expected block")
-        for arg, default, arg_help in arguments:
-            p.add_argument(arg, default=default, help=arg_help)
-        p.set_defaults(func=func)
+    for name, (_, text, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """``argv`` parsed by a parser of the subcommand it names first alone,
+    whose help and errors are those of its sub-parser in the parser of all
+    seven.  Without a subcommand first, or with an argument left over,
+    ``argv`` is parsed by the parser of all seven, for its usage error.
+    The namespace's ``command`` names the subcommand."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog="octic " + argv[0])
+        _add_arguments(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -676,9 +690,12 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--at" and re.match(r"-\d", argv[i]):
             argv[i - 1:i + 1] = ["--at=" + argv[i]]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
-        return args.func(args)
+        data, payload, text = COMMANDS[args.command][0](args)
+        text = canonical_json(payload) if args.json else text()
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return run_check(args, data, payload)
     except ScenarioNotFound as err:
         print(f"unknown scenario: {err.args[0]}", file=sys.stderr)
         return NO_SCENARIO

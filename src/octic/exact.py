@@ -27,6 +27,8 @@ Everything here is immutable and pure; no floats anywhere.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import islice, zip_longest
 from math import gcd as int_gcd, lcm as int_lcm, prod
@@ -483,7 +485,23 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def parse_fraction(s: str) -> Fraction:
+    """``s`` read as ``Fraction`` reads it.  A decimal exponent of more
+    than ``sys.get_int_max_str_digits()``, the most digits the interpreter
+    prints, is a ValueError before the Fraction is built: building it
+    expands ``10**exponent``, which a large enough exponent never ends."""
+    exponent = _EXPONENT.search(s)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        # 4300, the limit's default, where the limit is off (0) or the
+        # interpreter predates it (Python 3.10.6 and older)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"the exponent of {s!r} exceeds {limit}, the "
+                             "most digits an integer prints")
     try:
         return Fraction(s)
     except ZeroDivisionError:

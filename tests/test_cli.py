@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from octic import cli, incidence
+from octic import cli, incidence, specseq
 from octic.forms import MAX_W_DEGREE
 
 DATA = Path(cli.__file__).resolve().parent / "data"
@@ -750,6 +751,40 @@ def test_a_huge_factor_power_is_exit_2_at_once(capsys):
         2, "", "ValueError: expected 3..8 forms, got 1000000002\n")
 
 
+@pytest.mark.parametrize("value", ["1e100000000", "1e10000", "1e-100000000"])
+def test_a_huge_decimal_exponent_is_exit_2_at_once(capsys, tmp_path, value):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "NewL3", f"--at={value}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"ValueError: the exponent of {value!r} exceeds 4300, "
+                   "the most digits an integer prints\n")
+    # a scenario's w0 is read by the same rule
+    data = json.loads((DATA / "families" / "NewL3.json").read_text())
+    data["w0"] = value
+    p = tmp_path / "huge-w0.json"
+    p.write_text(json.dumps(data))
+    assert run(capsys, "resolve", str(p)) == (2, "", err)
+    # and so is an entry of a stored cycle model
+    for f in (DATA / "examples").glob("seven-lines*.json"):
+        (tmp_path / f.name).write_text(f.read_text(encoding="utf-8"),
+                                       encoding="utf-8")
+    model = tmp_path / "seven-lines-cycle-model.json"
+    data = json.loads(model.read_text(encoding="utf-8"))
+    data["matrix"][0][0] = value
+    model.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "ss", str(tmp_path / "seven-lines.json")) == (
+        2, "", err)
+
+
+def test_decimal_and_negative_values_still_parse(capsys):
+    half = run(capsys, "classify", "NewL3", "--at=3/2")
+    assert half[0] == 0 and half[1].startswith("w = 3/2\n")
+    assert run(capsys, "classify", "NewL3", "--at=1.5") == half
+    negative = run(capsys, "classify", "NewL3", "--at", "-1/2")
+    assert negative[0] == 0 and negative[1].startswith("w = -1/2\n")
+
+
 def test_a_huge_power_of_w_is_exit_2_at_once(capsys):
     code, out, err = run(capsys, "sigma", "xy(z+w^1000000000t)")
     assert (code, out, err) == (
@@ -852,20 +887,25 @@ def test_stored_residual_reads_back_unchanged(name):
 # argument parsing
 
 
-# help, usage errors and the one rewritten option value
+# help, usage errors, the one rewritten option value, and arguments the
+# one sub-parser reads as the parser of all seven does, or leaves over
 USAGE = ([["-h"]] + [[command, "-h"] for command in SUBCOMMANDS]
          + [[], ["--json"], ["sigm", "x"], ["incidence"],
             ["sigma", "xyzt", "--foo"],
-            ["incidence", "xyz(x+y+z+wt)", "--at", "-1/2"]])
+            ["incidence", "xyz(x+y+z+wt)", "--at", "-1/2"],
+            ["resolve", "--foo", "NewL3"], ["sigma", "--js", "xyzt"],
+            ["sigma", "--", "xyzt"], ["incidence", "xyzt", "--at"],
+            ["sigma", "NewL3", "--json", "--json"]])
 
 
 @pytest.mark.parametrize("argv", USAGE, ids=lambda argv: " ".join(argv) or "-")
 def test_usage_is_that_of_all_seven_sub_parsers(monkeypatch, argv):
-    """``main`` builds one sub-parser where the first argument names it; its
-    help, usage and errors are those of the parser with all seven."""
+    """``main`` parses with the one sub-parser the first argument names; what
+    it runs, and its help, usage and errors, are those of the parser with
+    all seven, built directly."""
     one = _outcome(argv)
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    monkeypatch.setattr(cli, "parse_args",
+                        lambda argv: cli.build_parser().parse_args(argv))
     assert one == _outcome(argv)
 
 
@@ -885,13 +925,41 @@ def parsers(monkeypatch):
 
 def test_main_builds_the_sub_parser_it_runs(capsys, parsers):
     assert run(capsys, "sigma", "NewL3")[0] == 0
-    assert parsers == ["octic", "octic sigma"]
+    assert parsers == ["octic sigma"]
     # nothing is kept for the next call
     assert run(capsys, "sigma", "NewL3")[0] == 0
-    assert parsers == ["octic", "octic sigma"] * 2
+    assert parsers == ["octic sigma"] * 2
 
 
 def test_help_builds_all_seven_sub_parsers(capsys, parsers):
     with pytest.raises(SystemExit):
         cli.main(["-h"])
     assert parsers == ["octic"] + [f"octic {c}" for c in SUBCOMMANDS]
+
+
+def test_an_argument_left_over_is_parsed_by_all_seven(capsys, parsers):
+    with pytest.raises(SystemExit):
+        cli.main(["sigma", "NewL3", "--foo"])
+    assert parsers == ["octic sigma", "octic"] + [f"octic {c}"
+                                                   for c in SUBCOMMANDS]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("text built under --json")
+
+
+@pytest.mark.parametrize("argv", [["ss", "two-nodes", "--json"],
+                                  ["incidence", "NewL3", "--json"]])
+def test_json_builds_no_text(capsys, monkeypatch, argv):
+    printed = run(capsys, *argv)
+    assert printed[0] == 0
+    monkeypatch.setattr(specseq, "render_e1", _refuse)
+    monkeypatch.setattr(specseq, "render_e2", _refuse)
+    func, text, arguments = cli.COMMANDS[argv[0]]
+
+    def without_text(args):
+        data, payload, _ = func(args)
+        return data, payload, _refuse
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], (without_text, text, arguments))
+    assert run(capsys, *argv) == printed

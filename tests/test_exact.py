@@ -3,6 +3,7 @@ roots and ranks over Q, against sympy or Horner's rule where a reference is
 needed."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, zip_longest
@@ -272,6 +273,24 @@ def test_fraction_str_round_trip():
         assert parse_fraction(fraction_str(x)) == x
     assert fraction_str(Fraction(4, 2)) == "2"
     assert fraction_str(Fraction(1, 2)) == "1/2"
+
+
+def test_parse_fraction_bounds_the_exponent_not_the_value():
+    # the bound is the interpreter's limit on printed digits, 4300 by
+    # default
+    assert parse_fraction("1e4300") == 10 ** 4300
+    assert parse_fraction(" 25E-0_4 ") == Fraction(1, 400)
+    for text in ("1e4301", "1.5e-4301", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_fraction(text)
+    # with the limit off, the bound is its default, so no input hangs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ValueError, match="exceeds 4300"):
+            parse_fraction("1e100000000")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rank_500_random():

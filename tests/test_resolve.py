@@ -11,7 +11,7 @@ import pytest
 import octic
 import oracles
 from octic import incidence, resolve
-from octic.classify import residual_key, residual_outcome
+from octic.classify import classify_local, residual_key, residual_outcome
 from octic.forms import parse_equation
 from octic.resolve import (NotOctic, TraceAborted, schedule,
                            trace_central_fiber)
@@ -159,6 +159,25 @@ def test_node_scan_matches_brute_force_on_the_families(tag):
 def test_node_scan_matches_brute_force_on_seeded_families(text):
     scans, _ = _check_node_scans(text, (), None)
     assert scans > 0
+
+
+def test_one_change_values_meet_the_taxonomy_on_seeded_families():
+    """At every degenerate value of ``oracles.SEED1`` with one change, the
+    default-order trace ends at the taxonomy's residual for its type."""
+    values = 0
+    for text in oracles.SEED1:
+        a = parse_equation(text)
+        scan = incidence.degenerate_values(a)
+        sched = schedule(scan.generic)
+        for value in scan.values:
+            if len(value.changes) != 1:
+                continue
+            values += 1
+            tag = classify_local(value.changes[0], scan.generic)
+            _, res = trace_central_fiber(a, value.w0, sched)
+            assert res.to_json() == residual_outcome(tag).to_json(), (
+                text, value.w0, tag)
+    assert values == 149
 
 
 def test_node_scans_flag_pairs():
