@@ -18,6 +18,8 @@ from .incidence import IncidenceProfile, NewIncidence
 
 TRIPLE_LINE = "triple_line"
 FIVEFOLD_POINT = "fivefold_point"
+# the surface whose blow-up resolves a node pair
+NODE_MARKER = "small_resolution"
 
 
 class Unclassifiable(ValueError):
@@ -179,9 +181,7 @@ def _curves(*spec: tuple[int, str]) -> tuple[DoubleCurve, ...]:
 
 _OUTCOMES: dict[str, ResidualSingularities] = {
     "NewL3": ResidualSingularities(double_curves=_curves((0, _T))),
-    "NewP40": ResidualSingularities(
-        nodes=2, node_surface_marker="small_resolution"
-    ),
+    "NewP40": ResidualSingularities(nodes=2, node_surface_marker=NODE_MARKER),
     "P51toP52": ResidualSingularities(double_curves=_curves((1, _T))),
     # curves listed in creation order of the reference trace
     "TwoP41toP52": ResidualSingularities(

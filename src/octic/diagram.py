@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .classify import FIVEFOLD_POINT, DoubleCurve, ResidualSingularities
+from .classify import (FIVEFOLD_POINT, NODE_MARKER, DoubleCurve,
+                       ResidualSingularities)
 from .incidence import IncidenceProfile
 
 
@@ -168,9 +169,6 @@ class CenterContext:
     fiber_with: Optional[str] = None          # earlier split piece joined by a fiber
     # pinches fired by this step: (curve id, count)
     pinches: tuple = ()
-    # node pairs
-    nodes: int = 0
-    node_marker: Optional[str] = None
 
     def __post_init__(self):
         # a transcribed split may leave out its parent
@@ -189,7 +187,6 @@ class Diagram:
     events: list = field(default_factory=list)
     triple_meetings: list = field(default_factory=list)  # [(cid, cid, cid)]
     nodes: int = 0
-    node_marker: Optional[str] = None
     next_curve_id: int = 0
 
     def clone(self) -> "Diagram":
@@ -199,7 +196,6 @@ class Diagram:
             events=list(self.events),
             triple_meetings=list(self.triple_meetings),
             nodes=self.nodes,
-            node_marker=self.node_marker,
             next_curve_id=self.next_curve_id,
         )
 
@@ -279,7 +275,8 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
     * ``plain_even``   separation only; may fire pinches on split curves
     * ``plain_odd``    new exceptional tower with its traces/sections/fibers
     * ``split``        a plane sheds a new piece along the center
-    * ``node_pair``    the center degenerated into two crossing curves
+    * ``node_pair``    the center degenerated into two crossing curves: two
+                       nodes, resolved on a ``NODE_MARKER`` surface
     """
     out = d.clone()
     events_before = len(out.events)
@@ -335,10 +332,8 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
     elif ctx.rewrite == NODE_PAIR:
         for cid in ctx.target_curves:
             out._remove_curve(cid)
-        marker = ctx.node_marker or "small_resolution"
-        out.nodes += ctx.nodes
-        out.node_marker = marker
-        out.events.append(NewNodePair(ctx.name, ctx.nodes, marker))
+        out.nodes += 2
+        out.events.append(NewNodePair(ctx.name, 2, NODE_MARKER))
 
     if len(out.events) - events_before > 2:
         raise RuleConflict("blow-up step emitted more than two events")
@@ -360,7 +355,7 @@ def residual_report(d: Diagram) -> ResidualSingularities:
     return ResidualSingularities(
         double_curves=tuple(residual),
         nodes=d.nodes,
-        node_surface_marker=d.node_marker if d.nodes else None,
+        node_surface_marker=NODE_MARKER if d.nodes else None,
         triple_meeting_points=tuple(sorted(triples)),
     )
 
@@ -404,6 +399,6 @@ def render_dot(d: Diagram, name: str = "central_fiber") -> str:
             pinch_idx += 1
     if d.nodes:
         lines.append('  "nodes" [shape=doublecircle, label="%d nodes\\n%s"];'
-                     % (d.nodes, d.node_marker or ""))
+                     % (d.nodes, NODE_MARKER))
     lines.append("}")
     return "\n".join(lines) + "\n"

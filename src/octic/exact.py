@@ -489,20 +489,31 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def parse_fraction(s: str) -> Fraction:
-    """``s`` read as ``Fraction`` reads it.  A decimal exponent of more
-    than ``sys.get_int_max_str_digits()``, the most digits the interpreter
-    prints, is a ValueError before the Fraction is built: building it
-    expands ``10**exponent``, which a large enough exponent never ends."""
+    """``s`` read as ``Fraction`` reads it, refused (ValueError) where its
+    numerator or denominator would print more digits than
+    ``sys.get_int_max_str_digits()`` allows.  A long exponent, and more
+    digits than that in ``s`` itself, are refused before the Fraction is
+    built: building it expands ``10**exponent``, which a large enough
+    exponent never ends, and reads each run of digits as an integer, which
+    a run over the limit fails in the interpreter's words."""
+    # 4300, the limit's default, where the limit is off (0) or the
+    # interpreter predates it (Python 3.10.6 and older)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     exponent = _EXPONENT.search(s)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
-        # 4300, the limit's default, where the limit is off (0) or the
-        # interpreter predates it (Python 3.10.6 and older)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
             raise ValueError(f"the exponent of {s!r} exceeds {limit}, the "
                              "most digits an integer prints")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+    if sum(map(str.isdigit, s)) <= limit:
+        try:
+            x = Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
+        top = max(abs(x.numerator), x.denominator)
+        # below 2^(3 limit) < 10^limit, no test of the digits is needed
+        if top.bit_length() <= 3 * limit or top < 10 ** limit:
+            return x
+    shown = s if len(s) <= 40 else s[:20] + "..."
+    raise ValueError(f"the value of {shown!r} has more than {limit} digits, "
+                     "the most an integer prints")

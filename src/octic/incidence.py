@@ -21,13 +21,14 @@ them: ``_pencils`` maps each pair of planes to the mask of its line and
 ``_stars`` each independent triple to the mask of its point.  So the line
 through a set of planes is read off its two lowest planes, and the point
 through a set off its first independent triple, and each is checked to
-contain the whole set.  Only the point through a set on one line, and the
-line through fewer than two planes, are found by a scan.  Coordinates are
-read on demand off the profile's minor table (``point_vector``,
-``line_basis``) where they are printed or compared: the centers ``reduce``
-prints, the trace's fiber-collision message and moving-line test, and a
-collapsed generic point in ``profile_diff``.  A fiber of a family
-evaluates the minors it reads at its parameter.
+contain the whole set.  A set of fewer than two planes has no one line,
+and a set with no independent triple no one point: both are refused.
+Plane numbers 1..n key the records, the indexes and the minor table
+alike.  Coordinates are read on demand off the profile's minor table
+(``point_vector``, ``line_basis``) where they are printed or compared: the
+centers ``reduce`` prints, the trace's fiber-collision message and
+moving-line test, and a collapsed generic point in ``profile_diff``.  A
+fiber of a family evaluates the minors it reads at its parameter.
 
 Degenerate parameter values are located by scanning the maximal minors of
 the coefficient rows, each computed once and kept packed: a subset of
@@ -44,7 +45,8 @@ to the pencil (star) of each pair (triple) inside it, and only the lines
 and points that grow, or whose ``j`` changes, are new objects, which
 ``profile_diff`` visits.  Irrational candidates are handed back
 unevaluated.  ``IncidenceProfile.fiber`` reads the fiber at any parameter
-off the same table, unpacking only the minors it tests.
+off the same table, unpacking only the minors it tests; ``profile_diff``
+compares only such a folded fiber with the profile it was folded from.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from .forms import FormVanishes, ParamArrangement
 
 class CoincidentPlanes(ValueError):
     def __init__(self, i: int, j: int):
-        super().__init__(f"planes {i + 1} and {j + 1} coincide")
-        self.indices = (i + 1, j + 1)
+        super().__init__(f"planes {i} and {j} coincide")
+        self.indices = (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,7 @@ class MultipleLine:
     ``planes``.  ``mask`` is the same set as bits (bit k for plane k).
     """
 
-    planes: tuple[int, ...]  # 1-based form indices, sorted
+    planes: tuple[int, ...]  # plane numbers 1..n, sorted
     mask: int = field(repr=False, compare=False)
 
     @property
@@ -102,7 +104,7 @@ class MultiplePoint:
     ``mask`` is the same set as bits (bit k for plane k).
     """
 
-    planes: tuple[int, ...]  # 1-based, sorted
+    planes: tuple[int, ...]  # plane numbers 1..n, sorted
     j: int  # triple-or-worse lines through the point
     mask: int = field(repr=False, compare=False)
 
@@ -115,7 +117,7 @@ _BY_PLANES = operator.attrgetter("planes")
 
 
 def _plane_mask(planes: Iterable[int]) -> int:
-    """The bit mask of a set of 1-based plane indices: bit k for plane k.
+    """The bit mask of a set of plane numbers: bit k for plane k.
     A plane set contains another exactly when ``a & b == b``."""
     m = 0
     for k in planes:
@@ -134,17 +136,17 @@ class IncidenceProfile:
     (point) when some line (point) contains it.
 
     A profile also keeps, for every pair (``_pencils``) and every
-    independent triple (``_stars``) of planes, the mask of all planes
-    through their line or point.  ``line_through``, ``point_through`` and
-    ``points_on`` are index reads on these, in time independent of the
-    number of lines and points; only a set of planes on one line is looked
-    up by a scan.  A special fiber's profile is this profile with more
-    dependent triples and quadruples folded in (``_special``): only the
-    lines and points that grow, and the points whose ``j`` changes, are
-    new objects, and only they are visited by ``profile_diff``.  ``lines``
-    and ``points`` are sorted when first read.  Every profile keeps the
-    packed minor table it was read off, so ``fiber`` reads the fiber at
-    any parameter off it.
+    independent triple (``_stars``) of plane numbers, the mask of all
+    planes through their line or point.  ``line_through``, ``point_through``
+    and ``points_on`` are index reads on these, in time independent of the
+    number of lines and points; a set of planes the index cannot answer is
+    refused.  A fiber read off a family's profile (``fiber``) is that
+    profile with more dependent triples and quadruples folded in
+    (``_special``): only the lines and points that grow, and the points
+    whose ``j`` changes, are new objects, and ``profile_diff`` visits only
+    them.  ``lines`` and ``points`` are sorted when first read.  Every
+    profile keeps the packed minor table it was read off, so ``fiber`` of
+    a family's profile reads the fiber at any parameter off it.
 
     Coordinates are not stored: ``point_vector`` and ``line_basis`` read
     canonical ones off the table's minors when asked, a fiber of a family
@@ -156,8 +158,8 @@ class IncidenceProfile:
                  width: int, at: Optional[Fraction] = None,
                  base: Optional[IncidenceProfile] = None,
                  new: tuple[Sequence, Sequence] = ((), ())):
-        """``pencils`` maps each 0-based pair, ``stars`` each independent
-        0-based triple, to the mask of all planes through its line or
+        """``pencils`` maps each pair, ``stars`` each independent triple of
+        plane numbers, to the mask of all planes through its line or
         point; ``dependent`` holds the dependent triples and quadruples, and
         ``line_of`` and ``point_of`` map each line's and point's mask to its
         record.  ``rows`` are the family's primitive integer Z[w] rows and
@@ -187,26 +189,30 @@ class IncidenceProfile:
         quadruples whose minors all vanish at ``w0`` are folded in.  A
         packed minor vanishes at 0 when its low ``width`` bits do; at any
         other ``w0`` it is unpacked, one at a time, until one does not.
+        A profile that is itself a fiber has no family left to read off,
+        and is refused (ValueError).
 
         Raises FormVanishes for the first form that vanishes at ``w0``
         (``_rows_at``), and then CoincidentPlanes for the first pair whose
         minors all vanish there: the errors ``profile`` of the family at
         ``w0`` raises, in its order.
         """
-        extra = set()
-        if k := self._width:
-            _rows_at(self._rows, w0)
-            p, q, low = w0.numerator, w0.denominator, (1 << k) - 1
-            for s, ms in self._table.items():
-                if s in self._dependent:
-                    continue
-                for m in ms:
-                    if _zw_value(_zw_unpack(m, k), p, q) if p else m & low:
-                        break
-                else:
-                    if len(s) == 2:
-                        raise CoincidentPlanes(*s)
-                    extra.add(s)
+        if self.at is not None:
+            raise ValueError("the profile is already the fiber at "
+                             f"w = {self.at}")
+        _rows_at(self._rows, w0)
+        k, extra = self._width, set()
+        p, q, low = w0.numerator, w0.denominator, (1 << k) - 1
+        for s, ms in self._table.items():
+            if s in self._dependent:
+                continue
+            for m in ms:
+                if _zw_value(_zw_unpack(m, k), p, q) if p else m & low:
+                    break
+            else:
+                if len(s) == 2:
+                    raise CoincidentPlanes(*s)
+                extra.add(s)
         return self._special(extra, w0)
 
     def _special(self, extra: set, at: Fraction) -> IncidenceProfile:
@@ -224,7 +230,7 @@ class IncidenceProfile:
         line_of, point_of = dict(self._line_of), dict(self._point_of)
         pairs, triples = set(), set()
         for s in extra:
-            m = _index_mask(s)
+            m = _plane_mask(s)
             if len(s) == 3:
                 for sub in combinations(s, 2):
                     pencils[sub] |= m
@@ -242,13 +248,8 @@ class IncidenceProfile:
         new_points = _regrown(point_of, stars, triples, self._stars,
                               lambda m: _point(m, threes))
         for l in new_lines:
-            # the points on a new triple line: its first two planes' stars
-            i, j = l.planes[0] - 1, l.planes[1] - 1
-            for k in range(self.n_forms):
-                if l.mask >> k + 1 & 1:
-                    continue
-                m = stars[(k, i, j) if k < i else (i, k, j) if k < j
-                          else (i, j, k)]
+            # a generic point on a new triple line counts one more of them
+            for m in _stars_on(stars, l, self.n_forms):
                 pt = point_of[m]
                 if pt is self._point_of.get(m) and pt.j != _j(m, threes):
                     point_of[m] = _point(m, threes)
@@ -257,12 +258,12 @@ class IncidenceProfile:
                                 line_of, point_of, self._rows, self._table,
                                 self._width, at, self, (new_lines, new_points))
 
-    def _minors(self, planes: Sequence[int]) -> list:
-        """The table's minors of the 1-based ``planes`` as Z[w] tuples: each
-        the minor of the original rows times one positive rational for the
-        whole set, which a fiber of a family evaluates at ``at``.  Only these
-        entries of the table are unpacked."""
-        ms = self._table[tuple(k - 1 for k in planes)]
+    def _minors(self, planes: tuple[int, ...]) -> list:
+        """The table's minors of the sorted plane numbers ``planes`` as Z[w]
+        tuples: each the minor of the original rows times one positive
+        rational for the whole set, which a fiber of a family evaluates at
+        ``at``.  Only these entries of the table are unpacked."""
+        ms = self._table[planes]
         if not self._width:
             return [_zw_trim([m]) for m in ms]
         ms = [_zw_unpack(m, self._width) for m in ms]
@@ -302,41 +303,35 @@ class IncidenceProfile:
 
         Two distinct planes meet in one line, so this is the pencil of the
         two lowest planes (an index read on ``_pencils``) when its mask
-        contains the whole set.  A set of fewer than two distinct planes
-        gets the first line, in the profile's order, containing it."""
+        contains the whole set.  Fewer than two distinct planes lie on more
+        than one line, and are refused (ValueError)."""
         ks = sorted(set(planes))
         if len(ks) < 2:
-            return _first_containing(self.lines, ks)
-        m = self._pencils.get((ks[0] - 1, ks[1] - 1), 0)
+            raise ValueError(f"planes {ks} lie on more than one line")
+        m = self._pencils[ks[0], ks[1]]
         wanted = _plane_mask(ks)
         return self._line_of[m] if m & wanted == wanted else None
 
     def point_through(self, planes: Iterable[int]) -> Optional[MultiplePoint]:
-        """The first point lying on every plane of ``planes``, or None.
+        """The point lying on every plane of ``planes``, or None.
 
-        Three planes that share no line meet in one point, so when the set
-        holds such a triple this is the star of its first one (an index
-        read on ``_stars``) when its mask contains the whole set.  A set
-        with no such triple lies on one line (or has fewer than three
-        planes) and gets the first point, in the profile's order,
-        containing it."""
+        Three planes that share no line meet in one point, so this is the
+        star of the set's first such triple (an index read on ``_stars``)
+        when its mask contains the whole set.  A set with no such triple
+        (fewer than three planes, or all on one line) lies on more than one
+        point, and is refused (ValueError)."""
         ks = sorted(set(planes))
         for t in combinations(ks, 3):
-            m = self._stars.get((t[0] - 1, t[1] - 1, t[2] - 1))
+            m = self._stars.get(t)
             if m is not None:
                 wanted = _plane_mask(ks)
                 return self._point_of[m] if m & wanted == wanted else None
-        return _first_containing(self.points, ks)
+        raise ValueError(f"no three of the planes {ks} meet in a point")
 
     def points_on(self, line: MultipleLine) -> list[MultiplePoint]:
-        """The points on ``line``, each once, in no particular order: the
-        stars of its first two planes with each plane off it."""
-        i, j = line.planes[0] - 1, line.planes[1] - 1
-        stars = self._stars
-        masks = {stars[(k, i, j) if k < i else (i, k, j) if k < j
-                       else (i, j, k)]
-                 for k in range(self.n_forms) if not line.mask >> k + 1 & 1}
-        return [self._point_of[m] for m in masks]
+        """The points on ``line``, each once, in no particular order."""
+        return [self._point_of[m]
+                for m in _stars_on(self._stars, line, self.n_forms)]
 
     def to_json(self) -> dict:
         return {
@@ -353,10 +348,12 @@ class IncidenceProfile:
         return f"IncidenceProfile({ls}; {ps})"
 
 
-def _first_containing(records: Sequence, planes: Sequence[int]):
-    """The first of ``records`` whose plane mask contains ``planes``."""
-    wanted = _plane_mask(planes)
-    return next((r for r in records if r.mask & wanted == wanted), None)
+def _stars_on(stars: dict, line: MultipleLine, n: int) -> set[int]:
+    """The masks of the points on ``line`` among ``stars``: the stars of
+    its first two planes with each of the ``n`` planes off it."""
+    i, j = line.planes[:2]
+    return {stars[(k, i, j) if k < i else (i, k, j) if k < j else (i, j, k)]
+            for k in range(1, n + 1) if not line.mask >> k & 1}
 
 
 def _planes(mask: int) -> tuple[int, ...]:
@@ -465,7 +462,9 @@ def profile(a: ParamArrangement,
             at: Optional[Fraction] = None) -> IncidenceProfile:
     """Exact incidence profile of the family ``a``: the generic one, over
     Q(w), or with ``at`` set the one of its fiber at ``at``, whose table
-    is taken over Z on the rows evaluated there (``_rows_at``).
+    is taken over Z on the rows evaluated there (``_rows_at``).  Such a
+    fiber stands alone: ``IncidenceProfile.fiber`` and ``profile_diff``
+    take only the family's profile and the fibers read off it.
 
     Raises FormVanishes for a form that vanishes at ``at``, and then
     CoincidentPlanes when two forms are proportional, which for a fiber
@@ -482,19 +481,19 @@ def _rows_at(rows: Sequence[Sequence[tuple]], w0: Fraction) -> list:
     one denominator (``_zw_at``).  Raises FormVanishes for the first row
     that vanishes at ``w0``, before any pair of rows is compared."""
     out = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, 1):
         values = [v[0] if v else 0 for v in _zw_at(row, w0)]
         if not any(values):
-            raise FormVanishes(i + 1, w0)
+            raise FormVanishes(i, w0)
         out.append(values)
     return out
 
 
 def _minor_table(rows: Sequence[Sequence]) -> tuple[dict, int]:
-    """The maximal minors of every two, three and four rows, keyed by sorted
-    0-based index tuples, and the width k they are packed at.  A triple's
-    minors expand along its last row into its first pair's, and a
-    quadruple's one minor into its first triple's.
+    """The maximal minors of every two, three and four rows, keyed by their
+    sorted plane numbers (the first row is plane 1), and the width k they
+    are packed at.  A triple's minors expand along its last row into
+    its first pair's, and a quadruple's one minor into its first triple's.
 
     Rows of Z[w] tuples are packed into integers at w = 2^k, k from the
     rows' norms (``_pack_rows``), and the minors stay packed: each is its
@@ -507,19 +506,20 @@ def _minor_table(rows: Sequence[Sequence]) -> tuple[dict, int]:
     width = 0
     if isinstance(rows[0][0], tuple):
         rows, width = _pack_rows(rows)
+    row = dict(enumerate(rows, 1))  # plane k's row
     table = {}
-    for i, j in combinations(range(len(rows)), 2):
-        ri, rj = rows[i], rows[j]
+    for i, j in combinations(row, 2):
+        ri, rj = row[i], row[j]
         ms = [ri[a] * rj[b] - ri[b] * rj[a] for a, b in _COLUMN_PAIRS]
         if not any(ms):
             raise CoincidentPlanes(i, j)
         table[i, j] = ms
-    for i, j, k in combinations(range(len(rows)), 3):
-        m, r = table[i, j], rows[k]
+    for i, j, k in combinations(row, 3):
+        m, r = table[i, j], row[k]
         table[i, j, k] = [r[a] * m[bc] - r[b] * m[ac] + r[c] * m[ab]
                           for a, b, c, bc, ac, ab in _COLUMN_TRIPLES]
-    for i, j, k, l in combinations(range(len(rows)), 4):
-        m, r = table[i, j, k], rows[l]
+    for i, j, k, l in combinations(row, 4):
+        m, r = table[i, j, k], row[l]
         table[i, j, k, l] = [r[3] * m[0] - r[2] * m[1] + r[1] * m[2]
                              - r[0] * m[3]]
     return table, width
@@ -541,13 +541,13 @@ def _profile_of(dependent: set, rows: Sequence, table: dict, width: int,
     at w = 2^``width`` (0 over Z), whose dependent triples and quadruples
     (keys whose minors all vanish) are ``dependent``: every record made
     here."""
-    n = len(rows)
-    pencils = {(i, j): 2 << i | 2 << j for i, j in combinations(range(n), 2)}
-    stars = {(i, j, k): 2 << i | 2 << j | 2 << k
-             for i, j, k in combinations(range(n), 3)
+    planes = range(1, len(rows) + 1)
+    pencils = {(i, j): 1 << i | 1 << j for i, j in combinations(planes, 2)}
+    stars = {(i, j, k): 1 << i | 1 << j | 1 << k
+             for i, j, k in combinations(planes, 3)
              if (i, j, k) not in dependent}
     for s in dependent:
-        m = _index_mask(s)
+        m = _plane_mask(s)
         grown = pencils if len(s) == 3 else stars
         for sub in combinations(s, len(s) - 1):
             if sub in grown:
@@ -557,14 +557,6 @@ def _profile_of(dependent: set, rows: Sequence, table: dict, width: int,
     point_of = {m: _point(m, threes) for m in set(stars.values())}
     return IncidenceProfile(pencils, stars, dependent, line_of, point_of, rows,
                             table, width, at)
-
-
-def _index_mask(s: Iterable[int]) -> int:
-    """The plane mask of the 0-based index tuple ``s``."""
-    m = 0
-    for i in s:
-        m |= 2 << i
-    return m
 
 
 def _line(m: int) -> MultipleLine:
@@ -624,8 +616,10 @@ def octic_violations(p: IncidenceProfile) -> tuple:
 def profile_diff(
     generic: IncidenceProfile, special: IncidenceProfile
 ) -> list[NewIncidence]:
-    """New incidences of the fiber profile ``special`` relative to
-    ``generic``.
+    """New incidences of the fiber profile ``special``, folded from
+    ``generic`` (``generic.fiber``), relative to ``generic``.  Any other
+    profile, such as one computed from scratch or a fiber of another
+    profile, is refused (ValueError).
 
     A generic point lands on the special point whose planes contain its
     own: at ``special.at`` its planes still pass through it.  Where they
@@ -635,21 +629,18 @@ def profile_diff(
     A changed point owns the new pencils through it; pencils away from
     every changed point are reported on their own.
 
-    Only the records of ``special`` that are not ``generic``'s own are
-    visited: of a profile folded from ``generic`` (``_special``), its new
-    lines and points, which it lists; of any other, such as one computed
-    from scratch, every record, passing over those equal to a generic
-    one.  Of the points,
-    only those with p >= 4 or j >= 1 count.  The generic points inside one
-    are the generic stars of the triples of its planes, so its sources are
+    Only the new lines and points of ``special``, which it lists, are
+    visited: every other record is ``generic``'s own.  Of the points, only
+    those with p >= 4 or j >= 1 count.  The generic points inside one are
+    the generic stars of the triples of its planes, so its sources are
     found there rather than among all generic points.  No other test of a
     change runs: an empty list means the same incidences.
     """
-    lines, points = (special._new if special._base is generic
-                     else (special.lines, special.points))
-    new_lines = sorted((l for l in lines
-                        if l.mask not in generic._line_of and l.q >= 3),
-                       key=_BY_PLANES)
+    if special._base is not generic:
+        raise ValueError("the special profile is not a fiber folded from "
+                         "the generic one")
+    lines, points = special._new
+    new_lines = sorted((l for l in lines if l.q >= 3), key=_BY_PLANES)
 
     def lands_on(g: MultiplePoint, s: MultiplePoint) -> bool:
         if special.line_through(g.planes) is None:
@@ -660,8 +651,7 @@ def profile_diff(
     def sources(s: MultiplePoint) -> list[MultiplePoint]:
         """The generic points with p >= 4 or j >= 1 that land on ``s``, in
         the generic profile's order."""
-        inside = {generic._stars.get((i - 1, j - 1, k - 1))
-                  for i, j, k in combinations(s.planes, 3)}
+        inside = {generic._stars.get(t) for t in combinations(s.planes, 3)}
         inside.discard(None)
         found = [generic._point_of[m] for m in inside if m & s.mask == m]
         return sorted((g for g in found
@@ -671,11 +661,9 @@ def profile_diff(
     changes: list[NewIncidence] = []
     claimed_line_sets: set[tuple[int, ...]] = set()
     for s in points:
-        if generic._point_of.get(s.mask) is s or s.p < 4 and s.j < 1:
+        if s.p < 4 and s.j < 1:
             continue
         notable = sources(s)
-        if any(g.planes == s.planes and g.j == s.j for g in notable):
-            continue  # the point was already there, unchanged
         lines_here = tuple(
             l.planes for l in new_lines if l.mask & s.mask == l.mask
         )
@@ -781,9 +769,9 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
                 unresolved[monic] = Poly(monic)
         return roots_of[g]
 
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, 1):
         for r in roots(_zw_gcd(row)):
-            fatal.setdefault(r, f"form {i + 1} vanishes")
+            fatal.setdefault(r, f"form {i} vanishes")
     for s, ms in table.items():
         # the integer gcd of the packed minors is a multiple of the value at
         # 2^k of their gcd, which exceeds 2^(k-1) when that gcd is
@@ -795,7 +783,7 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
         polys = [_zw_unpack(m, k) for m in ms if m]
         for r in roots(_zw_heu(polys, value, k) or _zw_gcd(polys, 2 * k)):
             if len(s) == 2:
-                fatal.setdefault(r, f"planes {s[0] + 1} and {s[1] + 1} coincide")
+                fatal.setdefault(r, f"planes {s[0]} and {s[1]} coincide")
             else:
                 turning.setdefault(r, set()).add(s)
 

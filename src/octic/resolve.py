@@ -67,8 +67,6 @@ from .forms import ParamArrangement
 QUADRUPLE_POINT = "quadruple_point"
 DOUBLE_LINE = "double_line"
 
-NODE_MARKER = "small_resolution"
-
 
 class NotOctic(ValueError):
     """The arrangement violates the multiplicity bounds (q <= 3, p <= 5);
@@ -415,8 +413,7 @@ class _Driver:
             if self.pending.get(c.name):
                 raise RuleConflict("pinch attribution on a node pair %s" % c.name)
             ctx = CenterContext(
-                name=c.name, rewrite=NODE_PAIR, target_curves=(target,),
-                nodes=2, node_marker=NODE_MARKER)
+                name=c.name, rewrite=NODE_PAIR, target_curves=(target,))
             return ctx, None
         line = self.central.line_through(c.indices)
         if line.mask in self.blown_lines:
@@ -642,4 +639,5 @@ def trace_central_fiber(a: ParamArrangement, w0, s: BlowUpSchedule,
     A step that matches no rewrite rule raises :class:`TraceAborted`
     carrying the partial trace; parse and incidence errors propagate.
     """
+    # ``a`` stays unused: bench/tracer.py reads ``s`` as the third argument
     return _Driver(w0, s, directives).run()

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .classify import FIVEFOLD_POINT, TRIPLE_LINE, ResidualSingularities
-from .resolve import NODE_MARKER
+from .classify import (FIVEFOLD_POINT, NODE_MARKER, TRIPLE_LINE,
+                       ResidualSingularities)
 
 
 class UnsupportedConfiguration(ValueError):

@@ -55,7 +55,7 @@ def oracle(rows, domain=sympy.QQ):
     rank = cache(lambda ks: mat(ks).rank())  # ks: sorted index tuples
     for i, j in combinations(range(n), 2):
         if rank((i, j)) < 2:
-            raise incidence.CoincidentPlanes(i, j)
+            raise incidence.CoincidentPlanes(i + 1, j + 1)
     pencils = set()
     for i, j in combinations(range(n), 2):
         members = tuple(

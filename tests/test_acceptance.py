@@ -68,8 +68,8 @@ def test_criterion_1a_every_family_classified_at_zero():
         scan = incidence.degenerate_values(a)
         assert Fraction(0) in scan.sigma, name
         assert not scan.unresolved, name
-        special = incidence.profile(a, at=Fraction(0))
-        changes = incidence.profile_diff(generic, special)
+        changes = incidence.profile_diff(generic,
+                                         generic.fiber(Fraction(0)))
         tags = {classify.classify_local(c, generic) for c in changes}
         assert tags == {name}
 

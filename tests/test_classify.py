@@ -14,9 +14,8 @@ from octic.forms import parse_equation
 
 
 def _changes_at_zero(text):
-    a = parse_equation(text)
-    generic = incidence.profile(a)
-    special = incidence.profile(a, at=Fraction(0))
+    generic = incidence.profile(parse_equation(text))
+    special = generic.fiber(Fraction(0))
     return incidence.profile_diff(generic, special), generic, special
 
 
@@ -67,10 +66,7 @@ def test_residual_json_round_trip_fields():
     "xyz(x+y+w)(x-y+w)(2x+y+w)",  # sixfold point collision
 ])
 def test_unclassifiable_change_raises(text):
-    a = parse_equation(text)
-    generic = incidence.profile(a)
-    special = incidence.profile(a, at=Fraction(0))
-    changes = incidence.profile_diff(generic, special)
+    changes, generic, _ = _changes_at_zero(text)
     assert changes
     for c in changes:
         with pytest.raises(Unclassifiable):

@@ -751,14 +751,24 @@ def test_a_huge_factor_power_is_exit_2_at_once(capsys):
         2, "", "ValueError: expected 3..8 forms, got 1000000002\n")
 
 
-@pytest.mark.parametrize("value", ["1e100000000", "1e10000", "1e-100000000"])
-def test_a_huge_decimal_exponent_is_exit_2_at_once(capsys, tmp_path, value):
+@pytest.mark.parametrize("value,message", [
+    *((value, f"the exponent of {value!r} exceeds 4300, the most digits an "
+              "integer prints")
+      for value in ("1e100000000", "1e10000", "1e-100000000")),
+    # values of more than 4300 digits, refused before any profile is
+    # computed
+    ("123e4299", "the value of '123e4299' has more than 4300 digits, the "
+                 "most an integer prints"),
+    ("9" * 5000, f"the value of '{'9' * 20}...' has more than 4300 digits, "
+                 "the most an integer prints"),
+], ids=["1e100000000", "1e10000", "1e-100000000", "123e4299", "9x5000"])
+def test_a_huge_decimal_exponent_is_exit_2_at_once(capsys, tmp_path, value,
+                                                   message):
     start = time.perf_counter()
     code, out, err = run(capsys, "classify", "NewL3", f"--at={value}")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err == (f"ValueError: the exponent of {value!r} exceeds 4300, "
-                   "the most digits an integer prints\n")
+    assert err == f"ValueError: {message}\n"
     # a scenario's w0 is read by the same rule
     data = json.loads((DATA / "families" / "NewL3.json").read_text())
     data["w0"] = value

@@ -275,13 +275,20 @@ def test_fraction_str_round_trip():
     assert fraction_str(Fraction(1, 2)) == "1/2"
 
 
-def test_parse_fraction_bounds_the_exponent_not_the_value():
+def test_parse_fraction_bounds_the_exponent_and_the_value():
     # the bound is the interpreter's limit on printed digits, 4300 by
-    # default
-    assert parse_fraction("1e4300") == 10 ** 4300
+    # default: 10^4299 prints 4300 digits, 10^4300 one more
+    assert parse_fraction("1e4299") == 10 ** 4299
     assert parse_fraction(" 25E-0_4 ") == Fraction(1, 400)
+    assert parse_fraction("1.5e-4299") == Fraction(3, 2 * 10 ** 4299)
     for text in ("1e4301", "1.5e-4301", "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="exponent"):
+            parse_fraction(text)
+    # a value over the limit, from an exponent within it or from the digits
+    # themselves, which the interpreter would not read as an integer
+    for text in ("1e4300", "1e-4300", "123e4299", "1" * 5000,
+                 "1/" + "7" * 4301, "0." + "0" * 4300 + "1"):
+        with pytest.raises(ValueError, match="has more than 4300 digits"):
             parse_fraction(text)
     # with the limit off, the bound is its default, so no input hangs
     limit = sys.get_int_max_str_digits()

@@ -196,7 +196,7 @@ def test_minor_table_of_a_hadamard_matrix():
     rows = [[Poly([h * n, h * (n - 1)]) for h in row] for row in hadamard]
     _assert_minor_table_matches(rows, [])
     table, width = incidence._minor_table([_integer_row(r) for r in rows])
-    (quadruple,) = table[0, 1, 2, 3]
+    (quadruple,) = table[1, 2, 3, 4]
     assert _zw_unpack(quadruple, width)[2] == 16 * 6 * n**2 * (n - 1)**2
 
 
@@ -221,24 +221,25 @@ def _assert_table_matches(rows, integer_rows):
     """``_minor_table`` of ``integer_rows`` against sympy's minors of the
     ``Poly`` ``rows`` they are positive multiples of: packed integers, read
     back as coefficient tuples at the table's width over Z[w], or integers
-    of width 0 over Z."""
-    n = len(rows)
-    elems = _in_qq_w(rows)
+    of width 0 over Z, keyed by plane numbers (the first row is plane
+    1)."""
+    planes = range(1, len(rows) + 1)
+    elems = dict(zip(planes, _in_qq_w(rows)))
 
     def reference(s):
-        return _sympy_minors([elems[i] for i in s])
+        return _sympy_minors([elems[k] for k in s])
 
-    coincident = next((s for s in combinations(range(n), 2)
+    coincident = next((s for s in combinations(planes, 2)
                        if not any(reference(s))), None)
     if coincident is not None:
         with pytest.raises(incidence.CoincidentPlanes) as err:
             incidence._minor_table(integer_rows)
-        assert err.value.indices == (coincident[0] + 1, coincident[1] + 1)
+        assert err.value.indices == coincident
         return
     table, width = incidence._minor_table(integer_rows)
     assert (width > 0) == isinstance(integer_rows[0][0], tuple)
     assert list(table) == [s for k in (2, 3, 4)
-                           for s in combinations(range(n), k)]
+                           for s in combinations(planes, k)]
     for s, packed in table.items():
         assert all(isinstance(e, int) for e in packed)
         entries = [_zw_unpack(e, width) for e in packed] if width else packed
@@ -505,7 +506,7 @@ def test_scan_eliminates_no_fiber(monkeypatch):
     assert width > 0 and all(isinstance(m, int) for ms in table.values()
                              for m in ms)
     assert sorted(table) == sorted(
-        s for k in (2, 3, 4) for s in combinations(range(5), k))
+        s for k in (2, 3, 4) for s in combinations(range(1, 6), k))
     assert all(len(ms) == {2: 6, 3: 4, 4: 1}[len(s)]
                for s, ms in table.items())
 
@@ -569,6 +570,11 @@ BUNDLED = {
 
 
 def _assert_lookups_match_sets(prof):
+    """The index lookups against the oracle's scans, on every set of at
+    most five planes the index answers: two or more planes for a line,
+    three that meet in a point for a point.  Every other set is refused:
+    fewer than two planes lie on many lines, and fewer than three planes,
+    or planes on one line, meet in many points."""
     for l in prof.lines:
         assert l.mask == sum(1 << k for k in l.planes)
         on = prof.points_on(l)
@@ -581,10 +587,18 @@ def _assert_lookups_match_sets(prof):
         for planes in combinations(range(1, prof.n_forms + 1), k):
             # any iterable of the planes, repeats and order included
             given_as = planes[::-1] + planes[:1]
-            assert prof.line_through(given_as) is oracles.line_through(
-                prof, planes)
-            assert prof.point_through(given_as) is oracles.point_through(
-                prof, planes)
+            if k < 2:
+                with pytest.raises(ValueError, match="more than one line"):
+                    prof.line_through(given_as)
+            else:
+                assert prof.line_through(given_as) is oracles.line_through(
+                    prof, planes)
+            if k < 3 or oracles.line_through(prof, planes) is not None:
+                with pytest.raises(ValueError, match="meet in a point"):
+                    prof.point_through(given_as)
+            else:
+                assert prof.point_through(given_as) is oracles.point_through(
+                    prof, planes)
 
 
 def _assert_scan_lookups_match_sets(family):
@@ -615,16 +629,23 @@ def test_mask_lookups_match_set_lookups(pairs):
 
 def test_lookups_on_planes_sharing_a_fourfold_line():
     """At w = 0 the planes 1-4 share the line x = y = 0, which z and t
-    cross in two points: a set of planes on that line holds no independent
-    triple, so ``point_through`` scans for the first point containing
-    it."""
+    cross in two points: a set of planes on that line holds no three that
+    meet in a point, so ``point_through`` refuses it, and a set with a
+    plane off the line gets that plane's point on it.  A line through
+    fewer than two planes is refused too."""
     central = incidence.profile(
         parse_equation("xy(x+y+wz)(x+2y+w^2z)zt")).fiber(Fraction(0))
     assert [l.planes for l in central.lines if l.q == 4] == [(1, 2, 3, 4)]
-    assert central.point_through({1, 2, 3, 4}).planes == (1, 2, 3, 4, 5)
-    assert central.point_through({2, 4}).planes == (1, 2, 3, 4, 5)
+    for on_the_line in ({1, 2, 3, 4}, {2, 4}):
+        with pytest.raises(ValueError, match="meet in a point"):
+            central.point_through(on_the_line)
+    assert central.point_through({2, 4, 5}).planes == (1, 2, 3, 4, 5)
     assert central.point_through({1, 2, 3, 4, 6}).planes == (1, 2, 3, 4, 6)
     assert central.line_through({1, 2, 3, 4}).q == 4
+    # fewer than two planes lie on many lines
+    for planes in ((), (2,), (3, 3)):
+        with pytest.raises(ValueError, match="more than one line"):
+            central.line_through(planes)
     _assert_lookups_match_sets(central)
 
 
@@ -677,6 +698,17 @@ def test_fiber_read_off_the_table(pairs):
     for w0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2),
                Fraction(2, 3)):
         _assert_fiber_is_eliminated_fiber(family, w0)
+
+
+def test_a_fiber_has_no_fibers():
+    """Only a family's profile has a table over Z[w] to read a fiber off:
+    a fiber, computed from scratch or read off the family, is refused."""
+    a = parse_equation("xy(x+y+w)")
+    generic = incidence.profile(a)
+    for fiber in (incidence.profile(a, at=Fraction(1)),
+                  generic.fiber(Fraction(1))):
+        with pytest.raises(ValueError, match="already the fiber at w = 1$"):
+            fiber.fiber(Fraction(0))
 
 
 def test_fiber_of_a_constant_arrangement_is_the_arrangement():
@@ -850,10 +882,8 @@ def test_scan_values_carry_changes():
 
 
 def _diff_at_zero(text):
-    a = parse_equation(text)
-    generic = incidence.profile(a)
-    special = incidence.profile(a, at=Fraction(0))
-    return incidence.profile_diff(generic, special)
+    generic = incidence.profile(parse_equation(text))
+    return incidence.profile_diff(generic, generic.fiber(Fraction(0)))
 
 
 def test_new_triple_line_kind():
@@ -888,17 +918,24 @@ def test_collapsed_sources_are_placed_by_coordinates(text, kind, sources):
 
 def _assert_diff_matches_brute_force(family):
     """``profile_diff`` against the brute-force one at every degenerate
-    value, on the scan's special profile (which shares the generic records)
-    and on the fiber's own profile (equal records, other objects)."""
+    value, on the scan's special profile and on the fiber read off the
+    generic one (both share the generic records).  The brute-force diff of
+    the fiber's own profile (equal records, other objects) finds the same
+    changes, and ``profile_diff`` refuses that profile, which is not
+    folded from the generic one."""
     scan = incidence.degenerate_values(family)
     for v in scan.values:
-        assert list(v.changes) == oracles.profile_diff(scan.generic, v.profile)
+        fiber = scan.generic.fiber(v.w0)
+        assert list(v.changes) == oracles.profile_diff(
+            scan.generic, v.profile) == incidence.profile_diff(
+            scan.generic, fiber) == oracles.profile_diff(scan.generic, fiber)
         try:
             own = incidence.profile(family, at=v.w0)
         except incidence.CoincidentPlanes:
             continue
-        assert incidence.profile_diff(scan.generic, own) == \
-            oracles.profile_diff(scan.generic, own) == list(v.changes)
+        assert oracles.profile_diff(scan.generic, own) == list(v.changes)
+        with pytest.raises(ValueError, match="not a fiber folded"):
+            incidence.profile_diff(scan.generic, own)
 
 
 @pytest.mark.parametrize("text", ELEVEN + SEED1)
@@ -918,10 +955,19 @@ def test_diff_matches_brute_force(pairs):
 
 
 def test_no_diff_at_generic_value():
+    generic = incidence.profile(parse_equation("xy(x+y+w)"))
+    assert incidence.profile_diff(generic, generic.fiber(Fraction(5))) == []
+
+
+def test_diff_refuses_a_profile_not_folded_from_the_generic_one():
+    """A profile computed from scratch, or a fiber folded from another
+    profile of the same family, is not diffed against ``generic``."""
     a = parse_equation("xy(x+y+w)")
     generic = incidence.profile(a)
-    special = incidence.profile(a, at=Fraction(5))
-    assert incidence.profile_diff(generic, special) == []
+    for special in (incidence.profile(a, at=Fraction(0)),
+                    incidence.profile(a).fiber(Fraction(0))):
+        with pytest.raises(ValueError, match="not a fiber folded"):
+            incidence.profile_diff(generic, special)
 
 
 # ---------------------------------------------------------------------------
