@@ -336,10 +336,10 @@ def _profile_payload(equation: str, at: Optional[Fraction]):
     payload = {
         "equation": equation,
         "at": None if at is None else fraction_str(at),
-        "planes": len(a.forms),
+        "planes": len(a.rows),
         "profile": prof.to_json(),
     }
-    if len(a.forms) == 8:
+    if len(a.rows) == 8:
         payload["octic"] = not incidence.octic_violations(prof)
     return prof, payload
 

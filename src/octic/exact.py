@@ -2,11 +2,11 @@
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator, so the invariants come for free).  On top of that:
-dense univariate polynomials over Q (``Poly``, the coefficients the parser
-builds), one kernel of integer polynomials in Z[w] for everything computed
-from them, and the rank of a matrix over Q by fraction-free elimination on
-integer rows.  A family's rows enter the kernel once, made primitive integer
-rows (``_integer_row``), and so do a matrix's rows (``rank``).
+dense univariate polynomials over Q (``Poly``, which prints them), one
+kernel of integer polynomials in Z[w] for everything computed, and the rank
+of a matrix over Q by fraction-free elimination on integer rows.  A family's
+rows enter the kernel once, made primitive integer rows as they are parsed
+(``_primitive``), and so do a matrix's rows (``rank``).
 
 Minors of Z[w] rows are taken by Kronecker substitution: each entry is
 packed into one Python integer, its value at w = 2^k (``_zw_pack``), the
@@ -30,9 +30,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from math import gcd as int_gcd, lcm as int_lcm, prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 
 class ZeroPolynomial(ValueError):
@@ -64,14 +64,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly([_coerce_fraction(c)])
-
-    # -- basic queries -----------------------------------------------
-
     @property
     def degree(self) -> int:
         # degree of 0 is -1 by convention here
@@ -88,23 +80,6 @@ class Poly:
 
     def __hash__(self):
         return hash(("Poly", self.coeffs))
-
-    # -- arithmetic --------------------------------------------------
-
-    def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -123,14 +98,6 @@ class Poly:
             else:
                 parts.append(f"{c}*w^{i}" if c != 1 else f"w^{i}")
         return " + ".join(parts)
-
-
-def _as_poly(x) -> Union[Poly, None]:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly([x])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +121,6 @@ def _zw_trim(coeffs: list) -> tuple:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _integer_row(row: Sequence[Poly]) -> tuple:
-    """The ``Poly`` ``row`` times the positive rational that makes it a
-    primitive integer row: its entries as Z[w] tuples whose coefficients
-    share no common factor."""
-    ints = iter(_primitive([c for x in row for c in x.coeffs]))
-    return tuple(tuple(islice(ints, len(x.coeffs))) for x in row)
 
 
 def _primitive(cs: Sequence) -> list:

@@ -6,19 +6,22 @@ parameter w, of degree at most ``MAX_W_DEGREE``.  Additive constant terms
 (including bare ``w``) are read in the affine chart t = 1, so they pick up
 a factor of t on the way in.
 
-A parsed family keeps each form twice: as a ``LinearForm`` of ``Poly``
-coefficients over Q, which prints it, and as its primitive integer row over
-Z[w] (``ParamArrangement.rows``), from which every minor, degenerate value
-and fiber is computed.
+The parser reads each factor straight into its primitive integer row over
+Z[w] (``ParamArrangement.rows``): the factor's coefficients, integers
+except where a ``/`` is written, times the positive rational that clears
+their denominators and their content.  Every minor, degenerate value and
+fiber is computed from these rows.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, islice
 from typing import Sequence
 
-from .exact import Poly, _integer_row, _pack_rows
+from .exact import Poly, _pack_rows, _primitive, _zw_trim
 
 VARIABLES = ("x", "y", "z", "t")
 PARAMETER = "w"
@@ -57,31 +60,12 @@ class FormVanishes(ValueError):
 
 
 class LinearForm:
-    """a·x + b·y + c·z + d·t with a,b,c,d in Q[w]."""
+    """a·x + b·y + c·z + d·t with a,b,c,d in Q[w], as four ``Poly``s."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Poly):
-                cs.append(c)
-            else:
-                cs.append(Poly([c]) if c else Poly())
-        if len(cs) != 4:
-            raise ValueError("a linear form needs 4 coefficients")
-        self.coeffs = tuple(cs)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(c.coeffs for c in self.coeffs))
+    def __init__(self, coeffs: Sequence[Poly]):
+        self.coeffs = tuple(coeffs)
 
     def text(self) -> str:
         """Compact printable form; round-trips through parse_equation."""
@@ -130,33 +114,40 @@ def _coeff_str(c: Fraction, bare_ok: bool) -> str:
 class ParamArrangement:
     """One-parameter family of plane arrangements, 3 to 8 forms.
 
-    ``rows`` holds each form's primitive integer row: its coefficients
-    times the positive rational that clears their denominators and their
-    content, as four Z[w] coefficient tuples (``exact._integer_row``).
-    Every minor, fiber and coordinate of the family is computed from these
-    rows.  Two forms are proportional over Q(w) when all six 2x2 minors of
-    their rows vanish; the minors are taken on the rows packed into
-    integers at w = 2^k (``_pack_rows``), and a packed minor is 0 exactly
-    when the minor is.
+    ``rows`` holds each form's primitive integer row, as ``parse_equation``
+    reads it: four Z[w] coefficient tuples whose coefficients share no
+    common factor.  Every minor, fiber and coordinate of the family is
+    computed from these rows.  Two forms are proportional over Q(w) when all
+    six 2x2 minors of their rows vanish; the minors are taken on the rows
+    packed into integers at w = 2^k (``_pack_rows``), and a packed minor is
+    0 exactly when the minor is.
     """
 
-    def __init__(self, forms: Sequence[LinearForm]):
-        forms = list(forms)
-        if not 3 <= len(forms) <= 8:
-            raise ValueError(f"expected 3..8 forms, got {len(forms)}")
-        for i, f in enumerate(forms):
-            if f.is_zero():
-                raise ValueError(f"form {i + 1} is identically zero")
-        self.rows = tuple(_integer_row(f.coeffs) for f in forms)
-        packed, _ = _pack_rows(self.rows)
+    def __init__(self, rows: Sequence[tuple]):
+        rows = tuple(rows)
+        if not 3 <= len(rows) <= 8:
+            raise ValueError(f"expected 3..8 forms, got {len(rows)}")
+        for i, row in enumerate(rows, 1):
+            if not any(row):
+                raise ValueError(f"form {i} is identically zero")
+        packed, _ = _pack_rows(rows)
         for (i, ri), (j, rj) in combinations(enumerate(packed, 1), 2):
             if all(ri[a] * rj[b] == ri[b] * rj[a]
                    for a, b in combinations(range(4), 2)):
                 raise DuplicateFactor(i, j)
-        self.forms = forms
+        self.rows = rows
+
+    @cached_property
+    def forms(self) -> list[LinearForm]:
+        """The rows as ``LinearForm``s of ``Poly``s, built the first time
+        this is read.  No command reads this view: it prints the family
+        (``text``), and the benchmark's tracer reads the degrees of its
+        coefficients, until the tracer reads the rows (ROADMAP item 13) and
+        the view goes with ``Poly`` (item 14)."""
+        return [LinearForm([Poly(c) for c in row]) for row in self.rows]
 
     def __len__(self):
-        return len(self.forms)
+        return len(self.rows)
 
     def text(self) -> str:
         return "".join(_factor_text(f) for f in self.forms)
@@ -176,27 +167,14 @@ def _factor_text(f: LinearForm) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take(self) -> str:
-        c = self.peek()
-        if c:
-            self.pos += 1
-        return c
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.pos)
+# one token: a run of the digits 0-9 or one other character, after any
+# whitespace; the text ends in an empty token.  A token is a number when
+# "0" <= token < ":", that is when its first character is one of 0-9.
+_TOKEN = re.compile(r"\s*([0-9]+|\S|\Z)")
+_SLOT = {v: i for i, v in enumerate(VARIABLES)}
+# the row each projective variable stands for
+_UNIT_ROW = {v: tuple((1,) if u == v else () for u in VARIABLES)
+             for v in VARIABLES}
 
 
 def parse_equation(text: str) -> ParamArrangement:
@@ -206,192 +184,199 @@ def parse_equation(text: str) -> ParamArrangement:
     and caret exponents on factors (which stand for repeated factors and
     are therefore rejected as duplicates).  A repeated factor is kept as
     one run with its count until the number of factors has been checked,
-    so a large exponent costs no more than a small one.
+    so a large exponent costs no more than a small one.  Whitespace
+    separates tokens anywhere, but two numbers separated by nothing else
+    are refused rather than read as one.
     """
-    stripped = text
-    eq = stripped.find("=")
+    eq = text.find("=")
+    offset = 0
     if eq >= 0:
-        head = stripped[:eq].replace(" ", "")
+        head = text[:eq].replace(" ", "")
         if head not in ("u^2", "u2", "u**2", "u²"):
             raise ParseError(f"unexpected left-hand side {head!r}", 0)
-        stripped = stripped[eq + 1 :]
-        offset = eq + 1
-    else:
-        offset = 0
-    sc = _Scanner(stripped)
-    runs: list[tuple] = []  # (4-tuple of Polys, scalars applied; count)
+        text, offset = text[eq + 1:], eq + 1
+    toks = _TOKEN.findall(text)
+    runs: list[tuple] = []  # (primitive row, four () when 0; count)
     n_factors = 0
-    scalar, power = Fraction(1), 0  # the pending scalar, scalar * w^power
-
+    scalar, power = 1, 0  # the pending scalar, scalar * w^power
+    i = 0
     while True:
-        c = sc.peek()
+        c = toks[i]
         if c == "":
             break
         if c == "*":
-            sc.take()
+            i += 1
             continue
         if c == ")":
-            raise sc.error("unbalanced ')'")
+            raise ParseError("unbalanced ')'", _position(text, i))
         if c == "(":
-            vec = _parse_paren(sc, n_factors + 1)
-        elif c in "xyzt":
-            sc.take()
-            vec = _UNIT[c]
+            vec, i = _parenthesized(text, toks, i, n_factors + 1)
+        elif c in _SLOT:
+            vec, i = _UNIT_ROW[c], i + 1
         elif c == PARAMETER:
-            power = _times_w(sc, power)
+            power, i = _w_power(text, toks, i, power)
             continue
-        elif c.isdigit():
-            scalar *= _parse_int(sc)
+        elif "0" <= c < ":":
+            value, i = _number(text, toks, i)
+            scalar *= value
             continue
         else:
-            raise sc.error(f"unexpected character {c!r}")
-        count = _maybe_exponent(sc)
-        if scalar != 1 or power:
-            vec = _scaled(vec, scalar, power, sc.pos)
-            scalar, power = Fraction(1), 0
-        runs.append((vec, count))
+            raise ParseError(f"unexpected character {c!r}",
+                             _position(text, i))
+        count, i = _exponent(text, toks, i)
+        if power and power + max(map(len, vec)) - 1 > MAX_W_DEGREE:
+            raise ParseError(f"degree in w above {MAX_W_DEGREE}",
+                             _position(text, i))
+        runs.append((_row(vec, scalar, power), count))
         n_factors += count
+        scalar, power = 1, 0
     if scalar != 1 or power:
         if not runs:
-            raise ParseError("dangling coefficient with no factor", offset + sc.pos)
+            raise ParseError("dangling coefficient with no factor",
+                             offset + len(text))
         # a trailing coefficient scales the last factor of the last run
-        vec, count = runs.pop()
+        row, count = runs.pop()
         if count > 1:
-            runs.append((vec, count - 1))
-        runs.append((_scaled(vec, scalar, power, offset + sc.pos), 1))
+            runs.append((row, count - 1))
+        if power and power + max(map(len, row)) - 1 > MAX_W_DEGREE:
+            raise ParseError(f"degree in w above {MAX_W_DEGREE}",
+                             offset + len(text))
+        runs.append((_row(row, scalar, power), 1))
 
     if not runs:
         raise ParseError("empty product", offset)
 
     idx = 1
-    for vec, count in runs:
-        if not any(vec):
+    for row, count in runs:
+        if not any(row):
             raise NonLinearFactor(idx, "zero factor")
         idx += count
     if not 3 <= n_factors <= 8:
         raise ValueError(f"expected 3..8 forms, got {n_factors}")
-    return ParamArrangement([LinearForm(vec) for vec, count in runs
+    return ParamArrangement([row for row, count in runs
                              for _ in range(count)])
 
 
-# the factor each projective variable stands for
-_UNIT = {v: tuple(Poly.const(1) if u == v else Poly() for u in VARIABLES)
-         for v in VARIABLES}
+def _row(vec: tuple, scalar, power: int) -> tuple:
+    """The factor ``vec``, four coefficient tuples in w of ints and
+    Fractions without trailing zeros, times scalar * w^power, as a
+    primitive Z[w] row: the positive rational multiple of it whose
+    coefficients are integers without a common factor.  A zero product is
+    four ()."""
+    if scalar != 1 or power:
+        vec = tuple((0,) * power + tuple(scalar * c for c in x)
+                    if x and scalar else () for x in vec)
+    if not any(vec):
+        return vec
+    ints = iter(_primitive([c for x in vec for c in x]))
+    return tuple(tuple(islice(ints, len(x))) for x in vec)
 
 
-def _scaled(vec: tuple, scalar: Fraction, power: int,
-            position: int) -> tuple:
-    """The factor ``vec`` times scalar * w^power.  A coefficient of degree
-    above ``MAX_W_DEGREE`` in w is refused at ``position``."""
-    if power + max(p.degree for p in vec) > MAX_W_DEGREE:
-        raise ParseError(f"degree in w above {MAX_W_DEGREE}", position)
-    return tuple(Poly([0] * power + [scalar * c for c in p.coeffs]) if p else p
-                 for p in vec)
-
-
-def _parse_int(sc: _Scanner) -> Fraction:
-    start = sc.pos
-    digits = ""
-    while sc.peek().isdigit():
-        digits += sc.take()
-    if not digits:
-        raise ParseError("expected an integer", start)
-    if sc.peek() == "/":
-        sc.take()
-        dd = ""
-        while sc.peek().isdigit():
-            dd += sc.take()
-        if not dd:
-            raise sc.error("expected a denominator")
-        if not int(dd):
-            raise ParseError("zero denominator", start)
-        return Fraction(int(digits), int(dd))
-    return Fraction(int(digits))
-
-
-def _times_w(sc: _Scanner, power: int) -> int:
-    """``power`` plus the exponent of the ``w`` at the scanner, which it
-    takes; a total above ``MAX_W_DEGREE`` is refused at the exponent,
-    before any coefficient list is built."""
-    sc.take()
-    start = sc.pos
-    power += _maybe_exponent(sc)
-    if power > MAX_W_DEGREE:
-        raise ParseError(f"degree in w above {MAX_W_DEGREE}", start)
-    return power
-
-
-def _maybe_exponent(sc: _Scanner) -> int:
-    if sc.peek() != "^":
-        return 1
-    sc.take()
-    if not sc.peek().isdigit():
-        raise sc.error("expected an exponent")
-    n = _parse_int(sc)
-    if n.denominator != 1 or n <= 0:
-        raise sc.error("exponent must be a positive integer")
-    return int(n)
-
-
-def _parse_paren(sc: _Scanner, index: int):
-    """One parenthesized linear combination, factor ``index`` (from 1).
-    Terms without a projective variable are constant terms and land on t
-    (chart t = 1)."""
-    sc.take()  # the "(" the caller peeked at
-    vec = [Poly(), Poly(), Poly(), Poly()]
-    sign = 1
-    empty = True
+def _parenthesized(text: str, toks: list, i: int, index: int) -> tuple:
+    """The parenthesized linear combination opening at token ``i``, factor
+    ``index`` (from 1): its four coefficient tuples in w, and the index
+    after its ')'.  Each term is a product of numbers, powers of w and at
+    most one projective variable; a term without one is a constant term and
+    lands on t (chart t = 1).  The signs of a run multiply: x-+y is x - y,
+    and --x is x."""
+    dense = ([], [], [], [])
+    sign, empty = 1, True
+    i += 1
     while True:
-        c = sc.peek()
+        c = toks[i]
         if c == "":
-            raise sc.error("unterminated '('")
+            raise ParseError("unterminated '('", _position(text, i))
         if c == ")":
-            sc.take()
             break
-        if c == "+":
-            sc.take()
-            sign = 1
+        if c == "+" or c == "-":
+            if c == "-":
+                sign = -sign
+            i += 1
             continue
-        if c == "-":
-            sc.take()
-            sign = -1
-            continue
-        coeff, var = _parse_term(sc, index)
-        if sign < 0:
-            coeff = -coeff
-        # an additive constant is homogenized onto t
-        slot = 3 if var is None else VARIABLES.index(var)
-        vec[slot] = vec[slot] + coeff
-        sign = 1
-        empty = False
+        coeff, power, var, start = sign, 0, None, i
+        while True:
+            c = toks[i]
+            if "0" <= c < ":":
+                value, i = _number(text, toks, i)
+                coeff *= value
+            elif c == PARAMETER:
+                power, i = _w_power(text, toks, i, power)
+            elif c in _SLOT:
+                k, i = _exponent(text, toks, i + 1)
+                if var is not None or k > 1:
+                    raise NonLinearFactor(index, "term of degree > 1")
+                var = c
+            else:
+                break
+        if i == start:
+            raise _expected(text, toks, i, "a term")
+        coeffs = dense[3 if var is None else _SLOT[var]]
+        if len(coeffs) <= power:
+            coeffs.extend([0] * (power + 1 - len(coeffs)))
+        coeffs[power] += coeff
+        sign, empty = 1, False
     if empty:
-        raise sc.error("empty parentheses")
-    return tuple(vec)
+        raise ParseError("empty parentheses", _position(text, i) + 1)
+    return tuple(_zw_trim(coeffs) for coeffs in dense), i + 1
 
 
-def _parse_term(sc: _Scanner, index: int):
-    """One product of an optional rational coefficient, powers of w, and at
-    most one projective variable, in factor ``index``.  Returns (the
-    coefficient as one monomial ``Poly`` in w, var|None).
-    """
-    coeff, power = Fraction(1), 0
-    var = None
-    saw_anything = False
-    while True:
-        c = sc.peek()
-        if c.isdigit():
-            coeff *= _parse_int(sc)
-        elif c == PARAMETER:
-            power = _times_w(sc, power)
-        elif c and c in "xyzt":
-            sc.take()
-            k = _maybe_exponent(sc)
-            if var is not None or k > 1:
-                raise NonLinearFactor(index, "term of degree > 1")
-            var = c
-        else:
-            break
-        saw_anything = True
-    if not saw_anything:
-        raise sc.error("expected a term")
-    return Poly([0] * power + [coeff]), var
+def _w_power(text: str, toks: list, i: int, power: int) -> tuple:
+    """``power`` plus the exponent of the ``w`` at token ``i``, and the
+    index after it.  A total above ``MAX_W_DEGREE`` is refused at the
+    exponent that passes it, its '^' or the place just after a bare w,
+    before any coefficient list is built."""
+    k, j = _exponent(text, toks, i + 1)
+    power += k
+    if power > MAX_W_DEGREE:
+        at = _position(text, i + 1) if j > i + 1 else _position(text, i) + 1
+        raise ParseError(f"degree in w above {MAX_W_DEGREE}", at)
+    return power, j
+
+
+def _exponent(text: str, toks: list, i: int) -> tuple:
+    """The exponent at token ``i``, 1 where that is no '^', and the index
+    after it."""
+    if toks[i] != "^":
+        return 1, i
+    i += 1
+    if not "0" <= toks[i] < ":":
+        raise _expected(text, toks, i, "an exponent")
+    n, i = _number(text, toks, i)
+    if n.denominator != 1 or n <= 0:
+        raise ParseError("exponent must be a positive integer",
+                         _position(text, i))
+    return int(n), i
+
+
+def _number(text: str, toks: list, i: int) -> tuple:
+    """The integer at token ``i``, or the Fraction where a '/' follows it,
+    and the index after it.  A number next, which only whitespace can
+    separate from this one, is refused."""
+    digits, i = toks[i], i + 1
+    if toks[i] == "/":
+        den = toks[i + 1]
+        if not "0" <= den < ":":
+            raise _expected(text, toks, i + 1, "a denominator")
+        if not int(den):
+            raise ParseError("zero denominator", _position(text, i - 1))
+        value, i = Fraction(int(digits), int(den)), i + 2
+    else:
+        value = int(digits)
+    if "0" <= toks[i] < ":":
+        raise ParseError("two numbers separated only by whitespace",
+                         _position(text, i))
+    return value, i
+
+
+def _expected(text: str, toks: list, i: int, what: str) -> ParseError:
+    """The error at token ``i`` where ``what`` was expected: an unexpected
+    character where that token is a digit other than 0-9."""
+    c = toks[i]
+    return ParseError(f"unexpected character {c!r}" if c.isdigit()
+                      else f"expected {what}", _position(text, i))
+
+
+def _position(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts: past its whitespace, and the
+    end of the text for the closing empty token."""
+    return next(islice(_TOKEN.finditer(text), i, None)).start(1)

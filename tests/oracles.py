@@ -2,19 +2,20 @@
 bundled families, a sympy brute-force incidence oracle, incidence lookups,
 profile diffs and node scans by scanning every line, point or schedule
 step, random projective coordinate changes, the relations among a cycle
-model's rows, and schoolbook multiplication and Horner evaluation of
+model's rows, families built from forms made primitive integer rows, and
+schoolbook multiplication, addition and Horner evaluation of
 polynomials."""
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from octic import classify, cli, incidence
-from octic.exact import Poly, _zw_at
-from octic.forms import LinearForm, ParamArrangement
+from octic.exact import Poly, _primitive, _zw_at
+from octic.forms import ParamArrangement
 
 # the eleven bundled families in ``classify.TAGS`` order, read from their
 # scenario files: name -> scenario, (name, equation) pairs, and the pinch
@@ -166,9 +167,22 @@ def family_through(rows) -> ParamArrangement:
     1) plus w (1, i, i^2, i^3).  Those vectors are pairwise independent, so
     no two forms are proportional over Q(w), while the fiber at 0 may have
     coincident planes."""
-    return ParamArrangement([
-        LinearForm([Poly([c, i ** k]) for k, c in enumerate(r)])
-        for i, r in enumerate(rows, 1)])
+    return family([[Poly([c, i ** k]) for k, c in enumerate(r)]
+                   for i, r in enumerate(rows, 1)])
+
+
+def family(rows) -> ParamArrangement:
+    """The family of the forms ``rows``, each four ``Poly``s, made
+    primitive integer rows (``integer_row``)."""
+    return ParamArrangement([integer_row(r) for r in rows])
+
+
+def integer_row(row) -> tuple:
+    """The form ``row``, four ``Poly``s, times the positive rational that
+    makes it a primitive integer row: four Z[w] tuples whose coefficients
+    share no common factor."""
+    ints = iter(_primitive([c for p in row for c in p.coeffs]))
+    return tuple(tuple(next(ints) for _ in p.coeffs) for p in row)
 
 
 def random_constant_arrangement(rng, n):
@@ -194,10 +208,8 @@ def random_gl4(rng):
 def transform(a, m):
     """Substitute x_i -> sum_k m[i][k] x_k in every form of the family
     ``a``."""
-    return ParamArrangement([
-        LinearForm([sum((times(f.coeffs[i], m[i][k]) for i in range(4)),
-                        Poly()) for k in range(4)])
-        for f in a.forms])
+    return family([[plus(*(times(Poly(row[i]), m[i][k]) for i in range(4)))
+                    for k in range(4)] for row in a.rows])
 
 
 def relations(cm) -> list:
@@ -229,6 +241,12 @@ def zw_mul(a: tuple, b: tuple) -> tuple:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
+
+
+def plus(*polys: Poly) -> Poly:
+    """The sum of the ``Poly``s ``polys``."""
+    return Poly(map(sum, zip_longest(*(p.coeffs for p in polys),
+                                     fillvalue=0)))
 
 
 def times(p: Poly, c) -> Poly:

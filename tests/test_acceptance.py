@@ -220,8 +220,7 @@ def test_criterion_7b_profile_matches_oracle_on_small_arrangements():
     for _, equation in ELEVEN:
         a = parse_equation(equation)
         for v in (0, 1, -1, 2):
-            rows = [[evaluate(c.coeffs, v) for c in f.coeffs]
-                    for f in a.forms]
+            rows = [[evaluate(c, v) for c in r] for r in a.rows]
             if all(any(r) for r in rows):  # no form vanishes at v
                 corpus.append(rows)
     while len(corpus) < 100:

@@ -297,6 +297,24 @@ def test_exit_2_on_parse_errors(capsys):
         assert err == "ValueError: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("equation,message", [
+    ("xyz²", "unexpected character '²' (at position 3)"),
+    ("xyz(x+y+z+t)٣", "unexpected character '٣' (at position 12)"),
+    ("xyz(x+1 2y+z)",
+     "two numbers separated only by whitespace (at position 8)"),
+])
+def test_a_number_is_digits_0_to_9_without_spaces(capsys, equation, message):
+    """A digit other than 0-9, and a number after a number with only
+    whitespace between them, end in exit 2 with one line."""
+    assert run(capsys, "sigma", equation) == (
+        2, "", f"ParseError: {message}\n")
+
+
+def test_u_squared_stays_a_left_hand_side(capsys):
+    assert run(capsys, "sigma", "u² = xy(x+y+w)") == (
+        run(capsys, "sigma", "xy(x+y+w)"))
+
+
 def test_exit_3_on_domain_errors(capsys, tmp_path):
     # coincident planes at the chosen fiber
     assert run(capsys, "incidence", "xyz(x+y+wz)(x+wy+z)", "--at", "1")[0] == 3

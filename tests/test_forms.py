@@ -1,20 +1,24 @@
 """Equation parsing and the families' primitive integer rows."""
 
+import json
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import ELEVEN as FAMILIES, evaluate, times
+from oracles import ELEVEN as FAMILIES, evaluate, integer_row, times, zw_mul
 
 from octic.exact import Poly
-from octic.forms import (MAX_W_DEGREE, DuplicateFactor, LinearForm,
-                         NonLinearFactor, ParamArrangement, ParseError,
-                         parse_equation)
+from octic.forms import (MAX_W_DEGREE, VARIABLES, DuplicateFactor,
+                         LinearForm, NonLinearFactor, ParamArrangement,
+                         ParseError, parse_equation)
 
 # each bundled equation with its number of factors: a parenthesized factor
 # or a bare variable outside parentheses
@@ -25,36 +29,34 @@ ELEVEN = [(text, len(re.sub(r"\([^)]*\)", "(", text)))
 @pytest.mark.parametrize("text,n", ELEVEN)
 def test_parses_the_family(text, n):
     a = parse_equation(text)
-    assert len(a.forms) == n
+    assert len(a) == n
 
 
 def test_factor_order_is_source_order():
-    a = parse_equation("zy(x+w)")
-    rows = [f.coeffs for f in a.forms]
+    rows = parse_equation("zy(x+w)").rows
     # z first, then y, then x + w*t
-    assert [evaluate(c.coeffs, 1) for c in rows[0][:3]] == [0, 0, 1]
-    assert [evaluate(c.coeffs, 1) for c in rows[1][:3]] == [0, 1, 0]
-    assert evaluate(rows[2][0].coeffs, 1) == 1
-    assert evaluate(rows[2][3].coeffs, 1) == 1
+    assert [evaluate(c, 1) for c in rows[0][:3]] == [0, 0, 1]
+    assert [evaluate(c, 1) for c in rows[1][:3]] == [0, 1, 0]
+    assert evaluate(rows[2][0], 1) == 1
+    assert evaluate(rows[2][3], 1) == 1
 
 
 def test_bare_w_means_w_times_t():
-    a = parse_equation("xy(x+w)")
-    f = a.forms[2]
-    assert evaluate(f.coeffs[3].coeffs, 5) == 5
-    assert evaluate(f.coeffs[3].coeffs, 0) == 0
+    row = parse_equation("xy(x+w)").rows[2]
+    assert evaluate(row[3], 5) == 5
+    assert evaluate(row[3], 0) == 0
 
 
 def test_explicit_t_and_constants():
     a = parse_equation("x(x+2t)(y+t)")
-    assert evaluate(a.forms[1].coeffs[3].coeffs, 0) == 2
+    assert evaluate(a.rows[1][3], 0) == 2
     b = parse_equation("xz(x+3y)")
-    assert evaluate(b.forms[2].coeffs[1].coeffs, 0) == 3
+    assert evaluate(b.rows[2][1], 0) == 3
 
 
 def test_star_products_and_powers():
     a = parse_equation("x*y*(x+y)")
-    assert len(a.forms) == 3
+    assert len(a) == 3
     with pytest.raises(DuplicateFactor):
         parse_equation("x^2y")
 
@@ -100,11 +102,12 @@ def test_repeated_factors_are_counted_not_expanded():
 
 def test_degree_in_w_is_bounded_at_parse_time():
     """A coefficient of degree above ``MAX_W_DEGREE`` in w is refused at the
-    exponent that passes it, in memory independent of the exponent; powers
-    in front of a factor count towards its coefficients' degrees."""
+    exponent that passes it, its '^' whatever whitespace comes before it,
+    in memory independent of the exponent; powers in front of a factor
+    count towards its coefficients' degrees."""
     top = f"w^{MAX_W_DEGREE}"
     a = parse_equation(f"xy(z+{top}t)")
-    assert a.forms[2].coeffs[3].degree == MAX_W_DEGREE
+    assert len(a.rows[2][3]) - 1 == MAX_W_DEGREE
     tracemalloc.start()
     try:
         with pytest.raises(ParseError) as err:
@@ -115,6 +118,11 @@ def test_degree_in_w_is_bounded_at_parse_time():
     assert peak < 1 << 20
     assert str(err.value) == (
         f"degree in w above {MAX_W_DEGREE} (at position 6)")
+    for text in ("xyz(x+y+w^1001 z)", "xyz(x+y+w ^1001 z)",
+                 "xyz(x+y+w\t  ^ 1001 z)"):
+        with pytest.raises(ParseError) as err:
+            parse_equation(text)
+        assert err.value.position == text.index("^")
     for text in (f"xy(z+w{top}t)", f"xyz{top}w", f"w{top}(x+y)z",
                  f"{top}(x+wy)yz", f"xyz(x+wy){top}"):
         with pytest.raises(ParseError, match="^degree in w above "):
@@ -161,7 +169,7 @@ def test_duplicate_factor_matches_rank_over_q_w(rows, inserted):
                   if _rank_over_q_w([rows[i], rows[j]]) == 1), None)
     if first is None:
         family = parse_equation(text)
-        assert [f.coeffs for f in family.forms] == [tuple(r) for r in rows]
+        assert family.rows == tuple(integer_row(r) for r in rows)
     else:
         with pytest.raises(DuplicateFactor) as err:
             parse_equation(text)
@@ -197,8 +205,8 @@ def test_unterminated_factor_is_a_parse_error():
 
 
 def test_arrangement_errors_number_forms_from_1():
-    x, y = LinearForm([1, 0, 0, 0]), LinearForm([0, 1, 0, 0])
-    zero = LinearForm([0, 0, 0, 0])
+    x, y = ((1,), (), (), ()), ((), (1,), (), ())
+    zero = ((), (), (), ())
     with pytest.raises(ValueError, match="^form 2 is identically zero$"):
         ParamArrangement([x, zero, y])
 
@@ -223,4 +231,217 @@ def test_text_round_trip():
     for text, _ in ELEVEN:
         a = parse_equation(text)
         again = parse_equation(a.text())
-        assert again.forms == a.forms
+        assert again.rows == a.rows
+        # the view of the rows as ``Poly``s, whose degrees outside
+        # readers take
+        assert [[c.degree for c in f.coeffs] for f in a.forms] == [
+            [len(c) - 1 for c in row] for row in a.rows]
+
+
+def test_a_run_of_signs_multiplies():
+    """x-+y is x - y, x--y is x + y and --x is x, as in ordinary
+    notation."""
+    assert parse_equation("xyz(x-+y+z)").rows[3] == ((1,), (-1,), (1,), ())
+    assert parse_equation("xyz(x--y+z)").rows[3] == ((1,), (1,), (1,), ())
+    assert parse_equation("xyz(--x+y)").rows[3] == ((1,), (1,), (), ())
+
+
+@pytest.mark.parametrize("text,position", [
+    ("xyz(x+1 2y+z)", 8),
+    ("(x+2 3w y+z)xyz", 5),
+    ("xyz(x+1/2 3y)", 10),
+    ("xyz(x+w^1 0y)", 10),
+    ("x^2 3yz(x+y)", 4),
+    ("2 3xyz(x+y)", 2),
+])
+def test_whitespace_ends_a_number(text, position):
+    """Two numbers with only whitespace between them are refused at the
+    second, not read as one number."""
+    with pytest.raises(ParseError) as err:
+        parse_equation(text)
+    assert str(err.value) == (
+        f"two numbers separated only by whitespace (at position {position})")
+
+
+def test_whitespace_before_a_variable_or_w_is_nothing():
+    assert parse_equation("xyz(x+2w3y+z)").rows[3] == ((1,), (0, 6), (1,), ())
+    assert parse_equation("xyz(x+2 w y+z)").rows[3] == (
+        (1,), (0, 2), (1,), ())
+    assert parse_equation("xyz(2 x+y)").rows[3] == ((2,), (1,), (), ())
+    assert parse_equation("xyz(1/2 x+y)").rows[3] == ((1,), (2,), (), ())
+    assert parse_equation("xyz(1 / 2 x+y)").rows[3] == ((1,), (2,), (), ())
+
+
+# Parse outcomes recorded with the character-at-a-time parser that preceded
+# this one, on every bundled equation, the benchmark's families of seeds 1-10
+# (32 each), 300 random families (coefficients up to 10^18, denominators up
+# to 10^12, w-degree up to 1000; duplicate factors, scalars and powers of w
+# before and after factors, ^ runs, *, u^2 = and whitespace) and 225
+# malformed strings.  Each entry holds the rows, each coefficient as
+# [power of w, coefficient] pairs, or the error's type and message.
+CORPUS = json.loads((Path(__file__).parent / "data" / "parse_corpus.json")
+                    .read_text(encoding="utf-8"))
+
+# the entries whose outcome changed on purpose, with the new one: the error,
+# or an equation read as the entry now is
+CHANGED = {
+    # a digit other than 0-9 is no number
+    "malformed/50": ("ParseError", "unexpected character '²' (at position 3)"),
+    "malformed/51": ("ParseError",
+                     "unexpected character '٣' (at position 12)"),
+    "malformed/52": ("ParseError", "unexpected character '²' (at position 6)"),
+    "malformed/53": ("ParseError", "unexpected character '²' (at position 9)"),
+    "malformed/54": ("ParseError", "unexpected character '٣' (at position 8)"),
+    "malformed/55": ("ParseError", "unexpected character '⁴' (at position 8)"),
+    "malformed/56": ("ParseError", "unexpected character '²' (at position 8)"),
+    "malformed/57": ("ParseError",
+                     "unexpected character '٣' (at position 13)"),
+    "malformed/58": ("ParseError", "unexpected character '٣' (at position 7)"),
+    "malformed/59": ("ParseError", "unexpected character '٣' (at position 6)"),
+    "malformed/60": ("ParseError",
+                     "unexpected character '٣' (at position 10)"),
+    "malformed/61": ("ParseError", "unexpected character '٣' (at position 8)"),
+    "malformed/62": ("ParseError", "unexpected character '٣' (at position 0)"),
+    # whitespace ends a number
+    **{name: ("ParseError",
+              f"two numbers separated only by whitespace (at position {at})")
+       for name, at in [("malformed/64", 8), ("malformed/65", 5),
+                        ("malformed/67", 2), ("malformed/68", 11),
+                        ("malformed/69", 4), ("malformed/70", 10),
+                        ("malformed/71", 10), ("malformed/86", 8),
+                        ("malformed/87", 3), ("malformed/88", 11),
+                        ("malformed/89", 11), ("malformed/90", 10),
+                        ("malformed/91", 10), ("malformed/186", 11)]},
+    # the degree in w is refused at the '^' after whitespace too
+    "malformed/117": ("ParseError", "degree in w above 1000 (at position 10)"),
+    "malformed/128": ("ParseError", "degree in w above 1000 (at position 12)"),
+    # a run of signs multiplies
+    "malformed/198": "xyz(x-y+z)",
+    "malformed/199": "xyz(x+y+z)",
+    "malformed/200": "xyz(x+y)",
+    "malformed/203": "xyz(x+y)",
+    "malformed/210": "xyz(x+y+z)",
+    "malformed/212": "xyz(-x+y)",
+    "malformed/213": "xyz(x+w)",
+    "malformed/214": "xyz(x-w^2y)",
+}
+
+
+def _outcome(text: str) -> dict:
+    """``parse_equation`` on ``text``, written as the corpus records it."""
+    try:
+        rows = parse_equation(text).rows
+    except ValueError as err:
+        return {"error": type(err).__name__, "message": str(err)}
+    return {"rows": [[[[k, c] for k, c in enumerate(x) if c] for x in row]
+                     for row in rows]}
+
+
+def test_parse_outcomes_match_the_recorded_corpus():
+    """Every entry reads as it was recorded, rows or error, message and
+    position included, except the ones ``CHANGED`` names, which read as it
+    says and not as recorded."""
+    assert len(CORPUS) == 870
+    assert CHANGED.keys() <= {entry["name"] for entry in CORPUS}
+    for entry in CORPUS:
+        recorded = {k: v for k, v in entry.items()
+                    if k not in ("name", "text")}
+        got = _outcome(entry["text"])
+        new = CHANGED.get(entry["name"])
+        if new is None:
+            assert got == recorded, entry
+        else:
+            expected = (_outcome(new) if isinstance(new, str)
+                        else {"error": new[0], "message": new[1]})
+            assert got == expected != recorded, entry
+
+
+def _primitive(row: list) -> tuple:
+    g = gcd(*(c for x in row for c in x))
+    return tuple(tuple(c // g for c in x) for x in row)
+
+
+# primitive Z[w] rows with coefficients up to 10^6 in size, of degree <= 3
+# in w, each entry 0 about a third of the time
+zw_entries = st.one_of(
+    st.just(()),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4).map(
+        lambda cs: tuple(cs[:-1]) + (cs[-1] or 1,)))
+primitive_rows = st.lists(zw_entries, min_size=4, max_size=4).filter(
+    any).map(_primitive)
+
+
+def _proportional(r: tuple, s: tuple) -> bool:
+    return all(zw_mul(r[a], s[b]) == zw_mul(r[b], s[a])
+               for a, b in combinations(range(4), 2))
+
+
+def _glued(text: str, sep: str, part: str) -> str:
+    """``text`` then ``part``, with ``sep`` between them unless that would
+    put two numbers next to each other."""
+    if not text:
+        return part
+    digits = text[-1].isdigit() and part[0].isdigit()
+    return text + ("*" if digits else sep) + part
+
+
+def _term(slot: int, k: int, c: Fraction, rng) -> str:
+    """The term c w^k times variable ``slot`` with its sign, its parts in
+    any order that puts no number right after the exponent of w."""
+    sign = rng.choice(("-", "+-", "-+", "---") if c < 0
+                      else ("+", "--", "++", "+--"))
+    c = abs(c)
+    number = "" if c == 1 and rng.random() < 0.7 else (
+        str(c) if rng.random() < 0.5 else
+        f"{c.numerator * 3}/{c.denominator * 3}")
+    power = "" if k == 0 else rng.choice(
+        (f"w^{k}", f"w ^ {k}", "w" * k if k < 4 else f"w^{k}"))
+    var = VARIABLES[slot] if slot < 3 or rng.random() < 0.5 else ""
+    parts = [p for p in (power, var) if p]
+    rng.shuffle(parts)
+    if number:
+        if parts and not parts[-1][-1].isdigit() and rng.random() < 0.3:
+            parts.append(number)
+        else:
+            parts.insert(0, number)
+    body = rng.choice(("", " ")).join(parts) or "1"
+    return sign + rng.choice(("", " ")) + body
+
+
+_UNITS = [tuple((1,) if j == i else () for j in range(4)) for i in range(4)]
+
+
+def _written(row: tuple, rng) -> str:
+    """The form ``row`` times a positive rational, as a factor of an
+    equation, written in one of the ways the parser reads it."""
+    if row in _UNITS and rng.random() < 0.7:
+        text = VARIABLES[_UNITS.index(row)]
+    else:
+        scale = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        terms = [(slot, k, c * scale) for slot, x in enumerate(row)
+                 for k, c in enumerate(x) if c]
+        rng.shuffle(terms)
+        text = "(" + rng.choice(("", " ")).join(
+            _term(*t, rng) for t in terms) + ")"
+    if rng.random() < 0.2:
+        text += rng.choice(("^1", " ^ 1"))
+    if rng.random() < 0.2:
+        text = _glued(rng.choice(("2", "3/4", "5 ")), "", text)
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(primitive_rows, min_size=3, max_size=8), st.randoms())
+def test_written_rows_parse_back(rows, rng):
+    """Random primitive rows, each written with its terms in any order,
+    times a positive rational, with runs of signs, powers of w as w^k or
+    repeated w, constant terms for t, fractions, scalars, ^1, *, u^2 = and
+    whitespace, parse back to the same rows."""
+    assume(not any(_proportional(r, s) for r, s in combinations(rows, 2)))
+    text = ""
+    for row in rows:
+        text = _glued(text, rng.choice(("", "*", " ", " * ")),
+                      _written(row, rng))
+    if rng.random() < 0.3:
+        text = rng.choice(("u^2 = ", "u2=", "u ^ 2 =")) + text
+    assert parse_equation(text).rows == tuple(rows), text

@@ -17,12 +17,11 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import oracles
-from oracles import (oracle, random_constant_arrangement, random_gl4, times,
-                     transform)
+from oracles import (integer_row, oracle, plus, random_constant_arrangement,
+                     random_gl4, times, transform)
 
 from octic import incidence
-from octic.exact import (Poly, _integer_row, _zw_heu, _zw_prs_gcd,
-                         _zw_unpack)
+from octic.exact import Poly, _zw_heu, _zw_prs_gcd, _zw_unpack
 from octic.forms import (FormVanishes, LinearForm, ParamArrangement,
                          parse_equation)
 
@@ -92,16 +91,15 @@ def _assert_primitive(vec):
 
 
 def _on(form, vec) -> bool:
-    return not sum((times(c, Poly(x)) for c, x in zip(form.coeffs, vec)),
-                   Poly())
+    return not plus(*(times(c, Poly(x)) for c, x in zip(form, vec)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(affine_rows)
 def test_family_profile_matches_oracle_over_q_w(pairs):
-    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
     try:
-        family = ParamArrangement(forms)
+        family = oracles.family(forms)
     except ValueError:
         assume(False)  # a zero form, or two proportional ones
     prof = incidence.profile(family)
@@ -122,7 +120,7 @@ def test_family_profile_matches_oracle_over_q_w(pairs):
         assert tuple(k + 1 for k, f in enumerate(forms)
                      if _on(f, vec)) == pt.planes
         for t in combinations(pt.planes, 3):
-            ms = _sympy_minors(_in_qq_w(forms[k - 1].coeffs for k in t))
+            ms = _sympy_minors(_in_qq_w(forms[k - 1] for k in t))
             if any(ms):
                 cross = [ms[3], -ms[2], ms[1], -ms[0]]
                 assert incidence.primitive_vector(
@@ -195,7 +193,7 @@ def test_minor_table_of_a_hadamard_matrix():
     n = 10**18
     rows = [[Poly([h * n, h * (n - 1)]) for h in row] for row in hadamard]
     _assert_minor_table_matches(rows, [])
-    table, width = incidence._minor_table([_integer_row(r) for r in rows])
+    table, width = incidence._minor_table([integer_row(r) for r in rows])
     (quadruple,) = table[1, 2, 3, 4]
     assert _zw_unpack(quadruple, width)[2] == 16 * 6 * n**2 * (n - 1)**2
 
@@ -210,7 +208,7 @@ def _assert_minor_table_matches(rows, inserted):
     for src, dst, c in inserted:
         copy = [times(x, c) for x in rows[src % len(rows)]]
         rows.insert(dst % (len(rows) + 1), copy)
-    integer_rows = [_integer_row(r) for r in rows]
+    integer_rows = [integer_row(r) for r in rows]
     if all(len(x) <= 1 for r in integer_rows for x in r):
         _assert_table_matches(rows, [[x[0] if x else 0 for x in r]
                                      for r in integer_rows])
@@ -258,12 +256,11 @@ def _assert_table_matches(rows, integer_rows):
 
 def _random_family(rng: random.Random) -> ParamArrangement:
     while True:
-        forms = [LinearForm([Poly([rng.randint(-2, 2), rng.randint(-1, 1)])
-                             if rng.random() < 0.6 else Poly()
-                             for _ in range(4)])
+        forms = [[Poly([rng.randint(-2, 2), rng.randint(-1, 1)])
+                  if rng.random() < 0.6 else Poly() for _ in range(4)]
                  for _ in range(rng.randint(4, 8))]
         try:
-            return ParamArrangement(forms)
+            return oracles.family(forms)
         except ValueError:
             continue  # a zero form, or two proportional ones
 
@@ -286,14 +283,18 @@ def _scan_described(scan):
     + [_random_family(random.Random(n)) for n in range(20)],
     ids=ELEVEN + [f"random-{n}" for n in range(20)])
 def test_scaling_the_forms_changes_no_answer(family):
-    """The table's rows are scaled to primitive integer rows, so scaling a
-    form by a nonzero rational beforehand must change nothing."""
+    """The parser scales each form to a primitive integer row, so scaling a
+    form by a nonzero rational beforehand changes at most the sign of its
+    row, and no answer."""
     rng = random.Random(family.text())
     factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
-                        rng.randint(1, 12)) for _ in family.forms]
-    scaled = ParamArrangement([
-        LinearForm([times(p, c) for p in f.coeffs])
-        for f, c in zip(family.forms, factors)])
+                        rng.randint(1, 12)) for _ in family.rows]
+    scaled = parse_equation("".join(
+        f"({LinearForm([times(Poly(x), c) for x in row]).text()})"
+        for row, c in zip(family.rows, factors)))
+    assert scaled.rows == tuple(
+        row if c > 0 else tuple(tuple(-x for x in p) for p in row)
+        for row, c in zip(family.rows, factors))
     assert _scan_described(incidence.degenerate_values(scaled)) == (
         _scan_described(incidence.degenerate_values(family)))
     assert _described(incidence.profile(scaled)) == (
@@ -471,9 +472,9 @@ def _assert_scan_matches_fiber_profiles(family):
 @settings(max_examples=50, deadline=None)
 @given(affine_rows)
 def test_scan_profiles_match_fiber_elimination(pairs):
-    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
     try:
-        family = ParamArrangement(forms)
+        family = oracles.family(forms)
     except ValueError:
         assume(False)  # a zero form, or two proportional ones
     _assert_scan_matches_fiber_profiles(family)
@@ -619,9 +620,9 @@ def test_mask_lookups_match_set_lookups_on_the_families(text):
 @settings(max_examples=40, deadline=None)
 @given(affine_rows)
 def test_mask_lookups_match_set_lookups(pairs):
-    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
     try:
-        family = ParamArrangement(forms)
+        family = oracles.family(forms)
     except ValueError:
         assume(False)  # a zero form, or two proportional ones
     _assert_scan_lookups_match_sets(family)
@@ -690,9 +691,9 @@ def test_fiber_read_off_the_table_at_each_sigma_value(text):
 @settings(max_examples=50, deadline=None)
 @given(affine_rows)
 def test_fiber_read_off_the_table(pairs):
-    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
     try:
-        family = ParamArrangement(forms)
+        family = oracles.family(forms)
     except ValueError:
         assume(False)  # a zero form, or two proportional ones
     for w0 in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2),
@@ -773,9 +774,9 @@ def test_special_profiles_are_the_profiles_from_scratch(text):
 @settings(max_examples=40, deadline=None)
 @given(affine_rows)
 def test_special_profiles_are_the_profiles_from_scratch_at_random(pairs):
-    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
     try:
-        family = ParamArrangement(forms)
+        family = oracles.family(forms)
     except ValueError:
         assume(False)  # a zero form, or two proportional ones
     _assert_special_is_from_scratch(family)
@@ -794,7 +795,7 @@ def test_packed_coprimality_shortcut_matches_the_prs(rows):
     rows = [[x if isinstance(x, Poly) else Poly([x]) for x in r]
             for r in rows]
     try:
-        table, k = incidence._minor_table([_integer_row(r) for r in rows])
+        table, k = incidence._minor_table([integer_row(r) for r in rows])
     except incidence.CoincidentPlanes:
         assume(False)
     for packed in table.values():
@@ -842,7 +843,7 @@ def test_linear_gcds_are_read_off(monkeypatch):
     scan = incidence.degenerate_values(family)
     monkeypatch.undo()
 
-    rows = sympy.Matrix([[_sympy(c) for c in f.coeffs] for f in family.forms])
+    rows = sympy.Matrix([[_sympy(c) for c in r] for r in family.rows])
 
     def roots(polys):
         g = sympy.gcd_list([sympy.expand(p) for p in polys])
@@ -946,9 +947,9 @@ def test_diff_matches_brute_force_on_the_families(text):
 @settings(max_examples=60, deadline=None)
 @given(affine_rows)
 def test_diff_matches_brute_force(pairs):
-    forms = [LinearForm([Poly([a, b]) for a, b in row]) for row in pairs]
+    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
     try:
-        family = ParamArrangement(forms)
+        family = oracles.family(forms)
     except ValueError:
         assume(False)  # a zero form, or two proportional ones
     _assert_diff_matches_brute_force(family)
