@@ -18,10 +18,12 @@ more than any one stage of its mathematics.  It refuses, with a TypeError,
 any type but the dicts with str keys, lists, tuples, strs, ints, bools and
 None that payloads hold.
 
-Each call pays only for the parser it runs and the output it prints.
-``parse_args`` builds the parser of the subcommand named first, and that of
-all seven only for help and usage errors (``-h``, nothing, a typo, an
-argument left over), so their bytes stay those of all seven.  Each
+Each call pays only for the output it prints.  ``parse_args`` reads an
+``argv`` in the plain form (the subcommand first, options spelled out in
+full, one positional) directly from ``COMMANDS``, and builds no argparse
+parser for it.  The parser of all seven subcommands is built only for any
+other ``argv`` (``-h``, nothing, a typo, an abbreviation, an argument left
+over), so help, usage errors and readings stay argparse's own.  Each
 ``cmd_*`` returns its scenario data, its payload and a renderer of its
 text, which ``main`` calls only to print the text: ``--json`` builds none.
 
@@ -272,7 +274,8 @@ def _json_value(value, indent: str) -> str:
 
 
 def write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``text`` to ``path``, in an existing directory, through a
+    temporary file, so that no reader sees a part of it."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -318,6 +321,7 @@ def _dot_paths(args, name: str, trace) -> list:
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValueError(f"DOT files cannot be named after {name!r}")
     outdir = Path(args.dot_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for i, d in enumerate(trace):
         fname = f"{name}-step-{i:02d}.dot"
@@ -645,15 +649,6 @@ COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    parser.add_argument("--json", action="store_true",
-                        help="emit canonical JSON instead of text")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the scenario's expected block")
-    for arg, default, arg_help in COMMANDS[command][2]:
-        parser.add_argument(arg, default=default, help=arg_help)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser with all seven sub-parsers."""
     parser = argparse.ArgumentParser(
@@ -662,24 +657,58 @@ def build_parser() -> argparse.ArgumentParser:
                     "one-parameter families of octic plane arrangements")
     sub = parser.add_subparsers(dest="command", required=True,
                                 prog=parser.prog)
-    for name, (_, text, _) in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=text), name)
+    for name, (_, text, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--json", action="store_true",
+                             help="emit canonical JSON instead of text")
+        command.add_argument("--check", action="store_true",
+                             help="compare against the scenario's expected "
+                                  "block")
+        for arg, default, arg_help in arguments:
+            command.add_argument(arg, default=default, help=arg_help)
     return parser
 
 
 def parse_args(argv: list) -> argparse.Namespace:
-    """``argv`` parsed by a parser of the subcommand it names first alone,
-    whose help and errors are those of its sub-parser in the parser of all
-    seven.  Without a subcommand first, or with an argument left over,
-    ``argv`` is parsed by the parser of all seven, for its usage error.
-    The namespace's ``command`` names the subcommand."""
+    """``argv`` parsed as the parser of all seven subcommands parses it.
+
+    ``argv`` in the plain form is read directly, and no parser is built:
+    the subcommand first, then in any order ``--json``, ``--check``, each
+    option of that subcommand spelled out in full as ``--opt VALUE`` (a
+    VALUE not starting with '-') or ``--opt=VALUE``, and exactly one other
+    token, not starting with '-', which is the positional.  Any other
+    ``argv`` (help, nothing, a typo, an abbreviation, ``--``, a value or a
+    positional starting with '-', an argument missing or left over) is
+    parsed by ``build_parser``, for its help, its usage error or its
+    reading.  The namespace's ``command`` names the subcommand."""
     if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog="octic " + argv[0])
-        _add_arguments(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
+        values = {"command": argv[0], "json": False, "check": False}
+        options = {}  # option -> its attribute, "--dot-dir" -> "dot_dir"
+        for arg, default, _ in COMMANDS[argv[0]][2]:
+            if arg.startswith("-"):
+                options[arg] = arg[2:].replace("-", "_")
+                values[options[arg]] = default
+            else:
+                positional = arg
+        tokens, rest = iter(argv[1:]), []
+        for token in tokens:
+            if token == "--json" or token == "--check":
+                values[token[2:]] = True
+            elif not token.startswith("-"):
+                rest.append(token)
+            else:
+                option, eq, value = token.partition("=")
+                if not eq:
+                    value = next(tokens, "-")  # "-": there is no value
+                    if value.startswith("-"):
+                        break
+                if option not in options:
+                    break
+                values[options[option]] = value
+        else:
+            if len(rest) == 1:
+                values[positional] = rest[0]
+                return argparse.Namespace(**values)
     return build_parser().parse_args(argv)
 
 

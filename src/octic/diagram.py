@@ -89,7 +89,7 @@ class DiagramCurve:
 
     @property
     def label(self) -> str:
-        return curve_label(self.surfaces)
+        return "".join(_short(s) for s in self.surfaces)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +368,12 @@ def render_dot(d: Diagram, name: str = "central_fiber") -> str:
     dotted cross-links tying the appearances together.  Pinch points show
     as diamond glyphs, node pairs as a doubled circle on the diagram root.
     """
+    curves = sorted(d.curves.values(), key=lambda c: c.id)
+    members = {label: [] for label in d.surfaces}
+    for c in curves:
+        for label in c.surfaces:
+            members[label].append(c)
+    labels = {c.id: c.label for c in curves}
     lines = ["graph %s {" % name]
     lines.append('  graph [compound=true, fontname="Helvetica"];')
     lines.append('  node [shape=box, fontname="Helvetica"];')
@@ -376,21 +382,19 @@ def render_dot(d: Diagram, name: str = "central_fiber") -> str:
         lines.append('  subgraph "cluster_%s" {' % label)
         style = {PLANE: "solid", EXCEPTIONAL: "dashed", SPLIT: "dashed"}[surf.origin]
         lines.append('    label="%s"; style=%s;' % (label, style))
-        members = [c for c in sorted(d.curves.values(), key=lambda c: c.id)
-                   if label in c.surfaces]
-        if not members:
+        if not members[label]:
             lines.append('    "anchor_%s" [shape=point, style=invis];' % label)
-        for c in members:
+        for c in members[label]:
             dash = ', style=dashed' if label in c.exceptional_on else ''
-            lines.append('    "c%d@%s" [label="%s"%s];' % (c.id, label, c.label, dash))
+            lines.append('    "c%d@%s" [label="%s"%s];'
+                         % (c.id, label, labels[c.id], dash))
         lines.append("  }")
-    for c in sorted(d.curves.values(), key=lambda c: c.id):
-        surfs = list(c.surfaces)
-        for a, b in zip(surfs, surfs[1:]):
+    for c in curves:
+        for a, b in zip(c.surfaces, c.surfaces[1:]):
             lines.append('  "c%d@%s" -- "c%d@%s" [style=dotted];'
                          % (c.id, a, c.id, b))
     pinch_idx = 0
-    for c in sorted(d.curves.values(), key=lambda c: c.id):
+    for c in curves:
         for _ in range(c.pinch_count):
             home = c.surfaces[0]
             lines.append('  "pinch%d" [shape=diamond, label="", width=0.15, '

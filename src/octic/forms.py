@@ -191,14 +191,17 @@ def parse_equation(text: str) -> ParamArrangement:
     eq = text.find("=")
     offset = 0
     if eq >= 0:
-        head = text[:eq].replace(" ", "")
+        head = "".join(text[:eq].split())
         if head not in ("u^2", "u2", "u**2", "u²"):
             raise ParseError(f"unexpected left-hand side {head!r}", 0)
-        text, offset = text[eq + 1:], eq + 1
+        # blanked, so that every position counts from the start of the text
+        offset = eq + 1
+        text = " " * offset + text[offset:]
     toks = _TOKEN.findall(text)
     runs: list[tuple] = []  # (primitive row, four () when 0; count)
     n_factors = 0
     scalar, power = 1, 0  # the pending scalar, scalar * w^power
+    w_at = 0  # the token of the last w of the pending power
     i = 0
     while True:
         c = toks[i]
@@ -214,6 +217,7 @@ def parse_equation(text: str) -> ParamArrangement:
         elif c in _SLOT:
             vec, i = _UNIT_ROW[c], i + 1
         elif c == PARAMETER:
+            w_at = i
             power, i = _w_power(text, toks, i, power)
             continue
         elif "0" <= c < ":":
@@ -226,21 +230,20 @@ def parse_equation(text: str) -> ParamArrangement:
         count, i = _exponent(text, toks, i)
         if power and power + max(map(len, vec)) - 1 > MAX_W_DEGREE:
             raise ParseError(f"degree in w above {MAX_W_DEGREE}",
-                             _position(text, i))
+                             _w_position(text, toks, w_at))
         runs.append((_row(vec, scalar, power), count))
         n_factors += count
         scalar, power = 1, 0
     if scalar != 1 or power:
         if not runs:
-            raise ParseError("dangling coefficient with no factor",
-                             offset + len(text))
+            raise ParseError("dangling coefficient with no factor", len(text))
         # a trailing coefficient scales the last factor of the last run
         row, count = runs.pop()
         if count > 1:
             runs.append((row, count - 1))
         if power and power + max(map(len, row)) - 1 > MAX_W_DEGREE:
             raise ParseError(f"degree in w above {MAX_W_DEGREE}",
-                             offset + len(text))
+                             _w_position(text, toks, w_at))
         runs.append((_row(row, scalar, power), 1))
 
     if not runs:
@@ -328,9 +331,17 @@ def _w_power(text: str, toks: list, i: int, power: int) -> tuple:
     k, j = _exponent(text, toks, i + 1)
     power += k
     if power > MAX_W_DEGREE:
-        at = _position(text, i + 1) if j > i + 1 else _position(text, i) + 1
-        raise ParseError(f"degree in w above {MAX_W_DEGREE}", at)
+        raise ParseError(f"degree in w above {MAX_W_DEGREE}",
+                         _w_position(text, toks, i))
     return power, j
+
+
+def _w_position(text: str, toks: list, i: int) -> int:
+    """Where a degree in w that the w at token ``i`` takes past the bound
+    is refused: at its '^', or just after it when it has none."""
+    if toks[i + 1] == "^":
+        return _position(text, i + 1)
+    return _position(text, i) + 1
 
 
 def _exponent(text: str, toks: list, i: int) -> tuple:

@@ -915,8 +915,8 @@ def test_stored_residual_reads_back_unchanged(name):
 # argument parsing
 
 
-# help, usage errors, the one rewritten option value, and arguments the
-# one sub-parser reads as the parser of all seven does, or leaves over
+# help, usage errors, the one rewritten option value, and arguments that
+# are not in the plain form ``parse_args`` reads itself
 USAGE = ([["-h"]] + [[command, "-h"] for command in SUBCOMMANDS]
          + [[], ["--json"], ["sigm", "x"], ["incidence"],
             ["sigma", "xyzt", "--foo"],
@@ -928,9 +928,8 @@ USAGE = ([["-h"]] + [[command, "-h"] for command in SUBCOMMANDS]
 
 @pytest.mark.parametrize("argv", USAGE, ids=lambda argv: " ".join(argv) or "-")
 def test_usage_is_that_of_all_seven_sub_parsers(monkeypatch, argv):
-    """``main`` parses with the one sub-parser the first argument names; what
-    it runs, and its help, usage and errors, are those of the parser with
-    all seven, built directly."""
+    """What ``main`` runs, and its help, usage and errors, are those of the
+    parser with all seven, built directly."""
     one = _outcome(argv)
     monkeypatch.setattr(cli, "parse_args",
                         lambda argv: cli.build_parser().parse_args(argv))
@@ -951,12 +950,61 @@ def parsers(monkeypatch):
     return progs
 
 
-def test_main_builds_the_sub_parser_it_runs(capsys, parsers):
+def _parsed(parse, argv):
+    """The namespace ``parse`` makes of ``argv``, or argparse's exit: its
+    code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parse(list(argv))
+        except SystemExit as stop:
+            return stop.code, out.getvalue(), err.getvalue()
+
+
+# the subcommands and a typo; positionals, one of them starting with '-';
+# options spelled out, abbreviated, unknown and given a value they refuse
+ARGV_TOKENS = (SUBCOMMANDS + ["sigm", "NewL3", "xyzt", "", "-1/2", "a b", "-",
+                              "--", "--json", "--check", "--at", "--at=1",
+                              "--at=-1/2", "--at=", "--dot-dir",
+                              "--dot-dir=d", "--js", "--a", "--dot", "-h",
+                              "--help", "--foo", "--json=1"])
+
+
+# a subcommand, one positional and options in any order: plain form when
+# the options are the subcommand's own
+plain_argv = st.tuples(
+    st.sampled_from(SUBCOMMANDS),
+    st.sampled_from(["NewL3", "xyzt", "", "a b", "sigma"]),
+    st.lists(st.sampled_from(["--json", "--check", "--at", "--at=1",
+                              "--at=-1/2", "--at=", "--dot-dir",
+                              "--dot-dir=d", "1/2", "d"]), max_size=4),
+).flatmap(lambda drawn: st.permutations([drawn[1], *drawn[2]]).map(
+    lambda rest: [drawn[0], *rest]))
+argv_lists = st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
+    st.tuples(st.sampled_from(SUBCOMMANDS),
+              st.lists(st.sampled_from(ARGV_TOKENS), max_size=5)).map(
+        lambda drawn: [drawn[0], *drawn[1]]),
+    plain_argv)
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv_lists)
+@example(["incidence", "xyzt", "--at", "1/2", "--json"])
+@example(["render", "--dot-dir", "d", "NewL3", "--check"])
+@example(["resolve", "--dot-dir=", "NewL3", "--json", "--json"])
+def test_parse_args_reads_argv_as_the_parser_of_all_seven(argv):
+    """``parse_args`` gives the namespace the parser of all seven gives, or
+    the same exit with the same help or usage error."""
+    assert (_parsed(cli.parse_args, argv)
+            == _parsed(lambda a: cli.build_parser().parse_args(a), argv))
+
+
+def test_plain_calls_build_no_parser(capsys, parsers):
     assert run(capsys, "sigma", "NewL3")[0] == 0
-    assert parsers == ["octic sigma"]
-    # nothing is kept for the next call
-    assert run(capsys, "sigma", "NewL3")[0] == 0
-    assert parsers == ["octic sigma"] * 2
+    assert run(capsys, "incidence", "xyz(x+y+z+wt)", "--at", "-1/2",
+                "--json")[0] == 0
+    assert parsers == []
 
 
 def test_help_builds_all_seven_sub_parsers(capsys, parsers):
@@ -968,8 +1016,7 @@ def test_help_builds_all_seven_sub_parsers(capsys, parsers):
 def test_an_argument_left_over_is_parsed_by_all_seven(capsys, parsers):
     with pytest.raises(SystemExit):
         cli.main(["sigma", "NewL3", "--foo"])
-    assert parsers == ["octic sigma", "octic"] + [f"octic {c}"
-                                                   for c in SUBCOMMANDS]
+    assert parsers == ["octic"] + [f"octic {c}" for c in SUBCOMMANDS]
 
 
 def _refuse(*args, **kwargs):

@@ -263,6 +263,47 @@ def test_whitespace_ends_a_number(text, position):
         f"two numbers separated only by whitespace (at position {position})")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("u^2 = xyz(x+y)#", "unexpected character '#' (at position 14)"),
+    ("u^2 = xyz(x+y", "unterminated '(' (at position 13)"),
+    ("u^2 = 2", "dangling coefficient with no factor (at position 7)"),
+    ("u^2 =", "empty product (at position 5)"),
+])
+def test_positions_count_from_the_start_of_the_text(text, message):
+    """After a left-hand side, every error position is a position in the
+    whole text, as it is without one."""
+    with pytest.raises(ParseError) as err:
+        parse_equation(text)
+    assert str(err.value) == message
+
+
+def test_whitespace_in_the_left_hand_side_is_nothing():
+    rows = parse_equation("xyz(x+y)").rows
+    assert parse_equation("u^2\t= xyz(x+y)").rows == rows
+    assert parse_equation(" u ^\n2 \t=xyz(x+y)").rows == rows
+    with pytest.raises(ParseError) as err:
+        parse_equation("u^3\t= xyz(x+y)")
+    assert str(err.value) == "unexpected left-hand side 'u^3' (at position 0)"
+
+
+@pytest.mark.parametrize("text,position", [
+    ("w^600(x+w^401y)yz", 1),
+    ("w^300 w^300(x+w^401y)yz", 7),
+    ("w (x+w^1000y) xyz", 1),
+    ("xyz(x+w^600y)w^401", 14),
+    ("xyz(x+w^1000y) w", 16),
+])
+def test_a_power_of_w_around_a_factor_is_refused_at_its_last_w(text,
+                                                             position):
+    """A power of w that takes a factor's coefficient past the bound is
+    refused where ``_w_power`` refuses one: at the '^' of its last w, or
+    just after that w when it has none."""
+    with pytest.raises(ParseError) as err:
+        parse_equation(text)
+    assert str(err.value) == (
+        f"degree in w above {MAX_W_DEGREE} (at position {position})")
+
+
 def test_whitespace_before_a_variable_or_w_is_nothing():
     assert parse_equation("xyz(x+2w3y+z)").rows[3] == ((1,), (0, 6), (1,), ())
     assert parse_equation("xyz(x+2 w y+z)").rows[3] == (
@@ -324,6 +365,23 @@ CHANGED = {
     "malformed/212": "xyz(-x+y)",
     "malformed/213": "xyz(x+w)",
     "malformed/214": "xyz(x-w^2y)",
+    # positions count from the start of the text, left-hand side included
+    "malformed/6": ("ParseError", "unexpected character 'u' (at position 6)"),
+    "malformed/11": ("ParseError",
+                     "unexpected character '#' (at position 14)"),
+    "malformed/12": ("ParseError", "unterminated '(' (at position 13)"),
+    # whitespace of any kind in the left-hand side is nothing
+    "malformed/9": "xyz(x+y)",
+    # a power of w in front of or after a factor is refused at its last w:
+    # that w's '^', or just after it when it has none
+    **{name: ("ParseError", f"degree in w above 1000 (at position {at})")
+       for name, at in [("random/4", 3), ("random/250", 187),
+                        ("random/276", 120), ("malformed/123", 1),
+                        ("malformed/124", 14), ("malformed/125", 16),
+                        ("malformed/126", 2), ("malformed/131", 15),
+                        ("malformed/134", 1), ("malformed/135", 1),
+                        ("malformed/137", 1), ("malformed/138", 13),
+                        ("malformed/140", 26)]},
 }
 
 
