@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import classify, diagram, incidence, resolve, semistable, specseq
-from .exact import fraction_str, parse_fraction
+from .exact import fraction_str, parse_fraction, poly_str
 from .forms import (DuplicateFactor, FormVanishes, NonLinearFactor,
                     ParseError, parse_equation)
 
@@ -317,16 +317,23 @@ def run_check(args, data, payload: dict) -> int:
 def _dot_paths(args, name: str, trace) -> list:
     """Write one DOT file per trace step into ``--dot-dir``, return the
     relative file names; each starts with ``name``, which must be a plain
-    file name, so no file lands outside the directory."""
+    file name, so no file lands outside the directory.  A directory that
+    cannot be made or written (a plain file in its place or its path, say)
+    is malformed input, refused in one line that names it."""
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValueError(f"DOT files cannot be named after {name!r}")
     outdir = Path(args.dot_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, d in enumerate(trace):
-        fname = f"{name}-step-{i:02d}.dot"
-        write_atomic(outdir / fname, diagram.render_dot(d, name="step_%d" % i))
-        written.append(fname)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, d in enumerate(trace):
+            fname = f"{name}-step-{i:02d}.dot"
+            write_atomic(outdir / fname,
+                         diagram.render_dot(d, name="step_%d" % i))
+            written.append(fname)
+    except OSError as err:
+        raise ValueError(f"cannot write DOT files to {args.dot_dir}: "
+                         f"{err.strerror}") from None
     return written
 
 
@@ -443,7 +450,7 @@ def cmd_sigma(args):
                   for f in sorted(scan.fatal, key=lambda f: f.w0)],
     }
     if scan.unresolved:
-        payload["unresolved"] = [str(p) for p in scan.unresolved]
+        payload["unresolved"] = list(map(poly_str, scan.unresolved))
 
     def text():
         lines = [f"w = {w}: " + ", ".join(tags) for w, tags in values.items()]

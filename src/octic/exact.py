@@ -2,11 +2,13 @@
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator, so the invariants come for free).  On top of that:
-dense univariate polynomials over Q (``Poly``, which prints them), one
-kernel of integer polynomials in Z[w] for everything computed, and the rank
-of a matrix over Q by fraction-free elimination on integer rows.  A family's
-rows enter the kernel once, made primitive integer rows as they are parsed
-(``_primitive``), and so do a matrix's rows (``rank``).
+one kernel of integer polynomials in Z[w] for everything computed, and the
+rank of a matrix over Q by fraction-free elimination on integer rows.  A
+polynomial in w is a plain tuple of its coefficients, ascending, from parse
+to print: ints in Z[w], Fractions in a monic factor over Q, and
+``poly_str`` writes either.  A family's rows enter the kernel once, made
+primitive integer rows as they are parsed (``_primitive``), and so do a
+matrix's rows (``rank``).
 
 Minors of Z[w] rows are taken by Kronecker substitution: each entry is
 packed into one Python integer, its value at w = 2^k (``_zw_pack``), the
@@ -33,71 +35,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as int_gcd, lcm as int_lcm, prod
 from typing import Iterable, Optional, Sequence
-
-
-class ZeroPolynomial(ValueError):
-    pass
-
-
-def _coerce_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to a rational")
-
-
-class Poly:
-    """Univariate polynomial over Q, coefficients ascending.
-
-    The zero polynomial has an empty coefficient list; otherwise the
-    leading coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        # degree of 0 is -1 by convention here
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        # only a Poly equals a Poly, so that equal objects hash alike
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*w" if c != 1 else "w")
-            else:
-                parts.append(f"{c}*w^{i}" if c != 1 else f"w^{i}")
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +293,7 @@ def rational_roots(p: tuple) -> tuple[list[tuple[Fraction, int]], list[tuple]]:
     decomposition runs only on a leftover of degree >= 2.
     """
     if not p:
-        raise ZeroPolynomial("roots of the zero polynomial")
+        raise ValueError("roots of the zero polynomial")
     shift = next(i for i, c in enumerate(p) if c)
     ints = p[shift:]
     roots: list[tuple[Fraction, int]] = [(Fraction(0), shift)] if shift else []
@@ -442,6 +379,17 @@ def fraction_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def poly_str(coeffs: Sequence) -> str:
+    """The polynomial in w with the ascending ints or Fractions ``coeffs``
+    as text: its nonzero terms c, c*w and c*w^i joined by " + ", a bare w
+    or w^i where c = 1, so -2w reads "-2*w" and 1 - w reads "1 + -1*w";
+    "0" for no term."""
+    terms = [str(c) if i == 0 else
+             ("" if c == 1 else f"{c}*") + ("w" if i == 1 else f"w^{i}")
+             for i, c in enumerate(coeffs) if c]
+    return " + ".join(terms) or "0"
 
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")

@@ -10,7 +10,10 @@ The parser reads each factor straight into its primitive integer row over
 Z[w] (``ParamArrangement.rows``): the factor's coefficients, integers
 except where a ``/`` is written, times the positive rational that clears
 their denominators and their content.  Every minor, degenerate value and
-fiber is computed from these rows.
+fiber is computed from these rows, and ``ParamArrangement.text`` prints
+them back as an equation that parses to the same rows.  The coefficients
+stay tuples of ints throughout; the one other view of them, the degrees in
+``ParamArrangement.forms``, is kept for the benchmark's tracer alone.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
+from types import SimpleNamespace
 from typing import Sequence
 
-from .exact import Poly, _pack_rows, _primitive, _zw_trim
+from .exact import _pack_rows, _primitive, _zw_trim
 
 VARIABLES = ("x", "y", "z", "t")
 PARAMETER = "w"
@@ -59,58 +63,6 @@ class FormVanishes(ValueError):
         self.index = index
 
 
-class LinearForm:
-    """a·x + b·y + c·z + d·t with a,b,c,d in Q[w], as four ``Poly``s."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Poly]):
-        self.coeffs = tuple(coeffs)
-
-    def text(self) -> str:
-        """Compact printable form; round-trips through parse_equation."""
-        parts = []
-        for vi, var in enumerate(VARIABLES):
-            poly = self.coeffs[vi]
-            for k, c in enumerate(poly.coeffs):
-                if c == 0:
-                    continue
-                parts.append((c, k, var))
-        if not parts:
-            return "0"
-        out = []
-        for c, k, var in parts:
-            wpart = "" if k == 0 else (PARAMETER if k == 1 else f"{PARAMETER}^{k}")
-            vpart = "" if var == "t" else var
-            if var == "t" and k == 0:
-                body = _coeff_str(c, bare_ok=True)
-            else:
-                body = _coeff_str(c, bare_ok=False) + wpart + vpart
-            if out:
-                if body.startswith("-"):
-                    out.append("-")
-                    body = body[1:]
-                else:
-                    out.append("+")
-            out.append(body)
-        return "".join(out)
-
-    def __repr__(self):
-        return f"LinearForm({self.text()})"
-
-
-def _coeff_str(c: Fraction, bare_ok: bool) -> str:
-    if bare_ok:
-        return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 class ParamArrangement:
     """One-parameter family of plane arrangements, 3 to 8 forms.
 
@@ -138,30 +90,39 @@ class ParamArrangement:
         self.rows = rows
 
     @cached_property
-    def forms(self) -> list[LinearForm]:
-        """The rows as ``LinearForm``s of ``Poly``s, built the first time
-        this is read.  No command reads this view: it prints the family
-        (``text``), and the benchmark's tracer reads the degrees of its
-        coefficients, until the tracer reads the rows (ROADMAP item 13) and
-        the view goes with ``Poly`` (item 14)."""
-        return [LinearForm([Poly(c) for c in row]) for row in self.rows]
+    def forms(self) -> list:
+        """The degree in w of each coefficient of each row, read as
+        ``forms[i].coeffs[j].degree`` (-1 for 0).  Nothing in the package
+        reads this view: the benchmark's tracer (``bench/tracer.py``) files
+        ``incidence.profile`` calls by it, and it goes once the tracer
+        reads ``rows`` (ROADMAP item 13)."""
+        return [SimpleNamespace(coeffs=[SimpleNamespace(degree=len(c) - 1)
+                                        for c in row]) for row in self.rows]
 
     def __len__(self):
         return len(self.rows)
 
     def text(self) -> str:
-        return "".join(_factor_text(f) for f in self.forms)
+        """The family as a product of factors, a bare variable for a unit
+        row, which ``parse_equation`` reads back as the same rows."""
+        return "".join(map(_factor_text, self.rows))
 
     def __repr__(self):
         return f"ParamArrangement({self.text()})"
 
 
-def _factor_text(f: LinearForm) -> str:
-    t = f.text()
-    nontrivial = sum(1 for poly in f.coeffs for c in poly.coeffs if c != 0)
-    if nontrivial == 1 and t in ("x", "y", "z", "t"):
-        return t
-    return f"({t})"
+def _factor_text(row: tuple) -> str:
+    """The primitive integer row ``row`` as x, y, z or t, or as its terms
+    in parentheses: c, a power of w and a variable each, "-" for c = -1
+    and nothing for c = 1."""
+    terms = [("" if c == 1 else "-" if c == -1 else str(c))
+             + ("" if k == 0 else PARAMETER if k == 1 else f"{PARAMETER}^{k}")
+             + var
+             for var, coeffs in zip(VARIABLES, row)
+             for k, c in enumerate(coeffs) if c]
+    if len(terms) == 1 and terms[0] in VARIABLES:
+        return terms[0]
+    return "(" + "+".join(terms).replace("+-", "-") + ")"
 
 
 # ---------------------------------------------------------------------------

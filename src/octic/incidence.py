@@ -26,9 +26,10 @@ and a set with no independent triple no one point: both are refused.
 Plane numbers 1..n key the records, the indexes and the minor table
 alike.  Coordinates are read on demand off the profile's minor table
 (``point_vector``, ``line_basis``) where they are printed or compared: the
-centers ``reduce`` prints, the trace's fiber-collision message and
-moving-line test, and a collapsed generic point in ``profile_diff``.  A
-fiber of a family evaluates the minors it reads at its parameter.
+point centers of a trace's schedule, which ``reduce`` prints
+(``point_text``), the trace's fiber-collision message and moving-line
+test, and a collapsed generic point in ``profile_diff``.  A fiber of a
+family evaluates the minors it reads at its parameter.
 
 Degenerate parameter values are located by scanning the maximal minors of
 the coefficient rows, each computed once and kept packed: a subset of
@@ -59,8 +60,8 @@ from itertools import combinations
 from math import gcd as int_gcd
 from typing import Iterable, Optional, Sequence
 
-from .exact import (Poly, _pack_rows, _zw_at, _zw_div, _zw_gcd, _zw_heu,
-                    _zw_sub, _zw_trim, _zw_unpack, _zw_value, rational_roots)
+from .exact import (_pack_rows, _zw_at, _zw_div, _zw_gcd, _zw_heu, _zw_sub,
+                    _zw_trim, _zw_unpack, _zw_value, poly_str, rational_roots)
 from .forms import FormVanishes, ParamArrangement
 
 
@@ -724,7 +725,8 @@ class DegenerationScan:
     values: tuple[DegenerateValue, ...]
     fatal: tuple[FatalValue, ...]
     generic: IncidenceProfile  # the profile each value was compared with
-    unresolved: tuple[Poly, ...] = field(default=())
+    # the monic factors without a rational root, as Fraction tuples
+    unresolved: tuple[tuple, ...] = field(default=())
 
     @property
     def sigma(self) -> tuple[Fraction, ...]:
@@ -750,8 +752,8 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
     table, k = _minor_table(rows)
     half = 1 << (k - 1)
     fatal: dict[Fraction, str] = {}
-    # monic coefficients -> the unresolved factor
-    unresolved: dict[tuple, Poly] = {}
+    # the monic factors without a rational root
+    unresolved: set[tuple] = set()
     # root -> the triples and quadruples that turn dependent there
     turning: dict[Fraction, set] = {}
     # primitive gcd -> its rational roots, so each is searched once
@@ -764,9 +766,8 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
         if g not in roots_of:
             found, leftovers = rational_roots(g)
             roots_of[g] = [r for r, _ in found]
-            for f in leftovers:
-                monic = tuple(Fraction(c, f[-1]) for c in f)
-                unresolved[monic] = Poly(monic)
+            unresolved.update(tuple(Fraction(c, f[-1]) for c in f)
+                              for f in leftovers)
         return roots_of[g]
 
     for i, row in enumerate(rows, 1):
@@ -802,12 +803,10 @@ def degenerate_values(a: ParamArrangement) -> DegenerationScan:
             FatalValue(w0, fatal[w0]) for w0 in sorted(fatal)
         ),
         generic=generic,
-        unresolved=tuple(
-            unresolved[k] for k in sorted(unresolved, key=lambda c: (len(c), c))
-        ),
+        unresolved=tuple(sorted(unresolved, key=lambda c: (len(c), c))),
     )
 
 
 def point_text(vec: Vec4) -> str:
-    """(a:b:c:d) with each entry printed as its ``Poly``."""
-    return "(" + ":".join(str(Poly(p)) for p in vec) + ")"
+    """(a:b:c:d) with each entry printed by ``poly_str``."""
+    return "(" + ":".join(map(poly_str, vec)) + ")"

@@ -24,11 +24,14 @@ The line or point through a set of planes is an index read on a profile
 up, the node scan looks for later double lines among the planes of the
 central points on it (``points_on``), through a map from plane pairs to
 schedule steps, rather than over the whole schedule.
-Coordinates are computed only for the centers ``reduce`` prints, a
-fiber-curve collision message and whether a pair's line moves with w.  A
-point center whose planes meet in a central line rather than a point (the
-central fiber then has a fourfold or worse line) stops the trace at that
-center.
+``schedule`` computes coordinates on every trace (``resolve``, ``reduce``,
+``render`` and ``ss`` alike): the point of each fivefold and quadruple
+point center and the base point of each fiber center, which only
+``reduce`` prints (``Center.to_json``).  The trace itself reads
+coordinates only for a fiber-curve collision message and to tell whether
+a pair's line moves with w.  A point center whose planes meet in a
+central line rather than a point (the central fiber then has a fourfold
+or worse line) stops the trace at that center.
 
 A scenario may transcribe individual steps explicitly (``directives``)
 when two fiber curves of one tower collide in the central fiber; that

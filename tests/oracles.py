@@ -2,9 +2,10 @@
 bundled families, a sympy brute-force incidence oracle, incidence lookups,
 profile diffs and node scans by scanning every line, point or schedule
 step, random projective coordinate changes, the relations among a cycle
-model's rows, families built from forms made primitive integer rows, and
-schoolbook multiplication, addition and Horner evaluation of
-polynomials."""
+model's rows, families built from forms made primitive integer rows, the
+text of a form with rational coefficients, and schoolbook multiplication,
+addition and Horner evaluation of polynomials, each an ascending tuple of
+ints or Fractions."""
 
 from fractions import Fraction
 from functools import cache
@@ -14,7 +15,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from octic import classify, cli, incidence
-from octic.exact import Poly, _primitive, _zw_at
+from octic.exact import _primitive, _zw_at, _zw_trim
 from octic.forms import ParamArrangement
 
 # the eleven bundled families in ``classify.TAGS`` order, read from their
@@ -167,22 +168,35 @@ def family_through(rows) -> ParamArrangement:
     1) plus w (1, i, i^2, i^3).  Those vectors are pairwise independent, so
     no two forms are proportional over Q(w), while the fiber at 0 may have
     coincident planes."""
-    return family([[Poly([c, i ** k]) for k, c in enumerate(r)]
+    return family([[(c, i ** k) for k, c in enumerate(r)]
                    for i, r in enumerate(rows, 1)])
 
 
 def family(rows) -> ParamArrangement:
-    """The family of the forms ``rows``, each four ``Poly``s, made
-    primitive integer rows (``integer_row``)."""
+    """The family of the forms ``rows``, each four coefficient tuples in
+    w of ints or Fractions, made primitive integer rows
+    (``integer_row``)."""
     return ParamArrangement([integer_row(r) for r in rows])
 
 
 def integer_row(row) -> tuple:
-    """The form ``row``, four ``Poly``s, times the positive rational that
-    makes it a primitive integer row: four Z[w] tuples whose coefficients
-    share no common factor."""
-    ints = iter(_primitive([c for p in row for c in p.coeffs]))
-    return tuple(tuple(next(ints) for _ in p.coeffs) for p in row)
+    """The form ``row``, four coefficient tuples in w of ints or
+    Fractions, times the positive rational that makes it a primitive
+    integer row: four Z[w] tuples, without trailing zeros, whose
+    coefficients share no common factor."""
+    row = [trim(p) for p in row]
+    ints = iter(_primitive([c for p in row for c in p]))
+    return tuple(tuple(next(ints) for _ in p) for p in row)
+
+
+def form_text(row) -> str:
+    """The form ``row``, four coefficient tuples in w of ints or Fractions
+    (a "/" where a coefficient is not an integer), as a parenthesized
+    factor that ``parse_equation`` reads: each nonzero term signed, as its
+    coefficient's absolute value, a power of w and its variable."""
+    return "(" + "".join(
+        f"{'-' if c < 0 else '+'}{abs(c)}{f'w^{k}' if k else ''}{var}"
+        for var, p in zip("xyzt", row) for k, c in enumerate(p) if c) + ")"
 
 
 def random_constant_arrangement(rng, n):
@@ -208,7 +222,7 @@ def random_gl4(rng):
 def transform(a, m):
     """Substitute x_i -> sum_k m[i][k] x_k in every form of the family
     ``a``."""
-    return family([[plus(*(times(Poly(row[i]), m[i][k]) for i in range(4)))
+    return family([[plus(*(times(row[i], m[i][k]) for i in range(4)))
                     for k in range(4)] for row in a.rows])
 
 
@@ -243,20 +257,25 @@ def zw_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def plus(*polys: Poly) -> Poly:
-    """The sum of the ``Poly``s ``polys``."""
-    return Poly(map(sum, zip_longest(*(p.coeffs for p in polys),
-                                     fillvalue=0)))
+def trim(p) -> tuple:
+    """The coefficients ``p`` without trailing zeros, as a tuple."""
+    return _zw_trim(list(p))
 
 
-def times(p: Poly, c) -> Poly:
-    """The ``Poly`` ``p`` times the ``Poly`` or rational ``c``."""
-    return Poly(zw_mul(p.coeffs, c.coeffs if isinstance(c, Poly) else (c,)))
+def plus(*polys: tuple) -> tuple:
+    """The sum of the polynomials ``polys``, without trailing zeros."""
+    return trim(map(sum, zip_longest(*polys, fillvalue=0)))
+
+
+def times(p: tuple, c) -> tuple:
+    """The polynomial ``p`` times the polynomial (a tuple) or rational
+    ``c``, without trailing zeros."""
+    return trim(zw_mul(p, c if isinstance(c, tuple) else (c,)))
 
 
 def evaluate(coeffs, v) -> Fraction:
     """The value at ``v`` of the polynomial with the ascending coefficients
-    ``coeffs`` (a ``Poly``'s, or a Z[w] tuple), by Horner's rule."""
+    ``coeffs``, by Horner's rule."""
     value = Fraction(0)
     for c in reversed(coeffs):
         value = value * v + c

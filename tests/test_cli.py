@@ -126,6 +126,42 @@ def test_sigma_json_names_the_degenerate_values(capsys):
     assert payload["classification"] == {"0": ["NewL3"]}
 
 
+# a seeded 8-plane family of the benchmark whose scan leaves six quadratic
+# factors without a rational root, with Fraction coefficients and negative
+# terms; the expected output is that of the release before the factors
+# became plain tuples
+UNRESOLVED = ("xyzt(x+y+z+t)(x-y+2z-2t)(2wx-y-2wy+z+2wz-2t-wt)"
+              "(-2wx+y-wy-z+2wz-t+wt)")
+UNRESOLVED_FACTORS = [
+    "-3/4 + 1/2*w + w^2", "-1/2 + w^2", "-1/4 + 2/3*w + w^2",
+    "1/11 + -19/33*w + w^2", "1/4 + -7/6*w + w^2", "1/3 + -2/3*w + w^2"]
+_P40 = ["NewP40"]
+_ON_NEW_LINE = ("unclassifiable(PointOnNewLine: degeneration outside the "
+                "local taxonomy: PointOnNewLine({}) (point (5, 1) from "
+                "nowhere))")
+UNRESOLVED_VALUES = {
+    "-2": _P40, "-6/5": _P40, "-1": _P40, "-2/3": _P40, "-1/2": ["NewP41"],
+    "-1/3": _P40, "-1/4": _P40, "-1/6": _P40, "-1/16": _P40,
+    "0": ["NewP40", "NewP41", _ON_NEW_LINE.format("2, 3, 4, 7, 8")],
+    "1/9": _P40, "1/7": _P40, "1/6": _P40, "1/4": _P40, "4/15": _P40,
+    "1/3": _P40, "1/2": _P40, "2/3": _P40, "8/9": _P40,
+    "1": ["NewP40", "NewP41", _ON_NEW_LINE.format("1, 3, 5, 7, 8")],
+    "5/3": _P40}
+
+
+def test_sigma_prints_the_unresolved_factors(capsys):
+    assert run(capsys, "sigma", UNRESOLVED) == (0, "".join(
+        f"w = {w}: {', '.join(tags)}\n"
+        for w, tags in UNRESOLVED_VALUES.items())
+        + "unresolved factors: " + ", ".join(UNRESOLVED_FACTORS) + "\n", "")
+    code, out, _ = run(capsys, "sigma", UNRESOLVED, "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "equation": UNRESOLVED, "sigma": list(UNRESOLVED_VALUES),
+        "classification": UNRESOLVED_VALUES, "fatal": [],
+        "unresolved": UNRESOLVED_FACTORS}
+
+
 # text with what JSON escapes or passes through: quotes, backslashes,
 # control characters, non-ASCII and lone surrogates
 json_text = st.text(st.characters(exclude_categories=())) | st.sampled_from(
@@ -714,6 +750,21 @@ def test_dot_files_are_written_inside_the_dot_dir_or_not_at_all(
     assert _written(tmp_path) == [
         f"cwd/out/sub/NewL3-step-0{i}.dot" for i in range(4)] + [
         "nameless.json"]
+
+
+@pytest.mark.parametrize("command", ["resolve", "render"])
+@pytest.mark.parametrize("target,reason", [
+    ("F", "File exists"), ("F/sub", "Not a directory")])
+def test_a_dot_dir_that_cannot_be_made_is_exit_2(tmp_path, monkeypatch,
+                                                 command, target, reason):
+    """A plain file where --dot-dir or one of its parents should be a
+    directory: one line naming the directory, exit 2, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("plain\n", encoding="utf-8")
+    assert _outcome([command, "NewL3", "--dot-dir", target]) == (
+        2, "", f"ValueError: cannot write DOT files to {target}: {reason}\n")
+    assert _written(tmp_path) == ["F"]
+    assert (tmp_path / "F").read_text(encoding="utf-8") == "plain\n"
 
 
 @st.composite

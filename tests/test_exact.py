@@ -1,6 +1,6 @@
-"""Exact-arithmetic kernel: polynomials over Q, the Z[w] kernel, rational
-roots and ranks over Q, against sympy or Horner's rule where a reference is
-needed."""
+"""Exact-arithmetic kernel: the Z[w] kernel, rational roots, ranks over Q
+and the text of polynomials and rationals, against sympy or Horner's rule
+where a reference is needed."""
 
 import random
 import sys
@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import evaluate, zw_mul
 
 from octic import exact
-from octic.exact import (Poly, _zw_at, _zw_div, _zw_gcd, _zw_pack,
-                         _zw_squarefree, _zw_trim, _zw_unpack, fraction_str,
-                         parse_fraction, rank, rational_roots)
+from octic.exact import (_zw_at, _zw_div, _zw_gcd, _zw_pack, _zw_squarefree,
+                         _zw_trim, _zw_unpack, fraction_str, parse_fraction,
+                         poly_str, rank, rational_roots)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 # Z[w] polynomials as ascending coefficient tuples without trailing zeros
@@ -61,25 +61,26 @@ def test_zw_pack_round_trips(case):
     assert _zw_unpack(_zw_pack(c, k), k) == c
 
 
-def test_poly_normalization():
-    assert Poly([0, 0]).coeffs == () and not Poly([0, 0])
-    assert Poly([1, 2, 0]).coeffs == (Fraction(1), Fraction(2))
-    assert Poly([3]).degree == 0
-    assert Poly().degree == -1
+F = Fraction
 
 
-def test_poly_equality_matches_its_hash():
-    # only a Poly equals a Poly
-    assert Poly([3]) != 3 and Poly() != 0
-    assert len({Poly([3]), 3}) == 2
-    p, q = Poly([1, 2, 0]), Poly(["1", Fraction(4, 2)])
-    assert p == q and hash(p) == hash(q)
-
-
-def test_poly_str_ascending():
-    p = Poly([1, -2, 1])
-    s = str(p)
-    assert "w" in s
+# each expected text is the one the polynomial class that printed these
+# coefficients before they became plain tuples wrote for them
+@pytest.mark.parametrize("coeffs,text", [
+    ((), "0"), ((0,), "0"), ((0, 0), "0"),
+    ((3,), "3"), ((-3,), "-3"), ((1,), "1"), ((-1,), "-1"),
+    ((F(1, 2),), "1/2"), ((F(-7, 3),), "-7/3"),
+    ((1, 1), "1 + w"), ((0, 1), "w"), ((0, -1), "-1*w"), ((0, 2), "2*w"),
+    ((0, -2), "-2*w"), ((0, 0, 1), "w^2"), ((0, 0, -1), "-1*w^2"),
+    ((5, 0, -3), "5 + -3*w^2"), ((-1, 0, 0, 1), "-1 + w^3"),
+    ((0, F(1, 2)), "1/2*w"),
+    ((F(1, 11), F(-19, 33), 1), "1/11 + -19/33*w + w^2"),
+    ((F(-1, 2), 0, 1), "-1/2 + w^2"),
+    ((0, 0, 0, 0, F(-2, 5)), "-2/5*w^4"),
+    ((2, -1, 1, -1), "2 + -1*w + w^2 + -1*w^3"),
+])
+def test_poly_str(coeffs, text):
+    assert poly_str(coeffs) == text
 
 
 W = sympy.Symbol("w")
@@ -178,6 +179,11 @@ def test_rational_roots_irreducible_leftover():
     roots, leftovers = rational_roots(p)
     assert dict(roots) == {Fraction(3): 1}
     assert leftovers == [(1, 0, 1)]
+
+
+def test_the_zero_polynomial_has_no_roots_to_list():
+    with pytest.raises(ValueError, match="^roots of the zero polynomial$"):
+        rational_roots(())
 
 
 # a product of linear factors with multiplicities and of factors of degree

@@ -65,6 +65,10 @@ CALLED_FROM_TESTS = {
     # the Euler number of one component geometry, which the catalogue
     # tests check; the Euler balance of ROADMAP item 7 will read it
     ("semistable", "euler"),
+    # the degrees of the rows' coefficients, which the benchmark's tracer
+    # reads (test_tracer runs it) until it reads the rows (ROADMAP item
+    # 13); no command reads them
+    ("forms", "ParamArrangement.forms"),
 }
 
 

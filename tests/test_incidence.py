@@ -17,13 +17,13 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import oracles
-from oracles import (integer_row, oracle, plus, random_constant_arrangement,
-                     random_gl4, times, transform)
+from oracles import (form_text, integer_row, oracle, plus,
+                     random_constant_arrangement, random_gl4, times,
+                     transform, trim)
 
 from octic import incidence
-from octic.exact import Poly, _zw_heu, _zw_prs_gcd, _zw_unpack
-from octic.forms import (FormVanishes, LinearForm, ParamArrangement,
-                         parse_equation)
+from octic.exact import _zw_heu, _zw_prs_gcd, _zw_unpack
+from octic.forms import FormVanishes, ParamArrangement, parse_equation
 
 ELEVEN = [text for _, text in oracles.ELEVEN]
 SEED1 = oracles.SEED1
@@ -45,9 +45,9 @@ affine_rows = st.lists(st.lists(affine_coefficient, min_size=4, max_size=4),
 
 
 def _sympy(x):
-    """A ``Poly``, a Z[w] tuple or a rational as a sympy expression in w."""
-    coeffs = x.coeffs if isinstance(x, Poly) else (
-        x if isinstance(x, tuple) else (x,))
+    """A coefficient tuple in w or a rational as a sympy expression in
+    w."""
+    coeffs = x if isinstance(x, tuple) else (x,)
     return sum((sympy.Rational(c.numerator, c.denominator) * W**k
                 for k, c in enumerate(coeffs)), sympy.Integer(0))
 
@@ -91,13 +91,13 @@ def _assert_primitive(vec):
 
 
 def _on(form, vec) -> bool:
-    return not plus(*(times(c, Poly(x)) for c, x in zip(form, vec)))
+    return not plus(*(times(c, x) for c, x in zip(form, vec)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(affine_rows)
 def test_family_profile_matches_oracle_over_q_w(pairs):
-    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
+    forms = [[(a, b) for a, b in row] for row in pairs]
     try:
         family = oracles.family(forms)
     except ValueError:
@@ -141,6 +141,18 @@ def test_minors_are_read_off_the_table():
     assert family.point_vector(pt) == ((0, 2), (-2,), (), (1, 0, -1))
 
 
+# each expected text is the one written before coordinates were printed
+# from plain tuples
+@pytest.mark.parametrize("vec,text", [
+    (((1,), (), (), ()), "(1:0:0:0)"),
+    (((), (), (), ()), "(0:0:0:0)"),
+    (((0, 2), (-2,), (), (1, 0, -1)), "(2*w:-2:0:1 + -1*w^2)"),
+    (((-1,), (0, -1), (3, 1), (0, 0, 2)), "(-1:-1*w:3 + w:2*w^2)"),
+])
+def test_point_text(vec, text):
+    assert incidence.point_text(vec) == text
+
+
 # rationals with denominators up to 12, zero a third of the time; a nonzero
 # row of constants or of polynomials of degree <= 2, and scaled copies of
 # earlier rows inserted so that coincident pairs occur
@@ -151,7 +163,7 @@ constant_rows = st.lists(
     st.lists(rational, min_size=4, max_size=4).filter(any),
     min_size=2, max_size=6)
 poly_rows = st.lists(
-    st.lists(st.lists(rational, max_size=3).map(Poly), min_size=4,
+    st.lists(st.lists(rational, max_size=3).map(trim), min_size=4,
              max_size=4).filter(any),
     min_size=2, max_size=6)
 copies = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
@@ -170,12 +182,12 @@ def test_minor_table_matches_the_unscaled_minors(rows, inserted):
 big = st.one_of(st.integers(-10**18, 10**18),
                 st.sampled_from([-10**18, 10**18]))
 big_poly_rows = st.lists(
-    st.lists(st.lists(big, max_size=6).map(Poly), min_size=4,
+    st.lists(st.lists(big, max_size=6).map(trim), min_size=4,
              max_size=4).filter(any),
     min_size=2, max_size=4)
 negative_poly_rows = st.lists(
     st.lists(st.lists(st.integers(-10**18, -1), min_size=1,
-                      max_size=6).map(Poly), min_size=4, max_size=4),
+                      max_size=6).map(tuple), min_size=4, max_size=4),
     min_size=2, max_size=4)
 
 
@@ -191,7 +203,7 @@ def test_minor_table_of_a_hadamard_matrix():
     96 N^2 (N - 1)^2 is a quarter of the width bound 24 (2N - 1)^4."""
     hadamard = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
     n = 10**18
-    rows = [[Poly([h * n, h * (n - 1)]) for h in row] for row in hadamard]
+    rows = [[(h * n, h * (n - 1)) for h in row] for row in hadamard]
     _assert_minor_table_matches(rows, [])
     table, width = incidence._minor_table([integer_row(r) for r in rows])
     (quadruple,) = table[1, 2, 3, 4]
@@ -199,11 +211,11 @@ def test_minor_table_of_a_hadamard_matrix():
 
 
 def _assert_minor_table_matches(rows, inserted):
-    """``_minor_table`` of ``rows`` (of ``Poly``s or of rationals) with the
-    scaled copies ``inserted``, made primitive integer rows, against
-    sympy's minors of the unscaled rows: over Z[w], and over Z as well when
-    the rows are constant."""
-    rows = [[x if isinstance(x, Poly) else Poly([x]) for x in r]
+    """``_minor_table`` of ``rows`` (of coefficient tuples in w, or of
+    rationals) with the scaled copies ``inserted``, made primitive integer
+    rows, against sympy's minors of the unscaled rows: over Z[w], and over Z
+    as well when the rows are constant."""
+    rows = [[x if isinstance(x, tuple) else trim([x]) for x in r]
             for r in rows]
     for src, dst, c in inserted:
         copy = [times(x, c) for x in rows[src % len(rows)]]
@@ -217,10 +229,10 @@ def _assert_minor_table_matches(rows, inserted):
 
 def _assert_table_matches(rows, integer_rows):
     """``_minor_table`` of ``integer_rows`` against sympy's minors of the
-    ``Poly`` ``rows`` they are positive multiples of: packed integers, read
-    back as coefficient tuples at the table's width over Z[w], or integers
-    of width 0 over Z, keyed by plane numbers (the first row is plane
-    1)."""
+    ``rows`` of coefficient tuples they are positive multiples of: packed
+    integers, read back as coefficient tuples at the table's width over
+    Z[w], or integers of width 0 over Z, keyed by plane numbers (the first
+    row is plane 1)."""
     planes = range(1, len(rows) + 1)
     elems = dict(zip(planes, _in_qq_w(rows)))
 
@@ -256,8 +268,8 @@ def _assert_table_matches(rows, integer_rows):
 
 def _random_family(rng: random.Random) -> ParamArrangement:
     while True:
-        forms = [[Poly([rng.randint(-2, 2), rng.randint(-1, 1)])
-                  if rng.random() < 0.6 else Poly() for _ in range(4)]
+        forms = [[(rng.randint(-2, 2), rng.randint(-1, 1))
+                  if rng.random() < 0.6 else () for _ in range(4)]
                  for _ in range(rng.randint(4, 8))]
         try:
             return oracles.family(forms)
@@ -290,7 +302,7 @@ def test_scaling_the_forms_changes_no_answer(family):
     factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
                         rng.randint(1, 12)) for _ in family.rows]
     scaled = parse_equation("".join(
-        f"({LinearForm([times(Poly(x), c) for x in row]).text()})"
+        form_text([times(x, c) for x in row])
         for row, c in zip(family.rows, factors)))
     assert scaled.rows == tuple(
         row if c > 0 else tuple(tuple(-x for x in p) for p in row)
@@ -472,7 +484,7 @@ def _assert_scan_matches_fiber_profiles(family):
 @settings(max_examples=50, deadline=None)
 @given(affine_rows)
 def test_scan_profiles_match_fiber_elimination(pairs):
-    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
+    forms = [[(a, b) for a, b in row] for row in pairs]
     try:
         family = oracles.family(forms)
     except ValueError:
@@ -620,7 +632,7 @@ def test_mask_lookups_match_set_lookups_on_the_families(text):
 @settings(max_examples=40, deadline=None)
 @given(affine_rows)
 def test_mask_lookups_match_set_lookups(pairs):
-    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
+    forms = [[(a, b) for a, b in row] for row in pairs]
     try:
         family = oracles.family(forms)
     except ValueError:
@@ -691,7 +703,7 @@ def test_fiber_read_off_the_table_at_each_sigma_value(text):
 @settings(max_examples=50, deadline=None)
 @given(affine_rows)
 def test_fiber_read_off_the_table(pairs):
-    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
+    forms = [[(a, b) for a, b in row] for row in pairs]
     try:
         family = oracles.family(forms)
     except ValueError:
@@ -774,7 +786,7 @@ def test_special_profiles_are_the_profiles_from_scratch(text):
 @settings(max_examples=40, deadline=None)
 @given(affine_rows)
 def test_special_profiles_are_the_profiles_from_scratch_at_random(pairs):
-    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
+    forms = [[(a, b) for a, b in row] for row in pairs]
     try:
         family = oracles.family(forms)
     except ValueError:
@@ -783,7 +795,7 @@ def test_special_profiles_are_the_profiles_from_scratch_at_random(pairs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(affine_rows.map(lambda pairs: [[Poly([a, b]) for a, b in row]
+@given(st.one_of(affine_rows.map(lambda pairs: [[(a, b) for a, b in row]
                                                 for row in pairs]),
                  poly_rows, big_poly_rows))
 def test_packed_coprimality_shortcut_matches_the_prs(rows):
@@ -792,8 +804,6 @@ def test_packed_coprimality_shortcut_matches_the_prs(rows):
     sequence finds their gcd constant or all of them 0; a set it keeps gets
     GCDHEU's candidate at that width, the same gcd whenever it passes its
     division test."""
-    rows = [[x if isinstance(x, Poly) else Poly([x]) for x in r]
-            for r in rows]
     try:
         table, k = incidence._minor_table([integer_row(r) for r in rows])
     except incidence.CoincidentPlanes:
@@ -947,7 +957,7 @@ def test_diff_matches_brute_force_on_the_families(text):
 @settings(max_examples=60, deadline=None)
 @given(affine_rows)
 def test_diff_matches_brute_force(pairs):
-    forms = [[Poly([a, b]) for a, b in row] for row in pairs]
+    forms = [[(a, b) for a, b in row] for row in pairs]
     try:
         family = oracles.family(forms)
     except ValueError:

@@ -9,9 +9,14 @@ from pathlib import Path
 from octic import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+# with an equation without w, whose profile the tracer files as special,
+# and a sigma with unresolved factors, so that the tracer reads the degrees
+# of constant and of moving rows
 COMMANDS = [["sigma", "NewP41"], ["incidence", "NewP41", "--at", "1"],
             ["classify", "NewP41"], ["resolve", "NewP41"],
-            ["ss", "seven-lines"]]
+            ["ss", "seven-lines"], ["incidence", "xyzt(x+y+z+t)(x-y+2z-2t)"],
+            ["sigma", "xyzt(x+y+z+t)(x-y+2z-2t)(2wx-y-2wy+z+2wz-2t-wt)"
+                      "(-2wx+y-wy-z+2wz-t+wt)"]]
 
 
 def _tracer_module():
@@ -33,9 +38,9 @@ def test_commands_run_under_the_benchmark_tracer(capsys):
     assert cli.main is main
     spans = tracer.per_name()
     for name in ("cli.main", "incidence.profile.generic",
-                 "incidence.degenerate_values", "classify.classify_local",
-                 "resolve.trace_central_fiber", "specseq.build_d1",
-                 "exact.rank"):
+                 "incidence.profile.special", "incidence.degenerate_values",
+                 "classify.classify_local", "resolve.trace_central_fiber",
+                 "specseq.build_d1", "exact.rank"):
         assert spans[name][0] > 0, name
     assert tracer.counts["resolve.steps"] > 0
     assert tracer.counts["resolve.trace.completed"] == 1
