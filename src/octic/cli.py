@@ -384,6 +384,31 @@ def _trace_scenario(data):
     return sched, trace, residual
 
 
+def limit_report(data, base: Path):
+    """The limit report of a scenario, the way ``ss`` builds it: the
+    semistable model's components, its E1 page, the E2 report and the
+    cycle model (or None).  The model is built from the stored residual,
+    else from the traced one, and the scenario's ``y_betti``."""
+    y_betti = data.get("y_betti")
+    if not y_betti:
+        raise semistable.UnsupportedConfiguration(
+            "scenario has no y_betti; the semistable model needs the "
+            "resolved threefold's Betti numbers")
+    _expect_list(y_betti, int, "y_betti")
+    if data.get("residual") is not None:
+        residual = residual_from_json(_referenced(data, base, "residual"))
+    else:
+        _, _, residual = _trace_scenario(data)
+    complex_ = semistable.build_components(residual, tuple(y_betti))
+    e1 = specseq.assemble_e1(complex_)
+    cm_data = _referenced(data, base, "cycle_model")
+    cm = cycle_model_from_json(cm_data) if cm_data else None
+    annotations = annotations_from_json(
+        _referenced(data, base, "annotations") or [])
+    d1 = specseq.build_d1(e1, cm=cm, annotations=annotations)
+    return complex_, e1, specseq.compute_e2(e1, d1), cm
+
+
 def directives_from_json(data) -> dict:
     """A scenario's transcribed steps by center name (``resolve`` reads
     them): lists of surface-label lists under ``targets`` and ``pinches``,
@@ -418,18 +443,16 @@ def cmd_incidence(args):
     def text():
         lines = [f"{payload['planes']} planes"
                  + ("" if at is None else f" at w = {payload['at']}")]
-        if prof.lines:
-            lines.append("lines:")
-            for l in prof.lines:
-                lines.append(f"  planes {{{','.join(map(str, l.planes))}}}"
-                             f"  q={l.q}")
+        # any two of the 3 to 8 distinct planes meet in a listed line
+        lines.append("lines:")
+        for l in prof.lines:
+            lines.append(f"  planes {{{','.join(map(str, l.planes))}}}"
+                         f"  q={l.q}")
         if prof.points:
             lines.append("points:")
             for pt in prof.points:
                 lines.append(f"  planes {{{','.join(map(str, pt.planes))}}}"
                              f"  p={pt.p} j={pt.j}")
-        if not prof.lines and not prof.points:
-            lines.append("no multiple lines or points beyond general position")
         if "octic" in payload:
             lines.append("octic: " + ("yes" if payload["octic"] else "no"))
         return "\n".join(lines)
@@ -439,15 +462,14 @@ def cmd_incidence(args):
 def cmd_sigma(args):
     data, equation = scenario_or_equation(args.equation)
     scan = incidence.degenerate_values(parse_equation(equation))
-    ordered = sorted(scan.values, key=lambda v: v.w0)
     values = {fraction_str(v.w0): _classify_value(scan.generic, v)
-              for v in ordered}
+              for v in scan.values}
     payload = {
         "equation": equation,
         "sigma": list(values),
         "classification": values,
         "fatal": [{"w": fraction_str(f.w0), "reason": f.reason}
-                  for f in sorted(scan.fatal, key=lambda f: f.w0)],
+                  for f in scan.fatal],
     }
     if scan.unresolved:
         payload["unresolved"] = list(map(poly_str, scan.unresolved))
@@ -539,23 +561,20 @@ def cmd_reduce(args):
     sched, trace, residual = _trace_scenario(data)
     payload = {
         "scenario": data.get("name", args.scenario),
-        "steps": [{"center": center.to_json(),
-                   "events": [e.to_json() for e in
-                              trace[i + 1].events[len(trace[i].events):]]}
-                  for i, center in enumerate(sched.steps)],
+        "steps": [{"center": center.to_json(), "events": d.events}
+                  for center, d in zip(sched.steps, trace[1:])],
         "residual": residual.to_json(),
         "pinches": list(residual.pinch_multiset()),
     }
 
     def text():
         lines = []
-        for i, (center, step) in enumerate(zip(sched.steps, payload["steps"])):
+        for i, (center, d) in enumerate(zip(sched.steps, trace[1:])):
             lines.append(f"step {i + 1}: {center.name} ({center.kind})")
-            for j in step["events"]:
+            for j in d.events:
                 detail = ", ".join(f"{k}={j[k]}" for k in sorted(j)
                                    if k != "event")
-                kind = j.get("event", "?")
-                lines.append(f"  {kind}: {detail}" if detail else f"  {kind}")
+                lines.append(f"  {j['event']}: {detail}")
         lines.append(f"residual pinch multiset: {payload['pinches']}, "
                      f"nodes: {residual.nodes}")
         return "\n".join(lines)
@@ -564,25 +583,7 @@ def cmd_reduce(args):
 
 def cmd_ss(args):
     data, base = find_scenario(args.scenario)
-    y_betti = data.get("y_betti")
-    if not y_betti:
-        raise semistable.UnsupportedConfiguration(
-            "scenario has no y_betti; the semistable model needs the "
-            "resolved threefold's Betti numbers")
-    _expect_list(y_betti, int, "y_betti")
-    if data.get("residual") is not None:
-        residual = residual_from_json(_referenced(data, base, "residual"))
-    else:
-        _, _, residual = _trace_scenario(data)
-    complex_ = semistable.build_components(residual, tuple(y_betti))
-    e1 = specseq.assemble_e1(complex_)
-    cm_data = _referenced(data, base, "cycle_model")
-    cm = cycle_model_from_json(cm_data) if cm_data else None
-    annotations = annotations_from_json(
-        _referenced(data, base, "annotations") or [])
-    d1 = specseq.build_d1(e1, cm=cm, annotations=annotations)
-    report = specseq.compute_e2(e1, d1)
-
+    complex_, e1, report, _ = limit_report(data, base)
     payload = report.to_json()
     n, dbl, tri = complex_.counts()
     payload["scenario"] = data.get("name", args.scenario)

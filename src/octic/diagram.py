@@ -9,6 +9,11 @@ consumes one blow-up step described by a :class:`CenterContext` and
 returns the rewritten diagram; the geometric analysis that decides which
 rewrite applies lives in :mod:`octic.resolve`.  The diagram reads no
 coordinates and marks no points: a pinch is counted on its curve.
+
+Each diagram of a trace carries the events of the step that made it, at
+most two, as the plain dicts ``reduce`` prints (a new exceptional surface,
+a split component, a pinch, a node pair), so a step's record is its
+center and its diagram's ``events``; the initial diagram has none.
 """
 
 from __future__ import annotations
@@ -93,54 +98,6 @@ class DiagramCurve:
 
 
 # ---------------------------------------------------------------------------
-# events
-
-
-@dataclass(frozen=True)
-class NewExceptionalSurface:
-    center: str
-    label: str
-
-    def to_json(self):
-        return {"event": "new_exceptional_surface", "center": self.center,
-                "label": self.label}
-
-
-@dataclass(frozen=True)
-class SplitComponent:
-    center: str
-    parent: str
-    label: str
-    over: str
-
-    def to_json(self):
-        return {"event": "split_component", "center": self.center,
-                "parent": self.parent, "label": self.label, "over": self.over}
-
-
-@dataclass(frozen=True)
-class NewPinch:
-    center: str
-    curve: int
-    count: int = 1
-
-    def to_json(self):
-        return {"event": "new_pinch", "center": self.center,
-                "curve": self.curve, "count": self.count}
-
-
-@dataclass(frozen=True)
-class NewNodePair:
-    center: str
-    count: int
-    marker: str
-
-    def to_json(self):
-        return {"event": "new_node_pair", "center": self.center,
-                "count": self.count, "marker": self.marker}
-
-
-# ---------------------------------------------------------------------------
 # step description handed over by the driver
 
 
@@ -184,16 +141,16 @@ class CenterContext:
 class Diagram:
     surfaces: dict = field(default_factory=dict)   # label -> Surface
     curves: dict = field(default_factory=dict)     # id -> DiagramCurve
-    events: list = field(default_factory=list)
+    events: list = field(default_factory=list)     # the step's, as dicts
     triple_meetings: list = field(default_factory=list)  # [(cid, cid, cid)]
     nodes: int = 0
     next_curve_id: int = 0
 
     def clone(self) -> "Diagram":
+        """A copy to rewrite, with no events: each step records its own."""
         return Diagram(
             surfaces=dict(self.surfaces),
             curves=dict(self.curves),
-            events=list(self.events),
             triple_meetings=list(self.triple_meetings),
             nodes=self.nodes,
             next_curve_id=self.next_curve_id,
@@ -250,7 +207,8 @@ class Diagram:
                 raise RuleConflict(
                     "pinch emitted on %s curve %s" % (c.kind, c.label))
             self.curves[cid] = replace(c, pinch_count=c.pinch_count + count)
-            self.events.append(NewPinch(ctx.name, cid, count))
+            self.events.append({"event": "new_pinch", "center": ctx.name,
+                                "curve": cid, "count": count})
 
 
 def initial_diagram(prof: IncidenceProfile) -> Diagram:
@@ -268,9 +226,11 @@ def initial_diagram(prof: IncidenceProfile) -> Diagram:
 
 
 def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
-    """Rewrite ``d`` by one blow-up step; returns a new diagram.
+    """Rewrite ``d`` by one blow-up step; returns a new diagram, whose
+    ``events`` are this step's and no earlier one's.
 
-    Emits at most two events.  Rewrites:
+    Records at most two events, each the dict ``reduce`` prints: its
+    ``event`` name, the ``center`` and what the step made.  Rewrites:
 
     * ``plain_even``   separation only; may fire pinches on split curves
     * ``plain_odd``    new exceptional tower with its traces/sections/fibers
@@ -279,7 +239,6 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
                        nodes, resolved on a ``NODE_MARKER`` surface
     """
     out = d.clone()
-    events_before = len(out.events)
 
     if ctx.rewrite == PLAIN_EVEN:
         for cid in ctx.target_curves:
@@ -289,7 +248,8 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
     elif ctx.rewrite == PLAIN_ODD:
         label = ctx.tower_label
         out.add_surface(Surface(label=label, origin=EXCEPTIONAL))
-        out.events.append(NewExceptionalSurface(ctx.name, label))
+        out.events.append({"event": "new_exceptional_surface",
+                           "center": ctx.name, "label": label})
         for cid in ctx.target_curves:
             out._remove_curve(cid)
         for p in ctx.tower_traces:
@@ -308,7 +268,8 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
         over = ctx.split_over
         label = out.next_prime_label(parent)
         out.add_surface(Surface(label=label, origin=SPLIT, parent=parent))
-        out.events.append(SplitComponent(ctx.name, parent, label, over))
+        out.events.append({"event": "split_component", "center": ctx.name,
+                           "parent": parent, "label": label, "over": over})
         for cid in ctx.target_curves:
             out._remove_curve(cid)
         split_cid = out.add_curve((parent, label), SPLIT_CURVE,
@@ -333,9 +294,10 @@ def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
         for cid in ctx.target_curves:
             out._remove_curve(cid)
         out.nodes += 2
-        out.events.append(NewNodePair(ctx.name, 2, NODE_MARKER))
+        out.events.append({"event": "new_node_pair", "center": ctx.name,
+                           "count": 2, "marker": NODE_MARKER})
 
-    if len(out.events) - events_before > 2:
+    if len(out.events) > 2:
         raise RuleConflict("blow-up step emitted more than two events")
     return out
 

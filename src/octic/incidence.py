@@ -631,11 +631,13 @@ def profile_diff(
     every changed point are reported on their own.
 
     Only the new lines and points of ``special``, which it lists, are
-    visited: every other record is ``generic``'s own.  Of the points, only
-    those with p >= 4 or j >= 1 count.  The generic points inside one are
-    the generic stars of the triples of its planes, so its sources are
-    found there rather than among all generic points.  No other test of a
-    change runs: an empty list means the same incidences.
+    visited: every other record is ``generic``'s own.  Each new point has
+    p >= 4 or j >= 1: it is the star of a triple grown by a dependent
+    quadruple, or a point whose j rose on a new triple line.  The generic
+    points inside one are the generic stars of the triples of its planes,
+    so its sources are found there rather than among all generic points.
+    No other test of a change runs: an empty list means the same
+    incidences.
     """
     if special._base is not generic:
         raise ValueError("the special profile is not a fiber folded from "
@@ -662,8 +664,6 @@ def profile_diff(
     changes: list[NewIncidence] = []
     claimed_line_sets: set[tuple[int, ...]] = set()
     for s in points:
-        if s.p < 4 and s.j < 1:
-            continue
         notable = sources(s)
         lines_here = tuple(
             l.planes for l in new_lines if l.mask & s.mask == l.mask
@@ -722,6 +722,9 @@ class FatalValue:
 
 @dataclass(frozen=True)
 class DegenerationScan:
+    """What ``degenerate_values`` found: the degenerate and the fatal
+    values, each in increasing ``w0``."""
+
     values: tuple[DegenerateValue, ...]
     fatal: tuple[FatalValue, ...]
     generic: IncidenceProfile  # the profile each value was compared with

@@ -12,6 +12,14 @@ The multiplicities stay here: a step reaches the diagram as a
 :class:`~octic.diagram.CenterContext` naming only the rewrite and the
 curves, surfaces, pinches and node pairs it touches.
 
+A trace step is one record: its :class:`Center`, whose kind, phase and
+surface labels follow from its role, and the diagram it made, which holds
+that step's events and no earlier one's.  Each rule of the driver picks
+its rewrite and applies it (``_Driver._apply``: the diagram joins the
+trace and the center counts as blown), then records what later rules
+read: the blown points and lines, the pairs flagged for a node rewrite,
+and the pinches pending on later centers.
+
 No coefficient row is read here.  Incidences come from two incidence
 profiles, the generic one the schedule is built from and the central one
 at the traced value, read off the generic one's minor table
@@ -60,6 +68,7 @@ from .diagram import (
     SPLIT_REWRITE,
     CenterContext,
     CenterNotInDiagram,
+    Diagram,
     RuleConflict,
     apply_blowup,
     initial_diagram,
@@ -94,20 +103,47 @@ class TraceAborted(RuntimeError):
 # schedule
 
 
+# each role's kind, its schedule phase, and whether its center is a curve
+# on the tower it names
+_ROLES = {
+    "p5": (FIVEFOLD_POINT, 1, False),
+    "l3": (TRIPLE_LINE, 2, False),
+    "p4": (QUADRUPLE_POINT, 3, False),
+    "pair": (DOUBLE_LINE, 4, False),
+    "trace": (DOUBLE_LINE, 4, True),
+    "section": (DOUBLE_LINE, 4, True),
+    "fiber": (DOUBLE_LINE, 4, True),
+    "meet": (DOUBLE_LINE, 4, False),
+}
+
+
 @dataclass(frozen=True)
 class Center:
-    """One blow-up center, named the way the trace tables name it."""
+    """One blow-up center, named the way the trace tables name it.  Its
+    kind, phase and surface labels follow from its role."""
 
     name: str
-    kind: str        # fivefold_point | triple_line | quadruple_point | double_line
-    phase: int
-    planes: tuple    # surface labels involved
     role: str        # p5 | l3 | p4 | pair | trace | section | fiber | meet
     indices: tuple = ()          # 1-based plane indices (geometric roles)
     point: Optional[tuple] = None    # Vec4 of a point center
-    tower: Optional[str] = None      # exceptional surface this center lives on
+    tower: Optional[str] = None      # tower a p5 or l3 makes, or a curve is on
     base_point: Optional[tuple] = None   # fiber curves: crossing point
     towers: tuple = ()               # meet curves: the two towers
+
+    @property
+    def kind(self) -> str:
+        return _ROLES[self.role][0]
+
+    @property
+    def phase(self) -> int:
+        return _ROLES[self.role][1]
+
+    @property
+    def planes(self) -> tuple:
+        """The surface labels involved: its planes, then the tower a curve
+        lies on or the two towers that meet."""
+        on = (self.tower,) if _ROLES[self.role][2] else ()
+        return tuple("P%d" % i for i in self.indices) + on + self.towers
 
     def to_json(self):
         out = {
@@ -169,11 +205,8 @@ def schedule(generic: incidence.IncidenceProfile,
             continue
         label = next_tower()
         c = Center(
-            name="P" + "".join(str(i) for i in pt.planes),
-            kind=FIVEFOLD_POINT, phase=1,
-            planes=tuple("P%d" % i for i in pt.planes),
-            role="p5", indices=pt.planes, point=generic.point_vector(pt),
-            tower=label)
+            name="P" + "".join(str(i) for i in pt.planes), role="p5",
+            indices=pt.planes, point=generic.point_vector(pt), tower=label)
         p5_centers.append(c)
         centers.append(c)
 
@@ -183,42 +216,33 @@ def schedule(generic: incidence.IncidenceProfile,
             continue
         label = next_tower()
         c = Center(
-            name="L" + "".join(str(i) for i in line.planes),
-            kind=TRIPLE_LINE, phase=2,
-            planes=tuple("P%d" % i for i in line.planes),
-            role="l3", indices=line.planes, tower=label)
+            name="L" + "".join(str(i) for i in line.planes), role="l3",
+            indices=line.planes, tower=label)
         l3_centers.append(c)
         centers.append(c)
 
     for pt in generic.points:
         if pt.p == 4 and pt.j == 0:
             centers.append(Center(
-                name="P" + "".join(str(i) for i in pt.planes),
-                kind=QUADRUPLE_POINT, phase=3,
-                planes=tuple("P%d" % i for i in pt.planes),
-                role="p4", indices=pt.planes,
-                point=generic.point_vector(pt)))
+                name="P" + "".join(str(i) for i in pt.planes), role="p4",
+                indices=pt.planes, point=generic.point_vector(pt)))
 
     # phase 4: plane-plane double lines, then the tower curves
     for line in generic.lines:
         if line.q != 2:
             continue
-        i, j = line.planes
         centers.append(Center(
-            name="L%d%d" % (i, j), kind=DOUBLE_LINE, phase=4,
-            planes=("P%d" % i, "P%d" % j), role="pair", indices=line.planes))
+            name="L%d%d" % line.planes, role="pair", indices=line.planes))
     for c in p5_centers:
         for i in c.indices:
             centers.append(Center(
-                name="L%d%s" % (i, c.tower), kind=DOUBLE_LINE, phase=4,
-                planes=("P%d" % i, c.tower), role="trace",
-                indices=(i,), tower=c.tower))
+                name="L%d%s" % (i, c.tower), role="trace", indices=(i,),
+                tower=c.tower))
     for c in l3_centers:
         for i in c.indices:
             centers.append(Center(
-                name="L%d%s" % (i, c.tower), kind=DOUBLE_LINE, phase=4,
-                planes=("P%d" % i, c.tower), role="section",
-                indices=(i,), tower=c.tower))
+                name="L%d%s" % (i, c.tower), role="section", indices=(i,),
+                tower=c.tower))
     for c in l3_centers:
         for j in range(1, generic.n_forms + 1):
             if j in c.indices:
@@ -228,16 +252,13 @@ def schedule(generic: incidence.IncidenceProfile,
             if crossing.p == 5:
                 continue  # separated with the fivefold point
             centers.append(Center(
-                name="L%d%s" % (j, c.tower), kind=DOUBLE_LINE, phase=4,
-                planes=("P%d" % j, c.tower), role="fiber",
-                indices=(j,), tower=c.tower,
-                base_point=generic.point_vector(crossing)))
+                name="L%d%s" % (j, c.tower), role="fiber", indices=(j,),
+                tower=c.tower, base_point=generic.point_vector(crossing)))
     for cp in p5_centers:
         for cl in l3_centers:
             if set(cl.indices) <= set(cp.indices):
                 centers.append(Center(
-                    name="L%s%s" % (cp.tower, cl.tower), kind=DOUBLE_LINE,
-                    phase=4, planes=(cp.tower, cl.tower), role="meet",
+                    name="L%s%s" % (cp.tower, cl.tower), role="meet",
                     point=cp.point, towers=(cp.tower, cl.tower)))
 
     known = {c.name for c in centers}
@@ -298,7 +319,7 @@ class _Driver:
     def _virgin(self, pt: incidence.MultiplePoint) -> bool:
         return all(bp["point"].mask != pt.mask for bp in self.blown_points)
 
-    # -- rule applications ---------------------------------------------------
+    # -- rules: each applies its own rewrite, then records what it blew up --
 
     def run(self):
         for c in self.sched.steps:
@@ -312,46 +333,42 @@ class _Driver:
     def _step(self, c: Center):
         try:
             if c.name in self.directives:
-                ctx, post = self._directive_ctx(c, self.directives[c.name])
+                self._directive(c, self.directives[c.name])
+            elif c.role == "p5":
+                self._point_tower(c)
+            elif c.role == "l3":
+                self._line_tower(c)
+            elif c.role == "p4":
+                self._quadruple(c)
+            elif c.role == "pair":
+                self._pair(c)
             else:
-                ctx, post = self._auto_ctx(c)
-            new_d = apply_blowup(self.d, ctx)
+                self._tower_curve(c)
         except (RuleConflict, CenterNotInDiagram) as e:
             raise TraceAborted(c.name, str(e), self.trace) from e
-        self.d = new_d
-        self.trace.append(new_d)
-        self.blown.add(c.name)
-        if post is not None:
-            post(new_d)
 
-    def _auto_ctx(self, c: Center):
-        if c.role == "p5":
-            return self._point_tower_ctx(c)
-        if c.role == "l3":
-            return self._line_tower_ctx(c)
-        if c.role == "p4":
-            return self._quadruple_ctx(c)
-        if c.role == "pair":
-            return self._pair_ctx(c)
-        return self._tower_curve_ctx(c)
+    def _apply(self, ctx: CenterContext) -> Diagram:
+        """Rewrite the diagram by one step: the new diagram joins the trace
+        and the center joins ``blown``, before the rule records anything."""
+        self.d = apply_blowup(self.d, ctx)
+        self.trace.append(self.d)
+        self.blown.add(ctx.name)
+        return self.d
 
-    def _point_tower_ctx(self, c: Center):
+    def _point_tower(self, c: Center):
         pt = self._central_point(c)
         if pt.p != 5:
             raise RuleConflict(
                 "fivefold point %s has central multiplicity %d"
                 % (c.name, pt.p))
-        ctx = CenterContext(
+        self._apply(CenterContext(
             name=c.name, rewrite=PLAIN_ODD, tower_label=c.tower,
-            tower_traces=c.planes)
+            tower_traces=c.planes))
+        self.blown_points.append({
+            "point": pt, "jump": False, "tower": c.tower, "parent": None,
+            "split_label": None})
 
-        def post(_):
-            self.blown_points.append({
-                "name": c.name, "point": pt, "jump": False,
-                "tower": c.tower, "parent": None, "split_label": None})
-        return ctx, post
-
-    def _line_tower_ctx(self, c: Center):
+    def _line_tower(self, c: Center):
         line = self.central.line_through(c.indices)
         if line.q != 3:
             raise RuleConflict(
@@ -365,26 +382,21 @@ class _Driver:
             and c.tower in s.towers
             for t in s.towers if t != c.tower)
         target = self._resolve_curve(c.planes)
-        ctx = CenterContext(
+        self._apply(CenterContext(
             name=c.name, rewrite=PLAIN_ODD,
             tower_label=c.tower, target_curves=(target,),
-            tower_sections=c.planes, tower_fibers=fibers, tower_meets=meets)
+            tower_sections=c.planes, tower_fibers=fibers, tower_meets=meets))
+        self.blown_lines[line.mask] = {"jump": False, "name": c.name}
 
-        def post(_):
-            self.blown_lines[line.mask] = {"jump": False, "name": c.name}
-        return ctx, post
-
-    def _quadruple_ctx(self, c: Center):
+    def _quadruple(self, c: Center):
         pt = self._central_point(c)
         if pt.p == 4:
-            ctx = CenterContext(
-                name=c.name, rewrite=PLAIN_EVEN, pinches=self._fire(c.name))
-
-            def post(_):
-                self.blown_points.append({
-                    "name": c.name, "point": pt, "jump": False,
-                    "tower": None, "parent": None, "split_label": None})
-            return ctx, post
+            self._apply(CenterContext(
+                name=c.name, rewrite=PLAIN_EVEN, pinches=self._fire(c.name)))
+            self.blown_points.append({
+                "point": pt, "jump": False, "tower": None, "parent": None,
+                "split_label": None})
+            return
         if pt.p != 5:
             raise RuleConflict(
                 "quadruple point %s has central multiplicity %d"
@@ -396,49 +408,45 @@ class _Driver:
         e = extra.pop()
         parent = "P%d" % e
         label = self.d.next_prime_label(parent)
-        ctx = CenterContext(
+        new_d = self._apply(CenterContext(
             name=c.name, rewrite=SPLIT_REWRITE, split_surface=parent,
             split_over=FIVEFOLD_POINT, section_surfaces=c.planes,
-            pinches=self._fire(c.name))
+            pinches=self._fire(c.name)))
+        split_cid = new_d.curve_by_surfaces((parent, label)).id
+        self._register_crossing_pairs(
+            e, split_cid, tuple(self.blown_lines), point=pt)
+        self.blown_points.append({
+            "point": pt, "jump": True, "tower": None, "parent": parent,
+            "split_label": label})
 
-        def post(new_d):
-            split_cid = new_d.curve_by_surfaces((parent, label)).id
-            self._register_crossing_pairs(
-                e, split_cid, tuple(self.blown_lines), point=pt)
-            self.blown_points.append({
-                "name": c.name, "point": pt, "jump": True,
-                "tower": None, "parent": parent, "split_label": label})
-        return ctx, post
-
-    def _pair_ctx(self, c: Center):
+    def _pair(self, c: Center):
         if c.name in self.flagged:
             target = self._resolve_curve(c.planes)
             if self.pending.get(c.name):
                 raise RuleConflict("pinch attribution on a node pair %s" % c.name)
-            ctx = CenterContext(
-                name=c.name, rewrite=NODE_PAIR, target_curves=(target,))
-            return ctx, None
+            self._apply(CenterContext(
+                name=c.name, rewrite=NODE_PAIR, target_curves=(target,)))
+            return
         line = self.central.line_through(c.indices)
         if line.mask in self.blown_lines:
-            return self._successor_ctx(c, line)
-        if line.q == 2:
-            return self._plain_pair_ctx(c, line)
-        if line.q == 3:
-            return self._jump_ctx(c, line)
-        raise RuleConflict(
-            "double line %s has central multiplicity %d" % (c.name, line.q))
+            self._successor(c, line)
+        elif line.q == 2:
+            self._plain_pair(c, line)
+        elif line.q == 3:
+            self._jump(c, line)
+        else:
+            raise RuleConflict(
+                "double line %s has central multiplicity %d"
+                % (c.name, line.q))
 
-    def _plain_pair_ctx(self, c: Center, line: incidence.MultipleLine):
+    def _plain_pair(self, c: Center, line: incidence.MultipleLine):
         target = self._resolve_curve(c.planes)
-        ctx = CenterContext(
+        self._apply(CenterContext(
             name=c.name, rewrite=PLAIN_EVEN,
-            target_curves=(target,), pinches=self._fire(c.name))
-
-        def post(_):
-            prior = tuple(self.blown_lines)
-            self.blown_lines[line.mask] = {"jump": False, "name": c.name}
-            self._node_scan(c, line, prior)
-        return ctx, post
+            target_curves=(target,), pinches=self._fire(c.name)))
+        prior = tuple(self.blown_lines)
+        self.blown_lines[line.mask] = {"jump": False, "name": c.name}
+        self._node_scan(c, line, prior)
 
     def _node_scan(self, c: Center, line: incidence.MultipleLine, prior):
         # a blown double line may reveal that a later center degenerated
@@ -470,7 +478,7 @@ class _Driver:
             self.flagged.add(c2.name)
             self.flag_points.add(pt.mask)
 
-    def _successor_ctx(self, c: Center, line: incidence.MultipleLine):
+    def _successor(self, c: Center, line: incidence.MultipleLine):
         entry = self.blown_lines[line.mask]
         if not entry.get("jump"):
             raise RuleConflict(
@@ -486,12 +494,11 @@ class _Driver:
             cv = self.d.curve_by_surfaces(("P%d" % x, piece.label))
             if cv is not None:
                 targets.append(cv.id)
-        ctx = CenterContext(
+        self._apply(CenterContext(
             name=c.name, rewrite=PLAIN_EVEN,
-            target_curves=tuple(targets), pinches=self._fire(c.name))
-        return ctx, None
+            target_curves=tuple(targets), pinches=self._fire(c.name)))
 
-    def _jump_ctx(self, c: Center, line: incidence.MultipleLine):
+    def _jump(self, c: Center, line: incidence.MultipleLine):
         e = (set(line.planes) - set(c.indices)).pop()
         parent = "P%d" % e
         label = self.d.next_prime_label(parent)
@@ -503,49 +510,45 @@ class _Driver:
             if bp["jump"] and bp["parent"] == parent:
                 fiber_with = bp["split_label"]
                 break
-        ctx = CenterContext(
+        new_d = self._apply(CenterContext(
             name=c.name, rewrite=SPLIT_REWRITE,
             split_surface=parent, split_over=TRIPLE_LINE,
             target_curves=(target,),
             section_surfaces=c.planes, fiber_with=fiber_with,
-            pinches=self._fire(c.name))
-
-        def post(new_d):
-            prior = tuple(self.blown_lines)
-            self.blown_lines[line.mask] = {
-                "jump": True, "extra": e, "parent": parent, "name": c.name}
-            split_cid = new_d.curve_by_surfaces((parent, label)).id
-            successors = [
-                c2 for c2 in self.sched.steps
-                if c2.role == "pair" and c2.name not in self.blown
-                and set(c2.indices) <= set(line.planes)]
-            if fiber_with is not None:
-                fiber_cid = new_d.curve_by_surfaces((fiber_with, label)).id
-                for c2 in successors:
-                    self.pending.setdefault(c2.name, []).append(fiber_cid)
+            pinches=self._fire(c.name)))
+        prior = tuple(self.blown_lines)
+        self.blown_lines[line.mask] = {"jump": True, "extra": e, "name": c.name}
+        split_cid = new_d.curve_by_surfaces((parent, label)).id
+        successors = [
+            c2 for c2 in self.sched.steps
+            if c2.role == "pair" and c2.name not in self.blown
+            and set(c2.indices) <= set(line.planes)]
+        if fiber_with is not None:
+            fiber_cid = new_d.curve_by_surfaces((fiber_with, label)).id
+            for c2 in successors:
+                self.pending.setdefault(c2.name, []).append(fiber_cid)
+        else:
+            # a pinch needs a blown point on the line to sit over; it
+            # goes to a successor whose generic line does not move
+            constant = [
+                c2 for c2 in successors
+                if all(len(p) <= 1 for v in self.generic.line_basis(
+                    self.generic.line_through(c2.indices)) for p in v)
+            ] if points_on else []
+            if constant:
+                self.pending.setdefault(
+                    constant[0].name, []).append(split_cid)
             else:
-                # a pinch needs a blown point on the line to sit over; it
-                # goes to a successor whose generic line does not move
-                constant = [
-                    c2 for c2 in successors
-                    if all(len(p) <= 1 for v in self.generic.line_basis(
-                        self.generic.line_through(c2.indices)) for p in v)
-                ] if points_on else []
-                if constant:
-                    self.pending.setdefault(
-                        constant[0].name, []).append(split_cid)
-                else:
-                    for bp in points_on:
-                        if bp["tower"] is None:
-                            continue
-                        trace_name = "L%d%s" % (e, bp["tower"])
-                        if any(s.name == trace_name for s in self.sched.steps) \
-                                and trace_name not in self.blown:
-                            self.pending.setdefault(
-                                trace_name, []).append(split_cid)
-                            break
-            self._register_crossing_pairs(e, split_cid, prior, line=line)
-        return ctx, post
+                for bp in points_on:
+                    if bp["tower"] is None:
+                        continue
+                    trace_name = "L%d%s" % (e, bp["tower"])
+                    if any(s.name == trace_name for s in self.sched.steps) \
+                            and trace_name not in self.blown:
+                        self.pending.setdefault(
+                            trace_name, []).append(split_cid)
+                        break
+        self._register_crossing_pairs(e, split_cid, prior, line=line)
 
     def _register_crossing_pairs(self, e: int, split_cid: int, prior,
                                  point=None, line=None):
@@ -575,7 +578,7 @@ class _Driver:
                 continue
             self.pending.setdefault(c2.name, []).append(split_cid)
 
-    def _tower_curve_ctx(self, c: Center):
+    def _tower_curve(self, c: Center):
         if c.role == "fiber":
             # the curve's base point is where plane j crosses the tower's
             # triple line L, which is still a triple line at w0
@@ -592,14 +595,13 @@ class _Driver:
                         % (c.name, c2.name, incidence.point_text(
                             self.central.point_vector(base))))
         target = self._resolve_curve(c.planes)
-        ctx = CenterContext(
+        self._apply(CenterContext(
             name=c.name, rewrite=PLAIN_EVEN,
-            target_curves=(target,), pinches=self._fire(c.name))
-        return ctx, None
+            target_curves=(target,), pinches=self._fire(c.name)))
 
     # -- transcribed steps ---------------------------------------------------
 
-    def _directive_ctx(self, c: Center, spec: dict):
+    def _directive(self, c: Center, spec: dict):
         targets = tuple(self._resolve_curve(tuple(labels))
                         for labels in spec.get("targets", ()))
         counts = Counter(self.pending.pop(c.name, ()))
@@ -611,8 +613,7 @@ class _Driver:
             ctx = CenterContext(
                 name=c.name, rewrite=PLAIN_EVEN,
                 target_curves=targets, pinches=pinches)
-            return ctx, None
-        if rewrite == "split":
+        elif rewrite == "split":
             over = spec.get("over")
             if over not in (TRIPLE_LINE, FIVEFOLD_POINT):
                 raise RuleConflict(
@@ -624,9 +625,11 @@ class _Driver:
                 target_curves=targets,
                 section_surfaces=tuple(spec.get("sections", ())),
                 fiber_with=spec.get("fiber_with"), pinches=pinches)
-            return ctx, None
-        raise RuleConflict(
-            "transcribed step %s has unknown rewrite %r" % (c.name, rewrite))
+        else:
+            raise RuleConflict(
+                "transcribed step %s has unknown rewrite %r"
+                % (c.name, rewrite))
+        self._apply(ctx)
 
 
 def trace_central_fiber(a: ParamArrangement, w0, s: BlowUpSchedule,

@@ -30,23 +30,12 @@ from octic.forms import parse_equation
 EXAMPLES = ["two-nodes", "four-pinches", "seven-lines"]
 
 
-def limit(name):
-    """Build the limit report for a bundled example the way ``ss`` does."""
-    data, base = cli.find_scenario(name)
-    residual = cli.residual_from_json(cli._referenced(data, base, "residual"))
-    complex_ = semistable.build_components(residual, tuple(data["y_betti"]))
-    e1 = specseq.assemble_e1(complex_)
-    cm_data = cli._referenced(data, base, "cycle_model")
-    cm = cli.cycle_model_from_json(cm_data) if cm_data else None
-    annotations = cli.annotations_from_json(
-        cli._referenced(data, base, "annotations") or [])
-    d1 = specseq.build_d1(e1, cm=cm, annotations=annotations)
-    return complex_, e1, specseq.compute_e2(e1, d1), cm
-
-
 @pytest.fixture(scope="module")
 def limits():
-    return {name: limit(name) for name in EXAMPLES}
+    """The limit report of each bundled example, built as ``ss`` builds
+    it."""
+    return {name: cli.limit_report(*cli.find_scenario(name))
+            for name in EXAMPLES}
 
 
 def _dims(g):

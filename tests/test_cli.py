@@ -269,6 +269,16 @@ def test_incidence_on_raw_equation(capsys):
     assert "p=4" in out
 
 
+@pytest.mark.parametrize("equation, verdict", [
+    ("xyzt(x+y+z+t)(x-y+2z-2t)(2x+y-z+3t)(3x+y-2z+5t)", "yes"),
+    ("xy(x+y)(x+2y)zt(x+z)(y+z)", "no")])  # four planes through x = y = 0
+def test_incidence_text_says_whether_eight_planes_are_octic(capsys, equation,
+                                                           verdict):
+    code, out, _ = run(capsys, "incidence", equation)
+    assert code == 0
+    assert out.splitlines()[-1] == "octic: " + verdict
+
+
 def test_incidence_scenario_name_uses_its_fiber(capsys):
     code, out, _ = run(capsys, "incidence", "NewP40", "--json")
     assert code == 0

@@ -49,7 +49,6 @@ def test_trace_produces_clones_not_aliases():
     trace, _ = trace_central_fiber(a, Fraction(0), s)
     ids = [id(d) for d in trace]
     assert len(set(ids)) == len(ids)
-    assert len(trace[0].events) <= len(trace[-1].events)
 
 
 def test_residual_report_collects_pinches():

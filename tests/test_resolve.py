@@ -220,8 +220,31 @@ def test_step_counts():
         assert len(trace) == want[tag] + 1, tag
 
 
-def test_trace_diagrams_accumulate_events():
-    _, _, trace, _ = _run("TwoP41toP51")
-    counts = [len(d.events) for d in trace]
-    assert counts == sorted(counts)
-    assert counts[-1] > 0
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_each_step_records_its_own_events(tag):
+    """A diagram of the trace holds the events of the step that made it and
+    no earlier one's: at most two, each naming that step's center."""
+    _, s, trace, _ = _run(tag)
+    assert trace[0].events == []
+    for c, d in zip(s.steps, trace[1:]):
+        assert len(d.events) <= 2, c.name
+        assert [e["center"] for e in d.events] == [c.name] * len(d.events)
+    assert any(d.events for d in trace)
+
+
+def test_center_kind_phase_and_planes_follow_from_its_role():
+    """What ``reduce`` prints of a center: the surface labels its name
+    spells, and the kind and phase of its role."""
+    want = {"p5": ("fivefold_point", 1), "l3": ("triple_line", 2),
+            "p4": ("quadruple_point", 3)}
+    roles = set()
+    for tag in ("P51toP52", "TwoP41toP51", "P40toP41"):
+        for c in _run(tag)[1].steps:
+            roles.add(c.role)
+            labels = ["P" + ch if ch.isdigit() else ch for ch in c.name[1:]]
+            out = c.to_json()
+            assert out["planes"] == labels, c.name
+            assert (out["kind"], out["phase"]) == \
+                want.get(c.role, ("double_line", 4)), c.name
+    assert roles == {"p5", "l3", "p4", "pair", "trace", "section", "fiber",
+                     "meet"}
