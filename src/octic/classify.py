@@ -10,10 +10,10 @@ blow-up engine later recomputes independently; the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from . import Record
 from .incidence import IncidenceProfile, NewIncidence
 
 TRIPLE_LINE = "triple_line"
@@ -31,8 +31,7 @@ class Unclassifiable(ValueError):
         self.change = change
 
 
-@dataclass(frozen=True)
-class DoubleCurve:
+class DoubleCurve(Record):
     """One double curve of the partially resolved central fiber.
 
     ``over`` records what the curve lies over in the branch locus: the
@@ -40,18 +39,18 @@ class DoubleCurve:
     fivefold point.
     """
 
-    pinch_points: int
-    over: str
+    __slots__ = _fields = ("pinch_points", "over")
 
-    def __post_init__(self):
-        if self.pinch_points < 0:
+    def __init__(self, pinch_points: int, over: str):
+        if pinch_points < 0:
             raise ValueError("negative pinch count")
-        if self.over not in (TRIPLE_LINE, FIVEFOLD_POINT):
-            raise ValueError(f"unknown curve location {self.over!r}")
+        if over not in (TRIPLE_LINE, FIVEFOLD_POINT):
+            raise ValueError(f"unknown curve location {over!r}")
+        self.pinch_points = pinch_points
+        self.over = over
 
 
-@dataclass(frozen=True)
-class ResidualSingularities:
+class ResidualSingularities(NamedTuple):
     double_curves: tuple[DoubleCurve, ...] = ()
     nodes: int = 0
     node_surface_marker: Optional[str] = None

@@ -18,9 +18,9 @@ center and its diagram's ``events``; the initial diagram has none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
+from . import Record
 from .classify import (FIVEFOLD_POINT, NODE_MARKER, DoubleCurve,
                        ResidualSingularities)
 from .incidence import IncidenceProfile
@@ -76,15 +76,13 @@ def curve_label(surfaces: Iterable[str]) -> str:
     return "".join(_short(s) for s in sorted(surfaces, key=_surface_key))
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(NamedTuple):
     label: str
     origin: str                      # plane | exceptional | split
     parent: Optional[str] = None     # the plane a split piece came from
 
 
-@dataclass(frozen=True)
-class DiagramCurve:
+class DiagramCurve(NamedTuple):
     id: int
     surfaces: tuple               # sorted surface labels, len >= 2
     kind: str
@@ -101,8 +99,7 @@ class DiagramCurve:
 # step description handed over by the driver
 
 
-@dataclass(frozen=True)
-class CenterContext:
+class CenterContext(Record):
     """Geometric summary of one blow-up step restricted to the central fiber.
 
     The driver compares generic and central multiplicities of the center,
@@ -110,41 +107,70 @@ class CenterContext:
     diagram performs the rewrite without re-deriving any geometry.
     """
 
-    name: str
-    rewrite: str
-    target_curves: tuple = ()                 # curve ids consumed by the step
-    # plain odd blow-ups (new exceptional tower)
-    tower_label: Optional[str] = None
-    tower_traces: tuple = ()                  # planes traced on a point tower
-    tower_sections: tuple = ()                # planes with sections on a line tower
-    tower_fibers: tuple = ()                  # planes with fiber curves on a line tower
-    tower_meets: tuple = ()                   # earlier towers met along a curve
-    # split rewrites
-    split_surface: Optional[str] = None
-    split_over: Optional[str] = None
-    section_surfaces: tuple = ()
-    fiber_with: Optional[str] = None          # earlier split piece joined by a fiber
-    # pinches fired by this step: (curve id, count)
-    pinches: tuple = ()
+    __slots__ = _fields = (
+        "name", "rewrite", "target_curves", "tower_label", "tower_traces",
+        "tower_sections", "tower_fibers", "tower_meets", "split_surface",
+        "split_over", "section_surfaces", "fiber_with", "pinches")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        rewrite: str,
+        target_curves: tuple = (),             # curve ids consumed by the step
+        # plain odd blow-ups (new exceptional tower)
+        tower_label: Optional[str] = None,
+        tower_traces: tuple = (),              # planes traced on a point tower
+        tower_sections: tuple = (),            # planes with sections on a line tower
+        tower_fibers: tuple = (),              # planes with fiber curves on a line tower
+        tower_meets: tuple = (),               # earlier towers met along a curve
+        # split rewrites
+        split_surface: Optional[str] = None,
+        split_over: Optional[str] = None,
+        section_surfaces: tuple = (),
+        fiber_with: Optional[str] = None,      # earlier split piece joined by a fiber
+        # pinches fired by this step: (curve id, count)
+        pinches: tuple = (),
+    ):
         # a transcribed split may leave out its parent
-        if self.rewrite == SPLIT_REWRITE and not self.split_surface:
+        if rewrite == SPLIT_REWRITE and not split_surface:
             raise RuleConflict("split rewrite with no surface to split")
+        self.name = name
+        self.rewrite = rewrite
+        self.target_curves = target_curves
+        self.tower_label = tower_label
+        self.tower_traces = tower_traces
+        self.tower_sections = tower_sections
+        self.tower_fibers = tower_fibers
+        self.tower_meets = tower_meets
+        self.split_surface = split_surface
+        self.split_over = split_over
+        self.section_surfaces = section_surfaces
+        self.fiber_with = fiber_with
+        self.pinches = pinches
 
 
 # ---------------------------------------------------------------------------
 # the diagram itself
 
 
-@dataclass
-class Diagram:
-    surfaces: dict = field(default_factory=dict)   # label -> Surface
-    curves: dict = field(default_factory=dict)     # id -> DiagramCurve
-    events: list = field(default_factory=list)     # the step's, as dicts
-    triple_meetings: list = field(default_factory=list)  # [(cid, cid, cid)]
-    nodes: int = 0
-    next_curve_id: int = 0
+class Diagram(Record):
+    """The diagram being rewritten: ``surfaces`` maps a label to its
+    ``Surface``, ``curves`` an id to its ``DiagramCurve``, ``events`` holds
+    this step's as dicts and ``triple_meetings`` (cid, cid, cid) triples.
+    Each list or dict left out starts empty."""
+
+    __slots__ = _fields = ("surfaces", "curves", "events", "triple_meetings",
+                           "nodes", "next_curve_id")
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(self, surfaces=None, curves=None, events=None,
+                 triple_meetings=None, nodes: int = 0, next_curve_id: int = 0):
+        self.surfaces = {} if surfaces is None else surfaces
+        self.curves = {} if curves is None else curves
+        self.events = [] if events is None else events
+        self.triple_meetings = [] if triple_meetings is None else triple_meetings
+        self.nodes = nodes
+        self.next_curve_id = next_curve_id
 
     def clone(self) -> "Diagram":
         """A copy to rewrite, with no events: each step records its own."""
@@ -206,7 +232,7 @@ class Diagram:
             if c.kind not in (SPLIT_CURVE, SPLIT_FIBER):
                 raise RuleConflict(
                     "pinch emitted on %s curve %s" % (c.kind, c.label))
-            self.curves[cid] = replace(c, pinch_count=c.pinch_count + count)
+            self.curves[cid] = c._replace(pinch_count=c.pinch_count + count)
             self.events.append({"event": "new_pinch", "center": ctx.name,
                                 "curve": cid, "count": count})
 

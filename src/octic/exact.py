@@ -21,8 +21,11 @@ taken on packed integers too, by the heuristic gcd GCDHEU (Char, Geddes and
 Gonnet 1989): one integer gcd at a 2^k large enough to hold the inputs'
 roots, read back as digits and checked by exact division, with primitive
 pseudo-remainder sequences as the fallback.  ``rational_roots`` tests and
-divides out each candidate root in integers, leaving the square-free
-decomposition, also in Z[w], to the leftovers without a rational root.
+divides out each candidate root in integers while the degree is 3 or more,
+reads the roots of a quadratic off its discriminant (``math.isqrt``) and
+a linear factor's off its coefficients, and leaves the square-free
+decomposition, also in Z[w], to the leftovers of degree >= 3 without a
+rational root.
 
 Everything here is immutable and pure; no floats anywhere.
 """
@@ -33,7 +36,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd as int_gcd, lcm as int_lcm, prod
+from math import gcd as int_gcd, isqrt, lcm as int_lcm, prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -286,31 +289,56 @@ def rational_roots(p: tuple) -> tuple[list[tuple[Fraction, int]], list[tuple]]:
     of irreducibility is made for the leftovers.
 
     The roots are peeled off a0 + ... + an w^n in integers: 0 as often as w
-    divides it, then each n/d in lowest terms with n | a0 and d | an,
-    divided out as often as d w - n divides it (by Gauss's lemma it divides
-    in Z[w] exactly when n/d is a root).  A remaining degree-1 factor's
-    root is read off, with no divisor search.  The square-free
-    decomposition runs only on a leftover of degree >= 2.
+    divides it, then, while the degree is 3 or more, each n/d in lowest
+    terms with n | a0 and d | an, divided out as often as d w - n divides
+    it (by Gauss's lemma it divides in Z[w] exactly when n/d is a root).
+    The roots of a remaining degree-2 factor are read off its discriminant
+    (``_quadratic_roots``), and a remaining degree-1 factor's root off its
+    coefficients, with no divisor search.  A degree-2 factor without a
+    rational root is its own leftover; the square-free decomposition runs
+    only on a leftover of degree >= 3.
     """
     if not p:
         raise ValueError("roots of the zero polynomial")
     shift = next(i for i, c in enumerate(p) if c)
     ints = p[shift:]
     roots: list[tuple[Fraction, int]] = [(Fraction(0), shift)] if shift else []
-    if len(ints) > 2:
+    if len(ints) > 3:
         for num, den in _root_candidates(ints[0], ints[-1]):
             mult = 0
             while (quotient := _divide_root(ints, num, den)) is not None:
                 ints, mult = quotient, mult + 1
             if mult:
                 roots.append((Fraction(num, den), mult))
-            if len(ints) <= 2:
+            if len(ints) <= 3:
                 break
-    if len(ints) == 2:
-        roots.append((Fraction(-ints[0], ints[1]), 1))
+    if len(ints) == 3:
+        # a quadratic without a rational root has no repeated root (it
+        # would be rational), so it is its own square-free part
+        found = _quadratic_roots(*ints)
+        roots += found
+        residual = [] if found else [_zw_primitive(tuple(ints))]
+    else:
+        if len(ints) == 2:
+            roots.append((Fraction(-ints[0], ints[1]), 1))
+        residual = _zw_squarefree(tuple(ints)) if len(ints) > 2 else []
     roots.sort(key=lambda rm: rm[0])
-    residual = _zw_squarefree(tuple(ints)) if len(ints) > 2 else []
     return roots, residual
+
+
+def _quadratic_roots(a: int, b: int, c: int) -> list[tuple[Fraction, int]]:
+    """The rational roots of a + b w + c w^2 (c != 0) with multiplicities:
+    (-b +- s) / 2c when the discriminant b^2 - 4ac is the square of an
+    integer s >= 0, one double root when s = 0, and none otherwise."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    if s * s != disc:
+        return []
+    if not s:
+        return [(Fraction(-b, 2 * c), 2)]
+    return [(Fraction(-b - s, 2 * c), 1), (Fraction(-b + s, 2 * c), 1)]
 
 
 def _root_candidates(a0: int, an: int):

@@ -53,12 +53,11 @@ compares only such a folded fiber with the profile it was folded from.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd as int_gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact import (_pack_rows, _zw_at, _zw_div, _zw_gcd, _zw_heu, _zw_sub,
                     _zw_trim, _zw_unpack, _zw_value, poly_str, rational_roots)
@@ -79,35 +78,35 @@ class CoincidentPlanes(ValueError):
 Vec4 = tuple[tuple, tuple, tuple, tuple]
 
 
-@dataclass(frozen=True)
-class MultipleLine:
+class MultipleLine(NamedTuple):
     """Maximal pencil: all planes through one line.  q = len(planes).
 
     ``planes`` lists every plane of the arrangement containing the line,
     so a point lies on the line exactly when its plane set contains
-    ``planes``.  ``mask`` is the same set as bits (bit k for plane k).
+    ``planes``.  ``mask`` is the same set as bits (bit k for plane k), so
+    it separates no two records that ``planes`` does not.
     """
 
     planes: tuple[int, ...]  # plane numbers 1..n, sorted
-    mask: int = field(repr=False, compare=False)
+    mask: int
 
     @property
     def q(self) -> int:
         return len(self.planes)
 
 
-@dataclass(frozen=True)
-class MultiplePoint:
+class MultiplePoint(NamedTuple):
     """Point on three or more planes.  p = len(planes).
 
     ``planes`` lists every plane of the arrangement through the point, so
     a plane passes through it exactly when the plane's index is listed.
-    ``mask`` is the same set as bits (bit k for plane k).
+    ``mask`` is the same set as bits (bit k for plane k), so it separates
+    no two records that ``planes`` does not.
     """
 
     planes: tuple[int, ...]  # plane numbers 1..n, sorted
     j: int  # triple-or-worse lines through the point
-    mask: int = field(repr=False, compare=False)
+    mask: int
 
     @property
     def p(self) -> int:
@@ -367,8 +366,7 @@ def _planes(mask: int) -> tuple[int, ...]:
     return tuple(planes)
 
 
-@dataclass(frozen=True)
-class NewIncidence:
+class NewIncidence(NamedTuple):
     """One incidence present in a special fiber but not in the generic one.
 
     ``sources`` lists the plane sets of generic multiple points (p >= 4 or
@@ -704,15 +702,13 @@ def profile_diff(
 # degenerate parameter values
 
 
-@dataclass(frozen=True)
-class DegenerateValue:
+class DegenerateValue(NamedTuple):
     w0: Fraction
     profile: IncidenceProfile
     changes: tuple[NewIncidence, ...]
 
 
-@dataclass(frozen=True)
-class FatalValue:
+class FatalValue(NamedTuple):
     """Parameter where the fiber stops being an arrangement of distinct
     planes; everything downstream refuses to touch these."""
 
@@ -720,8 +716,7 @@ class FatalValue:
     reason: str
 
 
-@dataclass(frozen=True)
-class DegenerationScan:
+class DegenerationScan(NamedTuple):
     """What ``degenerate_values`` found: the degenerate and the fatal
     values, each in increasing ``w0``."""
 
@@ -729,7 +724,7 @@ class DegenerationScan:
     fatal: tuple[FatalValue, ...]
     generic: IncidenceProfile  # the profile each value was compared with
     # the monic factors without a rational root, as Fraction tuples
-    unresolved: tuple[tuple, ...] = field(default=())
+    unresolved: tuple[tuple, ...] = ()
 
     @property
     def sigma(self) -> tuple[Fraction, ...]:

@@ -54,10 +54,9 @@ reported without either check (ROADMAP item 10).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import incidence
 from .classify import FIVEFOLD_POINT, TRIPLE_LINE
@@ -117,8 +116,7 @@ _ROLES = {
 }
 
 
-@dataclass(frozen=True)
-class Center:
+class Center(NamedTuple):
     """One blow-up center, named the way the trace tables name it.  Its
     kind, phase and surface labels follow from its role."""
 
@@ -166,8 +164,7 @@ class Center:
         return out
 
 
-@dataclass(frozen=True)
-class BlowUpSchedule:
+class BlowUpSchedule(NamedTuple):
     steps: tuple
     generic: incidence.IncidenceProfile  # the profile the steps come from
 

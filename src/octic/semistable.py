@@ -12,9 +12,9 @@ rejected rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
+from . import Record
 from .classify import (FIVEFOLD_POINT, NODE_MARKER, TRIPLE_LINE,
                        ResidualSingularities)
 
@@ -25,17 +25,18 @@ class UnsupportedConfiguration(ValueError):
 
 # ---------------------------------------------------------------------------
 # component geometries (threefolds)
+#
+# Each geometry is a ``Record``, so that geometries of different classes
+# never compare equal, even where they hold the same values.
 
 
-@dataclass(frozen=True)
-class ResolvedCY:
+class ResolvedCY(Record):
     """The resolved central fiber itself; its Betti vector is an input."""
 
-    betti: tuple
+    __slots__ = _fields = ("betti",)
 
-    def __post_init__(self):
-        b = tuple(int(x) for x in self.betti)
-        object.__setattr__(self, "betti", b)
+    def __init__(self, betti: tuple):
+        b = self.betti = tuple(int(x) for x in betti)
         if len(b) != 7:
             raise ValueError("a threefold carries seven Betti numbers")
         if b[0] != 1 or b[6] != 1 or b[1] != 0 or b[5] != 0:
@@ -44,8 +45,7 @@ class ResolvedCY:
             raise ValueError(f"Betti vector is not palindromic: {b}")
 
 
-@dataclass(frozen=True)
-class QuadricBundle:
+class QuadricBundle(Record):
     """Bundle of quadric surfaces over a rational double curve.
 
     ``split_fibers`` lists, per completely reducible fiber, how many
@@ -54,57 +54,68 @@ class QuadricBundle:
     fiber homologous, which is what drops the rank below the split case.
     """
 
-    split_fibers: tuple = ()
-    cone_fibers: int = 0
+    __slots__ = _fields = ("split_fibers", "cone_fibers")
+
+    def __init__(self, split_fibers: tuple = (), cone_fibers: int = 0):
+        self.split_fibers = split_fibers
+        self.cone_fibers = cone_fibers
 
 
-@dataclass(frozen=True)
-class DoubleCoverP2xP1:
+class DoubleCoverP2xP1(Record):
     """Double cover of P2 x P1 branched along a conic bundle with pinches."""
 
-    pinch_fibers: int
+    __slots__ = _fields = ("pinch_fibers",)
 
-    def __post_init__(self):
-        if self.pinch_fibers < 2:
+    def __init__(self, pinch_fibers: int):
+        if pinch_fibers < 2:
             # b3 = pinch_fibers - 2 in this family; fewer pinches never occur
             raise UnsupportedConfiguration(
-                f"double cover with {self.pinch_fibers} pinch fibers is outside the catalogue")
+                f"double cover with {pinch_fibers} pinch fibers is outside the catalogue")
+        self.pinch_fibers = pinch_fibers
 
 
-@dataclass(frozen=True)
-class NodeResolution:
+class NodeResolution(Record):
     """Component replacing a surface that carries ordinary double points."""
 
-    node_count_on_surface: int
+    __slots__ = _fields = ("node_count_on_surface",)
+
+    def __init__(self, node_count_on_surface: int):
+        self.node_count_on_surface = node_count_on_surface
 
 
 # ---------------------------------------------------------------------------
 # stratum geometries (surfaces and curves)
 
 
-@dataclass(frozen=True)
-class ConicBundle:
+class ConicBundle(Record):
     """Conic bundle over P1; ``split_fibers`` lists component counts of the
     reducible fibers (two for a pinch, three over a split quadric fiber)."""
 
-    split_fibers: tuple = ()
+    __slots__ = _fields = ("split_fibers",)
+
+    def __init__(self, split_fibers: tuple = ()):
+        self.split_fibers = split_fibers
 
 
-@dataclass(frozen=True)
-class SmoothQuadric:
+class SmoothQuadric(Record):
     """P1 x P1 with no points blown up."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class BlownP1xP1:
+
+class BlownP1xP1(Record):
     """P1 x P1 blown up in a set of points."""
 
-    points: int
+    __slots__ = _fields = ("points",)
+
+    def __init__(self, points: int):
+        self.points = points
 
 
-@dataclass(frozen=True)
-class SmoothConic:
+class SmoothConic(Record):
     """A smooth conic curve, isomorphic to P1."""
+
+    __slots__ = ()
 
 
 ComponentGeometry = Union[ResolvedCY, QuadricBundle, DoubleCoverP2xP1, NodeResolution]
@@ -149,26 +160,22 @@ def euler(geometry) -> int:
 # the strata complex
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     label: str
     geometry: ComponentGeometry
 
 
-@dataclass(frozen=True)
-class DoubleStratum:
+class DoubleStratum(NamedTuple):
     pair: tuple            # two component labels, in component order
     geometry: SurfaceGeometry
 
 
-@dataclass(frozen=True)
-class TripleStratum:
+class TripleStratum(NamedTuple):
     triple: tuple          # three component labels, in component order
-    geometry: CurveGeometry = field(default_factory=SmoothConic)
+    geometry: CurveGeometry = SmoothConic()
 
 
-@dataclass(frozen=True)
-class StrataComplex:
+class StrataComplex(NamedTuple):
     """Nerve of the semistable fiber: components, double and triple loci.
 
     The component order (Y first, new components in creation order) is part

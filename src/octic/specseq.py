@@ -36,12 +36,11 @@ whether the limit mixed Hodge structure on H^3 is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from . import exact
+from . import Record, exact
 from .semistable import StrataComplex, betti
 
 
@@ -66,8 +65,7 @@ def _top_degree(m: int) -> int:
 # E1 page
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     stratum: str
     degree: int
     twist: int
@@ -78,8 +76,7 @@ class Summand:
                 "twist": self.twist, "dim": self.dim}
 
 
-@dataclass(frozen=True)
-class E1Entry:
+class E1Entry(NamedTuple):
     p: int
     q: int
     summands: tuple = ()
@@ -94,10 +91,12 @@ class E1Entry:
                 "summands": [s.to_json() for s in self.summands]}
 
 
-@dataclass(frozen=True)
-class E1Grid:
-    complex: StrataComplex
-    entries: dict = field(default_factory=dict)   # (p, q) -> E1Entry
+class E1Grid(Record):
+    __slots__ = _fields = ("complex", "entries")
+
+    def __init__(self, complex: StrataComplex, entries: Optional[dict] = None):
+        self.complex = complex
+        self.entries = {} if entries is None else entries  # (p, q) -> E1Entry
 
     @property
     def columns(self) -> list:
@@ -176,8 +175,7 @@ def nerve_coboundary(s: StrataComplex, m: int) -> tuple:
 # cycle model
 
 
-@dataclass(frozen=True)
-class CycleModel:
+class CycleModel(Record):
     """Labeled degree-2 homology bases and an explicit pushforward matrix.
 
     ``generators`` lists a basis of curve classes per double stratum.  The
@@ -187,14 +185,15 @@ class CycleModel:
     dies under d1.
     """
 
-    generators: dict
-    row_labels: tuple
-    col_labels: tuple
-    matrix: tuple
+    # no __slots__: ``rank`` is cached in the instance's __dict__
+    _fields = ("generators", "row_labels", "col_labels", "matrix")
 
-    def __post_init__(self):
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
+    def __init__(self, generators: dict, row_labels: tuple, col_labels: tuple,
+                 matrix: tuple):
+        self.generators = generators
+        self.row_labels = tuple(row_labels)
+        self.col_labels = tuple(col_labels)
+        self.matrix = matrix
         labels = [l for labs in self.generators.values() for l in labs]
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels repeat across strata")
@@ -221,22 +220,21 @@ class CycleModel:
 # d1
 
 
-@dataclass(frozen=True)
-class RankAnnotation:
-    p: int
-    q: int
-    rank: int
-    why: str
+class RankAnnotation(Record):
+    __slots__ = _fields = ("p", "q", "rank", "why")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, p: int, q: int, rank: int, why: str):
+        if rank < 0:
             raise ValueError("negative rank annotation")
-        if not self.why:
+        if not why:
             raise ValueError("a rank annotation must carry its justification")
+        self.p = p
+        self.q = q
+        self.rank = rank
+        self.why = why
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """The differential leaving one position of the first page.
 
     ``matrix`` is the whole arrow as rows, present when its target is
@@ -439,8 +437,7 @@ def _resolve_ranks(e1: E1Grid, d1: Mapping):
     return ranks
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     e1: E1Grid
     e2: dict                  # (p, q) -> dimension
     betti: tuple

@@ -4,6 +4,7 @@ where a reference is needed."""
 
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, zip_longest
@@ -210,9 +211,8 @@ def test_rational_roots_match_sympy(linears, others, scale):
             p = zw_mul(p, tuple(low) + (1,))
     roots, leftovers = rational_roots(p)
     sp = _sympy_poly(p)
-    expected = {Fraction(int(r.p), int(r.q)): m
-                for r, m in sympy.roots(sp, filter="Q").items()}
-    assert roots == sorted(expected.items())
+    expected, expected_lefts = _sympy_roots_and_leftovers(p)
+    assert roots == expected
     # the leftovers: primitive, square-free, pairwise coprime, without a
     # rational root, and holding every factor of p of degree >= 2
     lefts = [_sympy_poly(q) for q in leftovers]
@@ -227,13 +227,55 @@ def test_rational_roots_match_sympy(linears, others, scale):
         if factor.degree() >= 2:
             assert sum(lq.rem(factor).is_zero for lq in lefts) == 1
     # and they are the square-free part of p without its linear factors
+    assert sorted(leftovers) == expected_lefts
+
+
+def _sympy_roots_and_leftovers(p: tuple) -> tuple[list, list]:
+    """What sympy finds for ``rational_roots(p)``: the rational roots of p
+    with multiplicities, in increasing order, and the square-free factors
+    of p without its linear ones, primitive with a positive leading
+    coefficient, sorted."""
+    sp = _sympy_poly(p)
+    roots = {Fraction(int(r.p), int(r.q)): m
+             for r, m in sympy.roots(sp, filter="Q").items()}
     rest = sp
-    for r, m in expected.items():
+    for r, m in roots.items():
         rest = rest.exquo(sympy.Poly([r.denominator, -r.numerator], W) ** m)
-    expected_lefts = [_as_zw(f) for f, _ in sympy.sqf_list(rest)[1]]
-    expected_lefts = [f if f[-1] > 0 else tuple(-c for c in f)
-                      for f in expected_lefts]
-    assert sorted(leftovers) == sorted(expected_lefts)
+    lefts = [_as_zw(f) for f, _ in sympy.sqf_list(rest)[1]]
+    return sorted(roots.items()), sorted(
+        f if f[-1] > 0 else tuple(-c for c in f) for f in lefts)
+
+
+def _linear(r: Fraction) -> tuple:
+    """d w - n for the root r = n/d."""
+    return (-r.numerator, r.denominator)
+
+
+big_roots = st.fractions(-10**9, 10**9, max_denominator=10**5)
+big = st.integers(-10**18, 10**18)
+# a + b w + c w^2 with c != 0: two rational roots, a double one, or drawn
+# coefficients, whose discriminant is seldom a square and often negative
+quadratics = st.one_of(
+    st.tuples(big_roots, big_roots).map(
+        lambda rs: zw_mul(_linear(rs[0]), _linear(rs[1]))),
+    big_roots.map(lambda r: zw_mul(_linear(r), _linear(r))),
+    st.tuples(big, big, big.filter(bool)),
+    st.tuples(st.integers(1, 10**6), st.integers(-999, 999),
+              st.integers(1, 10**6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratics, st.integers(-10**6, 10**6).filter(bool),
+       st.integers(0, 3))
+def test_quadratic_roots_match_sympy(q, scale, shift):
+    """A quadratic's roots are read off its discriminant: the same roots,
+    multiplicities and leftovers as sympy's, times a constant and a power
+    of w."""
+    p = (0,) * shift + tuple(scale * c for c in q)
+    roots, leftovers = rational_roots(p)
+    assert (roots, sorted(leftovers)) == _sympy_roots_and_leftovers(p)
+    for left in leftovers:
+        assert left[-1] > 0 and gcd(*left) == 1
 
 
 def test_a_linear_factor_needs_no_divisor_search(monkeypatch):
@@ -244,6 +286,24 @@ def test_a_linear_factor_needs_no_divisor_search(monkeypatch):
     p = (0, 0, 998244353, -1000000007)
     assert rational_roots(p) == (
         [(Fraction(0), 2), (Fraction(998244353, 1000000007), 1)], [])
+
+
+def test_a_quadratic_factor_needs_no_divisor_search(monkeypatch):
+    """Quadratics whose constant is near 1e18, whose divisors would take
+    minutes to list: (w - 998244353)(w - 1000000007), w (w - 998244353)^2,
+    and -(w^2 + 10^18 + 9), which has no rational root."""
+    def refused(n):
+        raise AssertionError("searched the divisors of a quadratic factor")
+
+    monkeypatch.setattr("octic.exact._divisors", refused)
+    split = (998244359987710471, -1998244360, 1)
+    start = time.perf_counter()
+    assert rational_roots(split) == (
+        [(Fraction(998244353), 1), (Fraction(1000000007), 1)], [])
+    assert rational_roots((0,) + zw_mul((-998244353, 1), (-998244353, 1))) == (
+        [(Fraction(0), 1), (Fraction(998244353), 2)], [])
+    assert rational_roots((-(10**18 + 9), 0, -1)) == ([], [(10**18 + 9, 0, 1)])
+    assert time.perf_counter() - start < 1
 
 
 points = st.fractions(-40, 40, max_denominator=15)

@@ -3,6 +3,8 @@ imports is used, and every public definition in it is named somewhere else
 in it."""
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -28,6 +30,22 @@ def test_package_imports_only_the_standard_library():
                for name in _imported(path)
                if name != "octic" and name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """A fresh ``python -S`` process that imports the CLI loads neither
+    ``dataclasses`` nor, on 3.11, the ``inspect`` that it imports, which
+    every CLI process would pay for."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, octic.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "octic.cli" in loaded
+    assert "dataclasses" not in loaded
+    # the 3.10 floor has not been checked for inspect
+    if sys.version_info >= (3, 11):
+        assert "inspect" not in loaded
 
 
 def _bound_by_imports(tree):
