@@ -47,8 +47,7 @@ from typing import Optional
 
 from . import classify, diagram, incidence, resolve, semistable, specseq
 from .exact import fraction_str, parse_fraction, poly_str
-from .forms import (DuplicateFactor, FormVanishes, NonLinearFactor,
-                    ParseError, parse_equation)
+from .forms import parse_equation
 
 OK = 0
 CHECK_FAILED = 1
@@ -66,8 +65,6 @@ class NoEquation(ValueError):
         super().__init__(f"scenario {token} carries no equation")
 
 
-_PARSE_ERRORS = (ParseError, NonLinearFactor, DuplicateFactor, FormVanishes,
-                 json.JSONDecodeError)
 _DOMAIN_ERRORS = (incidence.CoincidentPlanes, classify.Unclassifiable,
                   resolve.NotOctic, resolve.TraceAborted, diagram.RuleConflict,
                   diagram.CenterNotInDiagram,
@@ -739,9 +736,6 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return DOMAIN
-    except _PARSE_ERRORS as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return BAD_INPUT
     except (FileNotFoundError, NoEquation) as err:
         print(str(err), file=sys.stderr)
         return BAD_INPUT

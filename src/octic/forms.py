@@ -83,9 +83,11 @@ class ParamArrangement:
             if not any(row):
                 raise ValueError(f"form {i} is identically zero")
         packed, _ = _pack_rows(rows)
-        for (i, ri), (j, rj) in combinations(enumerate(packed, 1), 2):
-            if all(ri[a] * rj[b] == ri[b] * rj[a]
-                   for a, b in combinations(range(4), 2)):
+        for (i, (a0, a1, a2, a3)), (j, (b0, b1, b2, b3)) in combinations(
+                enumerate(packed, 1), 2):
+            if (a0 * b1 == a1 * b0 and a0 * b2 == a2 * b0
+                    and a0 * b3 == a3 * b0 and a1 * b2 == a2 * b1
+                    and a1 * b3 == a3 * b1 and a2 * b3 == a3 * b2):
                 raise DuplicateFactor(i, j)
         self.rows = rows
 

@@ -357,13 +357,15 @@ def _stars_on(stars: dict, line: MultipleLine, n: int) -> set[int]:
 
 
 def _planes(mask: int) -> tuple[int, ...]:
-    """The sorted plane indices of a plane mask."""
-    planes = []
-    while mask:
-        low = mask & -mask
-        planes.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(planes)
+    """The sorted plane numbers of a mask of planes 1..8 (bit 0 is unset)."""
+    return _PLANES[mask >> 1]
+
+
+# every subset of planes 1..8 at its mask >> 1, each k doubling the list
+_PLANES = [()]
+for _k in range(1, 9):
+    _PLANES += [p + (_k,) for p in _PLANES]
+del _k
 
 
 class NewIncidence(NamedTuple):
@@ -415,21 +417,24 @@ class NewIncidence(NamedTuple):
 # (Kronecker substitution), with k - 1 bits holding 24 times the product of
 # the four largest row norms (a row's largest entry 1-norm), which bounds
 # every coefficient of every minor; the expansions run on plain integers,
-# and the table keeps the packed minors with k (k = 0 over Z).  A minor's
-# coefficients are the balanced base-2^k digits of its packed value, read
-# (``_zw_unpack``) only where they are used: by ``_minors``, for the
-# coordinates ``point_vector`` and ``line_basis`` read off a point's triple
-# minors and a line's pair minors; by ``fiber``, which tests which minors
-# vanish at w0 = p/q by evaluating them in integers (``_zw_value``), or at
-# w0 = 0 by their low k bits; and by ``degenerate_values`` for the subsets
-# whose minors may share a root.  Since every coefficient is below
-# 2^(k-1) in absolute value, 2^k meets the bound of the heuristic gcd
-# (``_zw_heu``): a nonconstant common factor keeps the integer gcd of a
-# subset's packed minors at 2^(k-1) or more, so the scan passes over every
-# subset below that, and reads the others' gcd off that integer gcd; it
-# searches the rational roots of each nonconstant primitive gcd.  A
-# profile keeps the table it was computed from, so a command computes one
-# table.  Later questions are subset tests on the profile's plane masks.
+# and the table keeps the packed minors with k (k = 0 over Z).  The six
+# 2x2, four 3x3 and one 4x4 expansions are written out on entries held in
+# locals: a loop over column tuples costs the interpreter more than the
+# products.  A minor's coefficients are the balanced base-2^k digits of its
+# packed value, read (``_zw_unpack``) only where they are used: by
+# ``_minors``, for the coordinates ``point_vector`` and ``line_basis`` read
+# off a point's triple minors and a line's pair minors; by ``fiber``, which
+# tests which minors vanish at w0 = p/q by evaluating them in integers
+# (``_zw_value``), or at w0 = 0 by their low k bits; and by
+# ``degenerate_values`` for the subsets whose minors may share a root.
+# Since every coefficient is below 2^(k-1) in absolute value, 2^k meets the
+# bound of the heuristic gcd (``_zw_heu``): a nonconstant common factor
+# keeps the integer gcd of a subset's packed minors at 2^(k-1) or more, so
+# the scan passes over every subset below that, and reads the others' gcd
+# off that integer gcd; it searches the rational roots of each nonconstant
+# primitive gcd.  A profile keeps the table it was computed from, so a
+# command computes one table.  Later questions are subset tests on the
+# profile's plane masks.
 
 
 def _cross(ms: Sequence[tuple]) -> list:
@@ -505,33 +510,32 @@ def _minor_table(rows: Sequence[Sequence]) -> tuple[dict, int]:
     width = 0
     if isinstance(rows[0][0], tuple):
         rows, width = _pack_rows(rows)
-    row = dict(enumerate(rows, 1))  # plane k's row
+    rows = dict(enumerate(rows, 1))  # plane k's row
     table = {}
-    for i, j in combinations(row, 2):
-        ri, rj = row[i], row[j]
-        ms = [ri[a] * rj[b] - ri[b] * rj[a] for a, b in _COLUMN_PAIRS]
+    for i, j in combinations(rows, 2):
+        a0, a1, a2, a3 = rows[i]
+        b0, b1, b2, b3 = rows[j]
+        ms = [a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+              a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2]
         if not any(ms):
             raise CoincidentPlanes(i, j)
         table[i, j] = ms
-    for i, j, k in combinations(row, 3):
-        m, r = table[i, j], row[k]
-        table[i, j, k] = [r[a] * m[bc] - r[b] * m[ac] + r[c] * m[ab]
-                          for a, b, c, bc, ac, ab in _COLUMN_TRIPLES]
-    for i, j, k, l in combinations(row, 4):
-        m, r = table[i, j, k], row[l]
-        table[i, j, k, l] = [r[3] * m[0] - r[2] * m[1] + r[1] * m[2]
-                             - r[0] * m[3]]
+    for i, j, k in combinations(rows, 3):
+        m01, m02, m03, m12, m13, m23 = table[i, j]
+        r0, r1, r2, r3 = rows[k]
+        table[i, j, k] = [r0 * m12 - r1 * m02 + r2 * m01,
+                          r0 * m13 - r1 * m03 + r3 * m01,
+                          r0 * m23 - r2 * m03 + r3 * m02,
+                          r1 * m23 - r2 * m13 + r3 * m12]
+    for i, j, k, l in combinations(rows, 4):
+        m012, m013, m023, m123 = table[i, j, k]
+        r0, r1, r2, r3 = rows[l]
+        table[i, j, k, l] = [r3 * m012 - r2 * m013 + r1 * m023 - r0 * m123]
     return table, width
 
 
-# a pair's minors in column-pair order; each column triple (a, b, c) with
-# the positions of its pairs (b, c), (a, c) and (a, b) in that order
+# a pair's minors in the order ``_minor_table`` lists them
 _COLUMN_PAIRS = tuple(combinations(range(4), 2))
-_COLUMN_TRIPLES = tuple(
-    (a, b, c, _COLUMN_PAIRS.index((b, c)), _COLUMN_PAIRS.index((a, c)),
-     _COLUMN_PAIRS.index((a, b)))
-    for a, b, c in combinations(range(4), 3)
-)
 
 
 def _profile_of(dependent: set, rows: Sequence, table: dict, width: int,
@@ -569,7 +573,7 @@ def _triple_lines(line_of: dict) -> list[int]:
 
 def _j(m: int, threes: Sequence[int]) -> int:
     """The number of the triple-line masks ``threes`` inside the mask ``m``."""
-    return sum(l & m == l for l in threes)
+    return sum(l & m == l for l in threes) if threes else 0
 
 
 def _point(m: int, threes: Sequence[int]) -> MultiplePoint:

@@ -640,6 +640,15 @@ def test_mask_lookups_match_set_lookups(pairs):
     _assert_scan_lookups_match_sets(family)
 
 
+def test_plane_masks_decode_to_their_sorted_planes():
+    """``_planes`` inverts ``_plane_mask`` on every subset of planes 1..8,
+    the empty set included."""
+    for k in range(9):
+        for planes in combinations(range(1, 9), k):
+            assert incidence._planes(incidence._plane_mask(planes)) == planes
+    assert len(incidence._PLANES) == 256
+
+
 def test_lookups_on_planes_sharing_a_fourfold_line():
     """At w = 0 the planes 1-4 share the line x = y = 0, which z and t
     cross in two points: a set of planes on that line holds no three that
