@@ -4,11 +4,13 @@ A diagram records the branch-divisor combinatorics of a central fiber
 while the resolution of the nearby fibers is pulled across the family:
 one node per surface (plane, exceptional component, or piece split off a
 plane), one record per double or triple curve with its pinch count, the
-triple meetings of split curves, and the node pairs.  ``apply_blowup``
-consumes one blow-up step described by a :class:`CenterContext` and
-returns the rewritten diagram; the geometric analysis that decides which
-rewrite applies lives in :mod:`octic.resolve`.  The diagram reads no
-coordinates and marks no points: a pinch is counted on its curve.
+triple meetings of split curves, and the node pairs.  One blow-up step is
+one of four rewrites, each a function that takes exactly what it reads
+and returns the rewritten diagram: ``separate`` (the center's curves go,
+pinches may fire), ``tower`` (a new exceptional surface), ``split`` (a
+plane sheds a piece) and ``node_pair``.  The geometric analysis that
+decides which rewrite applies lives in :mod:`octic.resolve`.  The diagram
+reads no coordinates and marks no points: a pinch is counted on its curve.
 
 Each diagram of a trace carries the events of the step that made it, at
 most two, as the plain dicts ``reduce`` prints (a new exceptional surface,
@@ -52,13 +54,6 @@ TOWER_SECTION = "tower_section"  # sections of a line tower
 TOWER_FIBER = "tower_fiber"
 TOWER_MEET = "tower_meet"    # two exceptional towers meet
 
-# rewrite selectors used by CenterContext
-PLAIN_EVEN = "plain_even"
-PLAIN_ODD = "plain_odd"
-SPLIT_REWRITE = "split"
-NODE_PAIR = "node_pair"
-
-
 def _surface_key(label: str):
     """Deterministic ordering: planes by index and prime count, towers after."""
     if label.startswith("P"):
@@ -93,60 +88,6 @@ class DiagramCurve(NamedTuple):
     @property
     def label(self) -> str:
         return "".join(_short(s) for s in self.surfaces)
-
-
-# ---------------------------------------------------------------------------
-# step description handed over by the driver
-
-
-class CenterContext(Record):
-    """Geometric summary of one blow-up step restricted to the central fiber.
-
-    The driver compares generic and central multiplicities of the center,
-    decides which rewrite applies, and fills in the structural data; the
-    diagram performs the rewrite without re-deriving any geometry.
-    """
-
-    __slots__ = _fields = (
-        "name", "rewrite", "target_curves", "tower_label", "tower_traces",
-        "tower_sections", "tower_fibers", "tower_meets", "split_surface",
-        "split_over", "section_surfaces", "fiber_with", "pinches")
-
-    def __init__(
-        self,
-        name: str,
-        rewrite: str,
-        target_curves: tuple = (),             # curve ids consumed by the step
-        # plain odd blow-ups (new exceptional tower)
-        tower_label: Optional[str] = None,
-        tower_traces: tuple = (),              # planes traced on a point tower
-        tower_sections: tuple = (),            # planes with sections on a line tower
-        tower_fibers: tuple = (),              # planes with fiber curves on a line tower
-        tower_meets: tuple = (),               # earlier towers met along a curve
-        # split rewrites
-        split_surface: Optional[str] = None,
-        split_over: Optional[str] = None,
-        section_surfaces: tuple = (),
-        fiber_with: Optional[str] = None,      # earlier split piece joined by a fiber
-        # pinches fired by this step: (curve id, count)
-        pinches: tuple = (),
-    ):
-        # a transcribed split may leave out its parent
-        if rewrite == SPLIT_REWRITE and not split_surface:
-            raise RuleConflict("split rewrite with no surface to split")
-        self.name = name
-        self.rewrite = rewrite
-        self.target_curves = target_curves
-        self.tower_label = tower_label
-        self.tower_traces = tower_traces
-        self.tower_sections = tower_sections
-        self.tower_fibers = tower_fibers
-        self.tower_meets = tower_meets
-        self.split_surface = split_surface
-        self.split_over = split_over
-        self.section_surfaces = section_surfaces
-        self.fiber_with = fiber_with
-        self.pinches = pinches
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +160,22 @@ class Diagram(Record):
 
     # -- internal rewrite pieces --------------------------------------------
 
-    def _remove_curve(self, cid: int):
-        if cid not in self.curves:
-            raise CenterNotInDiagram(cid)
-        del self.curves[cid]
+    def _remove_curves(self, cids):
+        for cid in cids:
+            if cid not in self.curves:
+                raise CenterNotInDiagram(cid)
+            del self.curves[cid]
 
-    def _apply_pinches(self, ctx: CenterContext):
-        for cid, count in ctx.pinches:
+    def _record(self, **event):
+        """Record one event of this step, the dict ``reduce`` prints."""
+        if len(self.events) == 2:
+            raise RuleConflict("blow-up step emitted more than two events")
+        self.events.append(event)
+
+    def _pinch(self, name: str, pinches):
+        """Add each (curve id, count) pair of ``pinches`` to that split
+        curve's pinch count, recording one event per pair."""
+        for cid, count in pinches:
             if cid not in self.curves:
                 raise CenterNotInDiagram(cid)
             c = self.curves[cid]
@@ -233,8 +183,8 @@ class Diagram(Record):
                 raise RuleConflict(
                     "pinch emitted on %s curve %s" % (c.kind, c.label))
             self.curves[cid] = c._replace(pinch_count=c.pinch_count + count)
-            self.events.append({"event": "new_pinch", "center": ctx.name,
-                                "curve": cid, "count": count})
+            self._record(event="new_pinch", center=name, curve=cid,
+                         count=count)
 
 
 def initial_diagram(prof: IncidenceProfile) -> Diagram:
@@ -251,80 +201,84 @@ def initial_diagram(prof: IncidenceProfile) -> Diagram:
     return d
 
 
-def apply_blowup(d: Diagram, ctx: CenterContext) -> Diagram:
-    """Rewrite ``d`` by one blow-up step; returns a new diagram, whose
-    ``events`` are this step's and no earlier one's.
+# ---------------------------------------------------------------------------
+# the rewrites: each returns a new diagram, whose ``events`` are its step's
+# (at most two) and no earlier one's; ``name`` is the center blown up and
+# ``targets`` the ids of the curves it consumes
 
-    Records at most two events, each the dict ``reduce`` prints: its
-    ``event`` name, the ``center`` and what the step made.  Rewrites:
 
-    * ``plain_even``   separation only; may fire pinches on split curves
-    * ``plain_odd``    new exceptional tower with its traces/sections/fibers
-    * ``split``        a plane sheds a new piece along the center
-    * ``node_pair``    the center degenerated into two crossing curves: two
-                       nodes, resolved on a ``NODE_MARKER`` surface
-    """
+def separate(d: Diagram, name: str, targets=(), pinches=()) -> Diagram:
+    """A blow-up that only separates: the targets go, and the step may fire
+    ``pinches``, (curve id, count) pairs on split curves."""
     out = d.clone()
+    out._remove_curves(targets)
+    out._pinch(name, pinches)
+    return out
 
-    if ctx.rewrite == PLAIN_EVEN:
-        for cid in ctx.target_curves:
-            out._remove_curve(cid)
-        out._apply_pinches(ctx)
 
-    elif ctx.rewrite == PLAIN_ODD:
-        label = ctx.tower_label
-        out.add_surface(Surface(label=label, origin=EXCEPTIONAL))
-        out.events.append({"event": "new_exceptional_surface",
-                           "center": ctx.name, "label": label})
-        for cid in ctx.target_curves:
-            out._remove_curve(cid)
-        for p in ctx.tower_traces:
-            out.add_curve((p, label), TRACE, exceptional_on=(p,))
-        for p in ctx.tower_sections:
-            out.add_curve((p, label), TOWER_SECTION)
-        for p in ctx.tower_fibers:
-            out.add_curve((p, label), TOWER_FIBER, exceptional_on=(p,))
-        for t in ctx.tower_meets:
-            out.add_curve((t, label), TOWER_MEET, exceptional_on=(t,))
+def tower(d: Diagram, name: str, label: str, targets=(), traces=(),
+          sections=(), fibers=(), meets=()) -> Diagram:
+    """A new exceptional tower ``label``: the planes it traces (over a
+    point), the planes with a section or fiber curve on it (over a line)
+    and the earlier towers it meets along a curve."""
+    out = d.clone()
+    out.add_surface(Surface(label=label, origin=EXCEPTIONAL))
+    out._record(event="new_exceptional_surface", center=name, label=label)
+    out._remove_curves(targets)
+    for p in traces:
+        out.add_curve((p, label), TRACE, exceptional_on=(p,))
+    for p in sections:
+        out.add_curve((p, label), TOWER_SECTION)
+    for p in fibers:
+        out.add_curve((p, label), TOWER_FIBER, exceptional_on=(p,))
+    for t in meets:
+        out.add_curve((t, label), TOWER_MEET, exceptional_on=(t,))
+    return out
 
-    elif ctx.rewrite == SPLIT_REWRITE:
-        parent = ctx.split_surface
-        if parent not in out.surfaces:
-            raise CenterNotInDiagram(parent)
-        over = ctx.split_over
-        label = out.next_prime_label(parent)
-        out.add_surface(Surface(label=label, origin=SPLIT, parent=parent))
-        out.events.append({"event": "split_component", "center": ctx.name,
-                           "parent": parent, "label": label, "over": over})
-        for cid in ctx.target_curves:
-            out._remove_curve(cid)
-        split_cid = out.add_curve((parent, label), SPLIT_CURVE,
-                                  exceptional_on=(parent,), over=over)
-        for s in ctx.section_surfaces:
-            out.add_curve((s, label), SECTION, exceptional_on=(s,))
-        if ctx.fiber_with is not None:
-            if ctx.fiber_with not in out.surfaces:
-                raise CenterNotInDiagram(ctx.fiber_with)
-            prev = out.curve_by_surfaces((parent, ctx.fiber_with))
-            if prev is None or prev.kind != SPLIT_CURVE:
-                raise RuleConflict(
-                    "fiber curve requires the earlier split curve %s"
-                    % curve_label((parent, ctx.fiber_with)))
-            fiber_cid = out.add_curve((ctx.fiber_with, label), SPLIT_FIBER,
-                                      exceptional_on=(ctx.fiber_with, label),
-                                      over=FIVEFOLD_POINT)
-            out.triple_meetings.append((prev.id, split_cid, fiber_cid))
-        out._apply_pinches(ctx)
 
-    elif ctx.rewrite == NODE_PAIR:
-        for cid in ctx.target_curves:
-            out._remove_curve(cid)
-        out.nodes += 2
-        out.events.append({"event": "new_node_pair", "center": ctx.name,
-                           "count": 2, "marker": NODE_MARKER})
+def split(d: Diagram, name: str, parent: str, over: str, targets=(),
+          sections=(), fiber_with: Optional[str] = None,
+          pinches=()) -> Diagram:
+    """The plane ``parent`` sheds a new piece along the center, over a
+    ``triple_line`` or ``fivefold_point``: a split curve, a section on each
+    plane of ``sections``, and a fiber curve to ``fiber_with``, an earlier
+    piece of ``parent`` whose split curve it meets in a triple point."""
+    out = d.clone()
+    if parent not in out.surfaces:
+        raise CenterNotInDiagram(parent)
+    label = out.next_prime_label(parent)
+    out.add_surface(Surface(label=label, origin=SPLIT, parent=parent))
+    out._record(event="split_component", center=name, parent=parent,
+                label=label, over=over)
+    out._remove_curves(targets)
+    split_cid = out.add_curve((parent, label), SPLIT_CURVE,
+                              exceptional_on=(parent,), over=over)
+    for s in sections:
+        out.add_curve((s, label), SECTION, exceptional_on=(s,))
+    if fiber_with is not None:
+        if fiber_with not in out.surfaces:
+            raise CenterNotInDiagram(fiber_with)
+        prev = out.curve_by_surfaces((parent, fiber_with))
+        if prev is None or prev.kind != SPLIT_CURVE:
+            raise RuleConflict(
+                "fiber curve requires the earlier split curve %s"
+                % curve_label((parent, fiber_with)))
+        fiber_cid = out.add_curve((fiber_with, label), SPLIT_FIBER,
+                                  exceptional_on=(fiber_with, label),
+                                  over=FIVEFOLD_POINT)
+        out.triple_meetings.append((prev.id, split_cid, fiber_cid))
+    out._pinch(name, pinches)
+    return out
 
-    if len(out.events) > 2:
-        raise RuleConflict("blow-up step emitted more than two events")
+
+def node_pair(d: Diagram, name: str, target: int) -> Diagram:
+    """The center degenerated into two crossing curves: two nodes, resolved
+    on a ``NODE_MARKER`` surface."""
+    out = d.clone()
+    out._remove_curves((target,))
+    out.nodes += 2
+    out._record(event="new_node_pair", center=name, count=2,
+                marker=NODE_MARKER)
     return out
 
 

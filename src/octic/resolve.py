@@ -6,19 +6,18 @@ double lines (plane-plane lines first, then the double curves created on
 exceptional components).  Carrying the schedule across the family and
 restricting to a special fiber turns every step into one diagram
 rewrite.  This module decides which rewrite fires at each step by
-comparing generic and central multiplicities of the center, drives
-:func:`octic.diagram.apply_blowup`, and collects the residual report.
-The multiplicities stay here: a step reaches the diagram as a
-:class:`~octic.diagram.CenterContext` naming only the rewrite and the
-curves, surfaces, pinches and node pairs it touches.
+comparing generic and central multiplicities of the center, calls that
+rewrite of :mod:`octic.diagram` (``separate``, ``tower``, ``split`` or
+``node_pair``) with the curves, surfaces and pinches it touches, and
+collects the residual report.  The multiplicities stay here.
 
 A trace step is one record: its :class:`Center`, whose kind, phase and
 surface labels follow from its role, and the diagram it made, which holds
-that step's events and no earlier one's.  Each rule of the driver picks
-its rewrite and applies it (``_Driver._apply``: the diagram joins the
-trace and the center counts as blown), then records what later rules
-read: the blown points and lines, the pairs flagged for a node rewrite,
-and the pinches pending on later centers.
+that step's events and no earlier one's.  Each rule of the driver calls
+its rewrite and hands the new diagram to ``_Driver._apply``, which adds
+it to the trace and counts the center as blown; then the rule records
+what later rules read: the blown points and lines, the pairs flagged for
+a node rewrite, and the pinches pending on later centers.
 
 No coefficient row is read here.  Incidences come from two incidence
 profiles, the generic one the schedule is built from and the central one
@@ -44,7 +43,8 @@ or worse line) stops the trace at that center.
 A scenario may transcribe individual steps explicitly (``directives``)
 when two fiber curves of one tower collide in the central fiber; that
 situation is outside the derivable rule set and the transcribed rewrite
-is applied verbatim.
+is applied verbatim: ``plain`` through ``separate``, ``split`` through
+``split``.
 
 The trace checks neither that the blow-up centers are smooth nor that
 the strata of the branch divisor at w0 are near-pencil; a residual is
@@ -61,17 +61,15 @@ from typing import NamedTuple, Optional
 from . import incidence
 from .classify import FIVEFOLD_POINT, TRIPLE_LINE
 from .diagram import (
-    NODE_PAIR,
-    PLAIN_EVEN,
-    PLAIN_ODD,
-    SPLIT_REWRITE,
-    CenterContext,
     CenterNotInDiagram,
     Diagram,
     RuleConflict,
-    apply_blowup,
     initial_diagram,
+    node_pair,
     residual_report,
+    separate,
+    split,
+    tower,
 )
 from .forms import ParamArrangement
 
@@ -285,8 +283,11 @@ class _Driver:
         self.d = initial_diagram(self.central)
         self.trace = [self.d]
         self.blown: set = set()
-        self.blown_points: list = []   # chronological point-center records
-        self.blown_lines: dict = {}    # central line mask -> record
+        # (point, tower, parent, split label) of each blown point center,
+        # in order; a point that split a plane has a parent, not a tower
+        self.blown_points: list = []
+        # central line mask -> (center name, the plane it split or None)
+        self.blown_lines: dict = {}
         self.flagged: set = set()      # pair names marked for a node rewrite
         self.flag_points: set = set()  # masks of crossing points the scan used
         self.pending: dict = {}        # center name -> [curve ids to pinch]
@@ -314,7 +315,7 @@ class _Driver:
         return tuple(sorted(counts.items()))
 
     def _virgin(self, pt: incidence.MultiplePoint) -> bool:
-        return all(bp["point"].mask != pt.mask for bp in self.blown_points)
+        return all(p.mask != pt.mask for p, *_ in self.blown_points)
 
     # -- rules: each applies its own rewrite, then records what it blew up --
 
@@ -344,13 +345,13 @@ class _Driver:
         except (RuleConflict, CenterNotInDiagram) as e:
             raise TraceAborted(c.name, str(e), self.trace) from e
 
-    def _apply(self, ctx: CenterContext) -> Diagram:
-        """Rewrite the diagram by one step: the new diagram joins the trace
-        and the center joins ``blown``, before the rule records anything."""
-        self.d = apply_blowup(self.d, ctx)
-        self.trace.append(self.d)
-        self.blown.add(ctx.name)
-        return self.d
+    def _apply(self, c: Center, d: Diagram):
+        """Take ``d``, the diagram a rewrite made of the current one, as the
+        step of ``c``: it joins the trace and ``c`` joins ``blown``, before
+        the rule records anything."""
+        self.d = d
+        self.trace.append(d)
+        self.blown.add(c.name)
 
     def _point_tower(self, c: Center):
         pt = self._central_point(c)
@@ -358,12 +359,8 @@ class _Driver:
             raise RuleConflict(
                 "fivefold point %s has central multiplicity %d"
                 % (c.name, pt.p))
-        self._apply(CenterContext(
-            name=c.name, rewrite=PLAIN_ODD, tower_label=c.tower,
-            tower_traces=c.planes))
-        self.blown_points.append({
-            "point": pt, "jump": False, "tower": c.tower, "parent": None,
-            "split_label": None})
+        self._apply(c, tower(self.d, c.name, c.tower, traces=c.planes))
+        self.blown_points.append((pt, c.tower, None, None))
 
     def _line_tower(self, c: Center):
         line = self.central.line_through(c.indices)
@@ -379,20 +376,16 @@ class _Driver:
             and c.tower in s.towers
             for t in s.towers if t != c.tower)
         target = self._resolve_curve(c.planes)
-        self._apply(CenterContext(
-            name=c.name, rewrite=PLAIN_ODD,
-            tower_label=c.tower, target_curves=(target,),
-            tower_sections=c.planes, tower_fibers=fibers, tower_meets=meets))
-        self.blown_lines[line.mask] = {"jump": False, "name": c.name}
+        self._apply(c, tower(self.d, c.name, c.tower, (target,),
+                             sections=c.planes, fibers=fibers, meets=meets))
+        self.blown_lines[line.mask] = (c.name, None)
 
     def _quadruple(self, c: Center):
         pt = self._central_point(c)
         if pt.p == 4:
-            self._apply(CenterContext(
-                name=c.name, rewrite=PLAIN_EVEN, pinches=self._fire(c.name)))
-            self.blown_points.append({
-                "point": pt, "jump": False, "tower": None, "parent": None,
-                "split_label": None})
+            self._apply(c, separate(self.d, c.name,
+                                    pinches=self._fire(c.name)))
+            self.blown_points.append((pt, None, None, None))
             return
         if pt.p != 5:
             raise RuleConflict(
@@ -405,24 +398,20 @@ class _Driver:
         e = extra.pop()
         parent = "P%d" % e
         label = self.d.next_prime_label(parent)
-        new_d = self._apply(CenterContext(
-            name=c.name, rewrite=SPLIT_REWRITE, split_surface=parent,
-            split_over=FIVEFOLD_POINT, section_surfaces=c.planes,
+        self._apply(c, split(
+            self.d, c.name, parent, FIVEFOLD_POINT, sections=c.planes,
             pinches=self._fire(c.name)))
-        split_cid = new_d.curve_by_surfaces((parent, label)).id
+        split_cid = self.d.curve_by_surfaces((parent, label)).id
         self._register_crossing_pairs(
             e, split_cid, tuple(self.blown_lines), point=pt)
-        self.blown_points.append({
-            "point": pt, "jump": True, "tower": None, "parent": parent,
-            "split_label": label})
+        self.blown_points.append((pt, None, parent, label))
 
     def _pair(self, c: Center):
         if c.name in self.flagged:
             target = self._resolve_curve(c.planes)
             if self.pending.get(c.name):
                 raise RuleConflict("pinch attribution on a node pair %s" % c.name)
-            self._apply(CenterContext(
-                name=c.name, rewrite=NODE_PAIR, target_curves=(target,)))
+            self._apply(c, node_pair(self.d, c.name, target))
             return
         line = self.central.line_through(c.indices)
         if line.mask in self.blown_lines:
@@ -438,11 +427,10 @@ class _Driver:
 
     def _plain_pair(self, c: Center, line: incidence.MultipleLine):
         target = self._resolve_curve(c.planes)
-        self._apply(CenterContext(
-            name=c.name, rewrite=PLAIN_EVEN,
-            target_curves=(target,), pinches=self._fire(c.name)))
+        self._apply(c, separate(self.d, c.name, (target,),
+                                self._fire(c.name)))
         prior = tuple(self.blown_lines)
-        self.blown_lines[line.mask] = {"jump": False, "name": c.name}
+        self.blown_lines[line.mask] = (c.name, None)
         self._node_scan(c, line, prior)
 
     def _node_scan(self, c: Center, line: incidence.MultipleLine, prior):
@@ -476,12 +464,10 @@ class _Driver:
             self.flag_points.add(pt.mask)
 
     def _successor(self, c: Center, line: incidence.MultipleLine):
-        entry = self.blown_lines[line.mask]
-        if not entry.get("jump"):
+        name, e = self.blown_lines[line.mask]
+        if e is None:
             raise RuleConflict(
-                "double line %s lies on the blown line %s"
-                % (c.name, entry["name"]))
-        e = entry["extra"]
+                "double line %s lies on the blown line %s" % (c.name, name))
         if e not in c.indices:
             raise RuleConflict(
                 "successor %s misses the split plane P%d" % (c.name, e))
@@ -491,9 +477,8 @@ class _Driver:
             cv = self.d.curve_by_surfaces(("P%d" % x, piece.label))
             if cv is not None:
                 targets.append(cv.id)
-        self._apply(CenterContext(
-            name=c.name, rewrite=PLAIN_EVEN,
-            target_curves=tuple(targets), pinches=self._fire(c.name)))
+        self._apply(c, separate(self.d, c.name, tuple(targets),
+                                self._fire(c.name)))
 
     def _jump(self, c: Center, line: incidence.MultipleLine):
         e = (set(line.planes) - set(c.indices)).pop()
@@ -501,27 +486,22 @@ class _Driver:
         label = self.d.next_prime_label(parent)
         target = self._resolve_curve(tuple("P%d" % k for k in line.planes))
         points_on = [bp for bp in self.blown_points
-                     if line.mask & bp["point"].mask == line.mask]
-        fiber_with = None
-        for bp in points_on:
-            if bp["jump"] and bp["parent"] == parent:
-                fiber_with = bp["split_label"]
-                break
-        new_d = self._apply(CenterContext(
-            name=c.name, rewrite=SPLIT_REWRITE,
-            split_surface=parent, split_over=TRIPLE_LINE,
-            target_curves=(target,),
-            section_surfaces=c.planes, fiber_with=fiber_with,
+                     if line.mask & bp[0].mask == line.mask]
+        fiber_with = next((piece for _, _, p, piece in points_on
+                           if p == parent), None)
+        self._apply(c, split(
+            self.d, c.name, parent, TRIPLE_LINE, (target,),
+            sections=c.planes, fiber_with=fiber_with,
             pinches=self._fire(c.name)))
         prior = tuple(self.blown_lines)
-        self.blown_lines[line.mask] = {"jump": True, "extra": e, "name": c.name}
-        split_cid = new_d.curve_by_surfaces((parent, label)).id
+        self.blown_lines[line.mask] = (c.name, e)
+        split_cid = self.d.curve_by_surfaces((parent, label)).id
         successors = [
             c2 for c2 in self.sched.steps
             if c2.role == "pair" and c2.name not in self.blown
             and set(c2.indices) <= set(line.planes)]
         if fiber_with is not None:
-            fiber_cid = new_d.curve_by_surfaces((fiber_with, label)).id
+            fiber_cid = self.d.curve_by_surfaces((fiber_with, label)).id
             for c2 in successors:
                 self.pending.setdefault(c2.name, []).append(fiber_cid)
         else:
@@ -536,10 +516,10 @@ class _Driver:
                 self.pending.setdefault(
                     constant[0].name, []).append(split_cid)
             else:
-                for bp in points_on:
-                    if bp["tower"] is None:
+                for _, t, _, _ in points_on:
+                    if t is None:
                         continue
-                    trace_name = "L%d%s" % (e, bp["tower"])
+                    trace_name = "L%d%s" % (e, t)
                     if any(s.name == trace_name for s in self.sched.steps) \
                             and trace_name not in self.blown:
                         self.pending.setdefault(
@@ -592,9 +572,8 @@ class _Driver:
                         % (c.name, c2.name, incidence.point_text(
                             self.central.point_vector(base))))
         target = self._resolve_curve(c.planes)
-        self._apply(CenterContext(
-            name=c.name, rewrite=PLAIN_EVEN,
-            target_curves=(target,), pinches=self._fire(c.name)))
+        self._apply(c, separate(self.d, c.name, (target,),
+                                self._fire(c.name)))
 
     # -- transcribed steps ---------------------------------------------------
 
@@ -607,26 +586,23 @@ class _Driver:
         pinches = tuple(sorted(counts.items()))
         rewrite = spec.get("rewrite", "plain")
         if rewrite == "plain":
-            ctx = CenterContext(
-                name=c.name, rewrite=PLAIN_EVEN,
-                target_curves=targets, pinches=pinches)
+            self._apply(c, separate(self.d, c.name, targets, pinches))
         elif rewrite == "split":
             over = spec.get("over")
             if over not in (TRIPLE_LINE, FIVEFOLD_POINT):
                 raise RuleConflict(
                     "transcribed split at %s needs a singular-locus tag"
                     % c.name)
-            ctx = CenterContext(
-                name=c.name, rewrite=SPLIT_REWRITE,
-                split_surface=spec.get("parent"), split_over=over,
-                target_curves=targets,
-                section_surfaces=tuple(spec.get("sections", ())),
-                fiber_with=spec.get("fiber_with"), pinches=pinches)
+            if not spec.get("parent"):
+                raise RuleConflict("split rewrite with no surface to split")
+            self._apply(c, split(
+                self.d, c.name, spec["parent"], over, targets,
+                tuple(spec.get("sections", ())), spec.get("fiber_with"),
+                pinches))
         else:
             raise RuleConflict(
                 "transcribed step %s has unknown rewrite %r"
                 % (c.name, rewrite))
-        self._apply(ctx)
 
 
 def trace_central_fiber(a: ParamArrangement, w0, s: BlowUpSchedule,

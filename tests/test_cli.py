@@ -2,6 +2,7 @@
 
 import argparse
 import enum
+import hashlib
 import io
 import json
 import os
@@ -697,6 +698,18 @@ TRACE_MUTANTS = {
             if k != "parent"}}},
         "TraceAborted: trace aborted at L4A: split rewrite with no surface "
         "to split"),
+    # a split that lacks both its tag and its parent is refused for the tag
+    "split-without-tag": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L4A": {
+            k: v for k, v in d["directives"]["L4A"].items()
+            if k not in ("over", "parent")}}},
+        "TraceAborted: trace aborted at L4A: transcribed split at L4A needs "
+        "a singular-locus tag"),
+    "unknown-rewrite": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L4A": {
+            **d["directives"]["L4A"], "rewrite": "merge"}}},
+        "TraceAborted: trace aborted at L4A: transcribed step L4A has "
+        "unknown rewrite 'merge'"),
     "expected-list": ("NewL3", lambda d: {**d, "expected": [[1]]},
                       "ValueError: the expected block must be an object",
                       "--check"),
@@ -760,6 +773,57 @@ def test_dot_files_are_written_inside_the_dot_dir_or_not_at_all(
     assert _written(tmp_path) == [
         f"cwd/out/sub/NewL3-step-0{i}.dot" for i in range(4)] + [
         "nameless.json"]
+
+
+# ``reduce --json`` and ``render`` on each family of ``oracles.SEED1`` at
+# w0 = 0: the exit code, the digest of reduce's stdout or the one line on
+# stderr, and the number and digest of the DOT files.  Pinned here because
+# no benchmark workload prints a generated family's events or DOT, so a
+# change to a rewrite would otherwise show only on the bundled scenarios
+_ABORT = "TraceAborted: trace aborted at {0}: pinch attribution on a node " \
+         "pair {0}"
+SEED1_TRACES = [
+    (0, "674e0743def00912", 29, "9bf3c0b1ba00de16"),
+    (3, _ABORT.format("L58"), 0, None),
+    (0, "e49430492bc8e432", 29, "bc0c8668ea767f64"),
+    (0, "61f9f3fc3adab2fd", 31, "2ac8af092e93a7bd"),
+    (0, "efff5e6349aafde3", 29, "782f9ddb210bb165"),
+    (0, "b66cbded04173bdb", 29, "97953c7efe918025"),
+    (3, _ABORT.format("L68"), 0, None),
+    (0, "07a6acfc49f1daa3", 31, "59383a087a4c3d51"),
+    (0, "45d4e077a46a71d5", 29, "6ac1142682abad53"),
+    (0, "c899ba9f3682a4a0", 30, "6f7bb7a0a8936443"),
+    (0, "d156bf2727cdcb44", 29, "a6f6969450e6382b"),
+    (3, _ABORT.format("L58"), 0, None),
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("k", range(len(oracles.SEED1)))
+def test_seeded_traces_print_the_recorded_events_and_dot(tmp_path, k):
+    code, printed, count, dot = SEED1_TRACES[k]
+    name = "seed1-%02d" % (k + 1)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "equation": oracles.SEED1[k],
+                                "w0": "0"}), encoding="utf-8")
+    out_dir = tmp_path / "dot"
+    reduced = _outcome(["reduce", str(path), "--json"])
+    rendered = _outcome(["render", str(path), "--dot-dir", str(out_dir)])
+    if code:
+        assert reduced == rendered == (code, "", printed + "\n")
+        assert not out_dir.exists()
+        return
+    assert reduced[0] == 0 and _digest(reduced[1]) == printed
+    files = _written(out_dir)
+    assert rendered == (0, "".join(
+        [f"wrote {count} DOT files to {out_dir}\n"]
+        + [f"  {f}\n" for f in files]), "")
+    assert len(files) == count
+    assert _digest("".join(f + "\n" + (out_dir / f).read_text("utf-8")
+                           for f in files)) == dot
 
 
 @pytest.mark.parametrize("command", ["resolve", "render"])

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from octic import diagram, incidence
-from octic.diagram import initial_diagram, render_dot, residual_report
+from octic import cli, diagram, incidence
+from octic.classify import TRIPLE_LINE
+from octic.diagram import (RuleConflict, initial_diagram, render_dot,
+                           residual_report, separate, split)
 from octic.forms import parse_equation
 from octic.resolve import schedule, trace_central_fiber
 
@@ -92,3 +94,24 @@ def test_node_bookkeeping_survives_trace():
     assert trace[-1].nodes == 2
     assert res.nodes == 2
     assert res.node_surface_marker == "small_resolution"
+
+
+def test_a_step_records_at_most_two_events():
+    """P40toP51 ends with the split curves 55' and 55'' and the fiber curve
+    5'5''.  A split records its component and each pinch; a separation
+    records its pinches alone, so it reaches three events only with three."""
+    data, _ = cli.find_scenario("P40toP51")
+    _, trace, _ = cli._trace_scenario(data)
+    d = trace[-1]
+    c55, c55_, fiber = (c.id for c in d.curves.values()
+                        if c.kind in (diagram.SPLIT_CURVE, diagram.SPLIT_FIBER))
+    two = ((c55, 1), (c55_, 1))
+    before = (dict(d.curves), list(d.events))
+    assert [e["event"] for e in separate(d, "X", pinches=two).events] == [
+        "new_pinch", "new_pinch"]
+    message = "^blow-up step emitted more than two events$"
+    with pytest.raises(RuleConflict, match=message):
+        split(d, "X", "P1", TRIPLE_LINE, pinches=two)
+    with pytest.raises(RuleConflict, match=message):
+        separate(d, "X", pinches=two + ((fiber, 1),))
+    assert (d.curves, d.events) == before

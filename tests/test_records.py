@@ -31,9 +31,6 @@ HASHABLE = {
     "Surface": lambda: diagram.Surface("P1'", diagram.SPLIT, parent="P1"),
     "DiagramCurve": lambda: diagram.DiagramCurve(
         3, ("P1", "P1'"), diagram.SPLIT_CURVE, ("P1",), TRIPLE_LINE, 2),
-    "CenterContext": lambda: diagram.CenterContext(
-        "L123", diagram.SPLIT_REWRITE, target_curves=(0,),
-        split_surface="P1", split_over=TRIPLE_LINE, pinches=((0, 1),)),
     "Center": lambda: resolve.Center(
         "L1A", "fiber", (1,), tower="A", base_point=((1,), (), (), ())),
     "ResolvedCY": lambda: ss.ResolvedCY(list(Y70)),
@@ -139,9 +136,6 @@ REFUSED = {
                          "^negative pinch count$"),
     "unknown-location": (lambda: DoubleCurve(1, "nowhere"), ValueError,
                          "^unknown curve location 'nowhere'$"),
-    "split-of-nothing": (
-        lambda: diagram.CenterContext("L12", diagram.SPLIT_REWRITE),
-        diagram.RuleConflict, "^split rewrite with no surface to split$"),
     "six-betti-numbers": (
         lambda: ss.ResolvedCY((1, 0, 70, 2, 70, 0)), ValueError,
         "^a threefold carries seven Betti numbers$"),
