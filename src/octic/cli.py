@@ -40,7 +40,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -270,17 +269,36 @@ def _json_value(value, indent: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, in an existing directory, through a
-    temporary file, so that no reader sees a part of it."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+# a file or symlink already at the temporary name is not followed
+_CREATE = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+           | getattr(os, "O_NOFOLLOW", 0))
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, in an existing directory, through the
+    temporary file ``<path>.<pid>.tmp`` beside it, so that no reader sees
+    a part of it.  The file gets the mode the umask leaves of 0o666.  What
+    is already at the temporary name is unlinked, and the open is tried
+    once more; the temporary file is removed on any error."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        fd = os.open(tmp, _CREATE, 0o666)
+    except FileExistsError:
+        os.unlink(tmp)
+        fd = os.open(tmp, _CREATE, 0o666)
+    try:
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        try:
             os.unlink(tmp)
+        except OSError:
+            pass
         raise
 
 
@@ -319,14 +337,15 @@ def _dot_paths(args, name: str, trace) -> list:
     is malformed input, refused in one line that names it."""
     if name in ("", ".", "..") or "/" in name or os.sep in name:
         raise ValueError(f"DOT files cannot be named after {name!r}")
-    outdir = Path(args.dot_dir)
-    written = []
+    outdir = args.dot_dir
+    # the DOT lines of the curves the diagrams share, kept for this trace
+    written, fragments = [], {}
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(outdir or os.curdir, exist_ok=True)
         for i, d in enumerate(trace):
             fname = f"{name}-step-{i:02d}.dot"
-            write_atomic(outdir / fname,
-                         diagram.render_dot(d, name="step_%d" % i))
+            write_atomic(os.path.join(outdir, fname),
+                         diagram.render_dot(d, "step_%d" % i, fragments))
             written.append(fname)
     except OSError as err:
         raise ValueError(f"cannot write DOT files to {args.dot_dir}: "
@@ -377,6 +396,11 @@ def _trace_scenario(data):
     a = parse_equation(equation)
     generic = incidence.profile(a)
     sched = resolve.schedule(generic, order)
+    names = set(sched.names())
+    for center in directives:
+        if center not in names:
+            raise ValueError(
+                f"directive {center} names no center of the schedule")
     trace, residual = resolve.trace_central_fiber(a, w0, sched, directives)
     return sched, trace, residual
 
@@ -406,12 +430,21 @@ def limit_report(data, base: Path):
     return complex_, e1, specseq.compute_e2(e1, d1), cm
 
 
+# the keys each rewrite of a directive reads; a directive with no
+# ``rewrite`` is plain, and an unknown rewrite is refused by the trace
+_PLAIN_KEYS = ("rewrite", "targets", "pinches")
+_DIRECTIVE_KEYS = {"plain": _PLAIN_KEYS,
+                   "split": _PLAIN_KEYS + ("sections", "over", "parent",
+                                          "fiber_with")}
+
+
 def directives_from_json(data) -> dict:
     """A scenario's transcribed steps by center name (``resolve`` reads
     them): lists of surface-label lists under ``targets`` and ``pinches``,
     a label list under ``sections``, and strings under ``rewrite``,
-    ``over``, ``parent`` and ``fiber_with``."""
-    for spec in _expect(data, dict, "the directives").values():
+    ``over``, ``parent`` and ``fiber_with``.  A key that the directive's
+    rewrite does not read is refused."""
+    for center, spec in _expect(data, dict, "the directives").items():
         _expect(spec, dict, "a directive")
         for key in ("targets", "pinches"):
             for labels in _expect_list(spec.get(key, []), list,
@@ -421,6 +454,11 @@ def directives_from_json(data) -> dict:
         for key in ("rewrite", "over", "parent", "fiber_with"):
             if key in spec:
                 _expect(spec[key], str, f"a directive's {key}")
+        rewrite = spec.get("rewrite", "plain")
+        for key in spec:
+            if key not in _DIRECTIVE_KEYS.get(rewrite, (key,)):
+                raise ValueError(f"directive {center} carries {key!r}, "
+                                 f"which a {rewrite} rewrite does not read")
     return data
 
 

@@ -302,39 +302,64 @@ def residual_report(d: Diagram) -> ResidualSingularities:
     )
 
 
-def render_dot(d: Diagram, name: str = "central_fiber") -> str:
+_STYLE = {PLANE: "solid", EXCEPTIONAL: "dashed", SPLIT: "dashed"}
+
+
+def _curve_lines(c: DiagramCurve) -> tuple:
+    """A curve's node line on each of its surfaces, in ``c.surfaces``
+    order, and its dotted links between consecutive ones."""
+    label = c.label
+    nodes = tuple('    "c%d@%s" [label="%s"%s];'
+                  % (c.id, s, label,
+                     ', style=dashed' if s in c.exceptional_on else '')
+                  for s in c.surfaces)
+    links = tuple('  "c%d@%s" -- "c%d@%s" [style=dotted];' % (c.id, a, c.id, b)
+                  for a, b in zip(c.surfaces, c.surfaces[1:]))
+    return nodes, links
+
+
+def render_dot(d: Diagram, name: str = "central_fiber",
+               fragments: Optional[dict] = None) -> str:
     """Graphviz source for the diagram; output is deterministic.
 
     One cluster per surface; each curve appears as a node inside every
     surface it lies on (dashed where the curve is exceptional there), with
     dotted cross-links tying the appearances together.  Pinch points show
     as diamond glyphs, node pairs as a doubled circle on the diagram root.
+
+    ``fragments`` is a dict for the caller to keep across the diagrams of
+    one trace, which share most of their curves: it holds the node and
+    link lines of each curve record (a record ``_pinch`` replaced is a new
+    key) and the sort key of each surface label, so each is worked out
+    once per trace.  The text is the same with or without it.
     """
-    curves = sorted(d.curves.values(), key=lambda c: c.id)
+    if fragments is None:
+        fragments = {}
+    curves = [d.curves[cid] for cid in sorted(d.curves)]
     members = {label: [] for label in d.surfaces}
+    links = []
     for c in curves:
-        for label in c.surfaces:
-            members[label].append(c)
-    labels = {c.id: c.label for c in curves}
+        frag = fragments.get(c)
+        if frag is None:
+            frag = fragments[c] = _curve_lines(c)
+        for label, line in zip(c.surfaces, frag[0]):
+            members[label].append(line)
+        links.extend(frag[1])
+    for label in members:
+        if label not in fragments:
+            fragments[label] = _surface_key(label)
     lines = ["graph %s {" % name]
     lines.append('  graph [compound=true, fontname="Helvetica"];')
     lines.append('  node [shape=box, fontname="Helvetica"];')
-    for label in sorted(d.surfaces, key=_surface_key):
-        surf = d.surfaces[label]
+    for label in sorted(members, key=fragments.__getitem__):
         lines.append('  subgraph "cluster_%s" {' % label)
-        style = {PLANE: "solid", EXCEPTIONAL: "dashed", SPLIT: "dashed"}[surf.origin]
-        lines.append('    label="%s"; style=%s;' % (label, style))
+        lines.append('    label="%s"; style=%s;'
+                     % (label, _STYLE[d.surfaces[label].origin]))
         if not members[label]:
             lines.append('    "anchor_%s" [shape=point, style=invis];' % label)
-        for c in members[label]:
-            dash = ', style=dashed' if label in c.exceptional_on else ''
-            lines.append('    "c%d@%s" [label="%s"%s];'
-                         % (c.id, label, labels[c.id], dash))
+        lines.extend(members[label])
         lines.append("  }")
-    for c in curves:
-        for a, b in zip(c.surfaces, c.surfaces[1:]):
-            lines.append('  "c%d@%s" -- "c%d@%s" [style=dotted];'
-                         % (c.id, a, c.id, b))
+    lines.extend(links)
     pinch_idx = 0
     for c in curves:
         for _ in range(c.pinch_count):

@@ -710,6 +710,14 @@ TRACE_MUTANTS = {
             **d["directives"]["L4A"], "rewrite": "merge"}}},
         "TraceAborted: trace aborted at L4A: transcribed step L4A has "
         "unknown rewrite 'merge'"),
+    "plain-with-parent": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L34": {
+            **d["directives"]["L34"], "parent": "P9"}}},
+        "ValueError: directive L34 carries 'parent', which a plain rewrite "
+        "does not read"),
+    "unscheduled-directive": ("TwoP41toP51", lambda d: {
+        **d, "directives": {**d["directives"], "L99": {"rewrite": "bogus"}}},
+        "ValueError: directive L99 names no center of the schedule"),
     "expected-list": ("NewL3", lambda d: {**d, "expected": [[1]]},
                       "ValueError: the expected block must be an object",
                       "--check"),
@@ -839,6 +847,40 @@ def test_a_dot_dir_that_cannot_be_made_is_exit_2(tmp_path, monkeypatch,
         2, "", f"ValueError: cannot write DOT files to {target}: {reason}\n")
     assert _written(tmp_path) == ["F"]
     assert (tmp_path / "F").read_text(encoding="utf-8") == "plain\n"
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_dot_files_take_the_umask_mode_and_leave_no_temporary_file(
+        tmp_path, umask_022):
+    """Each DOT file gets 0o666 less the umask, and only the DOT files are
+    left; a symlink at a temporary name is unlinked, never followed."""
+    out, target = tmp_path / "D", tmp_path / "target"
+    out.mkdir()
+    target.write_text("kept\n", encoding="utf-8")
+    stale = out / f"NewL3-step-01.dot.{os.getpid()}.tmp"
+    stale.symlink_to(target)
+    assert _outcome(["render", "NewL3", "--dot-dir", str(out)])[0] == 0
+    files = _written(out)
+    assert files == [f"NewL3-step-0{i}.dot" for i in range(4)]
+    assert all((out / f).stat().st_mode & 0o777 == 0o644 for f in files)
+    assert not os.path.lexists(stale)
+    assert target.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    """A replace that fails (a directory at the target) removes the
+    temporary file and leaves what was there."""
+    (tmp_path / "f.dot").mkdir()
+    with pytest.raises(OSError):
+        cli.write_atomic(str(tmp_path / "f.dot"), "graph g {}\n")
+    assert os.listdir(tmp_path) == ["f.dot"]
+    assert (tmp_path / "f.dot").is_dir()
 
 
 @st.composite

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from octic import cli, diagram, incidence
+import oracles
+from octic import cli, diagram, incidence, resolve
 from octic.classify import TRIPLE_LINE
 from octic.diagram import (RuleConflict, initial_diagram, render_dot,
                            residual_report, separate, split)
@@ -115,3 +116,44 @@ def test_a_step_records_at_most_two_events():
     with pytest.raises(RuleConflict, match=message):
         separate(d, "X", pinches=two + ((fiber, 1),))
     assert (d.curves, d.events) == before
+
+
+def _bundled_traces():
+    """(name, trace) of every bundled scenario that traces."""
+    names = [p.stem for p in (cli.data_root() / "families").glob("*.json")]
+    for name in sorted(names) + ["two-nodes", "four-pinches", "seven-lines"]:
+        data, _ = cli.find_scenario(name)
+        if data.get("equation"):
+            yield name, cli._trace_scenario(data)[1]
+
+
+def _seed1_traces():
+    """(name, trace) of each ``oracles.SEED1`` family at w0 = 0; a trace
+    that aborts gives the diagrams it made."""
+    for k, equation in enumerate(oracles.SEED1):
+        a = parse_equation(equation)
+        try:
+            trace, _ = trace_central_fiber(a, Fraction(0),
+                                           schedule(incidence.profile(a)))
+        except resolve.TraceAborted as err:
+            trace = err.trace
+        yield "seed1-%02d" % (k + 1), trace
+
+
+def test_shared_fragments_change_no_byte():
+    """A fragments dict kept across a trace gives each diagram the text it
+    has alone: on four-pinches, whose split curves are replaced as their
+    pinch counts grow, and on every other trace at hand."""
+    traces = dict(_bundled_traces())
+    assert len(traces) == 13 and "four-pinches" in traces
+    pinched = [c for d in traces["four-pinches"] for c in d.curves.values()
+               if c.pinch_count]
+    assert len({c.id for c in pinched}) < len(set(pinched))
+    traces.update(_seed1_traces())
+    assert len(traces) == 25
+    for name, trace in traces.items():
+        shared = {}
+        for i, d in enumerate(trace):
+            step = "step_%d" % i
+            assert render_dot(d, step, shared) == render_dot(d, step), \
+                (name, i)
